@@ -35,8 +35,7 @@ from .graphon import (
 )
 from .lif import NeuronParams, SpikeRaster, StimulusPulse, SynapseParams, run_trial
 from .protocols import (
-    LabeledDataset,
-    ResponseVector,
+    Responses,
     extract_response,
     load_experimental_responses,
     mixed_cluster_protocol,
@@ -85,8 +84,7 @@ __all__ = [
     "StimulusPulse",
     "SynapseParams",
     "run_trial",
-    "LabeledDataset",
-    "ResponseVector",
+    "Responses",
     "extract_response",
     "load_experimental_responses",
     "mixed_cluster_protocol",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .errors import ParameterError, SingularSystemError
+from .errors import ParameterError, ParseError, SingularSystemError
 from .sbm import _readonly
 
 
@@ -200,8 +200,8 @@ def select_lambda(
 
 
 def cross_validated_accuracy(
-    dataset,
-    embedder,
+    labels,
+    embed,
     folds: int = 7,
     lam: float = 1.0,
     seed: int = 0,
@@ -210,21 +210,21 @@ def cross_validated_accuracy(
 ) -> EvalReport:
     """Stratified k-fold accuracy with the embedding fitted on train folds only.
 
-    ``dataset`` is a LabeledDataset; ``embedder`` maps (train_matrix,
-    test_matrix, dataset) to a (train_coords, test_coords) pair, so methods
-    with a fitting step (PCA) cannot leak test data, while fixed bases simply
-    ignore the split.  With ``lam_grid`` set, the penalty is chosen per outer
-    fold by inner cross-validation on that fold's training data; otherwise
-    ``lam`` is used as-is.  The report pools out-of-fold predictions.
+    ``labels`` holds one stimulus label per trial; ``embed`` maps (train
+    indices, test indices) into those trials to a (train_coords, test_coords)
+    pair, so methods with a fitting step (PCA) cannot leak test data, while
+    fixed bases simply ignore the split.  With ``lam_grid`` set, the penalty
+    is chosen per outer fold by inner cross-validation on that fold's
+    training data; otherwise ``lam`` is used as-is.  The report pools
+    out-of-fold predictions.
     """
-    labels = np.asarray(dataset.labels)
-    mat = dataset.matrix()
+    labels = np.asarray(labels)
     fold_indices = stratified_folds(labels, folds, seed=seed)
     predicted = np.empty(labels.size, dtype=object)
     for test_idx in fold_indices:
         train_mask = np.ones(labels.size, dtype=bool)
         train_mask[test_idx] = False
-        train_coords, test_coords = embedder(mat[train_mask], mat[test_idx], dataset)
+        train_coords, test_coords = embed(np.flatnonzero(train_mask), test_idx)
         lam_fold = lam
         if lam_grid is not None:
             lam_fold = select_lambda(train_coords, labels[train_mask], lam_grid, seed=seed)
@@ -342,18 +342,27 @@ def write_report(path, report: EvalReport, paired: PairedStats | None = None, ex
 
 
 def read_correctness_csv(path) -> np.ndarray:
-    """trial_id,correct file with correct in {0, 1}, ordered by trial_id."""
-    rows = []
+    """trial_id,correct file with correct in {0, 1}, ordered by trial_id.
+
+    Every rejected row is named by its line number, and a trial id may
+    appear only once.
+    """
+    rows = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["trial_id", "correct"]:
-            raise ParameterError(f"{path}: header must be trial_id,correct")
-        for row in reader:
+            raise ParseError(f"{path}: header must be trial_id,correct")
+        for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2 or row[1] not in ("0", "1"):
-                raise ParameterError(f"{path}: bad row {row!r}")
-            rows.append((int(row[0]), float(row[1])))
-    rows.sort()
-    return np.array([value for _, value in rows])
+                raise ParseError(f"{path}: row {row_no}: bad row {row!r}")
+            try:
+                trial_id = int(row[0])
+            except ValueError:
+                raise ParseError(f"{path}: row {row_no}: bad trial_id {row[0]!r}") from None
+            if trial_id in rows:
+                raise ParseError(f"{path}: row {row_no}: duplicate trial_id {trial_id}")
+            rows[trial_id] = float(row[1])
+    return np.array([rows[t] for t in sorted(rows)])

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from .classify import (
     cross_validated_accuracy,
@@ -100,7 +99,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_embed(args) -> int:
     responses = read_responses_csv(args.responses)
-    length = responses[0].values.size
+    length = responses.values.shape[1]
     if args.block_map:
         block_map = read_block_map(args.block_map, expected_size=length)
     elif length % 4 == 0:
@@ -131,10 +130,9 @@ def _cmd_embed(args) -> int:
 def _cmd_classify(args) -> int:
     es = read_embeddings_csv(args.embeddings)
     # precomputed coordinates are the features; no per-fold embedding refit
-    coords_dataset = SimpleNamespace(labels=es.labels, matrix=lambda: es.coords)
     report = cross_validated_accuracy(
-        coords_dataset,
-        lambda train, test, dataset: (train, test),
+        es.labels,
+        lambda tr, te: (es.coords[tr], es.coords[te]),
         folds=args.folds,
         lam=args.lam,
         seed=args.seed,

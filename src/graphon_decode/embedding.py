@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError
 from .graphon import GraphonEigenpair
-from .protocols import LabeledDataset, ResponseVector
+from .protocols import Responses
 from .sbm import BLOCK_COUNT, SpectralDecomposition, block_eigenvector_matrix, _readonly
 
 CONVENTIONS = ("blocksum", "orthonormal")
@@ -50,19 +50,13 @@ class EmbeddingSet:
 
 
 def _unpack(responses) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
-    if isinstance(responses, LabeledDataset):
-        responses = responses.responses
-    rows = list(responses)
-    if not rows:
-        raise ParameterError("no responses to project")
-    if isinstance(rows[0], ResponseVector):
-        mat = np.vstack([r.values for r in rows])
-        labels = tuple(r.label for r in rows)
-        trial_ids = tuple(r.trial_id for r in rows)
-        return mat, labels, trial_ids
-    mat = np.asarray(rows, dtype=float)
-    if mat.ndim == 1:
-        mat = mat[None, :]
+    """Matrix, labels and trial ids of a Responses; a plain (signals x units)
+    array, such as raw eigenvectors, gets empty labels and ids 0..k-1."""
+    if isinstance(responses, Responses):
+        return responses.values, responses.labels, responses.trial_ids
+    mat = np.asarray(responses, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] == 0:
+        raise ParameterError("expected Responses or a nonempty 2-D (signals x units) array")
     return mat, ("",) * mat.shape[0], tuple(range(mat.shape[0]))
 
 

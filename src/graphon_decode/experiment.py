@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -49,9 +51,8 @@ from .lif import (
     write_raster_csv,
 )
 from .protocols import (
-    LabeledDataset,
     Protocol,
-    ResponseVector,
+    Responses,
     extract_response,
     load_experimental_responses,
     mixed_cluster_protocol,
@@ -188,7 +189,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "trials_per_stimulus":
-            if not isinstance(value, int) or value < 1:
+            _check_scalars(key, "int", value)
+            if value < 1:
                 raise ConfigError(f"trials_per_stimulus must be a positive integer, got {value!r}")
             kwargs[key] = value
             continue
@@ -197,10 +199,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config section {key!r}")
         if not isinstance(value, dict):
             raise ConfigError(f"section {key!r} must be a mapping")
-        known = {f.name for f in fields(cls)}
-        unknown = set(value) - known
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = set(value) - set(known)
         if unknown:
             raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
+        for name, item in value.items():
+            _check_scalars(f"{key}.{name}", known[name], item)
         payload = dict(value)
         if cls is EmbeddingSection and "methods" in payload:
             payload["methods"] = tuple(payload["methods"])
@@ -216,6 +220,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     _validate_config(config)
     return config
+
+
+def _check_scalars(where: str, annotation: str, value) -> None:
+    """Reject what JSON lets through but no field means: a boolean outside a
+    boolean field (``true`` is not a count), a non-integer in an integer
+    field, and NaN or infinite numbers.  Lists are checked item by item."""
+    for item in value if isinstance(value, (list, tuple)) else (value,):
+        if isinstance(item, bool):
+            if annotation != "bool":
+                raise ConfigError(f"{where} must not be a boolean, got {item!r}")
+        elif annotation == "int" and not isinstance(item, int):
+            raise ConfigError(f"{where} must be an integer, got {item!r}")
+        elif isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"{where} must be finite, got {item!r}")
 
 
 def _validate_config(config: ExperimentConfig) -> None:
@@ -319,12 +337,10 @@ def _trial_job(payload):
         zero_degree=sim.zero_degree,
     )
     try:
-        response = extract_response(
-            raster, onset=sim.onset, window=sim.window, label=label, trial_id=trial_id, seed=seed
-        )
+        response = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
     except ZeroResponseError:
         response = None
-    return trial_id, label, seed, response, raster
+    return trial_id, label, response, raster
 
 
 def run_protocol_trials(
@@ -336,12 +352,13 @@ def run_protocol_trials(
     realization: int = 0,
     jobs: int = 1,
     raster_dir=None,
-) -> tuple[list[ResponseVector], list[int]]:
+) -> tuple[Responses, list[int]]:
     """Run every (stimulus, trial) job and return responses plus skipped ids.
 
     Trial seeds derive from (root_seed, realization, stimulus, trial), so any
     execution order, worker count, or subset of stimuli reproduces the same
-    per-trial dynamics.
+    per-trial dynamics.  Zero-response trials are skipped; a DataError is
+    raised when no trial is usable.
     """
     jobs_list = []
     n_stimuli = len(protocol.stimuli)
@@ -358,18 +375,42 @@ def run_protocol_trials(
         results = [_trial_job(p) for p in jobs_list]
 
     results.sort(key=lambda item: item[0])
-    responses, skipped = [], []
-    for trial_id, label, seed, response, raster in results:
-        if response is None:
-            skipped.append(trial_id)
-            continue
-        responses.append(response)
-        if raster_dir is not None:
+    kept = [item for item in results if item[2] is not None]
+    if not kept:
+        raise DataError(
+            f"realization {realization}: all {len(results)} trials were zero-response; "
+            "nothing to embed"
+        )
+    if raster_dir is not None:
+        for trial_id, label, _, raster in kept:
             meta = {"label": label, **asdict(sim)}
-            write_raster_csv(
-                raster, Path(raster_dir) / f"trial_{trial_id:04d}.csv", meta=meta
-            )
-    return responses, skipped
+            write_raster_csv(raster, Path(raster_dir) / f"trial_{trial_id:04d}.csv", meta=meta)
+    trial_ids, labels, rows, _ = zip(*kept)
+    skipped = [trial_id for trial_id, _, row, _ in results if row is None]
+    return Responses(values=np.vstack(rows), labels=labels, trial_ids=trial_ids), skipped
+
+
+def _simulate(
+    alpha: float,
+    n: int,
+    protocol: Protocol,
+    trials_per_stimulus: int,
+    root_seed: int,
+    realization: int = 0,
+    jobs: int = 1,
+    sim: SimSection | None = None,
+    graph_seed: int | None = None,
+):
+    """Sample one graph and run the protocol's trials on it; returns the
+    adjacency and the responses.  The graph seed derives from (root_seed,
+    realization) unless given."""
+    if graph_seed is None:
+        graph_seed = derive_seed(root_seed, _GRAPH_STREAM, realization)
+    adjacency = sample_adjacency(SbmConfig(alpha=alpha, n=n, seed=graph_seed))
+    responses, _ = run_protocol_trials(
+        adjacency, protocol, sim or SimSection(), trials_per_stimulus, root_seed, realization, jobs
+    )
+    return adjacency, responses
 
 
 def _build_protocol(config: ExperimentConfig) -> Protocol:
@@ -378,7 +419,10 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
         return two_cluster_protocol(config.sbm.n)
     if name == "mixed_cluster":
         return mixed_cluster_protocol(config.sbm.n)
-    data = json.loads(Path(config.protocol.custom_path).read_text())
+    try:
+        data = json.loads(Path(config.protocol.custom_path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{config.protocol.custom_path}: {exc}") from exc
     try:
         stimuli = tuple((s["label"], tuple(s["targets"])) for s in data["stimuli"])
     except (KeyError, TypeError) as exc:
@@ -416,29 +460,28 @@ def _embed(method, responses, config, decomposition, eigenpairs, block_map, indi
     raise ConfigError(f"unknown embedding method {method!r}")
 
 
-def classification_embedder(method, config, decomposition, eigenpairs):
-    """Embedder callable for cross-validation; PCA refits per training fold,
-    the two spectral bases are fixed and ignore the split."""
+def classification_embedder(
+    method, responses: Responses, block_map, config, decomposition, eigenpairs
+):
+    """Embedder callable for cross-validation over ``responses``: maps (train
+    indices, test indices) to coordinates.  PCA refits per training fold, the
+    two spectral bases are fixed and ignore the split."""
     dims = config.classify.dimensions
     indices = tuple(range(1, dims + 1))
+    mat = responses.values
 
-    def embed(train, test, dataset):
-        if method == "pca":
-            model = pca_fit(train, dims=dims)
-            return pca_transform(model, train), pca_transform(model, test)
+    def project(rows):
         if method == "graphon":
-            tr = graphon_project(
-                train, eigenpairs, dataset.block_map,
-                convention=config.embedding.convention, indices=indices,
-            )
-            te = graphon_project(
-                test, eigenpairs, dataset.block_map,
-                convention=config.embedding.convention, indices=indices,
-            )
-            return tr.coords, te.coords
-        tr = gft_project(train, decomposition, indices=indices)
-        te = gft_project(test, decomposition, indices=indices)
-        return tr.coords, te.coords
+            return graphon_project(
+                rows, eigenpairs, block_map, convention=config.embedding.convention, indices=indices
+            ).coords
+        return gft_project(rows, decomposition, indices=indices).coords
+
+    def embed(train, test):
+        if method == "pca":
+            model = pca_fit(mat[train], dims=dims)
+            return pca_transform(model, mat[train]), pca_transform(model, mat[test])
+        return project(mat[train]), project(mat[test])
 
     return embed
 
@@ -517,8 +560,6 @@ def run_experiment(
         jobs=jobs,
         raster_dir=raster_dir,
     )
-    if not responses:
-        raise DataError("every trial was skipped as zero-response; nothing to embed")
     write_responses_csv(responses, out / "responses.csv")
     files.append("responses.csv")
     if raster_dir is not None:
@@ -529,7 +570,7 @@ def run_experiment(
     indices = _map_indices(config.embedding.dimensions)
     summary: dict = {
         "out_dir": str(out),
-        "n_responses": len(responses),
+        "n_responses": len(responses.labels),
         "skipped_trials": skipped,
         "accuracy": {},
     }
@@ -541,19 +582,18 @@ def run_experiment(
         files.append(name)
 
     if config.classify.enabled:
-        counts = {lab: 0 for lab in protocol.labels}
-        for r in responses:
-            counts[r.label] += 1
-        short = {lab: c for lab, c in counts.items() if c < config.classify.folds}
+        counts = Counter(responses.labels)
+        short = {lab: counts[lab] for lab in protocol.labels if counts[lab] < config.classify.folds}
         if short:
             raise DataError(
                 f"classes with fewer usable trials than {config.classify.folds} folds: {short}"
             )
-        dataset = LabeledDataset(responses=tuple(responses), block_map=block_map)
         for method in config.embedding.methods:
             report = cross_validated_accuracy(
-                dataset,
-                classification_embedder(method, config, decomposition, eigenpairs),
+                responses.labels,
+                classification_embedder(
+                    method, responses, block_map, config, decomposition, eigenpairs
+                ),
                 folds=config.classify.folds,
                 lam=config.classify.lam,
                 seed=config.classify.seed,
@@ -599,21 +639,16 @@ def trial_invariance_experiment(
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
-    sim = sim or SimSection()
     protocol = two_cluster_protocol(n)
     eigenpairs = analytic_graphon_eigenpairs(alpha)
     block_map = block_membership(n)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
     for r in range(realizations):
-        graph_seed = derive_seed(root_seed, _GRAPH_STREAM, r)
-        adjacency = sample_adjacency(SbmConfig(alpha=alpha, n=n, seed=graph_seed))
-        decomposition = eigendecompose(adjacency)
-        responses, _ = run_protocol_trials(
-            adjacency, protocol, sim, trials_per_stimulus, root_seed, realization=r, jobs=jobs
+        adjacency, responses = _simulate(
+            alpha, n, protocol, trials_per_stimulus, root_seed, realization=r, jobs=jobs, sim=sim
         )
-        if not responses:
-            raise DataError(f"realization {r}: all trials zero-response")
+        decomposition = eigendecompose(adjacency)
         gft_sets.append(aligned_gft_project(responses, decomposition, indices=(2, 3, 4)))
         graphon_sets.append(
             graphon_project(responses, eigenpairs, block_map, indices=(2, 3, 4))
@@ -639,16 +674,9 @@ def mixed_cluster_experiment(
 ) -> dict:
     """Three-stimulus run embedded with the kernel basis and with PCA,
     plus separability metrics for both maps."""
-    sim = sim or SimSection()
-    protocol = mixed_cluster_protocol(n)
-    adjacency = sample_adjacency(
-        SbmConfig(alpha=alpha, n=n, seed=derive_seed(root_seed, _GRAPH_STREAM, 0))
+    _, responses = _simulate(
+        alpha, n, mixed_cluster_protocol(n), trials_per_stimulus, root_seed, jobs=jobs, sim=sim
     )
-    responses, _ = run_protocol_trials(
-        adjacency, protocol, sim, trials_per_stimulus, root_seed, jobs=jobs
-    )
-    if not responses:
-        raise DataError("all trials zero-response")
     eigenpairs = analytic_graphon_eigenpairs(alpha)
     block_map = block_membership(n)
     graphon_es = graphon_project(responses, eigenpairs, block_map, indices=(2, 3, 4))
@@ -674,16 +702,11 @@ def _write_xy(es: EmbeddingSet, cols: tuple[int, int], path: Path) -> None:
 
 
 def _reproduce_fig5(out: Path, jobs: int, seed: int) -> list[str]:
-    config = config_from_dict(
-        {"sbm": {"seed": seed}, "embedding": {"methods": ["gft"]}, "classify": {"enabled": False}}
+    # the documented default experiment, its graph drawn from the seed itself
+    adjacency, responses = _simulate(
+        0.05, 100, two_cluster_protocol(100), 20, seed, jobs=jobs, graph_seed=seed
     )
-    adjacency = sample_adjacency(SbmConfig(alpha=0.05, n=100, seed=seed))
-    decomposition = eigendecompose(adjacency)
-    protocol = two_cluster_protocol(100)
-    responses, _ = run_protocol_trials(
-        adjacency, protocol, config.sim, config.trials_per_stimulus, root_seed=seed, jobs=jobs
-    )
-    es = gft_project(responses, decomposition, indices=(2, 3, 4))
+    es = gft_project(responses, eigendecompose(adjacency), indices=(2, 3, 4))
     _write_xy(es, (0, 1), out / "fig5_gft_modes_2_3.csv")
     _write_xy(es, (0, 2), out / "fig5_gft_modes_2_4.csv")
     return ["fig5_gft_modes_2_3.csv", "fig5_gft_modes_2_4.csv"]
@@ -750,34 +773,25 @@ def _reproduce_table(
     """Accuracy table: kernel embedding vs PCA, cross-validated, with paired
     statistics.  Falls back to a simulated surrogate dataset (clearly marked,
     degraded exit) when no measured responses are provided."""
-    degraded = False
-    if experimental_csv and block_map_csv:
-        dataset = load_experimental_responses(experimental_csv, block_map_csv)
-        source = "experimental"
-        alpha = 0.05
-    else:
-        degraded = True
+    config = ExperimentConfig()
+    alpha = config.sbm.alpha
+    degraded = not (experimental_csv and block_map_csv)
+    if degraded:
         source = "simulated_surrogate"
-        alpha = 0.05
-        sim = SimSection()
-        protocol = mixed_cluster_protocol(100)
-        adjacency = sample_adjacency(
-            SbmConfig(alpha=alpha, n=100, seed=derive_seed(seed, _GRAPH_STREAM, 0))
-        )
-        responses, _ = run_protocol_trials(adjacency, protocol, sim, 7, seed, jobs=jobs)
-        if not responses:
-            raise DataError("surrogate simulation produced no usable trials")
-        dataset = LabeledDataset(
-            responses=tuple(responses), block_map=block_membership(100)
-        )
+        _, responses = _simulate(alpha, 100, mixed_cluster_protocol(100), 7, seed, jobs=jobs)
+        block_map = block_membership(100)
+    else:
+        source = "experimental"
+        responses, block_map = load_experimental_responses(experimental_csv, block_map_csv)
 
-    config = config_from_dict({"sbm": {"alpha": alpha}})
     eigenpairs = analytic_graphon_eigenpairs(alpha)
     reports = {}
     for method in ("graphon", "pca"):
         reports[method] = cross_validated_accuracy(
-            dataset,
-            classification_embedder(method, config, decomposition=None, eigenpairs=eigenpairs),
+            responses.labels,
+            classification_embedder(
+                method, responses, block_map, config, decomposition=None, eigenpairs=eigenpairs
+            ),
             folds=config.classify.folds,
             lam=config.classify.lam,
             seed=config.classify.seed,

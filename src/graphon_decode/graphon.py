@@ -9,11 +9,10 @@ are therefore limited only by floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ParseError
+from .errors import ContractError, ParameterError
 from .sbm import (
     BLOCK_COUNT,
     AdjacencyMatrix,
@@ -247,25 +246,3 @@ def infty_to_one_norm_lower_bound(kernel: StepKernel, restarts: int = 32, seed: 
         best = max(best, val)
     return best
 
-
-def write_graphon_csv(kernel: StepKernel, path) -> None:
-    """Boundaries on line 1, then the value matrix rows."""
-    lines = [",".join(repr(float(x)) for x in kernel.boundaries)]
-    lines.extend(",".join(repr(float(x)) for x in row) for row in kernel.values)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_graphon_csv(path) -> StepKernel:
-    """Inverse of :func:`write_graphon_csv`; returns a StepGraphon when the
-    values lie in [0, 1] and a plain StepKernel otherwise."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ParseError(f"{path}: expected boundaries plus at least one value row")
-    try:
-        bounds = np.array([float(tok) for tok in lines[0].split(",")])
-        values = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric cell") from exc
-    if np.all(values >= 0.0) and np.all(values <= 1.0):
-        return StepGraphon(bounds, values)
-    return StepKernel(bounds, values)

@@ -50,55 +50,33 @@ class Protocol:
 
 
 @dataclass(frozen=True)
-class ResponseVector:
-    """Unit-L2, nonnegative response of every unit in one trial."""
+class Responses:
+    """Unit-L2, nonnegative responses of every unit: one row per trial, with
+    that trial's stimulus label and id."""
 
-    values: np.ndarray
-    label: str
-    trial_id: int
-    seed: int = 0
+    values: np.ndarray  # (trials, units), read-only
+    labels: tuple[str, ...]
+    trial_ids: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ContractError("response values must be a nonempty 1-D vector")
-        if np.any(v < 0):
+        v = np.array(self.values, dtype=float)
+        if v.ndim != 2 or v.size == 0:
+            raise ContractError("response values must be a nonempty (trials x units) matrix")
+        labels = tuple(str(lab) for lab in self.labels)
+        trial_ids = tuple(int(t) for t in self.trial_ids)
+        if len(labels) != v.shape[0] or len(trial_ids) != v.shape[0]:
+            raise ContractError("one label and one trial id per response row required")
+        if not (v >= 0).all():  # also rejects NaN
             raise ContractError("response values must be nonnegative")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-10:
-            raise ContractError(f"response must be unit L2 norm, got {norm}")
-        object.__setattr__(self, "values", _readonly(v.copy()))
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Responses plus the unit-to-block assignment they were measured on."""
-
-    responses: tuple[ResponseVector, ...]
-    block_map: np.ndarray
-    source: str = "simulated"
-
-    def __post_init__(self):
-        if self.source not in ("simulated", "experimental"):
-            raise ContractError(f"unknown source {self.source!r}")
-        if not self.responses:
-            raise ContractError("dataset must contain at least one response")
-        m = self.responses[0].values.size
-        if any(r.values.size != m for r in self.responses):
-            raise ContractError("all responses must have the same length")
-        bm = np.asarray(self.block_map, dtype=int)
-        if bm.shape != (m,):
-            raise ContractError(f"block map must assign all {m} units, got shape {bm.shape}")
-        if not np.isin(bm, np.arange(1, BLOCK_COUNT + 1)).all():
-            raise ContractError("block map values must lie in 1..4")
-        object.__setattr__(self, "block_map", _readonly(bm.copy()))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.responses)
-
-    def matrix(self) -> np.ndarray:
-        return np.vstack([r.values for r in self.responses])
+        norms = np.linalg.norm(v, axis=1)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))
+        if off.size:
+            raise ContractError(
+                f"responses must have unit L2 norm, row {off[0]} has {norms[off[0]]}"
+            )
+        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "trial_ids", trial_ids)
 
 
 def two_cluster_protocol(n: int) -> Protocol:
@@ -133,13 +111,8 @@ def mixed_cluster_protocol(n: int) -> Protocol:
 
 
 def extract_response(
-    raster: SpikeRaster,
-    onset: float,
-    window: float = 100.0,
-    label: str = "",
-    trial_id: int = 0,
-    seed: int | None = None,
-) -> ResponseVector:
+    raster: SpikeRaster, onset: float, window: float = 100.0, trial_id: int = 0
+) -> np.ndarray:
     """Spike counts per neuron in [onset, onset + window), L2-normalized.
 
     Raises ZeroResponseError when no neuron spiked in the window; such trials
@@ -155,12 +128,7 @@ def extract_response(
     norm = np.linalg.norm(counts)
     if norm == 0.0:
         raise ZeroResponseError(f"trial {trial_id}: no spikes in [{onset}, {onset + window})")
-    return ResponseVector(
-        values=counts / norm,
-        label=label,
-        trial_id=trial_id,
-        seed=raster.seed if seed is None else seed,
-    )
+    return counts / norm
 
 
 def normalize_response(values: np.ndarray) -> np.ndarray:
@@ -172,21 +140,26 @@ def normalize_response(values: np.ndarray) -> np.ndarray:
     return values / norm
 
 
-def write_responses_csv(responses, path) -> None:
+def write_responses_csv(responses: Responses, path) -> None:
     """trial_id,label,roi_0..roi_{m-1} with one row per trial."""
-    responses = list(responses)
-    if not responses:
-        raise ParameterError("nothing to write")
-    m = responses[0].values.size
+    m = responses.values.shape[1]
     lines = ["trial_id,label," + ",".join(f"roi_{i}" for i in range(m))]
-    for r in responses:
-        vals = ",".join(repr(float(x)) for x in r.values)
-        lines.append(f"{r.trial_id},{r.label},{vals}")
+    for trial_id, label, row in zip(responses.trial_ids, responses.labels, responses.values):
+        vals = ",".join(repr(float(x)) for x in row)
+        lines.append(f"{trial_id},{label},{vals}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_response_rows(path, allowed_labels=None) -> list[ResponseVector]:
+def read_responses_csv(path, allowed_labels=None) -> Responses:
+    """Read a response CSV, renormalizing rows (a no-op for unit rows).
+
+    Every rejected row is named by its line number; ``allowed_labels``
+    optionally restricts the stimulus labels.
+    """
     with open(path, newline="") as fh:
+        # a line count bounds the row count, so the matrix is allocated once
+        capacity = sum(1 for _ in fh)
+        fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -199,7 +172,8 @@ def _parse_response_rows(path, allowed_labels=None) -> list[ResponseVector]:
             raise ParseError(
                 f"{path}: header must be trial_id,label,roi_0..roi_{{m-1}}, got {header[:4]}..."
             )
-        out = []
+        values = np.empty((capacity - 1, m))
+        labels, trial_ids = [], []
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -214,25 +188,24 @@ def _parse_response_rows(path, allowed_labels=None) -> list[ResponseVector]:
                 raise ParseError(
                     f"{path}: row {row_no}: label {label!r} not in {sorted(allowed_labels)}"
                 )
+            i = len(labels)
             try:
-                values = np.array([float(tok) for tok in row[2:]])
+                values[i] = [float(tok) for tok in row[2:]]
             except ValueError:
                 raise ParseError(f"{path}: row {row_no}: non-numeric cell") from None
-            if np.any(values < 0):
+            if not np.isfinite(values[i]).all():
+                raise ParseError(f"{path}: row {row_no}: non-finite cell")
+            if np.any(values[i] < 0):
                 raise ParseError(f"{path}: row {row_no}: negative response value")
             try:
-                values = normalize_response(values)
+                values[i] = normalize_response(values[i])
             except ZeroResponseError:
                 raise ParseError(f"{path}: row {row_no}: all-zero response") from None
-            out.append(ResponseVector(values=values, label=label, trial_id=trial_id))
-    if not out:
+            labels.append(label)
+            trial_ids.append(trial_id)
+    if not labels:
         raise ParseError(f"{path}: no data rows")
-    return out
-
-
-def read_responses_csv(path) -> list[ResponseVector]:
-    """Read a response CSV, renormalizing rows (a no-op for unit rows)."""
-    return _parse_response_rows(path)
+    return Responses(values=values[: len(labels)], labels=labels, trial_ids=trial_ids)
 
 
 def read_block_map(path, expected_size: int | None = None) -> np.ndarray:
@@ -271,15 +244,13 @@ def write_block_map(block_map, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_experimental_responses(path, block_map_path) -> LabeledDataset:
+def load_experimental_responses(path, block_map_path) -> tuple[Responses, np.ndarray]:
     """Ingest a measured response matrix plus its ROI-to-block assignment.
 
     Rows are L2-normalized if they are not already (idempotent), labels are
     restricted to s1/s2/s3, and every validation failure carries the row
     number of the offending line.
     """
-    responses = _parse_response_rows(path, allowed_labels=set(EXPERIMENTAL_LABELS))
-    block_map = read_block_map(block_map_path, expected_size=responses[0].values.size)
-    return LabeledDataset(
-        responses=tuple(responses), block_map=block_map, source="experimental"
-    )
+    responses = read_responses_csv(path, allowed_labels=set(EXPERIMENTAL_LABELS))
+    block_map = read_block_map(block_map_path, expected_size=responses.values.shape[1])
+    return responses, block_map

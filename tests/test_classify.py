@@ -19,22 +19,20 @@ from graphon_decode.classify import (
     write_report,
 )
 from graphon_decode.embedding import pca_fit, pca_transform
-from graphon_decode.errors import ParameterError, SingularSystemError
-from graphon_decode.protocols import LabeledDataset, ResponseVector
-
-
-def identity_embedder(train, test, dataset):
-    return train, test
+from graphon_decode.errors import ParameterError, ParseError, SingularSystemError
+from graphon_decode.protocols import Responses
 
 
 def make_dataset(matrix, labels):
-    rows = []
-    for i, (vec, lab) in enumerate(zip(matrix, labels)):
-        v = np.abs(vec)
-        rows.append(ResponseVector(values=v / np.linalg.norm(v), label=lab, trial_id=i))
-    m = matrix.shape[1]
-    block_map = 1 + (np.arange(m) * 4) // m
-    return LabeledDataset(responses=tuple(rows), block_map=block_map)
+    return Responses(
+        values=[v / np.linalg.norm(v) for v in np.abs(matrix)],
+        labels=labels,
+        trial_ids=range(len(labels)),
+    )
+
+
+def identity_embedder(ds):
+    return lambda train, test: (ds.values[train], ds.values[test])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +126,7 @@ def test_separable_data_cross_validates_perfectly():
     )
     labels = ["s1"] * 14 + ["s2"] * 14
     ds = make_dataset(mat, labels)
-    report = cross_validated_accuracy(ds, identity_embedder, folds=7, lam=1.0, seed=0)
+    report = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=7, lam=1.0, seed=0)
     assert report.accuracy == 1.0
     assert report.ci95 == (1.0, 1.0)
     assert report.confusion.trace() == report.n
@@ -140,7 +138,7 @@ def test_permuted_labels_score_near_chance():
     labels = list(np.array(["s1", "s2", "s3"]).repeat(20))
     rng.shuffle(labels)
     ds = make_dataset(mat, labels)
-    report = cross_validated_accuracy(ds, identity_embedder, folds=5, lam=1.0, seed=1)
+    report = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=5, lam=1.0, seed=1)
     assert report.ci95[0] <= 1.0 / 3.0 <= report.ci95[1]
 
 
@@ -149,8 +147,8 @@ def test_cross_validation_is_deterministic():
     mat = np.abs(rng.normal(1.0, 0.5, size=(28, 5)))
     labels = ["s1"] * 14 + ["s2"] * 14
     ds = make_dataset(mat, labels)
-    r1 = cross_validated_accuracy(ds, identity_embedder, folds=7, seed=9)
-    r2 = cross_validated_accuracy(ds, identity_embedder, folds=7, seed=9)
+    r1 = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=7, seed=9)
+    r2 = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=7, seed=9)
     assert r1.accuracy == r2.accuracy
     assert r1.ci95 == r2.ci95
     assert np.array_equal(r1.correct, r2.correct)
@@ -164,12 +162,13 @@ def test_pca_embedder_fits_on_train_only():
     ds = make_dataset(mat, labels)
     seen = []
 
-    def pca_embedder(train, test, dataset):
-        model = pca_fit(train, dims=4)
-        seen.append(train.shape[0])
-        return pca_transform(model, train), pca_transform(model, test)
+    def pca_embedder(train, test):
+        model = pca_fit(ds.values[train], dims=4)
+        seen.append(train.size)
+        assert not set(train) & set(test)
+        return pca_transform(model, ds.values[train]), pca_transform(model, ds.values[test])
 
-    cross_validated_accuracy(ds, pca_embedder, folds=7, seed=0)
+    cross_validated_accuracy(ds.labels, pca_embedder, folds=7, seed=0)
     assert all(s == 18 for s in seen)  # 21 trials, 3 held out per fold
 
 
@@ -179,7 +178,7 @@ def test_insufficient_class_counts_rejected():
     labels = ["s1"] * 6 + ["s2"] * 2
     ds = make_dataset(mat, labels)
     with pytest.raises(ParameterError, match="fewer than"):
-        cross_validated_accuracy(ds, identity_embedder, folds=4)
+        cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=4)
 
 
 def test_inner_cv_lambda_grid():
@@ -198,7 +197,7 @@ def test_inner_cv_lambda_grid():
     )
     ds = make_dataset(mat, labels)
     report = cross_validated_accuracy(
-        ds, identity_embedder, folds=4, lam_grid=(0.01, 0.1, 1.0, 10.0), seed=0
+        ds.labels, identity_embedder(ds), folds=4, lam_grid=(0.01, 0.1, 1.0, 10.0), seed=0
     )
     assert report.accuracy == 1.0
 
@@ -328,5 +327,20 @@ def test_read_correctness_csv(tmp_path):
     assert np.array_equal(v, [1.0, 0.0, 1.0])
     bad = tmp_path / "bad.csv"
     bad.write_text("trial_id,correct\n0,2\n")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParseError, match="row 2"):
         read_correctness_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("0,1\nx,0\n", "row 3: bad trial_id"),
+        ("0,1\n1.5,0\n", "row 3: bad trial_id"),
+        ("0,1\n1,0\n0,0\n", "row 4: duplicate trial_id 0"),
+    ],
+)
+def test_read_correctness_csv_rejects_bad_trial_ids(tmp_path, body, match):
+    path = tmp_path / "correct.csv"
+    path.write_text("trial_id,correct\n" + body)
+    with pytest.raises(ParseError, match=match):
+        read_correctness_csv(path)

@@ -77,6 +77,26 @@ def test_invalid_values_rejected():
         config_from_dict({"trials_per_stimulus": 0})
 
 
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"trials_per_stimulus": True}, "trials_per_stimulus must not be a boolean"),
+        ({"sbm": {"n": True}}, "sbm.n must not be a boolean"),
+        ({"classify": {"folds": True}}, "classify.folds must not be a boolean"),
+        ({"sim": {"dt": True}}, "sim.dt must not be a boolean"),
+        ({"sbm": {"n": 8.5}}, "sbm.n must be an integer"),
+        ({"trials_per_stimulus": 2.0}, "trials_per_stimulus must be an integer"),
+        ({"sim": {"dt": float("nan")}}, "sim.dt must be finite"),
+        ({"sim": {"v0": float("-inf")}}, "sim.v0 must be finite"),
+        ({"classify": {"lam_grid": [0.1, float("inf")]}}, "classify.lam_grid must be finite"),
+    ],
+)
+def test_booleans_and_non_finite_numbers_rejected(data, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(data)
+    config_from_dict({"classify": {"enabled": False}, "sim": {"dt": 0.1, "v0": None}})
+
+
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
@@ -200,6 +220,16 @@ def test_custom_protocol_rejects_out_of_range_targets(tmp_path):
         run_experiment(cfg)
 
 
+def test_custom_protocol_malformed_json_is_a_config_error(tmp_path):
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text('{"stimuli": [')
+    cfg = small_config(
+        tmp_path, "badjson", protocol={"name": "custom", "custom_path": str(protocol_path)}
+    )
+    with pytest.raises(ConfigError, match="protocol.json"):
+        run_experiment(cfg)
+
+
 def test_alpha_sweep_produces_one_artifact_dir_per_alpha(tmp_path):
     # sweep emulates the robustness comparison: same config, three couplings
     accs = {}
@@ -232,6 +262,24 @@ def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"sbm": {"alpha": 2.0}}')
     assert main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_nan_dt_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"sim": {"dt": NaN}}')
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "never")]) == 2
+    assert "sim.dt must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_cli_stats_bad_trial_id_exits_3(tmp_path, capsys):
+    good = tmp_path / "a.csv"
+    good.write_text("trial_id,correct\n0,1\n1,0\n")
+    bad = tmp_path / "b.csv"
+    bad.write_text("trial_id,correct\n0,1\none,0\n")
+    argv = ["stats", "--correct-a", str(good), "--correct-b", str(bad), "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 3
+    assert "row 3" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_3(tmp_path):

@@ -19,10 +19,8 @@ from graphon_decode.graphon import (
     l2_inner,
     l2_norm,
     limit_graphon,
-    read_graphon_csv,
     step_graphon_from_adjacency,
     uniform_boundaries,
-    write_graphon_csv,
 )
 from graphon_decode.sbm import SbmConfig, adjacency_from_entries, sample_adjacency
 
@@ -285,16 +283,6 @@ def test_kernel_difference_on_common_refinement():
     assert d.boundaries.size == 5
     assert d.evaluate(0.1, 0.1) == 1.0 - 0.5
     assert d.evaluate(0.1, 0.6) == 0.0 - 0.25
-
-
-def test_graphon_csv_round_trip(tmp_path):
-    w = limit_graphon(0.2)
-    path = tmp_path / "w.csv"
-    write_graphon_csv(w, path)
-    back = read_graphon_csv(path)
-    assert isinstance(back, StepGraphon)
-    assert np.array_equal(back.boundaries, w.boundaries)
-    assert np.array_equal(back.values, w.values)
 
 
 def test_eigenpair_container_holds_metadata():

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from graphon_decode.errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from graphon_decode.lif import SpikeRaster, StimulusPulse, run_trial
 from graphon_decode.protocols import (
-    LabeledDataset,
     Protocol,
-    ResponseVector,
+    Responses,
     extract_response,
     load_experimental_responses,
     mixed_cluster_protocol,
@@ -91,21 +90,21 @@ def test_protocol_rejects_duplicate_labels():
 
 def test_single_active_neuron_gives_unit_coordinate():
     raster = raster_from([[], [10.0, 20.0, 30.0], []])
-    r = extract_response(raster, onset=0.0, window=100.0, label="s1", trial_id=1)
-    assert np.array_equal(r.values, [0.0, 1.0, 0.0])
+    r = extract_response(raster, onset=0.0, window=100.0, trial_id=1)
+    assert np.array_equal(r, [0.0, 1.0, 0.0])
 
 
 def test_three_four_five_normalization():
     raster = raster_from([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]])
     r = extract_response(raster, onset=0.0, window=100.0)
-    assert np.allclose(r.values, [0.6, 0.8])
+    assert np.allclose(r, [0.6, 0.8])
 
 
 def test_window_is_half_open():
     raster = raster_from([[50.0], [150.0]])
     r = extract_response(raster, onset=50.0, window=100.0)
     # the spike exactly at onset counts, the one exactly at onset+window does not
-    assert np.array_equal(r.values, [1.0, 0.0])
+    assert np.array_equal(r, [1.0, 0.0])
 
 
 def test_zero_response_rejected():
@@ -133,9 +132,10 @@ def test_response_round_trip_keeps_label():
     for label in p.labels:
         stim = StimulusPulse(targets=p.targets_of(label), onset=15.0, duration=5.0, amplitude=2.5)
         raster = run_trial(adj, stimulus=stim, duration=130.0, seed=3)
-        r = extract_response(raster, onset=15.0, label=label, trial_id=0)
-        assert r.label == label
-        assert abs(np.linalg.norm(r.values) - 1.0) < 1e-10
+        r = extract_response(raster, onset=15.0, trial_id=0)
+        responses = Responses(values=[r], labels=[label], trial_ids=[0])
+        assert responses.labels == (label,)
+        assert abs(np.linalg.norm(responses.values[0]) - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +143,33 @@ def test_response_round_trip_keeps_label():
 
 
 def test_dataset_validation():
-    r = ResponseVector(values=np.array([1.0, 0.0]), label="s1", trial_id=0)
-    with pytest.raises(ContractError):
-        LabeledDataset(responses=(r,), block_map=np.array([1, 2, 3]))
-    with pytest.raises(ContractError):
-        LabeledDataset(responses=(r,), block_map=np.array([1, 9]))
-    with pytest.raises(ContractError):
-        LabeledDataset(responses=(r,), block_map=np.array([1, 2]), source="mystery")
-    ds = LabeledDataset(responses=(r,), block_map=np.array([1, 2]))
-    assert ds.matrix().shape == (1, 2)
+    unit = np.array([[1.0, 0.0], [0.6, 0.8]])
+    with pytest.raises(ContractError, match="one label"):
+        Responses(values=unit, labels=("s1",), trial_ids=(0, 1))
+    with pytest.raises(ContractError, match="one label"):
+        Responses(values=unit, labels=("s1", "s2"), trial_ids=(0,))
+    with pytest.raises(ContractError, match="nonempty"):
+        Responses(values=np.empty((0, 2)), labels=(), trial_ids=())
+    with pytest.raises(ContractError, match="nonempty"):
+        Responses(values=np.array([1.0, 0.0]), labels=("s1",), trial_ids=(0,))  # 1-D
+    source = unit.copy()
+    ds = Responses(values=source, labels=["s1", "s2"], trial_ids=[0, 1])
+    assert ds.values.shape == (2, 2)
+    assert ds.labels == ("s1", "s2") and ds.trial_ids == (0, 1)
+    assert not ds.values.flags.writeable
+    source[0, 0] = 0.0  # the container holds its own copy
+    assert ds.values[0, 0] == 1.0
 
 
-def test_response_vector_validation():
-    with pytest.raises(ContractError):
-        ResponseVector(values=np.array([0.6, 0.9]), label="s1", trial_id=0)  # not unit
-    with pytest.raises(ContractError):
-        ResponseVector(values=np.array([-1.0, 0.0]), label="s1", trial_id=0)
+def test_responses_row_validation():
+    with pytest.raises(ContractError, match="row 1"):
+        Responses(values=[[1.0, 0.0], [0.6, 0.9]], labels=("s1", "s2"), trial_ids=(0, 1))
+    with pytest.raises(ContractError, match="nonnegative"):
+        Responses(values=[[-1.0, 0.0]], labels=("s1",), trial_ids=(0,))
+    with pytest.raises(ContractError, match="nonnegative"):
+        Responses(values=[[np.nan, 1.0]], labels=("s1",), trial_ids=(0,))
+    with pytest.raises(ContractError, match="row 0"):
+        Responses(values=[[np.inf, 0.0]], labels=("s1",), trial_ids=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +192,11 @@ def test_load_experimental_responses(tmp_path):
     ]
     blocks = ["roi_index,block", "0,1", "1,2", "2,3", "3,4"]
     resp, bmap = _write_dataset(tmp_path, rows, blocks)
-    ds = load_experimental_responses(resp, bmap)
-    assert ds.source == "experimental"
-    assert len(ds.responses) == 2
-    assert np.array_equal(ds.responses[1].values, [0.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(ds.block_map, [1, 2, 3, 4])
+    responses, block_map = load_experimental_responses(resp, bmap)
+    assert responses.values.shape == (2, 4)
+    assert responses.labels == ("s1", "s2") and responses.trial_ids == (0, 1)
+    assert np.array_equal(responses.values[1], [0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(block_map, [1, 2, 3, 4])
 
 
 def test_unknown_label_rejected_with_row_number(tmp_path):
@@ -205,6 +216,15 @@ def test_non_numeric_cell_rejected(tmp_path):
     blocks = ["roi_index,block", "0,1", "1,2"]
     resp, bmap = _write_dataset(tmp_path, rows, blocks)
     with pytest.raises(ParseError, match="row 2"):
+        load_experimental_responses(resp, bmap)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_cell_rejected(tmp_path, cell):
+    rows = ["trial_id,label,roi_0,roi_1", "0,s1,1.0,0.0", f"1,s2,{cell},1.0"]
+    blocks = ["roi_index,block", "0,1", "1,2"]
+    resp, bmap = _write_dataset(tmp_path, rows, blocks)
+    with pytest.raises(ParseError, match="row 3: non-finite"):
         load_experimental_responses(resp, bmap)
 
 
@@ -231,15 +251,16 @@ def test_missing_header_rejected(tmp_path):
 
 
 def test_responses_csv_round_trip(tmp_path):
-    rs = [
-        ResponseVector(values=normalize_response(np.array([1.0, 2.0, 2.0])), label="s1", trial_id=0),
-        ResponseVector(values=np.array([0.0, 0.0, 1.0]), label="s2", trial_id=1),
-    ]
+    rs = Responses(
+        values=[normalize_response(np.array([1.0, 2.0, 2.0])), [0.0, 0.0, 1.0]],
+        labels=("s1", "s2"),
+        trial_ids=(0, 7),
+    )
     path = tmp_path / "responses.csv"
     write_responses_csv(rs, path)
     back = read_responses_csv(path)
-    assert [r.label for r in back] == ["s1", "s2"]
-    assert np.allclose(back[0].values, rs[0].values)
+    assert back.labels == ("s1", "s2") and back.trial_ids == (0, 7)
+    assert np.allclose(back.values, rs.values)
 
 
 def test_block_map_round_trip(tmp_path):
