@@ -1,10 +1,12 @@
-"""Golden hashes: the SHA-256 of every artifact of three canned runs.
+"""Golden hashes: the SHA-256 of every artifact of five canned runs.
 
 Determinism tests compare a run against a second run of the same code, so a
 change that reorders a float sum would pass them.  These digests were taken
 once and pin the bytes themselves.  They hold for the build they were taken
-on (x86-64, Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31); an intended change of
-output bytes re-pins them and says why in CHANGES.md.
+on (x86-64, Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31 on its default two
+threads of a 2-core host: the 400-node eigendecompositions behind fig5 and
+fig6 differ in the last bits on one thread); an intended change of output
+bytes re-pins them and says why in CHANGES.md.
 """
 
 import json
@@ -38,6 +40,20 @@ FIG5_SEED0 = {
     "fig5_gft_modes_2_4.csv": "5488002a0963e36ac8ec9b528c58e2fdd8f604c0496efd82eb7a7dcfe9f5af98",
 }
 
+FIG6_SEED0 = {
+    "fig6_dispersion.csv": "8fc32c9fd2a7644858e976635e8e929d8eff7596400b4e24c71a8aaa2ba59fff",
+    "fig6_gft_realization_0.csv": "67a0bc7909973d50cff1276866fd6ec3a717d27a2e16d9658d08aef36f343f5b",
+    "fig6_gft_realization_1.csv": "68ac3984ced3a53bb1af1735065fc24c418f987d657ce7ab1687b589d45fb501",
+    "fig6_gft_realization_2.csv": "ed026908db900a0a9867eed5cecd1a5da2830450a02b927d50fef55026a4a4ec",
+    "fig6_graphon.csv": "eea2ed993395c4386fbe0ee1d25bca04d2a0b773723ddcf579fbd998ed633b7f",
+}
+
+TABLE_SURROGATE_SEED0 = {
+    "table_accuracy.csv": "e184d0b97221bdaa6ad4989ff3cea4dcfcc11f0c24dd99cf217650fc442ba66f",
+    "table_report_graphon.csv": "230aee7ed09ded610235bbfe05cf5944102625bedeefc2eda18a0fb432a91f49",
+    "table_report_pca.csv": "c9eb380a74feff1ed6130bd570f0a6d7c1eef98c17aaf026e427ddfcf2fba2f9",
+}
+
 TABLE_MEASURED = {
     "table_accuracy.csv": "d92d1a87a8f82a9be0b95db4c1d14bff2d1999b8a1ce637cbcb4c5215bd264e5",
     "table_report_graphon.csv": "2df06f47b41aa7d2dd554aa9533381dc745d9dfd3d53ef6d9a7403af3f2fc80c",
@@ -55,6 +71,17 @@ def test_run_small_config_hashes(tmp_path):
 def test_reproduce_fig5_hashes(tmp_path):
     assert main(["reproduce", "fig5", "--seed", "0", "--out", str(tmp_path / "fig5")]) == 0
     assert _file_digests(tmp_path / "fig5") == FIG5_SEED0
+
+
+def test_reproduce_fig6_hashes(tmp_path):
+    assert main(["reproduce", "fig6", "--seed", "0", "--out", str(tmp_path / "fig6")]) == 0
+    assert _file_digests(tmp_path / "fig6") == FIG6_SEED0
+
+
+def test_reproduce_table_surrogate_hashes(tmp_path):
+    # no measured inputs: the simulated surrogate runs and the exit is degraded
+    assert main(["reproduce", "table", "--seed", "0", "--out", str(tmp_path / "table")]) == 4
+    assert _file_digests(tmp_path / "table") == TABLE_SURROGATE_SEED0
 
 
 def write_measured(tmp_path) -> tuple[Path, Path]:
