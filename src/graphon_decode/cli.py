@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .classify import (
@@ -18,34 +19,27 @@ from .classify import (
     read_correctness_csv,
     write_report,
 )
-from .embedding import (
-    gft_project,
-    graphon_project,
-    pca_fit_transform,
-    read_embeddings_csv,
-    write_embeddings_csv,
-)
+from .embedding import CONVENTIONS, read_embeddings_csv, write_embeddings_csv
 from .errors import ConfigError, ContractError, DataError, ParameterError, ParseError, ZeroResponseError
 from .experiment import (
-    ExperimentConfig,
     FIGURE_IDS,
-    config_from_dict,
+    METHODS,
+    Bases,
+    ExperimentConfig,
+    SbmSection,
+    _validate_config,
     load_config,
+    map_indices,
+    project,
     reproduce,
     run_experiment,
+    sample_graph,
     save_config,
+    write_graph,
 )
 from .graphon import analytic_graphon_eigenpairs
 from .protocols import read_block_map, read_responses_csv
-from .sbm import (
-    SbmConfig,
-    block_membership,
-    eigendecompose,
-    read_edge_list,
-    sample_adjacency,
-    write_edge_list,
-    write_spectra,
-)
+from .sbm import block_membership, eigendecompose, read_edge_list
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,41 +48,31 @@ EXIT_DEGRADED = 4
 
 
 def _load_or_default_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else config_from_dict({})
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides.setdefault("sbm", {})["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides.setdefault("io", {})["out_dir"] = str(args.out)
-    if overrides:
-        from .experiment import config_to_dict
-
-        data = config_to_dict(config)
-        for section, values in overrides.items():
-            data[section].update(values)
-        config = config_from_dict(data)
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    if args.seed is not None:
+        config = replace(config, sbm=replace(config.sbm, seed=args.seed))
+    if args.out is not None:
+        config = replace(config, io=replace(config.io, out_dir=str(args.out)))
+    _validate_config(config)
     return config
 
 
 def _cmd_gen_graph(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    adjacency = sample_adjacency(SbmConfig(alpha=args.alpha, n=args.n, seed=args.seed))
-    write_edge_list(adjacency, out / "graph.edges")
-    decomposition = eigendecompose(adjacency)
-    write_spectra(decomposition, out / "eigenvalues.csv", out / "eigenvectors.csv")
+    adjacency = sample_graph(SbmSection(alpha=args.alpha, n=args.n, seed=args.seed))
+    write_graph(adjacency, out)
     print(f"wrote graph and spectra for {adjacency.size} nodes to {out}")
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     config = _load_or_default_config(args)
-    from .experiment import config_to_dict
-
-    data = config_to_dict(config)
-    data["embedding"]["methods"] = []
-    data["classify"]["enabled"] = False
-    config = config_from_dict(data)
+    config = replace(
+        config,
+        embedding=replace(config.embedding, methods=()),
+        classify=replace(config.classify, enabled=False),
+    )
     summary = run_experiment(config, jobs=args.jobs, dump_rasters=args.dump_rasters)
     print(
         f"simulated {summary['n_responses']} responses "
@@ -106,22 +90,14 @@ def _cmd_embed(args) -> int:
         block_map = block_membership(length // 4)
     else:
         raise ConfigError("response length not divisible by 4; pass --block-map")
-    indices = tuple(range(2, 2 + args.dims)) if args.dims < 4 else (1, 2, 3, 4)
-    if args.method == "graphon":
-        es = graphon_project(
-            responses,
-            analytic_graphon_eigenpairs(args.alpha),
-            block_map,
-            convention=args.convention,
-            indices=indices,
-        )
-    elif args.method == "gft":
+    decomposition = None
+    if args.method == "gft":
         if not args.graph:
             raise ConfigError("--graph EDGELIST is required for the gft method")
         decomposition = eigendecompose(read_edge_list(args.graph))
-        es = gft_project(responses, decomposition, indices=indices)
-    else:
-        es = pca_fit_transform(responses, dims=args.dims)
+    eigenpairs = analytic_graphon_eigenpairs(args.alpha) if args.method == "graphon" else None
+    bases = Bases(eigenpairs, block_map, args.convention, decomposition)
+    es = project(args.method, responses, map_indices(args.dims), bases)
     write_embeddings_csv(es, args.out)
     print(f"wrote {es.coords.shape[0]} x {es.coords.shape[1]} {args.method} embedding to {args.out}")
     return EXIT_OK
@@ -173,7 +149,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_show_config(args) -> int:
-    save_config(config_from_dict({}), args.out)
+    save_config(ExperimentConfig(), args.out)
     print(f"wrote default config to {args.out}")
     return EXIT_OK
 
@@ -222,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="project a response CSV into coordinates")
     p.add_argument("--responses", required=True)
-    p.add_argument("--method", choices=("graphon", "gft", "pca"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--dims", type=int, default=3)
-    p.add_argument("--convention", choices=("blocksum", "orthonormal"), default="blocksum")
+    p.add_argument("--convention", choices=CONVENTIONS, default="blocksum")
     p.add_argument("--block-map", default=None)
     p.add_argument("--graph", default=None, help="edge-list file (gft method)")
     p.set_defaults(handler=_cmd_embed)

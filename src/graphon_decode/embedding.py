@@ -147,6 +147,8 @@ class PcaModel:
 
 def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     mat = np.asarray(mat, dtype=float)
+    if dims < 1:
+        raise ParameterError(f"need at least one component, got dims={dims}")
     if mat.shape[0] < dims + 1:
         raise ParameterError(f"need at least {dims + 1} trials to fit {dims} components")
     mean = mat.mean(axis=0)
@@ -409,6 +411,8 @@ def read_embeddings_csv(path) -> EmbeddingSet:
             coords.append([float(tok) for tok in cells[2 : 2 + d]])
         except ValueError:
             raise ParseError(f"{path}: row {ln}: non-numeric cell") from None
+        if not np.isfinite(coords[-1]).all():
+            raise ParseError(f"{path}: row {ln}: non-finite cell")
         labels.append(cells[1])
         methods.append(cells[-1])
     method = methods[0] if len(set(methods)) == 1 else "mixed"

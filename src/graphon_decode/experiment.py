@@ -22,11 +22,14 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    EvalReport,
     cross_validated_accuracy,
     paired_difference_stats,
+    read_correctness_csv,
     write_report,
 )
 from .embedding import (
+    CONVENTIONS,
     EmbeddingSet,
     aligned_gft_project,
     centroid_betweenness,
@@ -40,7 +43,7 @@ from .embedding import (
     write_embeddings_csv,
 )
 from .errors import ConfigError, DataError, ParameterError, ZeroResponseError
-from .graphon import analytic_graphon_eigenpairs
+from .graphon import GraphonEigenpair, analytic_graphon_eigenpairs
 from .lif import (
     AuxCurrentParams,
     InitialState,
@@ -60,7 +63,10 @@ from .protocols import (
     write_responses_csv,
 )
 from .sbm import (
+    BLOCK_COUNT,
+    AdjacencyMatrix,
     SbmConfig,
+    SpectralDecomposition,
     block_membership,
     eigendecompose,
     sample_adjacency,
@@ -75,7 +81,7 @@ REFERENCE_RC_ACCURACY = 0.748
 _GRAPH_STREAM = 0
 _TRIAL_STREAM = 1
 
-FIGURE_IDS = ("fig5", "fig6", "fig8", "table")
+METHODS = ("graphon", "gft", "pca")
 
 
 def derive_seed(*keys: int) -> int:
@@ -140,7 +146,7 @@ class ProtocolSection:
 
 @dataclass(frozen=True)
 class EmbeddingSection:
-    methods: tuple[str, ...] = ("graphon", "gft", "pca")
+    methods: tuple[str, ...] = METHODS
     dimensions: int = 3
     convention: str = "blocksum"
 
@@ -242,12 +248,16 @@ def _validate_config(config: ExperimentConfig) -> None:
     if config.protocol.name == "custom" and not config.protocol.custom_path:
         raise ConfigError("custom protocol requires protocol.custom_path")
     for method in config.embedding.methods:
-        if method not in ("graphon", "gft", "pca"):
+        if method not in METHODS:
             raise ConfigError(f"unknown embedding method {method!r}")
-    if config.embedding.convention not in ("blocksum", "orthonormal"):
+    if config.embedding.convention not in CONVENTIONS:
         raise ConfigError(f"unknown convention {config.embedding.convention!r}")
-    if not 1 <= config.embedding.dimensions <= 4:
+    if not 1 <= config.embedding.dimensions <= BLOCK_COUNT:
         raise ConfigError("embedding.dimensions must lie in 1..4")
+    # the kernel basis has four eigenfunctions, so graphon classifies in at most 4-D
+    dims = config.classify.dimensions
+    if dims < 1 or (dims > BLOCK_COUNT and "graphon" in config.embedding.methods):
+        raise ConfigError(f"classify.dimensions must lie in 1..4 (>= 1 without graphon), got {dims}")
     # trials must cover the counting window and the simulator's own minimum
     # of 100 ms past stimulus onset
     needed = config.sim.onset + max(config.sim.window, 100.0)
@@ -390,27 +400,27 @@ def run_protocol_trials(
     return Responses(values=np.vstack(rows), labels=labels, trial_ids=trial_ids), skipped
 
 
+def sample_graph(sbm: SbmSection, realization: int | None = None) -> AdjacencyMatrix:
+    """The graph of one experiment.  A single-graph experiment draws it from
+    ``sbm.seed`` itself; realization r of a multi-graph experiment draws it
+    from the seed derived from (sbm.seed, r)."""
+    seed = sbm.seed if realization is None else derive_seed(sbm.seed, _GRAPH_STREAM, realization)
+    return sample_adjacency(SbmConfig(alpha=sbm.alpha, n=sbm.n, seed=seed))
+
+
 def _simulate(
-    alpha: float,
-    n: int,
-    protocol: Protocol,
-    trials_per_stimulus: int,
-    root_seed: int,
-    realization: int = 0,
-    jobs: int = 1,
-    sim: SimSection | None = None,
-    graph_seed: int | None = None,
-):
-    """Sample one graph and run the protocol's trials on it; returns the
-    adjacency and the responses.  The graph seed derives from (root_seed,
-    realization) unless given."""
-    if graph_seed is None:
-        graph_seed = derive_seed(root_seed, _GRAPH_STREAM, realization)
-    adjacency = sample_adjacency(SbmConfig(alpha=alpha, n=n, seed=graph_seed))
-    responses, _ = run_protocol_trials(
-        adjacency, protocol, sim or SimSection(), trials_per_stimulus, root_seed, realization, jobs
+    config: ExperimentConfig, jobs: int = 1, realization: int | None = None, raster_dir=None
+) -> tuple[AdjacencyMatrix, Responses, list[int]]:
+    """Sample the graph (see :func:`sample_graph`) and run the configured
+    protocol's trials on it; returns the adjacency, the responses and the
+    skipped trial ids.  Trial seeds derive from (sbm.seed, realization or 0,
+    stimulus, trial)."""
+    adjacency = sample_graph(config.sbm, realization)
+    responses, skipped = run_protocol_trials(
+        adjacency, _build_protocol(config), config.sim, config.trials_per_stimulus,
+        config.sbm.seed, realization or 0, jobs, raster_dir,
     )
-    return adjacency, responses
+    return adjacency, responses, skipped
 
 
 def _build_protocol(config: ExperimentConfig) -> Protocol:
@@ -438,52 +448,107 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
 
 
 # ---------------------------------------------------------------------------
-# embedding plumbing
+# embedding and classification
 
 
-def _map_indices(dimensions: int) -> tuple[int, ...]:
-    # low-dimensional maps drop the total-mass coordinate first
-    if dimensions >= 4:
-        return (1, 2, 3, 4)
+_GRAPH_FILES = ("graph.edges", "eigenvalues.csv", "eigenvectors.csv")
+
+
+def write_graph(adjacency: AdjacencyMatrix, out_dir: Path) -> SpectralDecomposition:
+    """Write the edge list and the spectra of ``adjacency`` into ``out_dir``
+    (as the files of ``_GRAPH_FILES``); returns the decomposition."""
+    decomposition = eigendecompose(adjacency)
+    edges, values, vectors = (Path(out_dir) / name for name in _GRAPH_FILES)
+    write_edge_list(adjacency, edges)
+    write_spectra(decomposition, values, vectors)
+    return decomposition
+
+
+@dataclass(frozen=True)
+class Bases:
+    """What the projections read besides the responses: the analytic kernel
+    eigenpairs, the unit-to-block map and the coordinate convention (graphon),
+    and the sampled graph's eigendecomposition (gft)."""
+
+    eigenpairs: list[GraphonEigenpair] | None = None
+    block_map: np.ndarray | None = None
+    convention: str = "blocksum"
+    decomposition: SpectralDecomposition | None = None
+
+
+def _bases(config: ExperimentConfig, decomposition=None, block_map=None) -> Bases:
+    """The bases of a config's graph: the kernel eigenpairs of its alpha and,
+    unless given, the block map of four blocks of sbm.n units."""
+    return Bases(
+        eigenpairs=analytic_graphon_eigenpairs(config.sbm.alpha),
+        block_map=block_membership(config.sbm.n) if block_map is None else block_map,
+        convention=config.embedding.convention,
+        decomposition=decomposition,
+    )
+
+
+def map_indices(dimensions: int) -> tuple[int, ...]:
+    """1-based basis indices of a map with ``dimensions`` coordinates; maps
+    below four dimensions drop the total-mass coordinate (index 1) first."""
+    if dimensions < 1:
+        raise ParameterError(f"a map needs at least one dimension, got {dimensions}")
+    if dimensions >= BLOCK_COUNT:
+        return tuple(range(1, dimensions + 1))
     return (2, 3, 4)[:dimensions]
 
 
-def _embed(method, responses, config, decomposition, eigenpairs, block_map, indices):
+def project(method: str, responses, indices, bases: Bases) -> EmbeddingSet:
+    """Embed ``responses`` (a Responses or a plain matrix) with one method:
+    the basis coordinates at ``indices``, or for PCA the top len(indices)
+    principal components of these rows."""
     if method == "graphon":
         return graphon_project(
-            responses, eigenpairs, block_map, convention=config.embedding.convention, indices=indices
+            responses, bases.eigenpairs, bases.block_map, convention=bases.convention, indices=indices
         )
     if method == "gft":
-        return gft_project(responses, decomposition, indices=indices)
+        return gft_project(responses, bases.decomposition, indices=indices)
     if method == "pca":
         return pca_fit_transform(responses, dims=len(indices))
     raise ConfigError(f"unknown embedding method {method!r}")
 
 
-def classification_embedder(
-    method, responses: Responses, block_map, config, decomposition, eigenpairs
-):
+def classification_embedder(method: str, responses: Responses, dims: int, bases: Bases):
     """Embedder callable for cross-validation over ``responses``: maps (train
-    indices, test indices) to coordinates.  PCA refits per training fold, the
-    two spectral bases are fixed and ignore the split."""
-    dims = config.classify.dimensions
-    indices = tuple(range(1, dims + 1))
+    indices, test indices) to ``dims``-D coordinates.  PCA refits per training
+    fold, the two spectral bases are fixed and ignore the split."""
     mat = responses.values
-
-    def project(rows):
-        if method == "graphon":
-            return graphon_project(
-                rows, eigenpairs, block_map, convention=config.embedding.convention, indices=indices
-            ).coords
-        return gft_project(rows, decomposition, indices=indices).coords
+    indices = tuple(range(1, dims + 1))
 
     def embed(train, test):
         if method == "pca":
             model = pca_fit(mat[train], dims=dims)
             return pca_transform(model, mat[train]), pca_transform(model, mat[test])
-        return project(mat[train]), project(mat[test])
+        return tuple(project(method, mat[rows], indices, bases).coords for rows in (train, test))
 
     return embed
+
+
+def _cross_validate(
+    responses: Responses, classes, methods, bases: Bases, classify: ClassifySection
+) -> dict[str, EvalReport]:
+    """Cross-validated report of each method.  A DataError names every class
+    of ``classes`` that kept fewer usable trials than there are folds."""
+    counts = Counter(responses.labels)
+    short = {lab: counts[lab] for lab in classes if counts[lab] < classify.folds}
+    if short:
+        raise DataError(f"classes with fewer usable trials than {classify.folds} folds: {short}")
+    return {
+        method: cross_validated_accuracy(
+            responses.labels,
+            classification_embedder(method, responses, classify.dimensions, bases),
+            folds=classify.folds,
+            lam=classify.lam,
+            seed=classify.seed,
+            resamples=classify.resamples,
+            lam_grid=classify.lam_grid,
+        )
+        for method in methods
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -536,70 +601,34 @@ def run_experiment(
     """
     out = Path(out_dir if out_dir is not None else config.io.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
-
-    sbm_cfg = SbmConfig(alpha=config.sbm.alpha, n=config.sbm.n, seed=config.sbm.seed)
-    adjacency = sample_adjacency(sbm_cfg)
-    decomposition = eigendecompose(adjacency)
-    write_edge_list(adjacency, out / "graph.edges")
-    write_spectra(decomposition, out / "eigenvalues.csv", out / "eigenvectors.csv")
-    files += ["graph.edges", "eigenvalues.csv", "eigenvectors.csv"]
-
     raster_dir = None
     if dump_rasters:
         raster_dir = out / "rasters"
         raster_dir.mkdir(exist_ok=True)
 
-    protocol = _build_protocol(config)
-    responses, skipped = run_protocol_trials(
-        adjacency,
-        protocol,
-        config.sim,
-        config.trials_per_stimulus,
-        root_seed=config.sbm.seed,
-        jobs=jobs,
-        raster_dir=raster_dir,
-    )
+    adjacency, responses, skipped = _simulate(config, jobs, raster_dir=raster_dir)
+    bases = _bases(config, decomposition=write_graph(adjacency, out))
     write_responses_csv(responses, out / "responses.csv")
-    files.append("responses.csv")
+    files = [*_GRAPH_FILES, "responses.csv"]
     if raster_dir is not None:
         files += [f"rasters/{p.name}" for p in sorted(raster_dir.iterdir())]
 
-    block_map = block_membership(config.sbm.n)
-    eigenpairs = analytic_graphon_eigenpairs(config.sbm.alpha)
-    indices = _map_indices(config.embedding.dimensions)
     summary: dict = {
         "out_dir": str(out),
         "n_responses": len(responses.labels),
         "skipped_trials": skipped,
         "accuracy": {},
     }
-
+    indices = map_indices(config.embedding.dimensions)
     for method in config.embedding.methods:
-        es = _embed(method, responses, config, decomposition, eigenpairs, block_map, indices)
         name = f"embeddings_{method}.csv"
-        write_embeddings_csv(es, out / name)
+        write_embeddings_csv(project(method, responses, indices, bases), out / name)
         files.append(name)
 
     if config.classify.enabled:
-        counts = Counter(responses.labels)
-        short = {lab: counts[lab] for lab in protocol.labels if counts[lab] < config.classify.folds}
-        if short:
-            raise DataError(
-                f"classes with fewer usable trials than {config.classify.folds} folds: {short}"
-            )
-        for method in config.embedding.methods:
-            report = cross_validated_accuracy(
-                responses.labels,
-                classification_embedder(
-                    method, responses, block_map, config, decomposition, eigenpairs
-                ),
-                folds=config.classify.folds,
-                lam=config.classify.lam,
-                seed=config.classify.seed,
-                resamples=config.classify.resamples,
-                lam_grid=config.classify.lam_grid,
-            )
+        classes = _build_protocol(config).labels
+        reports = _cross_validate(responses, classes, config.embedding.methods, bases, config.classify)
+        for method, report in reports.items():
             name = f"report_{method}.csv"
             write_report(out / name, report, extra={"method": method})
             files.append(name)
@@ -639,20 +668,17 @@ def trial_invariance_experiment(
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
-    protocol = two_cluster_protocol(n)
-    eigenpairs = analytic_graphon_eigenpairs(alpha)
-    block_map = block_membership(n)
+    config = ExperimentConfig(
+        SbmSection(alpha, n, root_seed), sim or SimSection(), trials_per_stimulus=trials_per_stimulus
+    )
+    bases = _bases(config)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
     for r in range(realizations):
-        adjacency, responses = _simulate(
-            alpha, n, protocol, trials_per_stimulus, root_seed, realization=r, jobs=jobs, sim=sim
-        )
+        adjacency, responses, _ = _simulate(config, jobs, realization=r)
         decomposition = eigendecompose(adjacency)
         gft_sets.append(aligned_gft_project(responses, decomposition, indices=(2, 3, 4)))
-        graphon_sets.append(
-            graphon_project(responses, eigenpairs, block_map, indices=(2, 3, 4))
-        )
+        graphon_sets.append(project("graphon", responses, map_indices(3), bases))
     disp_gft = cross_realization_dispersion(gft_sets)
     disp_graphon = cross_realization_dispersion(graphon_sets)
     return {
@@ -674,16 +700,16 @@ def mixed_cluster_experiment(
 ) -> dict:
     """Three-stimulus run embedded with the kernel basis and with PCA,
     plus separability metrics for both maps."""
-    _, responses = _simulate(
-        alpha, n, mixed_cluster_protocol(n), trials_per_stimulus, root_seed, jobs=jobs, sim=sim
+    config = ExperimentConfig(
+        SbmSection(alpha, n, root_seed), sim or SimSection(), ProtocolSection("mixed_cluster"),
+        trials_per_stimulus,
     )
-    eigenpairs = analytic_graphon_eigenpairs(alpha)
-    block_map = block_membership(n)
-    graphon_es = graphon_project(responses, eigenpairs, block_map, indices=(2, 3, 4))
-    pca_es = pca_fit_transform(responses, dims=3)
-    result = {"responses": responses, "graphon": graphon_es, "pca": pca_es, "metrics": {}}
-    for name, es in (("graphon", graphon_es), ("pca", pca_es)):
-        result["metrics"][name] = {
+    _, responses, _ = _simulate(config, jobs, realization=0)
+    bases = _bases(config)
+    result = {"responses": responses, "metrics": {}}
+    for method in ("graphon", "pca"):
+        es = result[method] = project(method, responses, map_indices(3), bases)
+        result["metrics"][method] = {
             "silhouette": silhouette_score(es.coords, es.labels),
             "betweenness": centroid_betweenness(es.coords, es.labels),
         }
@@ -692,6 +718,9 @@ def mixed_cluster_experiment(
 
 # ---------------------------------------------------------------------------
 # canned figure reproductions
+#
+# Each builder runs its experiment into ``out`` and returns the files written
+# and whether a surrogate replaced missing measured inputs.
 
 
 def _write_xy(es: EmbeddingSet, cols: tuple[int, int], path: Path) -> None:
@@ -701,18 +730,17 @@ def _write_xy(es: EmbeddingSet, cols: tuple[int, int], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _reproduce_fig5(out: Path, jobs: int, seed: int) -> list[str]:
+def _reproduce_fig5(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     # the documented default experiment, its graph drawn from the seed itself
-    adjacency, responses = _simulate(
-        0.05, 100, two_cluster_protocol(100), 20, seed, jobs=jobs, graph_seed=seed
-    )
-    es = gft_project(responses, eigendecompose(adjacency), indices=(2, 3, 4))
+    adjacency, responses, _ = _simulate(ExperimentConfig(sbm=SbmSection(seed=seed)), jobs)
+    bases = Bases(decomposition=eigendecompose(adjacency))
+    es = project("gft", responses, map_indices(3), bases)
     _write_xy(es, (0, 1), out / "fig5_gft_modes_2_3.csv")
     _write_xy(es, (0, 2), out / "fig5_gft_modes_2_4.csv")
-    return ["fig5_gft_modes_2_3.csv", "fig5_gft_modes_2_4.csv"]
+    return ["fig5_gft_modes_2_3.csv", "fig5_gft_modes_2_4.csv"], False
 
 
-def _reproduce_fig6(out: Path, jobs: int, seed: int) -> list[str]:
+def _reproduce_fig6(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     result = trial_invariance_experiment(
         realizations=3, trials_per_stimulus=5, root_seed=seed, jobs=jobs
     )
@@ -738,10 +766,10 @@ def _reproduce_fig6(out: Path, jobs: int, seed: int) -> list[str]:
     ]
     (out / "fig6_dispersion.csv").write_text("\n".join(lines) + "\n")
     files.append("fig6_dispersion.csv")
-    return files
+    return files, False
 
 
-def _reproduce_fig8(out: Path, jobs: int, seed: int) -> list[str]:
+def _reproduce_fig8(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     files = []
     summary = ["alpha,method,silhouette,betweenness"]
     for alpha in (0.05, 0.20, 0.45):
@@ -759,44 +787,31 @@ def _reproduce_fig8(out: Path, jobs: int, seed: int) -> list[str]:
             )
     (out / "fig8_summary.csv").write_text("\n".join(summary) + "\n")
     files.append("fig8_summary.csv")
-    return files
+    return files, False
 
 
-def _reproduce_table(
-    out: Path,
-    jobs: int,
-    seed: int,
-    experimental_csv=None,
-    block_map_csv=None,
-    rc_correct_csv=None,
-) -> tuple[list[str], bool]:
+def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     """Accuracy table: kernel embedding vs PCA, cross-validated, with paired
-    statistics.  Falls back to a simulated surrogate dataset (clearly marked,
-    degraded exit) when no measured responses are provided."""
-    config = ExperimentConfig()
-    alpha = config.sbm.alpha
+    statistics.  ``measured`` holds the paths (responses CSV, block map CSV,
+    external correctness CSV); without the first two a simulated surrogate
+    dataset, clearly marked, replaces the recordings."""
+    experimental_csv, block_map_csv, rc_correct_csv = measured
+    config = ExperimentConfig(
+        sbm=SbmSection(seed=seed),
+        protocol=ProtocolSection(name="mixed_cluster"),
+        trials_per_stimulus=7,
+    )
     degraded = not (experimental_csv and block_map_csv)
     if degraded:
         source = "simulated_surrogate"
-        _, responses = _simulate(alpha, 100, mixed_cluster_protocol(100), 7, seed, jobs=jobs)
-        block_map = block_membership(100)
+        _, responses, _ = _simulate(config, jobs, realization=0)
+        block_map = None
     else:
         source = "experimental"
         responses, block_map = load_experimental_responses(experimental_csv, block_map_csv)
-
-    eigenpairs = analytic_graphon_eigenpairs(alpha)
-    reports = {}
-    for method in ("graphon", "pca"):
-        reports[method] = cross_validated_accuracy(
-            responses.labels,
-            classification_embedder(
-                method, responses, block_map, config, decomposition=None, eigenpairs=eigenpairs
-            ),
-            folds=config.classify.folds,
-            lam=config.classify.lam,
-            seed=config.classify.seed,
-            resamples=config.classify.resamples,
-        )
+    bases = _bases(config, block_map=block_map)
+    classes = sorted(set(responses.labels))
+    reports = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
     paired = paired_difference_stats(reports["graphon"].correct, reports["pca"].correct)
 
     files = []
@@ -817,8 +832,6 @@ def _reproduce_table(
     lines.append(f"effect_size,{repr(paired.effect_size)}")
     lines.append(f"required_n_for_80pct_power,{repr(paired.required_n)}")
     if rc_correct_csv:
-        from .classify import read_correctness_csv
-
         rc = read_correctness_csv(rc_correct_csv)
         vs_rc = paired_difference_stats(reports["graphon"].correct, rc)
         lines.append(f"paired_diff_graphon_minus_rc,{repr(vs_rc.mean_difference)}")
@@ -830,6 +843,15 @@ def _reproduce_table(
     (out / "table_accuracy.csv").write_text("\n".join(lines) + "\n")
     files.append("table_accuracy.csv")
     return files, degraded
+
+
+_FIGURES = {
+    "fig5": _reproduce_fig5,
+    "fig6": _reproduce_fig6,
+    "fig8": _reproduce_fig8,
+    "table": _reproduce_table,
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def reproduce(
@@ -846,21 +868,12 @@ def reproduce(
     Returns a summary with the output files and a ``degraded`` flag that is
     True when a surrogate dataset replaced missing experimental inputs.
     """
-    if figure_id not in FIGURE_IDS:
+    build = _FIGURES.get(figure_id)
+    if build is None:
         raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    degraded = False
-    if figure_id == "fig5":
-        files = _reproduce_fig5(out, jobs, seed)
-    elif figure_id == "fig6":
-        files = _reproduce_fig6(out, jobs, seed)
-    elif figure_id == "fig8":
-        files = _reproduce_fig8(out, jobs, seed)
-    else:
-        files, degraded = _reproduce_table(
-            out, jobs, seed, experimental_csv, block_map_csv, rc_correct_csv
-        )
+    files, degraded = build(out, seed, jobs, (experimental_csv, block_map_csv, rc_correct_csv))
     write_manifest(
         out,
         {"figure_id": figure_id, "seed": seed},

@@ -132,12 +132,17 @@ def extract_response(
 
 
 def normalize_response(values: np.ndarray) -> np.ndarray:
-    """L2 normalization; idempotent on already-normalized input."""
+    """L2 normalization; idempotent on already-normalized input.
+
+    A row whose norm is within 1e-12 of 1 comes back unchanged: dividing it
+    by that norm again could move its last bits, so a response read back from
+    its CSV would no longer equal the one that was written.
+    """
     values = np.asarray(values, dtype=float)
     norm = np.linalg.norm(values)
     if norm == 0.0:
         raise ZeroResponseError("cannot normalize an all-zero response")
-    return values / norm
+    return values if abs(norm - 1.0) <= 1e-12 else values / norm
 
 
 def write_responses_csv(responses: Responses, path) -> None:

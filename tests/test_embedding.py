@@ -18,7 +18,7 @@ from graphon_decode.embedding import (
     v0_residual_norm,
     write_embeddings_csv,
 )
-from graphon_decode.errors import ParameterError
+from graphon_decode.errors import ParameterError, ParseError
 from graphon_decode.graphon import analytic_graphon_eigenpairs, l2_inner, StepFunction
 from graphon_decode.sbm import (
     SbmConfig,
@@ -206,6 +206,11 @@ def test_pca_needs_enough_trials():
         pca_fit(np.random.default_rng(0).random((3, 5)), dims=3)
 
 
+def test_pca_needs_a_component():
+    with pytest.raises(ParameterError, match="at least one component"):
+        pca_fit(np.random.default_rng(0).random((6, 5)), dims=0)
+
+
 # ---------------------------------------------------------------------------
 # degenerate-pair alignment
 
@@ -360,3 +365,13 @@ def test_embeddings_csv_round_trip(tmp_path):
     assert back.method == "graphon"
     assert back.labels == es.labels
     assert np.array_equal(back.coords, es.coords)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_embeddings_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "embedding.csv"
+    path.write_text(
+        "trial_id,label,c1,c2,method\n0,s1,0.5,1.0,pca\n" f"1,s2,{cell},1.0,pca\n"
+    )
+    with pytest.raises(ParseError, match="row 3: non-finite"):
+        read_embeddings_csv(path)

@@ -75,6 +75,11 @@ def test_invalid_values_rejected():
         config_from_dict({"protocol": {"name": "custom"}})  # missing path
     with pytest.raises(ConfigError):
         config_from_dict({"trials_per_stimulus": 0})
+    with pytest.raises(ConfigError, match="classify.dimensions"):
+        config_from_dict({"classify": {"dimensions": 0}})
+    with pytest.raises(ConfigError, match="classify.dimensions"):
+        config_from_dict({"classify": {"dimensions": 5}})  # the kernel basis has four modes
+    config_from_dict({"embedding": {"methods": ["gft", "pca"]}, "classify": {"dimensions": 5}})
 
 
 @pytest.mark.parametrize(
@@ -327,6 +332,35 @@ def test_cli_stage_pipeline(tmp_path):
         == 0
     )
     assert "accuracy," in report.read_text()
+
+
+def test_cli_embed_reproduces_the_run_embeddings(tmp_path):
+    config_path = tmp_path / "config.json"
+    save_config(small_config(tmp_path, "run"), config_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    run = tmp_path / "run"
+    for method in ("graphon", "gft", "pca"):
+        out = tmp_path / f"{method}.csv"
+        argv = ["embed", "--responses", str(run / "responses.csv"), "--method", method]
+        argv += ["--graph", str(run / "graph.edges"), "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == (run / f"embeddings_{method}.csv").read_bytes(), method
+    argv = ["embed", "--responses", str(run / "responses.csv"), "--method", "pca", "--dims", "0"]
+    assert main(argv + ["--out", str(tmp_path / "none.csv")]) == 2
+
+
+def test_cli_table_with_a_short_measured_class_exits_3(tmp_path, capsys):
+    # s3 keeps 5 trials, fewer than the table's 7 folds
+    labels = ["s1"] * 7 + ["s2"] * 7 + ["s3"] * 5
+    rows = [f"{i},{lab}," + ",".join(str(1 + (i + roi) % 3) for roi in range(8)) for i, lab in enumerate(labels)]
+    csv_path = tmp_path / "measured.csv"
+    csv_path.write_text("trial_id,label," + ",".join(f"roi_{i}" for i in range(8)) + "\n" + "\n".join(rows) + "\n")
+    map_path = tmp_path / "blocks.csv"
+    map_path.write_text("roi_index,block\n" + "".join(f"{i},{1 + i // 2}\n" for i in range(8)))
+    argv = ["reproduce", "table", "--out", str(tmp_path / "table")]
+    argv += ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]
+    assert main(argv) == 3
+    assert "'s3': 5" in capsys.readouterr().err
 
 
 def test_cli_gft_embed_needs_graph(tmp_path):

@@ -120,10 +120,10 @@ def test_window_must_fit_trial():
 
 
 def test_normalization_is_idempotent():
-    v = np.array([3.0, 4.0, 0.0])
-    once = normalize_response(v)
-    twice = normalize_response(once)
-    assert np.array_equal(once, twice)
+    for counts in ([3.0, 4.0, 0.0], [2.0, 3.0, 5.0, 7.0]):
+        once = normalize_response(np.array(counts))
+        twice = normalize_response(once)
+        assert np.array_equal(once, twice), counts
 
 
 def test_response_round_trip_keeps_label():
