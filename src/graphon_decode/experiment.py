@@ -408,6 +408,19 @@ def sample_graph(sbm: SbmSection, realization: int | None = None) -> AdjacencyMa
     return sample_adjacency(SbmConfig(alpha=sbm.alpha, n=sbm.n, seed=seed))
 
 
+_GRAPH_FILES = ("graph.edges", "eigenvalues.csv", "eigenvectors.csv")
+
+
+def write_graph(adjacency: AdjacencyMatrix, out_dir: Path) -> SpectralDecomposition:
+    """Write graph.edges, eigenvalues.csv and eigenvectors.csv of ``adjacency``
+    into ``out_dir``; returns the eigendecomposition."""
+    decomposition = eigendecompose(adjacency)
+    edges, values, vectors = (Path(out_dir) / name for name in _GRAPH_FILES)
+    write_edge_list(adjacency, edges)
+    write_spectra(decomposition, values, vectors)
+    return decomposition
+
+
 def _simulate(
     config: ExperimentConfig, jobs: int = 1, realization: int | None = None, raster_dir=None
 ) -> tuple[AdjacencyMatrix, Responses, list[int]]:
@@ -449,19 +462,6 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
 
 # ---------------------------------------------------------------------------
 # embedding and classification
-
-
-_GRAPH_FILES = ("graph.edges", "eigenvalues.csv", "eigenvectors.csv")
-
-
-def write_graph(adjacency: AdjacencyMatrix, out_dir: Path) -> SpectralDecomposition:
-    """Write the edge list and the spectra of ``adjacency`` into ``out_dir``
-    (as the files of ``_GRAPH_FILES``); returns the decomposition."""
-    decomposition = eigendecompose(adjacency)
-    edges, values, vectors = (Path(out_dir) / name for name in _GRAPH_FILES)
-    write_edge_list(adjacency, edges)
-    write_spectra(decomposition, values, vectors)
-    return decomposition
 
 
 @dataclass(frozen=True)
@@ -671,14 +671,14 @@ def trial_invariance_experiment(
     config = ExperimentConfig(
         SbmSection(alpha, n, root_seed), sim or SimSection(), trials_per_stimulus=trials_per_stimulus
     )
-    bases = _bases(config)
+    bases, indices = _bases(config), map_indices(3)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
     for r in range(realizations):
         adjacency, responses, _ = _simulate(config, jobs, realization=r)
         decomposition = eigendecompose(adjacency)
-        gft_sets.append(aligned_gft_project(responses, decomposition, indices=(2, 3, 4)))
-        graphon_sets.append(project("graphon", responses, map_indices(3), bases))
+        gft_sets.append(aligned_gft_project(responses, decomposition, indices=indices))
+        graphon_sets.append(project("graphon", responses, indices, bases))
     disp_gft = cross_realization_dispersion(gft_sets)
     disp_graphon = cross_realization_dispersion(graphon_sets)
     return {

@@ -132,12 +132,9 @@ def extract_response(
 
 
 def normalize_response(values: np.ndarray) -> np.ndarray:
-    """L2 normalization; idempotent on already-normalized input.
-
-    A row whose norm is within 1e-12 of 1 comes back unchanged: dividing it
-    by that norm again could move its last bits, so a response read back from
-    its CSV would no longer equal the one that was written.
-    """
+    """L2 normalization, bit-idempotent: a row whose norm is within 1e-12 of 1
+    comes back unchanged, so a response read back from its CSV equals the row
+    that was written (dividing again could move its last bits)."""
     values = np.asarray(values, dtype=float)
     norm = np.linalg.norm(values)
     if norm == 0.0:
