@@ -626,6 +626,7 @@ def run_experiment(
         files.append(name)
 
     if config.classify.enabled:
+        # the protocol's labels, so a class that lost every trial is named too
         classes = _build_protocol(config).labels
         reports = _cross_validate(responses, classes, config.embedding.methods, bases, config.classify)
         for method, report in reports.items():
