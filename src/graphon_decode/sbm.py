@@ -268,10 +268,11 @@ def read_edge_list(path) -> AdjacencyMatrix:
 
 
 def write_spectra(decomposition: SpectralDecomposition, values_path, vectors_path) -> None:
-    """Eigenvalues as index,eigenvalue CSV; eigenvector matrix (nodes x modes,
-    columns aligned with the eigenvalue indices) in a sidecar CSV."""
+    """Every eigenvalue as index,eigenvalue CSV; the eigenvectors of the four
+    block modes (nodes x modes, columns aligned with eigenvalue indices 0..3)
+    in a sidecar CSV, the only modes any embedding reads."""
     vals = ["index,eigenvalue"]
     vals.extend(f"{i},{_fmt(w)}" for i, w in enumerate(decomposition.eigenvalues))
     Path(values_path).write_text("\n".join(vals) + "\n")
-    rows = [",".join(_fmt(x) for x in row) for row in decomposition.eigenvectors]
+    rows = [",".join(_fmt(x) for x in row) for row in decomposition.eigenvectors[:, :BLOCK_COUNT]]
     Path(vectors_path).write_text("\n".join(rows) + "\n")

@@ -24,7 +24,7 @@ def _file_digests(out: Path) -> dict:
 
 RUN_SMALL = {
     "eigenvalues.csv": "1797e24065d49b25b39961d288fc94c58b09f47726ae77fbdab3fc8595b4868a",
-    "eigenvectors.csv": "b15caada0976163c66cb522878661a7cb865e97f04146b69248d1b77f8cabaf3",
+    "eigenvectors.csv": "6630200ec981997312d63dcc4a2c99020f48c1b31f59f9ec9806444a6ee0588e",
     "embeddings_gft.csv": "d554f4a5c219388fd4d9567c80e3de99c9c04a19ed00211f54ee3c88bccf5aa2",
     "embeddings_graphon.csv": "a7a4d7b961247618aefaef17791ccead7a03ec8d1bad3bd3776d90c38ed0fff0",
     "embeddings_pca.csv": "bfaadb064bc8e78613a510d5dddea1b04dfa55276be8b5916b80537bd2898237",

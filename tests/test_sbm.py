@@ -251,17 +251,19 @@ def test_edge_list_rejects_bad_rows(tmp_path):
 
 
 def test_spectra_export(tmp_path):
-    dec = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    dec = eigendecompose(np.eye(6, k=1) + np.eye(6, k=-1))  # path graph on 6 nodes
     vals = tmp_path / "eigenvalues.csv"
     vecs = tmp_path / "eigenvectors.csv"
     write_spectra(dec, vals, vecs)
     lines = vals.read_text().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert lines[1].startswith("0,")
+    assert len(lines) == 1 + 6
     mat = np.array(
         [[float(tok) for tok in ln.split(",")] for ln in vecs.read_text().splitlines()]
     )
-    assert np.allclose(mat, dec.eigenvectors)
+    assert mat.shape == (6, 4)
+    assert np.allclose(mat, dec.eigenvectors[:, :4])
 
 
 def test_adjacency_wrapper_validation():
