@@ -33,7 +33,7 @@ from .graphon import (
     limit_graphon,
     step_graphon_from_adjacency,
 )
-from .lif import NeuronParams, SpikeRaster, StimulusPulse, SynapseParams, run_trial
+from .lif import NeuronParams, SpikeRaster, StimulusPulse, SynapseParams, run_trial, run_trials
 from .protocols import (
     Responses,
     extract_response,
@@ -84,6 +84,7 @@ __all__ = [
     "StimulusPulse",
     "SynapseParams",
     "run_trial",
+    "run_trials",
     "Responses",
     "extract_response",
     "load_experimental_responses",

@@ -83,19 +83,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_embed(args) -> int:
     responses = read_responses_csv(args.responses)
-    length = responses.values.shape[1]
-    if args.block_map:
-        block_map = read_block_map(args.block_map, expected_size=length)
-    elif length % 4 == 0:
-        block_map = block_membership(length // 4)
-    else:
-        raise ConfigError("response length not divisible by 4; pass --block-map")
-    decomposition = None
+    eigenpairs = block_map = decomposition = None
+    if args.method == "graphon":  # the only method that reads a block map
+        length = responses.values.shape[1]
+        if args.block_map:
+            block_map = read_block_map(args.block_map, expected_size=length)
+        elif length % 4 == 0:
+            block_map = block_membership(length // 4)
+        else:
+            raise ConfigError("response length not divisible by 4; pass --block-map")
+        eigenpairs = analytic_graphon_eigenpairs(args.alpha)
     if args.method == "gft":
         if not args.graph:
             raise ConfigError("--graph EDGELIST is required for the gft method")
         decomposition = eigendecompose(read_edge_list(args.graph))
-    eigenpairs = analytic_graphon_eigenpairs(args.alpha) if args.method == "graphon" else None
     bases = Bases(eigenpairs, block_map, args.convention, decomposition)
     es = project(args.method, responses, map_indices(args.dims), bases)
     write_embeddings_csv(es, args.out)

@@ -4,8 +4,9 @@ A declarative config describes one experiment: sample a graph, run stimulated
 trials, extract responses, embed them with one or more methods, classify, and
 write every artifact as CSV plus a manifest of content hashes.  Everything is
 deterministic given the config: per-trial RNG streams are derived from the
-root seed with a splittable seed sequence, and aggregation sorts by trial id,
-so a worker pool never changes output bytes.
+root seed with a splittable seed sequence, a trial's raster does not depend on
+the batch it runs in, and results are gathered in trial-id order, so a worker
+pool never changes output bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,7 @@ from .lif import (
     NeuronParams,
     StimulusPulse,
     SynapseParams,
-    run_trial,
+    run_trials,
     write_raster_csv,
 )
 from .protocols import (
@@ -258,13 +261,12 @@ def _validate_config(config: ExperimentConfig) -> None:
     dims = config.classify.dimensions
     if dims < 1 or (dims > BLOCK_COUNT and "graphon" in config.embedding.methods):
         raise ConfigError(f"classify.dimensions must lie in 1..4 (>= 1 without graphon), got {dims}")
-    # trials must cover the counting window and the simulator's own minimum
-    # of 100 ms past stimulus onset
-    needed = config.sim.onset + max(config.sim.window, 100.0)
+    # trials must cover the counting window, which the simulator checks too
+    if config.sim.window <= 0:
+        raise ConfigError(f"sim.window must be positive, got {config.sim.window}")
+    needed = config.sim.onset + config.sim.window
     if config.sim.duration < needed:
-        raise ConfigError(
-            f"sim.duration must be at least onset + max(window, 100) = {needed} ms"
-        )
+        raise ConfigError(f"sim.duration must be at least onset + window = {needed:g} ms")
     try:
         SbmConfig(alpha=config.sbm.alpha, n=config.sbm.n, seed=config.sbm.seed)
         _sim_objects(config.sim)
@@ -328,29 +330,39 @@ def _sim_objects(sim: SimSection):
     return neuron, synapse, aux, initial
 
 
-def _trial_job(payload):
-    adjacency, sim, label, targets, trial_id, seed = payload
+def _trial_chunk(payload):
+    """Simulate a chunk of (trial id, stimulus index, seed) specs, one
+    run_trials batch per stimulus; returns (trial id, label, response or None
+    for a zero-response trial, raster) per trial."""
+    adjacency, sim, protocol, specs = payload
     neuron, synapse, aux, initial = _sim_objects(sim)
-    stimulus = StimulusPulse(
-        targets=targets, onset=sim.onset, duration=sim.pulse_ms, amplitude=sim.amplitude_na
-    )
-    raster = run_trial(
-        adjacency,
-        neuron=neuron,
-        synapse=synapse,
-        aux=aux,
-        stimulus=stimulus,
-        duration=sim.duration,
-        dt=sim.dt,
-        seed=seed,
-        initial=initial,
-        zero_degree=sim.zero_degree,
-    )
-    try:
-        response = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
-    except ZeroResponseError:
-        response = None
-    return trial_id, label, response, raster
+    results = []
+    for stim_idx, group in groupby(specs, key=itemgetter(1)):
+        group = list(group)
+        label, targets = protocol.stimuli[stim_idx]
+        stimulus = StimulusPulse(
+            targets=targets, onset=sim.onset, duration=sim.pulse_ms, amplitude=sim.amplitude_na
+        )
+        rasters = run_trials(
+            adjacency,
+            [stimulus] * len(group),
+            [seed for _, _, seed in group],
+            neuron=neuron,
+            synapse=synapse,
+            aux=aux,
+            duration=sim.duration,
+            dt=sim.dt,
+            initial=initial,
+            zero_degree=sim.zero_degree,
+            window=sim.window,
+        )
+        for (trial_id, _, _), raster in zip(group, rasters):
+            try:
+                response = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
+            except ZeroResponseError:
+                response = None
+            results.append((trial_id, label, response, raster))
+    return results
 
 
 def run_protocol_trials(
@@ -363,28 +375,38 @@ def run_protocol_trials(
     jobs: int = 1,
     raster_dir=None,
 ) -> tuple[Responses, list[int]]:
-    """Run every (stimulus, trial) job and return responses plus skipped ids.
+    """Run every (stimulus, trial) pair and return responses plus skipped ids.
 
-    Trial seeds derive from (root_seed, realization, stimulus, trial), so any
+    Trial seeds derive from (root_seed, realization, stimulus, trial), and a
+    trial's raster does not depend on the batch it is simulated in, so any
     execution order, worker count, or subset of stimuli reproduces the same
-    per-trial dynamics.  Zero-response trials are skipped; a DataError is
-    raised when no trial is usable.
+    per-trial dynamics.  The trials are split into ``jobs`` contiguous chunks,
+    one pool task each (so the adjacency is pickled once per chunk), and
+    each chunk runs one batch per stimulus.  Zero-response trials are skipped;
+    a DataError is raised when no trial is usable.
     """
-    jobs_list = []
     n_stimuli = len(protocol.stimuli)
-    for stim_idx, (label, targets) in enumerate(protocol.stimuli):
-        for t in range(trials_per_stimulus):
-            trial_id = (realization * n_stimuli + stim_idx) * trials_per_stimulus + t
-            seed = derive_seed(root_seed, _TRIAL_STREAM, realization, stim_idx, t)
-            jobs_list.append((adjacency, sim, label, targets, trial_id, seed))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial_job, jobs_list))
+    specs = [
+        (
+            (realization * n_stimuli + stim_idx) * trials_per_stimulus + t,
+            stim_idx,
+            derive_seed(root_seed, _TRIAL_STREAM, realization, stim_idx, t),
+        )
+        for stim_idx in range(n_stimuli)
+        for t in range(trials_per_stimulus)
+    ]
+    parts = max(jobs, 1)
+    bounds = [len(specs) * i // parts for i in range(parts + 1)]
+    payloads = [
+        (adjacency, sim, protocol, specs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
+    ]
+    if parts > 1:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            chunks = list(pool.map(_trial_chunk, payloads))
     else:
-        results = [_trial_job(p) for p in jobs_list]
-
-    results.sort(key=lambda item: item[0])
+        chunks = map(_trial_chunk, payloads)
+    # specs and chunks are in trial-id order, so the results are too
+    results = [item for chunk in chunks for item in chunk]
     kept = [item for item in results if item[2] is not None]
     if not kept:
         raise DataError(

@@ -19,11 +19,18 @@ v_reset for refractory_ms.  A spike-triggered adaptation conductance with its
 own reversal and decay is available and disabled by default (increment 0).
 Both are deliberately simple, fully configurable stand-ins for biophysically
 detailed after-spike currents.
+
+:func:`run_trials` advances a batch of trials together on (trials, neurons)
+state arrays and a (delay, trials, neurons) ring of pending conductance.
+Every trial keeps its own noise generator and its own matrix-vector product,
+so batching changes no bit of any raster; :func:`run_trial` is the batch of
+one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +38,10 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError
 from .sbm import AdjacencyMatrix, _readonly
+
+# Steps of Poisson noise drawn per call for each trial: small enough that the
+# (steps, trials, neurons) buffer stays a few MB.
+_NOISE_CHUNK = 20
 
 
 @dataclass(frozen=True)
@@ -131,35 +142,61 @@ class TrialTrace:
 
 @dataclass(frozen=True)
 class SpikeRaster:
-    """Sorted spike times (ms) per neuron for one trial."""
+    """Spike times (ms) of one trial, stored CSR-style: neuron i's strictly
+    increasing times are ``times[offsets[i]:offsets[i + 1]]``."""
 
-    spikes: tuple[np.ndarray, ...]
+    times: np.ndarray
+    offsets: np.ndarray
     duration: float
     seed: int
     refractory_ms: float = 0.0
     trace: TrialTrace | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        for i, times in enumerate(self.spikes):
-            if times.size == 0:
-                continue
-            if times[0] < 0 or times[-1] > self.duration + 1e-9:
-                raise ContractError(f"neuron {i}: spike time outside [0, duration]")
-            gaps = np.diff(times)
-            if np.any(gaps <= 0):
-                raise ContractError(f"neuron {i}: spike times must be strictly increasing")
-            if self.refractory_ms > 0 and np.any(gaps < self.refractory_ms - 1e-9):
-                raise ContractError(f"neuron {i}: spikes closer than the refractory period")
+        times = np.array(self.times, dtype=float).reshape(-1)
+        offsets = np.array(self.offsets, dtype=np.int64).reshape(-1)
+        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != times.size or (np.diff(offsets) < 0).any():
+            raise ContractError("offsets must rise from 0 to the number of spike times")
+        object.__setattr__(self, "times", _readonly(times))
+        object.__setattr__(self, "offsets", _readonly(offsets))
+
+        def neuron_of(index):
+            return int(np.searchsorted(offsets, index, side="right")) - 1
+
+        outside = np.flatnonzero(~((times >= 0) & (times <= self.duration + 1e-9)))
+        if outside.size:
+            raise ContractError(f"neuron {neuron_of(outside[0])}: spike time outside [0, duration]")
+        # gap j lies between times j and j + 1; it is checked unless a neuron starts at j + 1
+        gaps = np.diff(times)
+        within = np.ones(gaps.size, dtype=bool)
+        within[offsets[(offsets > 0) & (offsets < times.size)] - 1] = False
+        bad = np.flatnonzero(within & ~(gaps > 0))
+        if bad.size:
+            raise ContractError(f"neuron {neuron_of(bad[0])}: spike times must be strictly increasing")
+        if self.refractory_ms > 0:
+            bad = np.flatnonzero(within & (gaps < self.refractory_ms - 1e-9))
+            if bad.size:
+                raise ContractError(f"neuron {neuron_of(bad[0])}: spikes closer than the refractory period")
+
+    @property
+    def size(self) -> int:
+        """Number of neurons."""
+        return self.offsets.size - 1
+
+    @property
+    def spikes(self) -> tuple[np.ndarray, ...]:
+        """Read-only view of each neuron's spike times."""
+        return tuple(self.times[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
 
     def counts(self, start: float, stop: float) -> np.ndarray:
         """Spike counts per neuron in the half-open window [start, stop)."""
-        return np.array(
-            [int(np.sum((t >= start) & (t < stop))) for t in self.spikes], dtype=float
-        )
+        neuron = np.repeat(np.arange(self.size), np.diff(self.offsets))
+        inside = (self.times >= start) & (self.times < stop)
+        return np.bincount(neuron[inside], minlength=self.size).astype(float)
 
     @property
     def total_spikes(self) -> int:
-        return int(sum(t.size for t in self.spikes))
+        return int(self.times.size)
 
 
 def scaling_factors(adjacency: AdjacencyMatrix, zero_degree: str = "error") -> np.ndarray:
@@ -191,30 +228,72 @@ def run_trial(
     seed: int = 0,
     initial: InitialState = InitialState(),
     zero_degree: str = "error",
+    window: float = 100.0,
     record_trace: bool = False,
 ) -> SpikeRaster:
-    """Simulate one trial and return the spike raster.
+    """Simulate one trial and return its spike raster: :func:`run_trials`
+    with a batch of one, which alone may record a :class:`TrialTrace`."""
+    return run_trials(
+        adjacency, [stimulus], [seed], neuron, synapse, aux, duration, dt, initial,
+        zero_degree, window, record_trace,
+    )[0]
 
-    The step dt must divide the conduction delay exactly (to 1e-9 relative),
-    and with a stimulus present the trial must extend at least 100 ms past its
-    onset so the standard counting window fits.  Identical arguments and seed
-    give identical rasters.
+
+def run_trials(
+    adjacency: AdjacencyMatrix,
+    stimuli: Sequence[StimulusPulse | None],
+    seeds: Sequence[int],
+    neuron: NeuronParams = NeuronParams(),
+    synapse: SynapseParams = SynapseParams(),
+    aux: AuxCurrentParams = AuxCurrentParams(),
+    duration: float = 150.0,
+    dt: float = 0.1,
+    initial: InitialState = InitialState(),
+    zero_degree: str = "error",
+    window: float = 100.0,
+    record_trace: bool = False,
+) -> list[SpikeRaster]:
+    """Simulate one trial per (stimulus, seed) pair, all advanced together
+    step by step, and return their rasters in order.
+
+    Trial b draws its noise from ``SeedSequence(seeds[b])`` alone and its
+    synaptic input from its own matrix-vector product, so its raster is the
+    one a batch of one gives it: identical arguments and seed give identical
+    rasters, whatever else shares the batch.  The step dt must divide the
+    conduction delay exactly (to 1e-9 relative), and a stimulated trial must
+    extend at least ``window`` ms (the counting window) past its onset.
     """
     size = adjacency.size
     if size == 0:
         raise ParameterError("empty network")
     if dt <= 0:
         raise ParameterError("dt must be positive")
+    if window <= 0:
+        raise ParameterError("window must be positive")
     delay_steps = round(synapse.delay / dt)
     if delay_steps < 1 or abs(delay_steps * dt - synapse.delay) > 1e-9 * synapse.delay:
         raise ParameterError(
             f"dt={dt} must divide the conduction delay {synapse.delay} ms exactly"
         )
-    if stimulus is not None:
-        if duration < stimulus.onset + 100.0 - 1e-9:
-            raise ParameterError("duration must reach at least 100 ms past stimulus onset")
+    batch = len(seeds)
+    if batch == 0 or len(stimuli) != batch:
+        raise ParameterError("one stimulus (or None) per seed required, and at least one seed")
+    if record_trace and batch != 1:
+        raise ParameterError("a trace is recorded for a single trial only")
+
+    # stim_current[b] is trial b's pulse current, on while stim_start[b] <= t < stim_stop[b]
+    stim_current = np.zeros((batch, size))
+    stim_start = np.full(batch, np.inf)
+    stim_stop = np.full(batch, -np.inf)
+    for b, stimulus in enumerate(stimuli):
+        if stimulus is None:
+            continue
+        if duration < stimulus.onset + window - 1e-9:
+            raise ParameterError(f"duration must reach at least {window:g} ms past stimulus onset")
         if any(t < 0 or t >= size for t in stimulus.targets):
             raise ParameterError("stimulus targets outside the network")
+        stim_current[b, list(stimulus.targets)] = stimulus.amplitude * 1e-3
+        stim_start[b], stim_stop[b] = stimulus.onset, stimulus.onset + stimulus.duration
 
     steps = int(math.floor(duration / dt + 1e-9))
     weights = adjacency.entries.astype(float)
@@ -223,34 +302,28 @@ def run_trial(
     unit_inc = np.where(has_input, synapse.g_max / np.where(has_input, s, 1.0), 0.0)
     noise_lam = synapse.poisson_rate * s * dt * 1e-3
     draw_noise = synapse.poisson_rate > 0
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    v = np.full(size, neuron.e_leak if initial.v0 is None else initial.v0, dtype=float)
-    g = np.full(size, initial.g0, dtype=float)
-    g_kca = np.zeros(size)
-    resource = np.full(size, initial.r0, dtype=float)
-    refract_until = np.full(size, -np.inf)
+    shape = (batch, size)
+    v = np.full(shape, neuron.e_leak if initial.v0 is None else initial.v0, dtype=float)
+    g = np.full(shape, initial.g0, dtype=float)
+    g_kca = np.zeros(shape)
+    resource = np.full(shape, initial.r0, dtype=float)
+    refract_until = np.full(shape, -np.inf)
 
     ring_len = delay_steps + 2
-    ring = np.zeros((ring_len, size))
+    ring = np.zeros((ring_len, batch, size))
 
-    if stimulus is not None:
-        stim_idx = np.array(stimulus.targets, dtype=int)
-        amp_ua = stimulus.amplitude * 1e-3
-        stim_start, stim_stop = stimulus.onset, stimulus.onset + stimulus.duration
-    else:
-        stim_idx = np.empty(0, dtype=int)
-        amp_ua = 0.0
-        stim_start = stim_stop = -1.0
-
-    spike_times: list[list[float]] = [[] for _ in range(size)]
+    # spikes are logged one step at a time as the step and the flat indices
+    # trial * size + neuron of the spiking cells
+    log_steps: list[int] = []
+    log_cells: list[np.ndarray] = []
     if record_trace:
         times = np.arange(steps + 1) * dt
         trace_v = np.empty((steps + 1, size))
         trace_g = np.empty((steps + 1, size))
         trace_r = np.empty((steps + 1, size))
-        trace_v[0], trace_g[0], trace_r[0] = v, g, resource
+        trace_v[0], trace_g[0], trace_r[0] = v[0], g[0], resource[0]
 
     inv_tau_mem = dt / neuron.tau_mem
     g_decay = dt / synapse.tau_g
@@ -265,14 +338,21 @@ def run_trial(
         g += ring[slot]
         ring[slot] = 0.0
         if draw_noise:
-            counts = rng.poisson(noise_lam)
-            if counts.any():
-                g += counts * unit_inc
+            chunk_step = k % _NOISE_CHUNK
+            if chunk_step == 0:
+                # one draw of size (K, N) is the same stream as K draws of size N
+                rows = min(_NOISE_CHUNK, steps - k)
+                noise = np.empty((rows, batch, size))
+                for b, rng in enumerate(rngs):
+                    noise[:, b] = rng.poisson(noise_lam, size=(rows, size))
+                noise *= unit_inc
+            g += noise[chunk_step]
         g_kca *= 1.0 - kca_decay
 
         drive = g * (synapse.e_syn - v) + g_kca * (aux.kca_reversal - v)
-        if stim_start <= t < stim_stop:
-            drive[stim_idx] += amp_ua
+        stimulated = (stim_start <= t) & (t < stim_stop)
+        if stimulated.any():
+            drive[stimulated] += stim_current[stimulated]
 
         resource += r_relax * (1.0 - resource)
 
@@ -285,19 +365,19 @@ def run_trial(
 
         spiked = active & (v >= neuron.v_threshold)
         if spiked.any():
-            t_spike = (k + 1) * dt
-            ids = np.nonzero(spiked)[0]
-            for i in ids:
-                spike_times[i].append(t_spike)
+            log_steps.append(k)
+            log_cells.append(np.flatnonzero(spiked))
             emitted = np.where(spiked, resource, 0.0)
-            ring[(k + delay_steps + 1) % ring_len] += unit_inc * (weights @ emitted)
-            resource[ids] *= synapse.beta
-            v[ids] = neuron.v_reset
-            g_kca[ids] += aux.kca_increment
-            refract_until[ids] = t_spike + aux.refractory_ms
+            arrivals = ring[(k + delay_steps + 1) % ring_len]
+            for b in np.flatnonzero(spiked.any(axis=1)):
+                arrivals[b] += unit_inc * (weights @ emitted[b])
+            resource[spiked] *= synapse.beta
+            v[spiked] = neuron.v_reset
+            g_kca[spiked] += aux.kca_increment
+            refract_until[spiked] = (k + 1) * dt + aux.refractory_ms
 
         if record_trace:
-            trace_v[k + 1], trace_g[k + 1], trace_r[k + 1] = v, g, resource
+            trace_v[k + 1], trace_g[k + 1], trace_r[k + 1] = v[0], g[0], resource[0]
 
     trace = None
     if record_trace:
@@ -307,19 +387,29 @@ def run_trial(
             g_syn=_readonly(trace_g),
             resource=_readonly(trace_r),
         )
-    spikes = tuple(_readonly(np.array(ts)) for ts in spike_times)
-    return SpikeRaster(
-        spikes=spikes,
-        duration=duration,
-        seed=seed,
-        refractory_ms=aux.refractory_ms,
-        trace=trace,
-    )
+
+    # order the log by (trial, neuron); the stable sort keeps each neuron's steps in order
+    cells = np.concatenate(log_cells) if log_cells else np.empty(0, dtype=np.int64)
+    spike_steps = np.repeat(np.array(log_steps, dtype=np.int64), [c.size for c in log_cells])
+    spike_times = (spike_steps[np.argsort(cells, kind="stable")] + 1) * dt
+    per_neuron = np.bincount(cells, minlength=batch * size).reshape(batch, size)
+    trial_bounds = np.concatenate(([0], np.cumsum(per_neuron.sum(axis=1))))
+    return [
+        SpikeRaster(
+            times=spike_times[trial_bounds[b] : trial_bounds[b + 1]],
+            offsets=np.concatenate(([0], np.cumsum(per_neuron[b]))),
+            duration=duration,
+            seed=seed,
+            refractory_ms=aux.refractory_ms,
+            trace=trace,
+        )
+        for b, seed in enumerate(seeds)
+    ]
 
 
 def write_raster_csv(raster: SpikeRaster, path, meta: dict | None = None) -> None:
     """neuron_id,spike_time_ms rows preceded by '#'-prefixed metadata lines."""
-    lines = [f"# nodes={len(raster.spikes)}"]
+    lines = [f"# nodes={raster.size}"]
     lines.append(f"# duration_ms={repr(float(raster.duration))}")
     lines.append(f"# seed={raster.seed}")
     lines.append(f"# refractory_ms={repr(float(raster.refractory_ms))}")
@@ -360,13 +450,14 @@ def read_raster_csv(path) -> tuple[SpikeRaster, dict]:
         refractory = float(meta.get("refractory_ms", 0.0))
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed metadata header") from exc
-    spikes: list[list[float]] = [[] for _ in range(size)]
-    for nid, t in rows:
-        if not 0 <= nid < size:
-            raise ParseError(f"{path}: neuron id {nid} out of range")
-        spikes[nid].append(t)
-    arrays = tuple(_readonly(np.array(sorted(ts))) for ts in spikes)
+    nids = np.array([nid for nid, _ in rows], dtype=np.int64)
+    bad = np.flatnonzero((nids < 0) | (nids >= size))
+    if bad.size:
+        raise ParseError(f"{path}: neuron id {nids[bad[0]]} out of range")
+    times = np.array([t for _, t in rows], dtype=float)
+    order = np.lexsort((times, nids))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(nids, minlength=size))))
     raster = SpikeRaster(
-        spikes=arrays, duration=duration, seed=seed, refractory_ms=refractory
+        times=times[order], offsets=offsets, duration=duration, seed=seed, refractory_ms=refractory
     )
     return raster, meta

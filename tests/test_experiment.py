@@ -102,6 +102,17 @@ def test_booleans_and_non_finite_numbers_rejected(data, match):
     config_from_dict({"classify": {"enabled": False}, "sim": {"dt": 0.1, "v0": None}})
 
 
+def test_duration_must_cover_the_configured_window(tmp_path):
+    # a 50 ms window fits a trial 60 ms past onset; the simulator checks the same window
+    cfg = small_config(tmp_path, sim={"onset": 20.0, "window": 50.0, "duration": 80.0})
+    summary = run_experiment(cfg)
+    assert summary["n_responses"] == 10
+    with pytest.raises(ConfigError, match="onset \\+ window = 90 ms"):
+        config_from_dict({"sim": {"onset": 20.0, "window": 70.0, "duration": 80.0}})
+    with pytest.raises(ConfigError, match="sim.window must be positive"):
+        config_from_dict({"sim": {"window": 0.0}})
+
+
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
@@ -149,6 +160,18 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_worker_pool_does_not_change_bytes(tmp_path):
     serial = run_experiment(small_config(tmp_path, "serial"), jobs=1)
     pooled = run_experiment(small_config(tmp_path, "pooled"), jobs=2)
+    for name in serial["files"]:
+        assert (Path(serial["out_dir"]) / name).read_bytes() == (
+            Path(pooled["out_dir"]) / name
+        ).read_bytes(), name
+
+
+def test_uneven_worker_chunks_do_not_change_bytes(tmp_path):
+    # 2 stimuli x 5 trials split into 3 chunks of 3, 3 and 4 trials
+    serial = run_experiment(small_config(tmp_path, "serial"), jobs=1, dump_rasters=True)
+    pooled = run_experiment(small_config(tmp_path, "pooled"), jobs=3, dump_rasters=True)
+    assert serial["files"] == pooled["files"]
+    assert sum(name.startswith("rasters/") for name in serial["files"]) == 10
     for name in serial["files"]:
         assert (Path(serial["out_dir"]) / name).read_bytes() == (
             Path(pooled["out_dir"]) / name
@@ -378,6 +401,17 @@ def test_cli_gft_embed_needs_graph(tmp_path):
         )
         == 0
     )
+
+
+def test_cli_embed_needs_a_block_map_only_for_graphon(tmp_path, capsys):
+    # five ROIs do not split into four equal blocks, which only the graphon method needs
+    rows = [f"{i},{'s1' if i < 4 else 's2'}," + ",".join(str(1 + (i * roi) % 4) for roi in range(5)) for i in range(8)]
+    csv_path = tmp_path / "five_rois.csv"
+    csv_path.write_text("trial_id,label," + ",".join(f"roi_{i}" for i in range(5)) + "\n" + "\n".join(rows) + "\n")
+    argv = ["embed", "--responses", str(csv_path), "--out", str(tmp_path / "e.csv"), "--method"]
+    assert main(argv + ["pca"]) == 0
+    assert main(argv + ["graphon"]) == 2
+    assert "pass --block-map" in capsys.readouterr().err
 
 
 def test_cli_stats_round_trip(tmp_path):

@@ -11,6 +11,7 @@ from graphon_decode.lif import (
     SynapseParams,
     read_raster_csv,
     run_trial,
+    run_trials,
     scaling_factors,
     write_raster_csv,
 )
@@ -277,6 +278,16 @@ def test_trial_must_cover_counting_window():
         run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0)
 
 
+def test_trial_covers_the_given_counting_window():
+    stim = StimulusPulse(targets=(0,), onset=50.0, duration=5.0, amplitude=2.5)
+    raster = run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0, window=50.0)
+    assert raster.counts(50.0, 100.0)[0] > 0
+    with pytest.raises(ParameterError, match="60 ms"):
+        run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0, window=60.0)
+    with pytest.raises(ParameterError, match="window must be positive"):
+        run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0, window=0.0)
+
+
 def test_stimulus_targets_validated():
     stim = StimulusPulse(targets=(7,), onset=0.0, duration=5.0, amplitude=2.5)
     with pytest.raises(ParameterError, match="targets"):
@@ -297,12 +308,93 @@ def test_param_dataclass_validation():
 
 
 def test_raster_invariants_enforced():
-    bad = (np.array([5.0, 5.0]),)
     with pytest.raises(ContractError):
-        SpikeRaster(spikes=bad, duration=10.0, seed=0)
-    too_close = (np.array([5.0, 5.5]),)
+        SpikeRaster(times=[5.0, 5.0], offsets=[0, 2], duration=10.0, seed=0)
     with pytest.raises(ContractError):
-        SpikeRaster(spikes=too_close, duration=10.0, seed=0, refractory_ms=2.0)
+        SpikeRaster(times=[5.0, 5.5], offsets=[0, 2], duration=10.0, seed=0, refractory_ms=2.0)
+
+
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        ([1.0, 4.0, 2.0, 11.0], "neuron 2: spike time outside"),
+        ([1.0, 4.0, 2.0, float("nan")], "neuron 2: spike time outside"),
+        ([1.0, 4.0, 6.0, 6.0], "neuron 2: spike times must be strictly increasing"),
+        ([1.0, 4.0, 6.0, 5.0], "neuron 2: spike times must be strictly increasing"),
+        ([1.0, 4.0, 6.0, 7.5], "neuron 2: spikes closer than the refractory period"),
+    ],
+)
+def test_raster_validation_names_the_offending_neuron(times, match):
+    # neuron 0 spikes at 1 and 4, neuron 1 never, neuron 2 at the last two times;
+    # the gaps 4 -> 6 and 4 -> 2 cross a neuron boundary and are not checked
+    with pytest.raises(ContractError, match=match):
+        SpikeRaster(times=times, offsets=[0, 2, 2, 4], duration=10.0, seed=0, refractory_ms=2.0)
+    SpikeRaster(times=[1.0, 4.0, 2.0, 4.0], offsets=[0, 2, 2, 4], duration=10.0, seed=0, refractory_ms=2.0)
+
+
+def test_raster_offsets_validated():
+    for offsets in ([1, 2], [0, 3], [0, 2, 1, 2], []):
+        with pytest.raises(ContractError, match="offsets"):
+            SpikeRaster(times=[1.0, 4.0], offsets=offsets, duration=10.0, seed=0)
+
+
+def test_raster_views_and_half_open_counts():
+    raster = SpikeRaster(times=[10.0, 20.0, 9.9, 19.9, 30.0], offsets=[0, 2, 2, 5], duration=40.0, seed=0)
+    assert raster.size == 3 and raster.total_spikes == 5
+    assert [t.tolist() for t in raster.spikes] == [[10.0, 20.0], [], [9.9, 19.9, 30.0]]
+    assert not raster.spikes[0].flags.writeable
+    # [start, stop): a spike at start counts, one at stop does not
+    assert raster.counts(10.0, 20.0).tolist() == [1.0, 0.0, 1.0]
+    assert raster.counts(9.9, 30.0).tolist() == [2.0, 0.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# batched trials
+
+
+@pytest.mark.parametrize(
+    "synapse, aux, dt",
+    [
+        (SynapseParams(), AuxCurrentParams(), 0.1),
+        (SynapseParams(), AuxCurrentParams(kca_increment=2e-5), 0.1),
+        (QUIET, AuxCurrentParams(), 0.1),
+        (SynapseParams(), AuxCurrentParams(), 0.05),
+    ],
+    ids=["default", "kca", "no_noise", "dt_0.05"],
+)
+def test_batched_trials_match_single_trials(synapse, aux, dt):
+    adj = sample_adjacency(SbmConfig(alpha=0.05, n=10, seed=4))
+    first = StimulusPulse(targets=tuple(range(10)), onset=20.0, duration=5.0, amplitude=2.5)
+    second = StimulusPulse(targets=tuple(range(15, 30)), onset=10.0, duration=4.0, amplitude=3.0)
+    stimuli = [first, second, None, first, second]
+    seeds = [11, 12, 13, 14, 11]
+    kwargs = dict(synapse=synapse, aux=aux, duration=130.0, dt=dt)
+    batch = run_trials(adj, stimuli, seeds, **kwargs)
+    assert len(batch) == len(seeds)
+    for raster, stimulus, seed in zip(batch, stimuli, seeds):
+        alone = run_trial(adj, stimulus=stimulus, seed=seed, **kwargs)
+        assert raster.seed == seed
+        assert np.array_equal(raster.times, alone.times)
+        assert np.array_equal(raster.offsets, alone.offsets)
+    assert batch[0].total_spikes > 0 and batch[1].total_spikes > 0
+
+
+def test_chunked_noise_draws_match_per_step_draws():
+    # run_trials draws noise for many steps per call; the stream must be the one
+    # the per-step draws give, a ragged last chunk included
+    lam = np.array([0.0, 0.0015, 0.3, 2.0])
+    chunked_rng = np.random.default_rng(np.random.SeedSequence(5))
+    step_rng = np.random.default_rng(np.random.SeedSequence(5))
+    chunked = np.vstack([chunked_rng.poisson(lam, size=(rows, lam.size)) for rows in (20, 20, 7)])
+    per_step = np.array([step_rng.poisson(lam) for _ in range(47)])
+    assert np.array_equal(chunked, per_step)
+
+
+def test_batch_arguments_validated():
+    with pytest.raises(ParameterError, match="single trial"):
+        run_trials(pair(), [None, None], [0, 1], synapse=QUIET, duration=50.0, record_trace=True)
+    with pytest.raises(ParameterError, match="one stimulus"):
+        run_trials(pair(), [None], [0, 1], synapse=QUIET, duration=50.0)
 
 
 # ---------------------------------------------------------------------------

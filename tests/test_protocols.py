@@ -22,7 +22,9 @@ from graphon_decode.sbm import SbmConfig, block_membership, sample_adjacency
 
 
 def raster_from(spikes, duration=200.0, seed=0):
-    return SpikeRaster(spikes=tuple(np.asarray(s, dtype=float) for s in spikes), duration=duration, seed=seed)
+    times = np.concatenate([np.asarray(s, dtype=float) for s in spikes])
+    offsets = np.cumsum([0] + [len(s) for s in spikes])
+    return SpikeRaster(times=times, offsets=offsets, duration=duration, seed=seed)
 
 
 # ---------------------------------------------------------------------------
