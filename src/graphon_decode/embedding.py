@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import blas, eigh
 
 from .errors import ContractError, ParameterError, ParseError
 from .graphon import GraphonEigenpair
@@ -146,21 +147,51 @@ class PcaModel:
 
 
 def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
+    """Top ``dims`` principal axes of the centred matrix C, each signed so its
+    largest-magnitude entry is positive.
+
+    Only the top ``dims`` eigenpairs of the smaller Gram matrix are solved
+    for: C Cᵀ when there are fewer trials than features (an axis is then
+    uᵀC / √λ), else Cᵀ C (whose eigenvectors are the axes).  This agrees with
+    the SVD of C to rounding.  A direction without variance, which only a
+    wide rank-deficient C has among its top ``dims``, gets a zero axis.
+
+    The products here and in :func:`pca_transform` call scipy's BLAS, the
+    library the eigensolver runs in.  numpy and scipy each ship their own
+    OpenBLAS, whose idle threads keep spinning for a while after a call, so
+    alternating the two made each fold's fit twice as slow on two cores.
+    """
     mat = np.asarray(mat, dtype=float)
     if dims < 1:
         raise ParameterError(f"need at least one component, got dims={dims}")
     if mat.shape[0] < dims + 1:
         raise ParameterError(f"need at least {dims + 1} trials to fit {dims} components")
+    if dims > mat.shape[1]:
+        raise ParameterError(f"cannot fit {dims} components to {mat.shape[1]} features")
     mean = mat.mean(axis=0)
     centered = mat - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    comps = vt[:dims].copy()
+    wide = centered.shape[0] < centered.shape[1]
+    # the upper triangle of C Cᵀ (wide) or Cᵀ C; centered.T is Fortran-ordered
+    gram = blas.dsyrk(1.0, centered.T, trans=int(wide))
+    k = gram.shape[0]
+    evals, evecs = eigh(gram, lower=False, subset_by_index=[k - dims, k - 1])
+    evals = np.maximum(evals[::-1], 0.0)
+    evecs = evecs[:, ::-1]
+    if wide:
+        # below this an eigenvalue of C Cᵀ is rounding, and uᵀC / √λ noise
+        kept = evals > evals[0] * k * np.finfo(float).eps
+        evals[~kept] = 0.0
+        comps = blas.dgemm(1.0, centered.T, evecs).T
+        comps[kept] /= np.sqrt(evals[kept])[:, None]
+        comps[~kept] = 0.0
+    else:
+        comps = evecs.T.copy()
     lead = np.argmax(np.abs(comps), axis=1)
     signs = np.sign(comps[np.arange(dims), lead])
     signs[signs == 0] = 1.0
     comps *= signs[:, None]
-    total = float(np.sum(svals**2))
-    evr = (svals[:dims] ** 2 / total) if total > 0 else np.zeros(dims)
+    total = float(np.sum(centered * centered))
+    evr = (evals / total) if total > 0 else np.zeros(dims)
     return PcaModel(
         mean=_readonly(mean), components=_readonly(comps), explained_variance_ratio=_readonly(evr)
     )
@@ -170,7 +201,7 @@ def pca_transform(model: PcaModel, mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape[1] != model.mean.size:
         raise ParameterError("feature dimension does not match the fitted model")
-    return (mat - model.mean) @ model.components.T
+    return blas.dgemm(1.0, model.components, (mat - model.mean).T).T
 
 
 def pca_fit_transform(responses, dims: int = 3) -> EmbeddingSet:

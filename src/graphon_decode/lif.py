@@ -178,6 +178,17 @@ class SpikeRaster:
             if bad.size:
                 raise ContractError(f"neuron {neuron_of(bad[0])}: spikes closer than the refractory period")
 
+    def __eq__(self, other):
+        """Value equality of the spikes and trial parameters; ``trace`` is ignored."""
+        if not isinstance(other, SpikeRaster):
+            return NotImplemented
+        params = (self.duration, self.seed, self.refractory_ms)
+        return (
+            params == (other.duration, other.seed, other.refractory_ms)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.times, other.times)
+        )
+
     @property
     def size(self) -> int:
         """Number of neurons."""

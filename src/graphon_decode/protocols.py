@@ -78,6 +78,14 @@ class Responses:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "trial_ids", trial_ids)
 
+    def __eq__(self, other):
+        if not isinstance(other, Responses):
+            return NotImplemented
+        return (
+            (self.labels, self.trial_ids) == (other.labels, other.trial_ids)
+            and np.array_equal(self.values, other.values)
+        )
+
 
 def two_cluster_protocol(n: int) -> Protocol:
     """s1 targets all of block 1, s2 all of block 2."""

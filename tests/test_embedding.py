@@ -211,6 +211,40 @@ def test_pca_needs_a_component():
         pca_fit(np.random.default_rng(0).random((6, 5)), dims=0)
 
 
+def test_pca_needs_as_many_features_as_components():
+    with pytest.raises(ParameterError, match="5 components to 3 features"):
+        pca_fit(np.random.default_rng(0).random((8, 3)), dims=5)
+
+
+def svd_reference(mat, dims):
+    """Sign-fixed axes and variance ratios from the full SVD of the centred matrix."""
+    _, svals, vt = np.linalg.svd(mat - mat.mean(axis=0), full_matrices=False)
+    comps = vt[:dims]
+    lead = np.argmax(np.abs(comps), axis=1)
+    comps = comps * np.sign(comps[np.arange(dims), lead])[:, None]
+    return comps, svals[:dims] ** 2 / np.sum(svals**2)
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (25, 25)], ids=["wide", "tall", "square"])
+def test_pca_matches_the_svd(shape):
+    mat = np.random.default_rng(8).poisson(3.0, size=shape).astype(float)
+    comps, ratios = svd_reference(mat, dims=4)
+    model = pca_fit(mat, dims=4)
+    assert np.max(np.abs(model.components - comps)) < 1e-10
+    assert np.max(np.abs(model.explained_variance_ratio - ratios)) < 1e-10
+
+
+def test_rank_deficient_wide_pca_stays_finite():
+    rows = np.random.default_rng(9).random((2, 30))
+    mat = np.vstack([rows, rows, rows])  # 6 trials of rank 1 once centred
+    model = pca_fit(mat, dims=3)
+    assert np.isfinite(model.components).all()
+    assert (model.explained_variance_ratio >= 0).all()
+    assert model.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(model.components[0], svd_reference(mat, dims=1)[0][0], atol=1e-10)
+    assert np.isfinite(pca_transform(model, rows)).all()
+
+
 # ---------------------------------------------------------------------------
 # degenerate-pair alignment
 

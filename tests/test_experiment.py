@@ -410,6 +410,7 @@ def test_cli_embed_needs_a_block_map_only_for_graphon(tmp_path, capsys):
     csv_path.write_text("trial_id,label," + ",".join(f"roi_{i}" for i in range(5)) + "\n" + "\n".join(rows) + "\n")
     argv = ["embed", "--responses", str(csv_path), "--out", str(tmp_path / "e.csv"), "--method"]
     assert main(argv + ["pca"]) == 0
+    assert main(argv + ["pca", "--dims", "6"]) == 2
     assert main(argv + ["graphon"]) == 2
     assert "pass --block-map" in capsys.readouterr().err
 

@@ -6,7 +6,9 @@ once and pin the bytes themselves.  They hold for the build they were taken
 on (x86-64, Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31 on its default two
 threads of a 2-core host: the 400-node eigendecompositions behind fig5 and
 fig6 differ in the last bits on one thread); an intended change of output
-bytes re-pins them and says why in CHANGES.md.
+bytes re-pins them and says why in CHANGES.md.  The digests of the small
+``run``, ``embeddings_pca.csv`` (PCA from a subset eigensolve of the Gram
+matrix) included, also hold under ``OPENBLAS_NUM_THREADS=1``.
 """
 
 import json
@@ -27,7 +29,7 @@ RUN_SMALL = {
     "eigenvectors.csv": "6630200ec981997312d63dcc4a2c99020f48c1b31f59f9ec9806444a6ee0588e",
     "embeddings_gft.csv": "d554f4a5c219388fd4d9567c80e3de99c9c04a19ed00211f54ee3c88bccf5aa2",
     "embeddings_graphon.csv": "a7a4d7b961247618aefaef17791ccead7a03ec8d1bad3bd3776d90c38ed0fff0",
-    "embeddings_pca.csv": "bfaadb064bc8e78613a510d5dddea1b04dfa55276be8b5916b80537bd2898237",
+    "embeddings_pca.csv": "ccb7e06a7cb5e33b6f1c0bb7fc089962d2a451772a327b68f05e9120d318487a",
     "graph.edges": "78917443f75e01907c0afb57adc1d9bb20a36fc5b1d857cba8314cfb69ec326b",
     "report_gft.csv": "1762c511d97a453993e0d295b039bcabf518766e558eeb7ddd4eeb6319b3d0ea",
     "report_graphon.csv": "8512e89eb2fd3d2d251380d9f26e596e6a3284f049a01da069e05c9dbae72b90",

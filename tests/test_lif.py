@@ -348,6 +348,20 @@ def test_raster_views_and_half_open_counts():
     assert raster.counts(9.9, 30.0).tolist() == [2.0, 0.0, 2.0]
 
 
+def test_rasters_compare_by_value_without_the_trace():
+    adj = sample_adjacency(SbmConfig(alpha=0.05, n=10, seed=4))
+    traced = run_trial(adj, seed=3, record_trace=True)
+    plain = run_trial(adj, seed=3)
+    assert traced.trace is not None and plain.trace is None
+    assert traced == plain
+    assert traced != run_trial(adj, seed=4)
+    raster = SpikeRaster(times=[10.0, 20.0], offsets=[0, 2, 2], duration=40.0, seed=0)
+    assert raster == SpikeRaster(times=[10.0, 20.0], offsets=[0, 2, 2], duration=40.0, seed=0)
+    assert raster != SpikeRaster(times=[10.0, 20.0], offsets=[0, 1, 2], duration=40.0, seed=0)
+    assert raster != SpikeRaster(times=[10.0, 21.0], offsets=[0, 2, 2], duration=40.0, seed=0)
+    assert raster != SpikeRaster(times=[10.0, 20.0], offsets=[0, 2, 2], duration=50.0, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # batched trials
 
