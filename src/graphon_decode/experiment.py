@@ -17,8 +17,6 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -331,37 +329,35 @@ def _sim_objects(sim: SimSection):
 
 
 def _trial_chunk(payload):
-    """Simulate a chunk of (trial id, stimulus index, seed) specs, one
-    run_trials batch per stimulus; returns (trial id, label, response or None
-    for a zero-response trial, raster) per trial."""
+    """Simulate a chunk of (trial id, stimulus index, seed) specs as one
+    run_trials batch; returns (trial id, label, response or None for a
+    zero-response trial, raster) per trial."""
     adjacency, sim, protocol, specs = payload
     neuron, synapse, aux, initial = _sim_objects(sim)
+    stimuli = [
+        StimulusPulse(targets=targets, onset=sim.onset, duration=sim.pulse_ms, amplitude=sim.amplitude_na)
+        for _, targets in protocol.stimuli
+    ]
+    rasters = run_trials(
+        adjacency,
+        [stimuli[stim_idx] for _, stim_idx, _ in specs],
+        [seed for _, _, seed in specs],
+        neuron=neuron,
+        synapse=synapse,
+        aux=aux,
+        duration=sim.duration,
+        dt=sim.dt,
+        initial=initial,
+        zero_degree=sim.zero_degree,
+        window=sim.window,
+    )
     results = []
-    for stim_idx, group in groupby(specs, key=itemgetter(1)):
-        group = list(group)
-        label, targets = protocol.stimuli[stim_idx]
-        stimulus = StimulusPulse(
-            targets=targets, onset=sim.onset, duration=sim.pulse_ms, amplitude=sim.amplitude_na
-        )
-        rasters = run_trials(
-            adjacency,
-            [stimulus] * len(group),
-            [seed for _, _, seed in group],
-            neuron=neuron,
-            synapse=synapse,
-            aux=aux,
-            duration=sim.duration,
-            dt=sim.dt,
-            initial=initial,
-            zero_degree=sim.zero_degree,
-            window=sim.window,
-        )
-        for (trial_id, _, _), raster in zip(group, rasters):
-            try:
-                response = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
-            except ZeroResponseError:
-                response = None
-            results.append((trial_id, label, response, raster))
+    for (trial_id, stim_idx, _), raster in zip(specs, rasters):
+        try:
+            response = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
+        except ZeroResponseError:
+            response = None
+        results.append((trial_id, protocol.stimuli[stim_idx][0], response, raster))
     return results
 
 
@@ -382,7 +378,7 @@ def run_protocol_trials(
     execution order, worker count, or subset of stimuli reproduces the same
     per-trial dynamics.  The trials are split into ``jobs`` contiguous chunks,
     one pool task each (so the adjacency is pickled once per chunk), and
-    each chunk runs one batch per stimulus.  Zero-response trials are skipped;
+    each chunk runs as one batch, whatever its stimuli.  Zero-response trials are skipped;
     a DataError is raised when no trial is usable.
     """
     n_stimuli = len(protocol.stimuli)

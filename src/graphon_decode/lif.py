@@ -21,10 +21,12 @@ Both are deliberately simple, fully configurable stand-ins for biophysically
 detailed after-spike currents.
 
 :func:`run_trials` advances a batch of trials together on (trials, neurons)
-state arrays and a (delay, trials, neurons) ring of pending conductance.
-Every trial keeps its own noise generator and its own matrix-vector product,
-so batching changes no bit of any raster; :func:`run_trial` is the batch of
-one.
+state arrays and a (delay, trials, neurons) ring of pending conductance.  The
+synaptic input of a step is one sparse product: the resource emitted by the
+spiking cells, as a (trials, neurons) CSR matrix, times the transposed
+weights.  Row b of that product sums trial b's spiking neurons in neuron
+order and nothing else, and every trial keeps its own noise generator, so
+batching changes no bit of any raster; :func:`run_trial` is the batch of one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ContractError, ParameterError, ParseError
 from .sbm import AdjacencyMatrix, _readonly
@@ -268,9 +271,9 @@ def run_trials(
     step by step, and return their rasters in order.
 
     Trial b draws its noise from ``SeedSequence(seeds[b])`` alone and its
-    synaptic input from its own matrix-vector product, so its raster is the
-    one a batch of one gives it: identical arguments and seed give identical
-    rasters, whatever else shares the batch.  The step dt must divide the
+    synaptic input from its own row of the sparse product, so its raster is
+    the one a batch of one gives it: identical arguments and seed give
+    identical rasters, whatever else shares the batch.  The step dt must divide the
     conduction delay exactly (to 1e-9 relative), and a stimulated trial must
     extend at least ``window`` ms (the counting window) past its onset.
     """
@@ -307,7 +310,7 @@ def run_trials(
         stim_start[b], stim_stop[b] = stimulus.onset, stimulus.onset + stimulus.duration
 
     steps = int(math.floor(duration / dt + 1e-9))
-    weights = adjacency.entries.astype(float)
+    weights_t = np.ascontiguousarray(adjacency.entries.T, dtype=float)
     s = scaling_factors(adjacency, zero_degree)
     has_input = s > 0
     unit_inc = np.where(has_input, synapse.g_max / np.where(has_input, s, 1.0), 0.0)
@@ -323,6 +326,7 @@ def run_trials(
     refract_until = np.full(shape, -np.inf)
 
     ring_len = delay_steps + 2
+    bounds_b = np.arange(batch + 1)
     ring = np.zeros((ring_len, batch, size))
 
     # spikes are logged one step at a time as the step and the flat indices
@@ -376,12 +380,14 @@ def run_trials(
 
         spiked = active & (v >= neuron.v_threshold)
         if spiked.any():
+            cells = np.flatnonzero(spiked)
             log_steps.append(k)
-            log_cells.append(np.flatnonzero(spiked))
-            emitted = np.where(spiked, resource, 0.0)
-            arrivals = ring[(k + delay_steps + 1) % ring_len]
-            for b in np.flatnonzero(spiked.any(axis=1)):
-                arrivals[b] += unit_inc * (weights @ emitted[b])
+            log_cells.append(cells)
+            # cells are sorted, so each trial's spiking neurons form one CSR row
+            trial, source = np.divmod(cells, size)
+            indptr = np.searchsorted(trial, bounds_b)
+            emitted = csr_array((resource.ravel()[cells], source, indptr), shape=(batch, size))
+            ring[(k + delay_steps + 1) % ring_len] += unit_inc * (emitted @ weights_t)
             resource[spiked] *= synapse.beta
             v[spiked] = neuron.v_reset
             g_kca[spiked] += aux.kca_increment

@@ -56,6 +56,22 @@ TABLE_SURROGATE_SEED0 = {
     "table_report_pca.csv": "c9eb380a74feff1ed6130bd570f0a6d7c1eef98c17aaf026e427ddfcf2fba2f9",
 }
 
+# the simulated files of a noise-free run with rasters: they pin the synaptic
+# path of the simulator alone, whatever the noise generator draws
+RUN_NOISE_FREE = {
+    "rasters/trial_0000.csv": "fd084a9d4ca90e9ea7f12d0807ccf137100c0a156f51f10fb849dfca8977e295",
+    "rasters/trial_0001.csv": "b7538ded38abc963d815a83a75f25153830f10a25a4ecf39b93f3b9a9f7184ef",
+    "rasters/trial_0002.csv": "865050048ebccc10b4c15743c97f6da7e5c8d679f8e15dbeaa5106471b173ed0",
+    "rasters/trial_0003.csv": "aa0b8ae23866f0047ad06303e4a65a41ed002649fee046a1d818c0676ce7fd46",
+    "rasters/trial_0004.csv": "c0597919ea2921231a0dc8e1464ecc7cf54c198e72c89156b61bbeda969aa9cb",
+    "rasters/trial_0005.csv": "38fe29576f6be5418937ebd8b4548df7c9637f1b68ee77f12262c968012127bf",
+    "rasters/trial_0006.csv": "8b3895402547dfa6dbeb714ec3ac7cf3a77ded0f9adf86f8cd4c63dbaef02a5f",
+    "rasters/trial_0007.csv": "58f6168f2c29065956baa9f3c9cff74e42447e68d90eac9f9db9fd2f725a18d1",
+    "rasters/trial_0008.csv": "1ccc8378519c0d7aca244294821d29d19533450f6879f278c93a51f5c5f512bd",
+    "rasters/trial_0009.csv": "9db44ecfb858175c18c514966c7c2f1e92773fdcaf1ad19dee549b1bcd563a25",
+    "responses.csv": "7805c670fc5195a0ba43ab356dd95084e1cb6bcc3e7a9c38305dbe52936cd5ff",
+}
+
 TABLE_MEASURED = {
     "table_accuracy.csv": "d92d1a87a8f82a9be0b95db4c1d14bff2d1999b8a1ce637cbcb4c5215bd264e5",
     "table_report_graphon.csv": "2df06f47b41aa7d2dd554aa9533381dc745d9dfd3d53ef6d9a7403af3f2fc80c",
@@ -68,6 +84,15 @@ def test_run_small_config_hashes(tmp_path):
     save_config(small_config(tmp_path, "run"), config_path)
     assert main(["run", "--config", str(config_path)]) == 0
     assert _file_digests(tmp_path / "run") == RUN_SMALL
+
+
+def test_run_noise_free_simulated_hashes(tmp_path):
+    config_path = tmp_path / "config.json"
+    config = small_config(tmp_path, "run", sim={"poisson_rate": 0.0}, sbm={"n": 16})
+    save_config(config, config_path)
+    assert main(["run", "--config", str(config_path), "--dump-rasters"]) == 0
+    digests = _file_digests(tmp_path / "run")
+    assert {name: digests[name] for name in RUN_NOISE_FREE} == RUN_NOISE_FREE
 
 
 def test_reproduce_fig5_hashes(tmp_path):
