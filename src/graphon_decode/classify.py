@@ -14,9 +14,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .errors import ParameterError, ParseError, SingularSystemError
 from .sbm import _readonly
@@ -263,15 +263,9 @@ def required_n_for_power(
     rounded up."""
     if effect_size == 0:
         return math.inf
-    z_alpha = stats.norm.ppf(1.0 - alpha / 2.0)
-    z_power = stats.norm.ppf(power)
+    z_alpha = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    z_power = NormalDist().inv_cdf(power)
     return float(math.ceil(((z_alpha + z_power) / abs(effect_size)) ** 2))
-
-
-def power_from_n(n: float, effect_size: float, alpha: float = 0.05) -> float:
-    """Power of the same normal-approximation test at sample size n."""
-    z_alpha = stats.norm.ppf(1.0 - alpha / 2.0)
-    return float(stats.norm.cdf(math.sqrt(n) * abs(effect_size) - z_alpha))
 
 
 def paired_difference_stats(

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from graphon_decode.classify import (
     bootstrap_mean_ci,
     cross_validated_accuracy,
     paired_difference_stats,
-    power_from_n,
     predict,
     read_correctness_csv,
     required_n_for_power,
@@ -249,10 +249,15 @@ def test_required_n_reproduces_published_power_calculation():
     assert abs(n - 173) <= 3
 
 
-def test_power_formula_self_consistent():
+def test_required_n_is_the_smallest_n_with_the_power():
+    # the two-sided test at n has power Phi(sqrt(n) d - z_{0.975}) >= 0.80,
+    # and one sample fewer falls short of it
+    normal = NormalDist()
+    z_alpha = normal.inv_cdf(0.975)
     for d in (0.213, 0.1, 0.5, 1.0):
         n = required_n_for_power(d)
-        assert power_from_n(n, d) == pytest.approx(0.80, abs=0.02)
+        assert normal.cdf(math.sqrt(n) * d - z_alpha) >= 0.80
+        assert normal.cdf(math.sqrt(n - 1) * d - z_alpha) < 0.80
 
 
 def test_bootstrap_ci_brackets_true_accuracy():
