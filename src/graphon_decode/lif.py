@@ -12,7 +12,12 @@ emission time (read before the depression update).  R drops by the factor
 beta at each spike of its neuron and otherwise relaxes to 1 with time
 constant tau_recovery.  Spontaneous synaptic noise is a Poisson stream per
 neuron at rate poisson_rate * S_j, feeding g_j with unit resource weight and
-without touching any depression state.
+without touching any depression state.  It is drawn event by event (Brette et
+al. 2007): each neuron's count of events over the whole trial, then each
+event's step, uniform over the steps.  A step's count is then Poisson(rate *
+S_j * dt), independent across steps and neurons, the law of per-step draws
+(see :func:`noise_events`), at a cost that scales with the events rather than
+with steps times neurons.
 
 Refractoriness is an absolute clamp: after a spike the membrane is held at
 v_reset for refractory_ms.  A spike-triggered adaptation conductance with its
@@ -25,8 +30,9 @@ state arrays and a (delay, trials, neurons) ring of pending conductance.  The
 synaptic input of a step is one sparse product: the resource emitted by the
 spiking cells, as a (trials, neurons) CSR matrix, times the transposed
 weights.  Row b of that product sums trial b's spiking neurons in neuron
-order and nothing else, and every trial keeps its own noise generator, so
-batching changes no bit of any raster; :func:`run_trial` is the batch of one.
+order and nothing else, and every trial draws its noise events from its own
+generator, so batching changes no bit of any raster; :func:`run_trial` is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -41,10 +47,6 @@ from scipy.sparse import csr_array
 
 from .errors import ContractError, ParameterError, ParseError
 from .sbm import AdjacencyMatrix, _readonly
-
-# Steps of Poisson noise drawn per call for each trial: small enough that the
-# (steps, trials, neurons) buffer stays a few MB.
-_NOISE_CHUNK = 20
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,21 @@ def scaling_factors(adjacency: AdjacencyMatrix, zero_degree: str = "error") -> n
     return s
 
 
+def noise_events(seed: int, noise_lam: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's spontaneous noise over ``steps`` steps, drawn from
+    ``SeedSequence(seed)`` alone: the step and the neuron of each event.
+
+    Neuron j's event count is Poisson(steps * noise_lam[j]) and each event's
+    step is uniform over the steps.  Given their total, independent per-step
+    Poisson(noise_lam[j]) counts are multinomial over equally likely steps,
+    so every step's count is Poisson(noise_lam[j]), independent across steps
+    and neurons, as if drawn step by step.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = rng.poisson(steps * noise_lam)
+    return rng.integers(steps, size=counts.sum()), np.repeat(np.arange(noise_lam.size), counts)
+
+
 def run_trial(
     adjacency: AdjacencyMatrix,
     neuron: NeuronParams = NeuronParams(),
@@ -270,12 +287,13 @@ def run_trials(
     """Simulate one trial per (stimulus, seed) pair, all advanced together
     step by step, and return their rasters in order.
 
-    Trial b draws its noise from ``SeedSequence(seeds[b])`` alone and its
-    synaptic input from its own row of the sparse product, so its raster is
-    the one a batch of one gives it: identical arguments and seed give
-    identical rasters, whatever else shares the batch.  The step dt must divide the
-    conduction delay exactly (to 1e-9 relative), and a stimulated trial must
-    extend at least ``window`` ms (the counting window) past its onset.
+    Trial b draws its noise events from ``SeedSequence(seeds[b])`` alone and
+    its synaptic input from its own row of the sparse product, so its raster
+    is the one a batch of one gives it: identical arguments and seed give
+    identical rasters, whatever else shares the batch.  The step dt must
+    divide the conduction delay exactly (to 1e-9 relative), and a stimulated
+    trial must extend at least ``window`` ms (the counting window) past its
+    onset.
     """
     size = adjacency.size
     if size == 0:
@@ -314,20 +332,31 @@ def run_trials(
     s = scaling_factors(adjacency, zero_degree)
     has_input = s > 0
     unit_inc = np.where(has_input, synapse.g_max / np.where(has_input, s, 1.0), 0.0)
+    # every noise event of the batch as a flat cell trial * size + neuron,
+    # ordered by step: step k's events are noise_cells[noise_bounds[k]:noise_bounds[k + 1]]
     noise_lam = synapse.poisson_rate * s * dt * 1e-3
-    draw_noise = synapse.poisson_rate > 0
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    events = [noise_events(seed, noise_lam, steps) for seed in seeds]
+    event_steps = np.concatenate([at for at, _ in events])
+    order = np.argsort(event_steps, kind="stable")
+    noise_cells = np.concatenate([b * size + source for b, (_, source) in enumerate(events)])[order]
+    noise_bounds = np.searchsorted(event_steps[order], np.arange(steps + 1))
+    flat_inc = np.tile(unit_inc, batch)
 
     shape = (batch, size)
     v = np.full(shape, neuron.e_leak if initial.v0 is None else initial.v0, dtype=float)
     g = np.full(shape, initial.g0, dtype=float)
+    g_flat = g.reshape(-1)
     g_kca = np.zeros(shape)
     resource = np.full(shape, initial.r0, dtype=float)
     refract_until = np.full(shape, -np.inf)
 
     ring_len = delay_steps + 2
-    bounds_b = np.arange(batch + 1)
     ring = np.zeros((ring_len, batch, size))
+    # the resource emitted by the spiking cells, one CSR row per trial; the
+    # product reads only data, indices and indptr, so one matrix is refilled
+    # each step rather than a new one built and validated
+    emitted = csr_array((batch, size))
+    row_ids = np.arange(batch + 1)
 
     # spikes are logged one step at a time as the step and the flat indices
     # trial * size + neuron of the spiking cells
@@ -352,16 +381,8 @@ def run_trials(
         g *= 1.0 - g_decay
         g += ring[slot]
         ring[slot] = 0.0
-        if draw_noise:
-            chunk_step = k % _NOISE_CHUNK
-            if chunk_step == 0:
-                # one draw of size (K, N) is the same stream as K draws of size N
-                rows = min(_NOISE_CHUNK, steps - k)
-                noise = np.empty((rows, batch, size))
-                for b, rng in enumerate(rngs):
-                    noise[:, b] = rng.poisson(noise_lam, size=(rows, size))
-                noise *= unit_inc
-            g += noise[chunk_step]
+        hits = noise_cells[noise_bounds[k] : noise_bounds[k + 1]]
+        np.add.at(g_flat, hits, flat_inc[hits])
         g_kca *= 1.0 - kca_decay
 
         drive = g * (synapse.e_syn - v) + g_kca * (aux.kca_reversal - v)
@@ -385,8 +406,8 @@ def run_trials(
             log_cells.append(cells)
             # cells are sorted, so each trial's spiking neurons form one CSR row
             trial, source = np.divmod(cells, size)
-            indptr = np.searchsorted(trial, bounds_b)
-            emitted = csr_array((resource.ravel()[cells], source, indptr), shape=(batch, size))
+            indptr = np.searchsorted(trial, row_ids)
+            emitted.data, emitted.indices, emitted.indptr = resource.ravel()[cells], source, indptr
             ring[(k + delay_steps + 1) % ring_len] += unit_inc * (emitted @ weights_t)
             resource[spiked] *= synapse.beta
             v[spiked] = neuron.v_reset

@@ -6,10 +6,18 @@ complete graph on n nodes.  Because the complete graph has a zero diagonal,
 same-indexed nodes of *different* blocks are never connected either; the
 product is implemented literally so sampled graphs match the analytic limit
 object used downstream.
+
+:func:`eigendecompose` runs ``eigh`` with numpy's bundled OpenBLAS pinned to
+one thread: the eigenvectors of a multi-threaded run differ in the last bits
+with the thread count, so pinning makes them the same on any core count.  A
+numpy linked against another BLAS runs ``eigh`` unchanged.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,12 +193,45 @@ def sample_adjacency(config: SbmConfig) -> AdjacencyMatrix:
     )
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None when numpy links another BLAS."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def eigendecompose(adjacency) -> SpectralDecomposition:
     """Dense symmetric eigendecomposition, eigenvalues descending.
 
     Accepts an AdjacencyMatrix or any real symmetric matrix.  Eigenvector
     signs are fixed so each column's largest-magnitude entry is positive,
-    making the output deterministic up to degenerate subspaces.
+    making the output deterministic up to degenerate subspaces; ``eigh`` runs
+    on one OpenBLAS thread, so the bytes do not depend on the core count.
     """
     if isinstance(adjacency, AdjacencyMatrix):
         mat = adjacency.entries.astype(float)
@@ -200,7 +241,8 @@ def eigendecompose(adjacency) -> SpectralDecomposition:
             raise ContractError(f"expected a square matrix, got shape {mat.shape}")
         if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
             raise ContractError("matrix must be symmetric")
-    w, v = np.linalg.eigh(mat)
+    with _one_blas_thread():
+        w, v = np.linalg.eigh(mat)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     lead = np.argmax(np.abs(v), axis=0)

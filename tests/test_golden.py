@@ -1,14 +1,13 @@
-"""Golden hashes: the SHA-256 of every artifact of five canned runs.
+"""Golden hashes: the SHA-256 of every artifact of six canned runs.
 
 Determinism tests compare a run against a second run of the same code, so a
 change that reorders a float sum would pass them.  These digests were taken
 once and pin the bytes themselves.  They hold for the build they were taken
-on (x86-64, Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31 on its default two
-threads of a 2-core host: the 400-node eigendecompositions behind fig5 and
-fig6 differ in the last bits on one thread); an intended change of output
-bytes re-pins them and says why in CHANGES.md.  The digests of the small
-``run``, ``embeddings_pca.csv`` (PCA from a subset eigensolve of the Gram
-matrix) included, also hold under ``OPENBLAS_NUM_THREADS=1``.
+on (x86-64, Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31).  The 400-node
+eigendecompositions behind fig5 and fig6 run on one OpenBLAS thread whatever
+the core count, and every digest holds both on the default two threads of a
+2-core host and under ``OPENBLAS_NUM_THREADS=1``.  An intended change of
+output bytes re-pins them and says why in CHANGES.md.
 """
 
 import json
@@ -27,32 +26,32 @@ def _file_digests(out: Path) -> dict:
 RUN_SMALL = {
     "eigenvalues.csv": "1797e24065d49b25b39961d288fc94c58b09f47726ae77fbdab3fc8595b4868a",
     "eigenvectors.csv": "6630200ec981997312d63dcc4a2c99020f48c1b31f59f9ec9806444a6ee0588e",
-    "embeddings_gft.csv": "d554f4a5c219388fd4d9567c80e3de99c9c04a19ed00211f54ee3c88bccf5aa2",
-    "embeddings_graphon.csv": "a7a4d7b961247618aefaef17791ccead7a03ec8d1bad3bd3776d90c38ed0fff0",
-    "embeddings_pca.csv": "ccb7e06a7cb5e33b6f1c0bb7fc089962d2a451772a327b68f05e9120d318487a",
+    "embeddings_gft.csv": "d17cb41b847b77f06627ba8d56282d0bb36cc92f94bcc2a89bcc5ca47e072829",
+    "embeddings_graphon.csv": "e6f9c2ef5ef648df6047026e23326f6a5ecc3f6dd39ca46fce37a6173f12107a",
+    "embeddings_pca.csv": "04e3a5be119acaee3609ebd844cea2caa86562a5bd41f8235f4b262a0a6ae84a",
     "graph.edges": "78917443f75e01907c0afb57adc1d9bb20a36fc5b1d857cba8314cfb69ec326b",
-    "report_gft.csv": "1762c511d97a453993e0d295b039bcabf518766e558eeb7ddd4eeb6319b3d0ea",
-    "report_graphon.csv": "8512e89eb2fd3d2d251380d9f26e596e6a3284f049a01da069e05c9dbae72b90",
-    "report_pca.csv": "aa449562059d7148f124c263d58448be94c7a2bdced95012d4e952fcfbfbd0c7",
-    "responses.csv": "9bff630b590f05e068f63c17681ed611651d586820e8e2617f7ca45a2a79e448",
+    "report_gft.csv": "81d43c121abcb2a849e642449242e3e5c857100b705f76fcea676840a445c2fb",
+    "report_graphon.csv": "0a6133592713f6826d8640000ffcc1068568c93cee5b16ea9159e23bed73fa4b",
+    "report_pca.csv": "3f1879869a4a95982a41ad8b28902d0b37e1ed04151821dc3a256c3b3236f587",
+    "responses.csv": "069474ffb828b9ad7f6ebc1622175dac9373a5215ff83e9221925dcbd0e4c162",
 }
 
 FIG5_SEED0 = {
-    "fig5_gft_modes_2_3.csv": "1d4f6eb4fe35b5a9aecacf7e212e384187d0befdc264b49c84994dcce9ae8932",
-    "fig5_gft_modes_2_4.csv": "5488002a0963e36ac8ec9b528c58e2fdd8f604c0496efd82eb7a7dcfe9f5af98",
+    "fig5_gft_modes_2_3.csv": "0d6ae7346de10e605aeff15a87b509449f66c54f6b10aca8a80162b7d42089c5",
+    "fig5_gft_modes_2_4.csv": "6f244df58ceba89a530647099c2779d0e38b4977efe61a89fc0c7f2e2e16606d",
 }
 
 FIG6_SEED0 = {
-    "fig6_dispersion.csv": "8fc32c9fd2a7644858e976635e8e929d8eff7596400b4e24c71a8aaa2ba59fff",
-    "fig6_gft_realization_0.csv": "67a0bc7909973d50cff1276866fd6ec3a717d27a2e16d9658d08aef36f343f5b",
-    "fig6_gft_realization_1.csv": "68ac3984ced3a53bb1af1735065fc24c418f987d657ce7ab1687b589d45fb501",
-    "fig6_gft_realization_2.csv": "ed026908db900a0a9867eed5cecd1a5da2830450a02b927d50fef55026a4a4ec",
-    "fig6_graphon.csv": "eea2ed993395c4386fbe0ee1d25bca04d2a0b773723ddcf579fbd998ed633b7f",
+    "fig6_dispersion.csv": "f46aa18ad5b07c2643ce8ad50c19e416f5740f966227d9ee5b12e9032e780da7",
+    "fig6_gft_realization_0.csv": "22b13daa99c2a11d1667e6d49d09b15f3431d8f5c188a3c052b7402db2d40cad",
+    "fig6_gft_realization_1.csv": "01137a3a7047b10804e66a6c482b581f2a6087c261ca59b3bb1a1b194eb2613d",
+    "fig6_gft_realization_2.csv": "1bcb516146c4a3939a5ed12db7f4e1a8619de966f61bed7099f02e5d90e7e0dd",
+    "fig6_graphon.csv": "7733d6b8120632ea8a0322e3548bab679b804e2ab5158c97bb7d1730881157a0",
 }
 
 TABLE_SURROGATE_SEED0 = {
-    "table_accuracy.csv": "e184d0b97221bdaa6ad4989ff3cea4dcfcc11f0c24dd99cf217650fc442ba66f",
-    "table_report_graphon.csv": "230aee7ed09ded610235bbfe05cf5944102625bedeefc2eda18a0fb432a91f49",
+    "table_accuracy.csv": "335ca3982ccbb5aae36eaa65660756bf9d67f1e7e3ca774fabc972ed21ff28b6",
+    "table_report_graphon.csv": "957e6be30d7bbd6a1ff5eb090478211c015d3203eec9f90915ae50d34b428d41",
     "table_report_pca.csv": "c9eb380a74feff1ed6130bd570f0a6d7c1eef98c17aaf026e427ddfcf2fba2f9",
 }
 

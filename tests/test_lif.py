@@ -9,6 +9,7 @@ from graphon_decode.lif import (
     SpikeRaster,
     StimulusPulse,
     SynapseParams,
+    noise_events,
     read_raster_csv,
     run_trial,
     run_trials,
@@ -393,15 +394,32 @@ def test_batched_trials_match_single_trials(synapse, aux, dt):
     assert batch[0].total_spikes > 0 and batch[1].total_spikes > 0
 
 
-def test_chunked_noise_draws_match_per_step_draws():
-    # run_trials draws noise for many steps per call; the stream must be the one
-    # the per-step draws give, a ragged last chunk included
-    lam = np.array([0.0, 0.0015, 0.3, 2.0])
-    chunked_rng = np.random.default_rng(np.random.SeedSequence(5))
-    step_rng = np.random.default_rng(np.random.SeedSequence(5))
-    chunked = np.vstack([chunked_rng.poisson(lam, size=(rows, lam.size)) for rows in (20, 20, 7)])
-    per_step = np.array([step_rng.poisson(lam) for _ in range(47)])
-    assert np.array_equal(chunked, per_step)
+def test_noise_events_follow_the_per_step_poisson_law():
+    # a neuron's count over the trial is Poisson(steps * lam) and its events
+    # spread uniformly over the steps, so each step's count is Poisson(lam):
+    # every check allows 5 standard errors over 2,000 seeds
+    lam = np.array([0.0, 0.0015, 0.03, 0.3])
+    steps, trials = 200, 2000
+    per_step = np.zeros((trials, lam.size, steps))
+    for seed in range(trials):
+        at, source = noise_events(seed, lam, steps)
+        np.add.at(per_step[seed], (source, at), 1)
+    totals = per_step.sum(axis=2)
+    expected = steps * lam
+    assert totals[:, 0].max() == 0
+    assert np.all(np.abs(totals.mean(axis=0) - expected) <= 5 * np.sqrt(expected / trials))
+    spread = 5 * np.sqrt((expected + 2 * expected**2) / trials)
+    assert np.all(np.abs(totals.var(axis=0) - expected) <= spread)
+    # uniform over the steps: chi-square with steps - 1 = 199 degrees of freedom
+    by_step = per_step.sum(axis=(0, 1))
+    mean_step = by_step.mean()
+    assert ((by_step - mean_step) ** 2 / mean_step).sum() < 199 + 5 * np.sqrt(2 * 199)
+    # per-step counts of the busiest neuron: Poisson(0.3) in mean, variance and zeros
+    counts = per_step[:, 3].ravel()
+    assert abs(counts.mean() - 0.3) <= 5 * np.sqrt(0.3 / counts.size)
+    assert abs(counts.var() - 0.3) <= 5 * np.sqrt((0.3 + 2 * 0.3**2) / counts.size)
+    zero = np.exp(-0.3)
+    assert abs((counts == 0).mean() - zero) <= 5 * np.sqrt(zero * (1 - zero) / counts.size)
 
 
 def test_batch_arguments_validated():
