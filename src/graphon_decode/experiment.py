@@ -335,7 +335,9 @@ def _trial_chunk(payload):
     adjacency, sim, protocol, specs = payload
     neuron, synapse, aux, initial = _sim_objects(sim)
     stimuli = [
-        StimulusPulse(targets=targets, onset=sim.onset, duration=sim.pulse_ms, amplitude=sim.amplitude_na)
+        StimulusPulse(
+            targets=targets, onset=sim.onset, duration=sim.pulse_ms, amplitude=sim.amplitude_na
+        )
         for _, targets in protocol.stimuli
     ]
     rasters = run_trials(
@@ -378,8 +380,8 @@ def run_protocol_trials(
     execution order, worker count, or subset of stimuli reproduces the same
     per-trial dynamics.  The trials are split into ``jobs`` contiguous chunks,
     one pool task each (so the adjacency is pickled once per chunk), and
-    each chunk runs as one batch, whatever its stimuli.  Zero-response trials are skipped;
-    a DataError is raised when no trial is usable.
+    each chunk runs as one batch, whatever its stimuli.  Zero-response trials
+    are skipped; a DataError is raised when no trial is usable.
     """
     n_stimuli = len(protocol.stimuli)
     specs = [

@@ -13,11 +13,8 @@ beta at each spike of its neuron and otherwise relaxes to 1 with time
 constant tau_recovery.  Spontaneous synaptic noise is a Poisson stream per
 neuron at rate poisson_rate * S_j, feeding g_j with unit resource weight and
 without touching any depression state.  It is drawn event by event (Brette et
-al. 2007): each neuron's count of events over the whole trial, then each
-event's step, uniform over the steps.  A step's count is then Poisson(rate *
-S_j * dt), independent across steps and neurons, the law of per-step draws
-(see :func:`noise_events`), at a cost that scales with the events rather than
-with steps times neurons.
+al. 2007; see :func:`noise_events` for why the law is that of per-step
+draws), at a cost that follows the events rather than steps times neurons.
 
 Refractoriness is an absolute clamp: after a spike the membrane is held at
 v_reset for refractory_ms.  A spike-triggered adaptation conductance with its
@@ -332,8 +329,8 @@ def run_trials(
     s = scaling_factors(adjacency, zero_degree)
     has_input = s > 0
     unit_inc = np.where(has_input, synapse.g_max / np.where(has_input, s, 1.0), 0.0)
-    # every noise event of the batch as a flat cell trial * size + neuron,
-    # ordered by step: step k's events are noise_cells[noise_bounds[k]:noise_bounds[k + 1]]
+    # the batch's noise events as flat cells trial * size + neuron, ordered by
+    # step: step k's are noise_cells[noise_bounds[k] : noise_bounds[k + 1]]
     noise_lam = synapse.poisson_rate * s * dt * 1e-3
     events = [noise_events(seed, noise_lam, steps) for seed in seeds]
     event_steps = np.concatenate([at for at, _ in events])
