@@ -2,8 +2,9 @@
 
 Pipeline: sample a four-block random graph, simulate conductance-based
 integrate-and-fire dynamics under cluster-targeted pulses, project the
-normalized spike-count responses onto graph eigenvectors, step-kernel
-eigenfunctions, or principal components, and classify the stimulus.
+normalized spike-count responses onto graph eigenvectors, the eigenfunctions
+of the four-block limit kernel (constant on each quarter, so a 4x4 matrix
+problem), or principal components, and classify the stimulus.
 """
 
 __version__ = "0.1.0"
@@ -25,14 +26,7 @@ from .sbm import (
     eigendecompose,
     sample_adjacency,
 )
-from .graphon import (
-    StepGraphon,
-    analytic_graphon_eigenpairs,
-    apply_kernel_operator,
-    infty_to_one_norm_lower_bound,
-    limit_graphon,
-    step_graphon_from_adjacency,
-)
+from .graphon import analytic_graphon_eigenpairs, infty_to_one_norm_lower_bound
 from .lif import NeuronParams, SpikeRaster, StimulusPulse, SynapseParams, run_trial, run_trials
 from .protocols import (
     Responses,
@@ -73,12 +67,8 @@ __all__ = [
     "block_membership",
     "eigendecompose",
     "sample_adjacency",
-    "StepGraphon",
     "analytic_graphon_eigenpairs",
-    "apply_kernel_operator",
     "infty_to_one_norm_lower_bound",
-    "limit_graphon",
-    "step_graphon_from_adjacency",
     "NeuronParams",
     "SpikeRaster",
     "StimulusPulse",

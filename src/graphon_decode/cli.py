@@ -37,7 +37,6 @@ from .experiment import (
     save_config,
     write_graph,
 )
-from .graphon import analytic_graphon_eigenpairs
 from .protocols import read_block_map, read_responses_csv
 from .sbm import block_membership, eigendecompose, read_edge_list
 
@@ -83,7 +82,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_embed(args) -> int:
     responses = read_responses_csv(args.responses)
-    eigenpairs = block_map = decomposition = None
+    block_map = decomposition = None
     if args.method == "graphon":  # the only method that reads a block map
         length = responses.values.shape[1]
         if args.block_map:
@@ -92,12 +91,11 @@ def _cmd_embed(args) -> int:
             block_map = block_membership(length // 4)
         else:
             raise ConfigError("response length not divisible by 4; pass --block-map")
-        eigenpairs = analytic_graphon_eigenpairs(args.alpha)
     if args.method == "gft":
         if not args.graph:
             raise ConfigError("--graph EDGELIST is required for the gft method")
         decomposition = eigendecompose(read_edge_list(args.graph))
-    bases = Bases(eigenpairs, block_map, args.convention, decomposition)
+    bases = Bases(block_map, args.convention, decomposition)
     es = project(args.method, responses, map_indices(args.dims), bases)
     write_embeddings_csv(es, args.out)
     print(f"wrote {es.coords.shape[0]} x {es.coords.shape[1]} {args.method} embedding to {args.out}")
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--responses", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--dims", type=int, default=3)
     p.add_argument("--convention", choices=CONVENTIONS, default="blocksum")
     p.add_argument("--block-map", default=None)

@@ -1,4 +1,4 @@
-"""Projections of responses onto graph eigenvectors, step-kernel
+"""Projections of responses onto graph eigenvectors, limit-kernel
 eigenfunctions, and principal components.
 
 Two conventions exist for the kernel-eigenfunction coordinates.  Under
@@ -25,7 +25,6 @@ import numpy as np
 from scipy.linalg import blas, eigh
 
 from .errors import ContractError, ParameterError, ParseError
-from .graphon import GraphonEigenpair
 from .protocols import Responses
 from .sbm import BLOCK_COUNT, SpectralDecomposition, block_eigenvector_matrix, _readonly
 
@@ -91,7 +90,6 @@ def _block_sums(mat: np.ndarray, block_map: np.ndarray) -> np.ndarray:
 
 def graphon_project(
     responses,
-    eigenpairs: list[GraphonEigenpair],
     block_map,
     convention: str = "blocksum",
     indices=(2, 3, 4),
@@ -101,11 +99,10 @@ def graphon_project(
     ``block_map`` assigns every response entry to a block 1..4; the analytic
     eigenfunctions are constant per block, so each coordinate only needs the
     per-block response sums (see the module docstring for both conventions).
+    Their block values, twice the block eigenvectors, do not depend on alpha.
     """
     if convention not in CONVENTIONS:
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    if len(eigenpairs) != BLOCK_COUNT:
-        raise ParameterError("expected the four analytic eigenpairs")
     mat, labels, trial_ids = _unpack(responses)
     block_map = np.asarray(block_map, dtype=int)
     if block_map.shape != (mat.shape[1],):
@@ -120,13 +117,11 @@ def graphon_project(
     if convention == "orthonormal" and np.any(block_counts == 0):
         raise ParameterError("orthonormal convention needs every block populated")
 
-    weights = np.empty((BLOCK_COUNT, idx.size))
-    for col, k in enumerate(idx):
-        phi = eigenpairs[k - 1].eigenfunction.values  # block values of the unit eigenfunction
-        if convention == "blocksum":
-            weights[:, col] = phi / np.max(np.abs(phi))
-        else:
-            weights[:, col] = phi / (BLOCK_COUNT * np.where(block_counts > 0, block_counts, 1))
+    phi = 2.0 * block_eigenvector_matrix()[:, idx - 1]  # block values of the unit eigenfunctions
+    if convention == "blocksum":
+        weights = phi / np.max(np.abs(phi), axis=0)
+    else:
+        weights = phi / (BLOCK_COUNT * np.where(block_counts > 0, block_counts, 1))[:, None]
     coords = sums @ weights
     return EmbeddingSet(
         method="graphon",
@@ -241,7 +236,6 @@ class AlignmentResult:
 
 def align_degenerate_pair(
     decomposition: SpectralDecomposition,
-    eigenpairs: list[GraphonEigenpair] | None = None,
     rel_gap: float = 0.05,
 ) -> AlignmentResult:
     """Orthogonal Procrustes fit of empirical modes 2 and 3 onto the analytic
@@ -310,24 +304,6 @@ def aligned_gft_project(responses, decomposition: SpectralDecomposition, indices
             "degenerate_pair": alignment.degenerate,
         },
     )
-
-
-def v0_residual_norm(values: np.ndarray, block_map) -> float:
-    """L2 norm of the response component with zero mean on every block.
-
-    This is the part of the signal invisible to the four analytic modes; it is
-    reported as a diagnostic and unused by the decoding pipeline.
-    """
-    values = np.asarray(values, dtype=float)
-    block_map = np.asarray(block_map, dtype=int)
-    total = 0.0
-    for b in range(1, BLOCK_COUNT + 1):
-        sel = values[block_map == b]
-        if sel.size == 0:
-            continue
-        cell = 1.0 / (BLOCK_COUNT * sel.size)
-        total += float(np.sum((sel - sel.mean()) ** 2) * cell)
-    return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------

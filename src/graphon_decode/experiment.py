@@ -44,7 +44,6 @@ from .embedding import (
     write_embeddings_csv,
 )
 from .errors import ConfigError, DataError, ParameterError, ZeroResponseError
-from .graphon import GraphonEigenpair, analytic_graphon_eigenpairs
 from .lif import (
     AuxCurrentParams,
     InitialState,
@@ -292,11 +291,6 @@ def save_config(config: ExperimentConfig, path) -> None:
     Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    canon = json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # trial execution
 
@@ -486,21 +480,19 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
 
 @dataclass(frozen=True)
 class Bases:
-    """What the projections read besides the responses: the analytic kernel
-    eigenpairs, the unit-to-block map and the coordinate convention (graphon),
-    and the sampled graph's eigendecomposition (gft)."""
+    """What the projections read besides the responses: the unit-to-block map
+    and the coordinate convention (graphon), and the sampled graph's
+    eigendecomposition (gft)."""
 
-    eigenpairs: list[GraphonEigenpair] | None = None
     block_map: np.ndarray | None = None
     convention: str = "blocksum"
     decomposition: SpectralDecomposition | None = None
 
 
 def _bases(config: ExperimentConfig, decomposition=None, block_map=None) -> Bases:
-    """The bases of a config's graph: the kernel eigenpairs of its alpha and,
-    unless given, the block map of four blocks of sbm.n units."""
+    """The bases of a config's graph: unless given, the block map of four
+    blocks of sbm.n units."""
     return Bases(
-        eigenpairs=analytic_graphon_eigenpairs(config.sbm.alpha),
         block_map=block_membership(config.sbm.n) if block_map is None else block_map,
         convention=config.embedding.convention,
         decomposition=decomposition,
@@ -522,9 +514,7 @@ def project(method: str, responses, indices, bases: Bases) -> EmbeddingSet:
     the basis coordinates at ``indices``, or for PCA the top len(indices)
     principal components of these rows."""
     if method == "graphon":
-        return graphon_project(
-            responses, bases.eigenpairs, bases.block_map, convention=bases.convention, indices=indices
-        )
+        return graphon_project(responses, bases.block_map, convention=bases.convention, indices=indices)
     if method == "gft":
         return gft_project(responses, bases.decomposition, indices=indices)
     if method == "pca":

@@ -248,12 +248,6 @@ def read_block_map(path, expected_size: int | None = None) -> np.ndarray:
     return np.array([entries[i] for i in range(m)], dtype=int)
 
 
-def write_block_map(block_map, path) -> None:
-    lines = ["roi_index,block"]
-    lines.extend(f"{i},{int(b)}" for i, b in enumerate(block_map))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_experimental_responses(path, block_map_path) -> tuple[Responses, np.ndarray]:
     """Ingest a measured response matrix plus its ROI-to-block assignment.
 

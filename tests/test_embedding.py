@@ -15,11 +15,10 @@ from graphon_decode.embedding import (
     pca_transform,
     read_embeddings_csv,
     silhouette_score,
-    v0_residual_norm,
     write_embeddings_csv,
 )
 from graphon_decode.errors import ParameterError, ParseError
-from graphon_decode.graphon import analytic_graphon_eigenpairs, l2_inner, StepFunction
+from graphon_decode.graphon import analytic_graphon_eigenpairs
 from graphon_decode.sbm import (
     SbmConfig,
     SpectralDecomposition,
@@ -29,7 +28,7 @@ from graphon_decode.sbm import (
     sample_adjacency,
 )
 
-PAIRS = analytic_graphon_eigenpairs(0.05)
+PHIS = [phi for _, phi in analytic_graphon_eigenpairs(0.05)]
 
 
 def unit(vec):
@@ -80,7 +79,7 @@ def test_gft_dimension_mismatch():
 def test_uniform_response_has_zero_contrast_coordinates():
     n = 10
     f = unit(np.ones(4 * n))
-    es = graphon_project([f], PAIRS, block_membership(n))
+    es = graphon_project([f], block_membership(n))
     assert np.allclose(es.coords[0], 0.0, atol=1e-12)
 
 
@@ -92,12 +91,12 @@ def test_block_two_concentration():
     values = values / np.linalg.norm(values)
     scale = values[n]  # entries now this per node; rescale expectations
     block_sum = scale * n
-    es = graphon_project([values], PAIRS, block_membership(n), indices=(2, 3, 4))
+    es = graphon_project([values], block_membership(n), indices=(2, 3, 4))
     assert np.allclose(es.coords[0], [block_sum, 0.0, -block_sum], atol=1e-12)
     # with the raw L1-normalized signal the coordinates are exactly (+1, 0, -1)
     raw = np.zeros(4 * n)
     raw[n : 2 * n] = 0.25
-    es_raw = graphon_project([raw], PAIRS, block_membership(n), indices=(2, 3, 4))
+    es_raw = graphon_project([raw], block_membership(n), indices=(2, 3, 4))
     assert np.allclose(es_raw.coords[0], [1.0, 0.0, -1.0], atol=1e-12)
 
 
@@ -105,7 +104,7 @@ def test_block_one_concentration():
     n = 5
     raw = np.zeros(4 * n)
     raw[:n] = 1.0 / n  # unit L1 block sum
-    es = graphon_project([raw], PAIRS, block_membership(n), indices=(2, 3, 4))
+    es = graphon_project([raw], block_membership(n), indices=(2, 3, 4))
     assert np.allclose(es.coords[0], [0.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -116,11 +115,9 @@ def test_orthonormal_convention_matches_exact_quadrature():
     n = 6
     rng = np.random.default_rng(3)
     f = unit(rng.random(4 * n))
-    es = graphon_project([f], PAIRS, block_membership(n), convention="orthonormal", indices=(1, 2, 3, 4))
-    bounds = np.arange(4 * n + 1) / (4 * n)
-    f_step = StepFunction(bounds, f)
+    es = graphon_project([f], block_membership(n), convention="orthonormal", indices=(1, 2, 3, 4))
     for col, k in enumerate((1, 2, 3, 4)):
-        want = l2_inner(f_step, PAIRS[k - 1].eigenfunction)
+        want = float(np.sum(f * np.repeat(PHIS[k - 1], n))) / (4 * n)
         assert es.coords[0, col] == pytest.approx(want, abs=1e-12)
 
 
@@ -128,11 +125,11 @@ def test_conventions_differ_by_fixed_positive_factor():
     n = 7
     rng = np.random.default_rng(4)
     mat = np.vstack([unit(rng.random(4 * n)) for _ in range(5)])
-    blocksum = graphon_project(mat, PAIRS, block_membership(n), indices=(2, 3, 4))
-    ortho = graphon_project(mat, PAIRS, block_membership(n), convention="orthonormal", indices=(2, 3, 4))
+    blocksum = graphon_project(mat, block_membership(n), indices=(2, 3, 4))
+    ortho = graphon_project(mat, block_membership(n), convention="orthonormal", indices=(2, 3, 4))
     ratio = ortho.coords / blocksum.coords
     for col, k in enumerate((2, 3, 4)):
-        phi = PAIRS[k - 1].eigenfunction.values
+        phi = PHIS[k - 1]
         expected = np.max(np.abs(phi)) / (4 * n)
         assert np.allclose(ratio[:, col], expected, atol=1e-12)
 
@@ -155,14 +152,14 @@ def test_blocksum_matches_projection_onto_expectation_graph_eigenvectors():
         assert np.allclose(bp, lam * pat, atol=1e-12)
     rng = np.random.default_rng(5)
     f = unit(rng.random(4 * n))
-    es = graphon_project([f], PAIRS, block_membership(n), indices=(2, 3, 4))
+    es = graphon_project([f], block_membership(n), indices=(2, 3, 4))
     for col, k in enumerate((2, 3, 4)):
         assert es.coords[0, col] == pytest.approx(float(f @ patterns[k]), abs=1e-12)
 
 
 def test_graphon_project_requires_matching_block_map():
     with pytest.raises(ParameterError):
-        graphon_project([unit(np.ones(8))], PAIRS, block_membership(3))
+        graphon_project([unit(np.ones(8))], block_membership(3))
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +313,6 @@ def test_aligned_projection_reports_basis_meta():
 
 # ---------------------------------------------------------------------------
 # diagnostics and metrics
-
-
-def test_v0_residual_of_block_constant_signal_is_zero():
-    n = 8
-    f = np.repeat([0.3, 0.1, 0.4, 0.2], n)
-    assert v0_residual_norm(f, block_membership(n)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_v0_residual_detects_within_block_structure():
-    n = 4
-    f = np.zeros(4 * n)
-    f[0] = 1.0
-    assert v0_residual_norm(f, block_membership(n)) > 0.1
 
 
 def test_silhouette_orders_separated_lower_than_mixed():

@@ -210,11 +210,8 @@ def test_spike_count_stable_under_dt_halving():
     stim = StimulusPulse(targets=tuple(range(6)), onset=10.0, duration=5.0, amplitude=2.5)
 
     def mean_count(dt):
-        totals = []
-        for seed in range(20):
-            raster = run_trial(adj, stimulus=stim, duration=115.0, dt=dt, seed=seed)
-            totals.append(raster.counts(10.0, 110.0).sum())
-        return np.mean(totals)
+        rasters = run_trials(adj, [stim] * 20, range(20), duration=115.0, dt=dt)
+        return np.mean([raster.counts(10.0, 110.0).sum() for raster in rasters])
 
     coarse = mean_count(0.1)
     fine = mean_count(0.05)

@@ -15,7 +15,6 @@ from graphon_decode.protocols import (
     read_block_map,
     read_responses_csv,
     two_cluster_protocol,
-    write_block_map,
     write_responses_csv,
 )
 from graphon_decode.sbm import SbmConfig, block_membership, sample_adjacency
@@ -277,5 +276,5 @@ def test_responses_csv_round_trip(tmp_path):
 
 def test_block_map_round_trip(tmp_path):
     path = tmp_path / "blocks.csv"
-    write_block_map(block_membership(2), path)
+    path.write_text("roi_index,block\n0,1\n1,1\n2,2\n3,2\n4,3\n5,3\n6,4\n7,4\n")
     assert np.array_equal(read_block_map(path), [1, 1, 2, 2, 3, 3, 4, 4])
