@@ -27,7 +27,7 @@ from .sbm import (
     sample_adjacency,
 )
 from .graphon import analytic_graphon_eigenpairs, infty_to_one_norm_lower_bound
-from .lif import NeuronParams, SpikeRaster, StimulusPulse, SynapseParams, run_trial, run_trials
+from .lif import SimParams, SpikeRaster, run_trial, run_trials
 from .protocols import (
     Responses,
     extract_response,
@@ -69,10 +69,8 @@ __all__ = [
     "sample_adjacency",
     "analytic_graphon_eigenpairs",
     "infty_to_one_norm_lower_bound",
-    "NeuronParams",
+    "SimParams",
     "SpikeRaster",
-    "StimulusPulse",
-    "SynapseParams",
     "run_trial",
     "run_trials",
     "Responses",

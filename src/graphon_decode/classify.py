@@ -312,7 +312,7 @@ def paired_difference_stats(
 # report files
 
 
-def write_report(path, report: EvalReport, paired: PairedStats | None = None, extra: dict | None = None) -> None:
+def write_report(path, report: EvalReport, extra: dict | None = None) -> None:
     """Key,value lines followed by the confusion matrix; one file per method."""
     lines = ["key,value"]
     lines.append(f"n,{report.n}")
@@ -321,12 +321,6 @@ def write_report(path, report: EvalReport, paired: PairedStats | None = None, ex
     lines.append(f"ci95_high,{repr(report.ci95[1])}")
     for lab in report.class_order:
         lines.append(f"accuracy_{lab},{repr(report.per_class_accuracy[lab])}")
-    if paired is not None:
-        lines.append(f"paired_mean_difference,{repr(paired.mean_difference)}")
-        lines.append(f"paired_diff_ci95_low,{repr(paired.diff_ci95[0])}")
-        lines.append(f"paired_diff_ci95_high,{repr(paired.diff_ci95[1])}")
-        lines.append(f"effect_size,{repr(paired.effect_size)}")
-        lines.append(f"required_n_for_80pct_power,{repr(paired.required_n)}")
     for key in sorted(extra or {}):
         lines.append(f"{key},{extra[key]}")
     lines.append("confusion_rows_true_cols_predicted," + "|".join(report.class_order))

@@ -44,15 +44,7 @@ from .embedding import (
     write_embeddings_csv,
 )
 from .errors import ConfigError, DataError, ParameterError, ZeroResponseError
-from .lif import (
-    AuxCurrentParams,
-    InitialState,
-    NeuronParams,
-    StimulusPulse,
-    SynapseParams,
-    run_trials,
-    write_raster_csv,
-)
+from .lif import SimParams, run_trials, write_raster_csv
 from .protocols import (
     Protocol,
     Responses,
@@ -102,43 +94,6 @@ class SbmSection:
 
 
 @dataclass(frozen=True)
-class SimSection:
-    """Every dynamical parameter of a trial; defaults are the published
-    constants plus the pipeline's own windowing choices."""
-
-    dt: float = 0.1
-    duration: float = 150.0
-    onset: float = 20.0
-    pulse_ms: float = 5.0
-    amplitude_na: float = 2.5
-    poisson_rate: float = 1.0
-    window: float = 100.0
-    # membrane
-    tau_mem: float = 20.0
-    e_leak: float = -74.0
-    r_in: float = 4.0e4
-    v_threshold: float = -54.0
-    v_reset: float = -60.0
-    # synapses
-    e_syn: float = 0.0
-    g_max: float = 3.5e-4
-    tau_g: float = 5.0
-    beta: float = 0.8
-    tau_recovery: float = 2.0e4
-    delay: float = 2.8
-    # after-spike machinery
-    refractory_ms: float = 2.0
-    kca_increment: float = 0.0
-    kca_tau: float = 80.0
-    kca_reversal: float = -80.0
-    # initial conditions and degree policy
-    v0: float | None = None
-    g0: float = 0.0
-    r0: float = 1.0
-    zero_degree: str = "error"
-
-
-@dataclass(frozen=True)
 class ProtocolSection:
     name: str = "two_cluster"
     custom_path: str | None = None
@@ -170,7 +125,7 @@ class IoSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     sbm: SbmSection = field(default_factory=SbmSection)
-    sim: SimSection = field(default_factory=SimSection)
+    sim: SimParams = field(default_factory=SimParams)
     protocol: ProtocolSection = field(default_factory=ProtocolSection)
     trials_per_stimulus: int = 20
     embedding: EmbeddingSection = field(default_factory=EmbeddingSection)
@@ -180,7 +135,7 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "sbm": SbmSection,
-    "sim": SimSection,
+    "sim": SimParams,
     "protocol": ProtocolSection,
     "embedding": EmbeddingSection,
     "classify": ClassifySection,
@@ -258,15 +213,8 @@ def _validate_config(config: ExperimentConfig) -> None:
     dims = config.classify.dimensions
     if dims < 1 or (dims > BLOCK_COUNT and "graphon" in config.embedding.methods):
         raise ConfigError(f"classify.dimensions must lie in 1..4 (>= 1 without graphon), got {dims}")
-    # trials must cover the counting window, which the simulator checks too
-    if config.sim.window <= 0:
-        raise ConfigError(f"sim.window must be positive, got {config.sim.window}")
-    needed = config.sim.onset + config.sim.window
-    if config.sim.duration < needed:
-        raise ConfigError(f"sim.duration must be at least onset + window = {needed:g} ms")
     try:
         SbmConfig(alpha=config.sbm.alpha, n=config.sbm.n, seed=config.sbm.seed)
-        _sim_objects(config.sim)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -295,57 +243,16 @@ def save_config(config: ExperimentConfig, path) -> None:
 # trial execution
 
 
-def _sim_objects(sim: SimSection):
-    neuron = NeuronParams(
-        tau_mem=sim.tau_mem,
-        e_leak=sim.e_leak,
-        r_in=sim.r_in,
-        v_threshold=sim.v_threshold,
-        v_reset=sim.v_reset,
-    )
-    synapse = SynapseParams(
-        e_syn=sim.e_syn,
-        g_max=sim.g_max,
-        tau_g=sim.tau_g,
-        beta=sim.beta,
-        tau_recovery=sim.tau_recovery,
-        delay=sim.delay,
-        poisson_rate=sim.poisson_rate,
-    )
-    aux = AuxCurrentParams(
-        refractory_ms=sim.refractory_ms,
-        kca_increment=sim.kca_increment,
-        kca_tau=sim.kca_tau,
-        kca_reversal=sim.kca_reversal,
-    )
-    initial = InitialState(v0=sim.v0, g0=sim.g0, r0=sim.r0)
-    return neuron, synapse, aux, initial
-
-
 def _trial_chunk(payload):
     """Simulate a chunk of (trial id, stimulus index, seed) specs as one
     run_trials batch; returns (trial id, label, response or None for a
     zero-response trial, raster) per trial."""
     adjacency, sim, protocol, specs = payload
-    neuron, synapse, aux, initial = _sim_objects(sim)
-    stimuli = [
-        StimulusPulse(
-            targets=targets, onset=sim.onset, duration=sim.pulse_ms, amplitude=sim.amplitude_na
-        )
-        for _, targets in protocol.stimuli
-    ]
     rasters = run_trials(
         adjacency,
-        [stimuli[stim_idx] for _, stim_idx, _ in specs],
+        [protocol.stimuli[stim_idx][1] for _, stim_idx, _ in specs],
         [seed for _, _, seed in specs],
-        neuron=neuron,
-        synapse=synapse,
-        aux=aux,
-        duration=sim.duration,
-        dt=sim.dt,
-        initial=initial,
-        zero_degree=sim.zero_degree,
-        window=sim.window,
+        sim,
     )
     results = []
     for (trial_id, stim_idx, _), raster in zip(specs, rasters):
@@ -360,7 +267,7 @@ def _trial_chunk(payload):
 def run_protocol_trials(
     adjacency,
     protocol: Protocol,
-    sim: SimSection,
+    sim: SimParams,
     trials_per_stimulus: int,
     root_seed: int,
     realization: int = 0,
@@ -668,7 +575,7 @@ def trial_invariance_experiment(
     trials_per_stimulus: int = 5,
     root_seed: int = 0,
     jobs: int = 1,
-    sim: SimSection | None = None,
+    sim: SimParams = SimParams(),
 ) -> dict:
     """Fixed stimuli on independently re-sampled graphs.
 
@@ -679,9 +586,7 @@ def trial_invariance_experiment(
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
-    config = ExperimentConfig(
-        SbmSection(alpha, n, root_seed), sim or SimSection(), trials_per_stimulus=trials_per_stimulus
-    )
+    config = ExperimentConfig(SbmSection(alpha, n, root_seed), sim, trials_per_stimulus=trials_per_stimulus)
     bases, indices = _bases(config), map_indices(3)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
@@ -707,12 +612,12 @@ def mixed_cluster_experiment(
     trials_per_stimulus: int = 10,
     root_seed: int = 0,
     jobs: int = 1,
-    sim: SimSection | None = None,
+    sim: SimParams = SimParams(),
 ) -> dict:
     """Three-stimulus run embedded with the kernel basis and with PCA,
     plus separability metrics for both maps."""
     config = ExperimentConfig(
-        SbmSection(alpha, n, root_seed), sim or SimSection(), ProtocolSection("mixed_cluster"),
+        SbmSection(alpha, n, root_seed), sim, ProtocolSection("mixed_cluster"),
         trials_per_stimulus,
     )
     _, responses, _ = _simulate(config, jobs, realization=0)

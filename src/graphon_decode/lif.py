@@ -22,6 +22,12 @@ own reversal and decay is available and disabled by default (increment 0).
 Both are deliberately simple, fully configurable stand-ins for biophysically
 detailed after-spike currents.
 
+One frozen :class:`SimParams` holds every parameter of a trial and checks
+them all on construction; the experiment config's ``sim`` section is that
+same record.  A trial's stimulus is its tuple of target neurons, which
+receive a square current pulse of amplitude_na over
+[onset, onset + pulse_ms); the empty tuple means no stimulus.
+
 :func:`run_trials` advances a batch of trials together on (trials, neurons)
 state arrays and a (delay, trials, neurons) ring of pending conductance.  The
 synaptic input of a step is one sparse product: the resource emitted by the
@@ -42,94 +48,80 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import ContractError, ParameterError, ParseError
+from .errors import ContractError, ParameterError
 from .sbm import AdjacencyMatrix, _readonly
 
 
-@dataclass(frozen=True)
-class NeuronParams:
-    """Membrane parameters; defaults give a 20 mV threshold gap from rest."""
+def _check_zero_degree(zero_degree: str) -> None:
+    if zero_degree not in ("error", "isolate"):
+        raise ParameterError(f"unknown zero_degree policy {zero_degree!r}")
 
+
+@dataclass(frozen=True)
+class SimParams:
+    """Every dynamical parameter of a trial; defaults are the published
+    constants plus the pipeline's own windowing choices.
+
+    A stimulated trial's targets receive ``amplitude_na`` nA while
+    onset <= t < onset + pulse_ms, and its spikes are counted over the
+    ``window`` ms from onset, which every trial must cover.  The step dt must
+    divide the conduction delay exactly (to 1e-9 relative).
+    """
+
+    dt: float = 0.1
+    duration: float = 150.0
+    onset: float = 20.0
+    pulse_ms: float = 5.0
+    amplitude_na: float = 2.5
+    poisson_rate: float = 1.0
+    window: float = 100.0
+    # membrane; the defaults give a 20 mV threshold gap from rest
     tau_mem: float = 20.0
     e_leak: float = -74.0
     r_in: float = 4.0e4
     v_threshold: float = -54.0
     v_reset: float = -60.0
-
-    def __post_init__(self):
-        if self.tau_mem <= 0:
-            raise ParameterError(f"tau_mem must be positive, got {self.tau_mem}")
-        if self.v_reset >= self.v_threshold:
-            raise ParameterError("v_reset must lie below v_threshold")
-
-
-@dataclass(frozen=True)
-class SynapseParams:
+    # synapses
     e_syn: float = 0.0
     g_max: float = 3.5e-4
     tau_g: float = 5.0
     beta: float = 0.8
     tau_recovery: float = 2.0e4
     delay: float = 2.8
-    poisson_rate: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ParameterError(f"beta must lie in (0, 1], got {self.beta}")
-        for name in ("tau_g", "tau_recovery", "delay"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
-        if self.poisson_rate < 0:
-            raise ParameterError("poisson_rate must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AuxCurrentParams:
-    """After-spike machinery: absolute refractory clamp plus an optional
-    spike-incremented adaptation conductance (off when the increment is 0)."""
-
+    # after-spike machinery: an absolute refractory clamp plus a
+    # spike-incremented adaptation conductance, off when the increment is 0
     refractory_ms: float = 2.0
     kca_increment: float = 0.0
     kca_tau: float = 80.0
     kca_reversal: float = -80.0
-
-    def __post_init__(self):
-        if self.refractory_ms < 0:
-            raise ParameterError("refractory_ms must be nonnegative")
-        if self.kca_tau <= 0:
-            raise ParameterError("kca_tau must be positive")
-
-
-@dataclass(frozen=True)
-class StimulusPulse:
-    """Square current pulse of ``amplitude`` nA into the target neurons."""
-
-    targets: tuple[int, ...]
-    onset: float
-    duration: float = 5.0
-    amplitude: float = 2.5
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ParameterError("pulse duration must be positive")
-        if self.onset < 0:
-            raise ParameterError("pulse onset must be nonnegative")
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-
-
-@dataclass(frozen=True)
-class InitialState:
-    """Start values; v0 of None means the leak reversal."""
-
+    # initial conditions (v0 of None means e_leak) and degree policy
     v0: float | None = None
     g0: float = 0.0
     r0: float = 1.0
+    zero_degree: str = "error"
 
     def __post_init__(self):
-        if not 0.0 < self.r0 <= 1.0:
-            raise ParameterError("r0 must lie in (0, 1]")
-        if self.g0 < 0:
-            raise ParameterError("g0 must be nonnegative")
+        def check(names, ok, wording):
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ParameterError(f"sim.{name} must {wording}, got {value}")
+
+        positive = ("dt", "tau_mem", "tau_g", "tau_recovery", "kca_tau", "delay", "pulse_ms", "window")
+        check(positive, lambda x: x > 0, "be positive")
+        check(("poisson_rate", "refractory_ms", "g0", "onset"), lambda x: x >= 0, "be nonnegative")
+        check(("beta", "r0"), lambda x: 0.0 < x <= 1.0, "lie in (0, 1]")
+        if not self.v_reset < self.v_threshold:
+            raise ParameterError("sim.v_reset must lie below sim.v_threshold")
+        delay_steps = round(self.delay / self.dt)
+        if delay_steps < 1 or abs(delay_steps * self.dt - self.delay) > 1e-9 * self.delay:
+            raise ParameterError(
+                f"sim.dt={self.dt} must divide the conduction delay {self.delay} ms exactly"
+            )
+        _check_zero_degree(self.zero_degree)
+        needed = self.onset + self.window
+        if self.duration < needed - 1e-9:
+            raise ParameterError(f"sim.duration must be at least onset + window = {needed:g} ms")
 
 
 @dataclass(frozen=True)
@@ -218,8 +210,7 @@ def scaling_factors(adjacency: AdjacencyMatrix, zero_degree: str = "error") -> n
     A graph with isolated neurons is rejected unless ``zero_degree`` is
     "isolate", in which case those neurons simply receive no synaptic input.
     """
-    if zero_degree not in ("error", "isolate"):
-        raise ParameterError(f"unknown zero_degree policy {zero_degree!r}")
+    _check_zero_degree(zero_degree)
     s = adjacency.entries.sum(axis=1).astype(float)
     if zero_degree == "error" and np.any(s == 0):
         bad = np.nonzero(s == 0)[0]
@@ -247,91 +238,61 @@ def noise_events(seed: int, noise_lam: np.ndarray, steps: int) -> tuple[np.ndarr
 
 def run_trial(
     adjacency: AdjacencyMatrix,
-    neuron: NeuronParams = NeuronParams(),
-    synapse: SynapseParams = SynapseParams(),
-    aux: AuxCurrentParams = AuxCurrentParams(),
-    stimulus: StimulusPulse | None = None,
-    duration: float = 150.0,
-    dt: float = 0.1,
+    targets: Sequence[int] = (),
     seed: int = 0,
-    initial: InitialState = InitialState(),
-    zero_degree: str = "error",
-    window: float = 100.0,
+    sim: SimParams = SimParams(),
     record_trace: bool = False,
 ) -> SpikeRaster:
     """Simulate one trial and return its spike raster: :func:`run_trials`
     with a batch of one, which alone may record a :class:`TrialTrace`."""
-    return run_trials(
-        adjacency, [stimulus], [seed], neuron, synapse, aux, duration, dt, initial,
-        zero_degree, window, record_trace,
-    )[0]
+    return run_trials(adjacency, [targets], [seed], sim, record_trace)[0]
 
 
 def run_trials(
     adjacency: AdjacencyMatrix,
-    stimuli: Sequence[StimulusPulse | None],
+    targets: Sequence[Sequence[int]],
     seeds: Sequence[int],
-    neuron: NeuronParams = NeuronParams(),
-    synapse: SynapseParams = SynapseParams(),
-    aux: AuxCurrentParams = AuxCurrentParams(),
-    duration: float = 150.0,
-    dt: float = 0.1,
-    initial: InitialState = InitialState(),
-    zero_degree: str = "error",
-    window: float = 100.0,
+    sim: SimParams = SimParams(),
     record_trace: bool = False,
 ) -> list[SpikeRaster]:
-    """Simulate one trial per (stimulus, seed) pair, all advanced together
-    step by step, and return their rasters in order.
+    """Simulate one trial per (targets, seed) pair, all advanced together
+    step by step, and return their rasters in order.  A trial's stimulus is
+    the pulse of ``sim`` into its target neurons; ``()`` means none.
 
     Trial b draws its noise events from ``SeedSequence(seeds[b])`` alone and
     its synaptic input from its own row of the sparse product, so its raster
     is the one a batch of one gives it: identical arguments and seed give
-    identical rasters, whatever else shares the batch.  The step dt must
-    divide the conduction delay exactly (to 1e-9 relative), and a stimulated
-    trial must extend at least ``window`` ms (the counting window) past its
-    onset.
+    identical rasters, whatever else shares the batch.
     """
     size = adjacency.size
     if size == 0:
         raise ParameterError("empty network")
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
-    if window <= 0:
-        raise ParameterError("window must be positive")
-    delay_steps = round(synapse.delay / dt)
-    if delay_steps < 1 or abs(delay_steps * dt - synapse.delay) > 1e-9 * synapse.delay:
-        raise ParameterError(
-            f"dt={dt} must divide the conduction delay {synapse.delay} ms exactly"
-        )
     batch = len(seeds)
-    if batch == 0 or len(stimuli) != batch:
-        raise ParameterError("one stimulus (or None) per seed required, and at least one seed")
+    if batch == 0 or len(targets) != batch:
+        raise ParameterError(
+            "one stimulus (a tuple of targets, () for none) per seed required, and at least one seed"
+        )
     if record_trace and batch != 1:
         raise ParameterError("a trace is recorded for a single trial only")
 
-    # stim_current[b] is trial b's pulse current, on while stim_start[b] <= t < stim_stop[b]
+    # stim_current[b] is trial b's pulse current, on while onset <= t < stim_stop
     stim_current = np.zeros((batch, size))
-    stim_start = np.full(batch, np.inf)
-    stim_stop = np.full(batch, -np.inf)
-    for b, stimulus in enumerate(stimuli):
-        if stimulus is None:
-            continue
-        if duration < stimulus.onset + window - 1e-9:
-            raise ParameterError(f"duration must reach at least {window:g} ms past stimulus onset")
-        if any(t < 0 or t >= size for t in stimulus.targets):
+    for b, trial_targets in enumerate(targets):
+        if any(t < 0 or t >= size for t in trial_targets):
             raise ParameterError("stimulus targets outside the network")
-        stim_current[b, list(stimulus.targets)] = stimulus.amplitude * 1e-3
-        stim_start[b], stim_stop[b] = stimulus.onset, stimulus.onset + stimulus.duration
+        stim_current[b, list(trial_targets)] = sim.amplitude_na * 1e-3
+    stim_stop = sim.onset + sim.pulse_ms
 
+    dt, duration = sim.dt, sim.duration
+    delay_steps = round(sim.delay / dt)
     steps = int(math.floor(duration / dt + 1e-9))
     weights_t = np.ascontiguousarray(adjacency.entries.T, dtype=float)
-    s = scaling_factors(adjacency, zero_degree)
+    s = scaling_factors(adjacency, sim.zero_degree)
     has_input = s > 0
-    unit_inc = np.where(has_input, synapse.g_max / np.where(has_input, s, 1.0), 0.0)
+    unit_inc = np.where(has_input, sim.g_max / np.where(has_input, s, 1.0), 0.0)
     # the batch's noise events as flat cells trial * size + neuron, ordered by
     # step: step k's are noise_cells[noise_bounds[k] : noise_bounds[k + 1]]
-    noise_lam = synapse.poisson_rate * s * dt * 1e-3
+    noise_lam = sim.poisson_rate * s * dt * 1e-3
     events = [noise_events(seed, noise_lam, steps) for seed in seeds]
     event_steps = np.concatenate([at for at, _ in events])
     order = np.argsort(event_steps, kind="stable")
@@ -340,11 +301,11 @@ def run_trials(
     flat_inc = np.tile(unit_inc, batch)
 
     shape = (batch, size)
-    v = np.full(shape, neuron.e_leak if initial.v0 is None else initial.v0, dtype=float)
-    g = np.full(shape, initial.g0, dtype=float)
+    v = np.full(shape, sim.e_leak if sim.v0 is None else sim.v0, dtype=float)
+    g = np.full(shape, sim.g0, dtype=float)
     g_flat = g.reshape(-1)
     g_kca = np.zeros(shape)
-    resource = np.full(shape, initial.r0, dtype=float)
+    resource = np.full(shape, sim.r0, dtype=float)
     refract_until = np.full(shape, -np.inf)
 
     ring_len = delay_steps + 2
@@ -366,10 +327,10 @@ def run_trials(
         trace_r = np.empty((steps + 1, size))
         trace_v[0], trace_g[0], trace_r[0] = v[0], g[0], resource[0]
 
-    inv_tau_mem = dt / neuron.tau_mem
-    g_decay = dt / synapse.tau_g
-    kca_decay = dt / aux.kca_tau
-    r_relax = dt / synapse.tau_recovery
+    inv_tau_mem = dt / sim.tau_mem
+    g_decay = dt / sim.tau_g
+    kca_decay = dt / sim.kca_tau
+    r_relax = dt / sim.tau_recovery
 
     for k in range(steps):
         t = k * dt
@@ -380,23 +341,24 @@ def run_trials(
         ring[slot] = 0.0
         hits = noise_cells[noise_bounds[k] : noise_bounds[k + 1]]
         np.add.at(g_flat, hits, flat_inc[hits])
-        g_kca *= 1.0 - kca_decay
 
-        drive = g * (synapse.e_syn - v) + g_kca * (aux.kca_reversal - v)
-        stimulated = (stim_start <= t) & (t < stim_stop)
-        if stimulated.any():
-            drive[stimulated] += stim_current[stimulated]
+        drive = g * (sim.e_syn - v)
+        if sim.kca_increment:
+            g_kca *= 1.0 - kca_decay
+            drive += g_kca * (sim.kca_reversal - v)
+        if sim.onset <= t < stim_stop:
+            drive += stim_current
 
         resource += r_relax * (1.0 - resource)
 
         active = t >= refract_until
         v = np.where(
             active,
-            v + inv_tau_mem * (neuron.e_leak - v + neuron.r_in * drive),
-            neuron.v_reset,
+            v + inv_tau_mem * (sim.e_leak - v + sim.r_in * drive),
+            sim.v_reset,
         )
 
-        spiked = active & (v >= neuron.v_threshold)
+        spiked = active & (v >= sim.v_threshold)
         if spiked.any():
             cells = np.flatnonzero(spiked)
             log_steps.append(k)
@@ -406,10 +368,11 @@ def run_trials(
             indptr = np.searchsorted(trial, row_ids)
             emitted.data, emitted.indices, emitted.indptr = resource.ravel()[cells], source, indptr
             ring[(k + delay_steps + 1) % ring_len] += unit_inc * (emitted @ weights_t)
-            resource[spiked] *= synapse.beta
-            v[spiked] = neuron.v_reset
-            g_kca[spiked] += aux.kca_increment
-            refract_until[spiked] = (k + 1) * dt + aux.refractory_ms
+            resource[spiked] *= sim.beta
+            v[spiked] = sim.v_reset
+            if sim.kca_increment:
+                g_kca[spiked] += sim.kca_increment
+            refract_until[spiked] = (k + 1) * dt + sim.refractory_ms
 
         if record_trace:
             trace_v[k + 1], trace_g[k + 1], trace_r[k + 1] = v[0], g[0], resource[0]
@@ -435,7 +398,7 @@ def run_trials(
             offsets=np.concatenate(([0], np.cumsum(per_neuron[b]))),
             duration=duration,
             seed=seed,
-            refractory_ms=aux.refractory_ms,
+            refractory_ms=sim.refractory_ms,
             trace=trace,
         )
         for b, seed in enumerate(seeds)
@@ -454,45 +417,3 @@ def write_raster_csv(raster: SpikeRaster, path, meta: dict | None = None) -> Non
     for i, times in enumerate(raster.spikes):
         lines.extend(f"{i},{repr(float(t))}" for t in times)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_raster_csv(path) -> tuple[SpikeRaster, dict]:
-    """Inverse of :func:`write_raster_csv`; returns the raster and metadata."""
-    meta: dict[str, str] = {}
-    rows: list[tuple[int, float]] = []
-    header_seen = False
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition("=")
-            meta[key] = value
-            continue
-        if not header_seen:
-            if line != "neuron_id,spike_time_ms":
-                raise ParseError(f"{path}: line {ln}: unexpected header {line!r}")
-            header_seen = True
-            continue
-        try:
-            nid, t = line.split(",")
-            rows.append((int(nid), float(t)))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {ln}: bad row {line!r}") from exc
-    try:
-        size = int(meta["nodes"])
-        duration = float(meta["duration_ms"])
-        seed = int(meta["seed"])
-        refractory = float(meta.get("refractory_ms", 0.0))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or malformed metadata header") from exc
-    nids = np.array([nid for nid, _ in rows], dtype=np.int64)
-    bad = np.flatnonzero((nids < 0) | (nids >= size))
-    if bad.size:
-        raise ParseError(f"{path}: neuron id {nids[bad[0]]} out of range")
-    times = np.array([t for _, t in rows], dtype=float)
-    order = np.lexsort((times, nids))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(nids, minlength=size))))
-    raster = SpikeRaster(
-        times=times[order], offsets=offsets, duration=duration, seed=seed, refractory_ms=refractory
-    )
-    return raster, meta

@@ -13,6 +13,7 @@ simulated surrogate with the degraded exit code instead.
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,7 @@ from graphon_decode.experiment import (
     trial_invariance_experiment,
 )
 from graphon_decode.graphon import analytic_graphon_eigenpairs
-from graphon_decode.lif import (
-    NeuronParams,
-    StimulusPulse,
-    SynapseParams,
-    run_trial,
-)
+from graphon_decode.lif import SimParams, run_trial
 from graphon_decode.sbm import (
     adjacency_from_entries,
     analytic_block_eigenpairs,
@@ -90,21 +86,14 @@ def test_criterion_2_spectral_convergence():
 def test_criterion_3_lif_correctness():
     start = time.time()
     dt = 0.1
-    quiet = SynapseParams(poisson_rate=0.0)
+    # a noise-free 110 ms trial with the pulse on throughout
+    held = SimParams(poisson_rate=0.0, onset=0.0, pulse_ms=110.0, duration=110.0, dt=dt)
     single = adjacency_from_entries(np.zeros((1, 1), dtype=int))
 
     # closed-form first spike under a constant 30 mV drive
-    amp_na = 30.0 / (NeuronParams().r_in * 1e-3)
-    raster = run_trial(
-        single,
-        synapse=quiet,
-        stimulus=StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=amp_na),
-        duration=110.0,
-        dt=dt,
-        seed=0,
-        zero_degree="isolate",
-        record_trace=True,
-    )
+    amp_na = 30.0 / (SimParams().r_in * 1e-3)
+    sim = replace(held, amplitude_na=amp_na, zero_degree="isolate")
+    raster = run_trial(single, (0,), sim=sim, record_trace=True)
     t_spike = raster.spikes[0][0]
     spike_err = abs(t_spike - 20.0 * math.log(3.0))
     ok_spike = spike_err <= 2 * dt
@@ -115,15 +104,7 @@ def test_criterion_3_lif_correctness():
 
     # conduction delay lands in (t_spike + 2.8, t_spike + 2.8 + dt]
     two = adjacency_from_entries(np.array([[0, 1], [1, 0]]))
-    raster2 = run_trial(
-        two,
-        synapse=quiet,
-        stimulus=StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=2.5),
-        duration=110.0,
-        dt=dt,
-        seed=0,
-        record_trace=True,
-    )
+    raster2 = run_trial(two, (0,), sim=held, record_trace=True)
     t0 = raster2.spikes[0][0]
     g1 = raster2.trace.g_syn[:, 1]
     at_delay = int(round((t0 + 2.8) / dt))

@@ -18,6 +18,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import spans  # noqa: E402
 
 
+# the span names layer_metrics reads besides those of SELF_GROUPS
+LAYER_SPAN_NAMES = (
+    "lif.run_trial",
+    "protocols.extract_response",
+    "classify.ridge_fit",
+    "experiment.run_protocol_trials",
+    "experiment.write_manifest",
+)
+
+
+def assert_public_function(name, where):
+    short, attr = name.split(".")
+    assert short in spans.TRACED_MODULES, f"{where}: {name}"
+    module = importlib.import_module(f"{spans.PACKAGE}.{short}")
+    value = getattr(module, attr, None)
+    assert not attr.startswith("_") and inspect.isfunction(value), f"{where}: {name}"
+    assert value.__module__ == module.__name__, f"{where}: {name} is imported, not defined"
+
+
 def test_package_import_loads_every_traced_module():
     # a fresh interpreter, because other tests in this run import submodules directly
     src = str(Path(graphon_decode.__file__).resolve().parents[1])
@@ -33,9 +52,11 @@ def test_package_import_loads_every_traced_module():
 def test_every_self_group_name_is_a_public_function_of_its_module():
     for metric, names in spans.SELF_GROUPS.items():
         for name in names:
-            short, attr = name.split(".")
-            assert short in spans.TRACED_MODULES, f"{metric}: {name}"
-            module = importlib.import_module(f"{spans.PACKAGE}.{short}")
-            value = getattr(module, attr, None)
-            assert not attr.startswith("_") and inspect.isfunction(value), f"{metric}: {name}"
-            assert value.__module__ == module.__name__, f"{metric}: {name} is imported, not defined"
+            assert_public_function(name, metric)
+
+
+def test_every_span_name_layer_metrics_reads_is_a_public_function_of_its_module():
+    source = inspect.getsource(spans.layer_metrics)
+    for name in LAYER_SPAN_NAMES:
+        assert f'"{name}"' in source, f"layer_metrics no longer reads {name}; update this list"
+        assert_public_function(name, "layer_metrics")

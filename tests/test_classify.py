@@ -6,7 +6,6 @@ import pytest
 
 from graphon_decode.classify import (
     EvalReport,
-    PairedStats,
     bootstrap_mean_ci,
     cross_validated_accuracy,
     paired_difference_stats,
@@ -302,13 +301,10 @@ def test_report_round_trip(tmp_path):
         class_order=("s1", "s2"),
         correct=np.ones(20),
     )
-    ps = PairedStats(mean_difference=0.05, diff_ci95=(-0.04, 0.13), effect_size=0.213, required_n=173)
     path = tmp_path / "report.csv"
-    write_report(path, report, paired=ps, extra={"method": "graphon"})
+    write_report(path, report, extra={"method": "graphon"})
     text = path.read_text()
     assert "accuracy,0.75" in text
-    assert "effect_size,0.213" in text
-    assert "required_n_for_80pct_power,173" in text
     assert "confusion_s1,8|2" in text
     assert "method,graphon" in text
 

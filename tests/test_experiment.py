@@ -101,7 +101,7 @@ def test_booleans_and_non_finite_numbers_rejected(data, match):
 
 
 def test_duration_must_cover_the_configured_window(tmp_path):
-    # a 50 ms window fits a trial 60 ms past onset; the simulator checks the same window
+    # a 50 ms window fits a trial 60 ms past onset; the simulator counts over the same window
     cfg = small_config(tmp_path, sim={"onset": 20.0, "window": 50.0, "duration": 80.0})
     summary = run_experiment(cfg)
     assert summary["n_responses"] == 10
@@ -109,6 +109,15 @@ def test_duration_must_cover_the_configured_window(tmp_path):
         config_from_dict({"sim": {"onset": 20.0, "window": 70.0, "duration": 80.0}})
     with pytest.raises(ConfigError, match="sim.window must be positive"):
         config_from_dict({"sim": {"window": 0.0}})
+
+
+def test_sim_section_checks_run_at_load():
+    # a step that does not divide the 2.8 ms delay, or an unknown degree
+    # policy, fails when the config is built rather than when trials start
+    with pytest.raises(ConfigError, match="delay"):
+        config_from_dict({"sim": {"dt": 0.3}})
+    with pytest.raises(ConfigError, match="zero_degree"):
+        config_from_dict({"sim": {"zero_degree": "drop"}})
 
 
 def test_derive_seed_is_stable_and_distinct():

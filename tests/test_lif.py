@@ -1,16 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from graphon_decode.errors import ContractError, ParameterError, ParseError
+from graphon_decode.errors import ContractError, ParameterError
 from graphon_decode.lif import (
-    AuxCurrentParams,
-    InitialState,
-    NeuronParams,
+    SimParams,
     SpikeRaster,
-    StimulusPulse,
-    SynapseParams,
     noise_events,
-    read_raster_csv,
     run_trial,
     run_trials,
     scaling_factors,
@@ -18,7 +15,14 @@ from graphon_decode.lif import (
 )
 from graphon_decode.sbm import SbmConfig, adjacency_from_entries, edge_probability_matrix, sample_adjacency
 
-QUIET = SynapseParams(poisson_rate=0.0)
+QUIET = SimParams(poisson_rate=0.0)
+
+
+def held(amplitude_na=2.5, **overrides):
+    """A noise-free 110 ms trial whose pulse is on from 0 to 110 ms."""
+    return SimParams(
+        poisson_rate=0.0, onset=0.0, pulse_ms=110.0, duration=110.0, amplitude_na=amplitude_na, **overrides
+    )
 
 
 def single_neuron():
@@ -34,52 +38,26 @@ def pair():
 
 
 def test_silent_network_relaxes_to_rest():
-    raster = run_trial(
-        single_neuron(),
-        synapse=QUIET,
-        duration=120.0,
-        seed=0,
-        initial=InitialState(v0=-60.0),
-        zero_degree="isolate",
-        record_trace=True,
-    )
+    sim = SimParams(poisson_rate=0.0, duration=120.0, v0=-60.0, zero_degree="isolate")
+    raster = run_trial(single_neuron(), sim=sim, record_trace=True)
     assert raster.total_spikes == 0
-    neuron = NeuronParams()
-    idx = np.searchsorted(raster.trace.times, 5 * neuron.tau_mem)
-    assert abs(raster.trace.v[idx, 0] - neuron.e_leak) < 0.1
+    idx = np.searchsorted(raster.trace.times, 5 * sim.tau_mem)
+    assert abs(raster.trace.v[idx, 0] - sim.e_leak) < 0.1
 
 
 def test_constant_drive_spike_time_matches_closed_form():
     # R_in * I = 30 mV from rest crosses the 20 mV threshold gap at
     # tau_mem * ln(30 / (30 - 20)) ~= 21.9722 ms.
     dt = 0.1
-    amp_na = 30.0 / (NeuronParams().r_in * 1e-3)  # drive of exactly 30 mV
-    stim = StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=amp_na)
-    raster = run_trial(
-        single_neuron(),
-        synapse=QUIET,
-        stimulus=stim,
-        duration=110.0,
-        dt=dt,
-        seed=0,
-        zero_degree="isolate",
-    )
+    amp_na = 30.0 / (SimParams().r_in * 1e-3)  # drive of exactly 30 mV
+    raster = run_trial(single_neuron(), (0,), sim=held(amp_na, dt=dt, zero_degree="isolate"))
     assert raster.spikes[0].size > 0
     expected = 20.0 * np.log(3.0)
     assert abs(raster.spikes[0][0] - expected) <= 2 * dt
 
 
 def test_resource_drops_by_beta_at_spike():
-    stim = StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=2.5)
-    raster = run_trial(
-        single_neuron(),
-        synapse=QUIET,
-        stimulus=stim,
-        duration=110.0,
-        seed=0,
-        zero_degree="isolate",
-        record_trace=True,
-    )
+    raster = run_trial(single_neuron(), (0,), sim=held(zero_degree="isolate"), record_trace=True)
     t_first = raster.spikes[0][0]
     k = int(round(t_first / 0.1))
     assert raster.trace.resource[k - 1, 0] == 1.0
@@ -87,33 +65,16 @@ def test_resource_drops_by_beta_at_spike():
 
 
 def test_membrane_resets_exactly_after_spike():
-    stim = StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=2.5)
-    raster = run_trial(
-        single_neuron(),
-        synapse=QUIET,
-        stimulus=stim,
-        duration=110.0,
-        seed=0,
-        zero_degree="isolate",
-        record_trace=True,
-    )
+    raster = run_trial(single_neuron(), (0,), sim=held(zero_degree="isolate"), record_trace=True)
     for t_spike in raster.spikes[0]:
         k = int(round(t_spike / 0.1))
-        assert raster.trace.v[k, 0] == NeuronParams().v_reset
+        assert raster.trace.v[k, 0] == SimParams().v_reset
 
 
 def test_refractory_clamp_spacing():
-    stim = StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=5.0)
-    raster = run_trial(
-        single_neuron(),
-        synapse=QUIET,
-        stimulus=stim,
-        duration=110.0,
-        seed=0,
-        zero_degree="isolate",
-    )
+    raster = run_trial(single_neuron(), (0,), sim=held(5.0, zero_degree="isolate"))
     assert raster.spikes[0].size >= 2
-    assert np.all(np.diff(raster.spikes[0]) >= AuxCurrentParams().refractory_ms - 1e-9)
+    assert np.all(np.diff(raster.spikes[0]) >= SimParams().refractory_ms - 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +86,7 @@ def test_conduction_delay_fidelity():
     # and including t_spike + 2.8 ms and be raised by exactly g_max / S at the
     # next recorded step.
     dt = 0.1
-    stim = StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=2.5)
-    raster = run_trial(
-        pair(),
-        synapse=QUIET,
-        stimulus=stim,
-        duration=110.0,
-        dt=dt,
-        seed=0,
-        record_trace=True,
-    )
+    raster = run_trial(pair(), (0,), sim=held(dt=dt), record_trace=True)
     t0 = raster.spikes[0][0]
     g1 = raster.trace.g_syn[:, 1]
     times = raster.trace.times
@@ -142,30 +94,22 @@ def test_conduction_delay_fidelity():
     assert np.all(g1[: at_delay + 1] == 0.0)
     assert g1[at_delay + 1] > 0.0
     assert times[at_delay + 1] == pytest.approx(t0 + 2.8 + dt)
-    assert g1[at_delay + 1] == pytest.approx(SynapseParams().g_max, rel=1e-12)
+    assert g1[at_delay + 1] == pytest.approx(SimParams().g_max, rel=1e-12)
 
 
 def test_depressed_resource_scales_later_transmission():
     # Second spike of neuron 0 is emitted with R = 0.8, so the increment seen
     # by neuron 1 is beta * g_max / S.
-    stim = StimulusPulse(targets=(0,), onset=0.0, duration=110.0, amplitude=5.0)
-    raster = run_trial(
-        pair(),
-        synapse=QUIET,
-        stimulus=stim,
-        duration=110.0,
-        seed=0,
-        record_trace=True,
-    )
+    raster = run_trial(pair(), (0,), sim=held(5.0), record_trace=True)
     spikes0 = raster.spikes[0]
     assert spikes0.size >= 2
     g1 = raster.trace.g_syn[:, 1]
     k2 = int(round((spikes0[1] + 2.8) / 0.1)) + 1
-    jump = g1[k2] - g1[k2 - 1] * (1.0 - 0.1 / SynapseParams().tau_g)
+    jump = g1[k2] - g1[k2 - 1] * (1.0 - 0.1 / SimParams().tau_g)
     # the post-spike trace holds beta * R_emitted, so back out the exact weight
     k_sp2 = int(round(spikes0[1] / 0.1))
     r_emitted = raster.trace.resource[k_sp2, 0] / 0.8
-    assert jump == pytest.approx(r_emitted * SynapseParams().g_max, rel=1e-9)
+    assert jump == pytest.approx(r_emitted * SimParams().g_max, rel=1e-9)
     # recovery between the two spikes is ~1e-5, so the weight is still ~beta
     assert r_emitted == pytest.approx(0.8, abs=1e-3)
 
@@ -173,22 +117,15 @@ def test_depressed_resource_scales_later_transmission():
 def test_only_targets_spike_without_coupling_or_noise():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=5, seed=1))
     targets = (0, 1, 2)
-    stim = StimulusPulse(targets=targets, onset=10.0, duration=5.0, amplitude=2.5)
-    raster = run_trial(
-        adj,
-        synapse=SynapseParams(poisson_rate=0.0, g_max=0.0),
-        stimulus=stim,
-        duration=120.0,
-        seed=0,
-    )
+    sim = SimParams(poisson_rate=0.0, g_max=0.0, onset=10.0, duration=120.0)
+    raster = run_trial(adj, targets, sim=sim)
     spiking = {i for i, t in enumerate(raster.spikes) if t.size}
     assert spiking == set(targets)
 
 
 def test_state_bounds_during_network_burst():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=10, seed=3))
-    stim = StimulusPulse(targets=tuple(range(10)), onset=20.0, duration=5.0, amplitude=2.5)
-    raster = run_trial(adj, stimulus=stim, duration=150.0, seed=7, record_trace=True)
+    raster = run_trial(adj, tuple(range(10)), seed=7, record_trace=True)
     assert raster.total_spikes > 0
     assert np.all(raster.trace.resource > 0.0)
     assert np.all(raster.trace.resource <= 1.0)
@@ -197,20 +134,21 @@ def test_state_bounds_during_network_burst():
 
 def test_identical_seeds_give_identical_rasters():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=8, seed=2))
-    stim = StimulusPulse(targets=tuple(range(8)), onset=15.0, duration=5.0, amplitude=2.5)
-    r1 = run_trial(adj, stimulus=stim, duration=130.0, seed=42)
-    r2 = run_trial(adj, stimulus=stim, duration=130.0, seed=42)
+    targets, sim = tuple(range(8)), SimParams(onset=15.0, duration=130.0)
+    r1 = run_trial(adj, targets, 42, sim)
+    r2 = run_trial(adj, targets, 42, sim)
     assert all(np.array_equal(a, b) for a, b in zip(r1.spikes, r2.spikes))
-    r3 = run_trial(adj, stimulus=stim, duration=130.0, seed=43)
+    r3 = run_trial(adj, targets, 43, sim)
     assert any(not np.array_equal(a, b) for a, b in zip(r1.spikes, r3.spikes))
 
 
 def test_spike_count_stable_under_dt_halving():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=6, seed=5))
-    stim = StimulusPulse(targets=tuple(range(6)), onset=10.0, duration=5.0, amplitude=2.5)
+    targets = tuple(range(6))
 
     def mean_count(dt):
-        rasters = run_trials(adj, [stim] * 20, range(20), duration=115.0, dt=dt)
+        sim = SimParams(onset=10.0, duration=115.0, dt=dt)
+        rasters = run_trials(adj, [targets] * 20, range(20), sim)
         return np.mean([raster.counts(10.0, 110.0).sum() for raster in rasters])
 
     coarse = mean_count(0.1)
@@ -261,48 +199,76 @@ def test_zero_degree_policy():
 
 def test_dt_must_divide_delay():
     with pytest.raises(ParameterError, match="delay"):
-        run_trial(pair(), synapse=QUIET, duration=50.0, dt=0.3, seed=0)
+        SimParams(dt=0.3)
+    # divisors that are inexact in binary pass the 1e-9 relative tolerance
+    for dt in (0.05, 0.07, 0.14, 0.7):
+        SimParams(dt=dt)
 
 
 def test_empty_network_rejected():
     empty = adjacency_from_entries(np.zeros((0, 0), dtype=int))
     with pytest.raises(ParameterError, match="empty"):
-        run_trial(empty, duration=50.0, seed=0)
+        run_trial(empty)
 
 
 def test_trial_must_cover_counting_window():
-    stim = StimulusPulse(targets=(0,), onset=50.0, duration=5.0, amplitude=2.5)
-    with pytest.raises(ParameterError, match="100 ms"):
-        run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0)
+    # the default 100 ms window from a 50 ms onset needs a 150 ms trial,
+    # stimulated or not
+    with pytest.raises(ParameterError, match=r"onset \+ window = 150 ms"):
+        SimParams(onset=50.0, duration=100.0)
 
 
 def test_trial_covers_the_given_counting_window():
-    stim = StimulusPulse(targets=(0,), onset=50.0, duration=5.0, amplitude=2.5)
-    raster = run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0, window=50.0)
+    sim = SimParams(poisson_rate=0.0, onset=50.0, duration=100.0, window=50.0)
+    raster = run_trial(pair(), (0,), sim=sim)
     assert raster.counts(50.0, 100.0)[0] > 0
-    with pytest.raises(ParameterError, match="60 ms"):
-        run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0, window=60.0)
+    with pytest.raises(ParameterError, match="110 ms"):
+        replace(sim, window=60.0)
     with pytest.raises(ParameterError, match="window must be positive"):
-        run_trial(pair(), synapse=QUIET, stimulus=stim, duration=100.0, seed=0, window=0.0)
+        replace(sim, window=0.0)
 
 
 def test_stimulus_targets_validated():
-    stim = StimulusPulse(targets=(7,), onset=0.0, duration=5.0, amplitude=2.5)
     with pytest.raises(ParameterError, match="targets"):
-        run_trial(pair(), synapse=QUIET, stimulus=stim, duration=120.0, seed=0)
+        run_trial(pair(), (7,), sim=SimParams(poisson_rate=0.0, onset=0.0, duration=120.0))
 
 
-def test_param_dataclass_validation():
-    with pytest.raises(ParameterError):
-        NeuronParams(v_reset=-50.0)
-    with pytest.raises(ParameterError):
-        SynapseParams(beta=0.0)
-    with pytest.raises(ParameterError):
-        SynapseParams(tau_recovery=-1.0)
-    with pytest.raises(ParameterError):
-        AuxCurrentParams(refractory_ms=-0.5)
-    with pytest.raises(ParameterError):
-        InitialState(r0=0.0)
+# one case per check of SimParams: the field set, its bad value, the message
+SIM_PARAM_CASES = [
+    ("dt", 0.0, "sim.dt must be positive"),
+    ("tau_mem", -20.0, "sim.tau_mem must be positive"),
+    ("tau_g", 0.0, "sim.tau_g must be positive"),
+    ("tau_recovery", -1.0, "sim.tau_recovery must be positive"),
+    ("kca_tau", 0.0, "sim.kca_tau must be positive"),
+    ("delay", 0.0, "sim.delay must be positive"),
+    ("pulse_ms", 0.0, "sim.pulse_ms must be positive"),
+    ("poisson_rate", -1.0, "sim.poisson_rate must be nonnegative"),
+    ("refractory_ms", -0.5, "sim.refractory_ms must be nonnegative"),
+    ("g0", -1e-6, "sim.g0 must be nonnegative"),
+    ("onset", -1.0, "sim.onset must be nonnegative"),
+    ("v_reset", -50.0, "v_reset must lie below"),
+    ("v_reset", -54.0, "v_reset must lie below"),
+    ("beta", 0.0, r"sim.beta must lie in \(0, 1\]"),
+    ("beta", 1.5, r"sim.beta must lie in \(0, 1\]"),
+    ("r0", 0.0, r"sim.r0 must lie in \(0, 1\]"),
+    ("r0", 1.01, r"sim.r0 must lie in \(0, 1\]"),
+    ("dt", 0.3, "divide the conduction delay"),
+    ("zero_degree", "drop", "unknown zero_degree policy"),
+    ("window", 0.0, "sim.window must be positive"),
+    ("duration", 119.0, r"onset \+ window = 120 ms"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value, match", SIM_PARAM_CASES, ids=[f"{n}={v}" for n, v, _ in SIM_PARAM_CASES]
+)
+def test_sim_params_validation(name, value, match):
+    with pytest.raises(ParameterError, match=match):
+        SimParams(**{name: value})
+
+
+def test_sim_params_accept_the_edges():
+    SimParams(beta=1.0, r0=1.0, poisson_rate=0.0, refractory_ms=0.0, onset=0.0, duration=100.0)
 
 
 def test_raster_invariants_enforced():
@@ -365,26 +331,24 @@ def test_rasters_compare_by_value_without_the_trace():
 
 
 @pytest.mark.parametrize(
-    "synapse, aux, dt",
+    "sim",
     [
-        (SynapseParams(), AuxCurrentParams(), 0.1),
-        (SynapseParams(), AuxCurrentParams(kca_increment=2e-5), 0.1),
-        (QUIET, AuxCurrentParams(), 0.1),
-        (SynapseParams(), AuxCurrentParams(), 0.05),
+        SimParams(duration=130.0),
+        SimParams(duration=130.0, kca_increment=2e-5),
+        SimParams(duration=130.0, poisson_rate=0.0),
+        SimParams(duration=130.0, dt=0.05),
     ],
     ids=["default", "kca", "no_noise", "dt_0.05"],
 )
-def test_batched_trials_match_single_trials(synapse, aux, dt):
+def test_batched_trials_match_single_trials(sim):
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=10, seed=4))
-    first = StimulusPulse(targets=tuple(range(10)), onset=20.0, duration=5.0, amplitude=2.5)
-    second = StimulusPulse(targets=tuple(range(15, 30)), onset=10.0, duration=4.0, amplitude=3.0)
-    stimuli = [first, second, None, first, second]
+    first, second = tuple(range(10)), tuple(range(15, 30))
+    targets = [first, second, (), first, second]
     seeds = [11, 12, 13, 14, 11]
-    kwargs = dict(synapse=synapse, aux=aux, duration=130.0, dt=dt)
-    batch = run_trials(adj, stimuli, seeds, **kwargs)
+    batch = run_trials(adj, targets, seeds, sim)
     assert len(batch) == len(seeds)
-    for raster, stimulus, seed in zip(batch, stimuli, seeds):
-        alone = run_trial(adj, stimulus=stimulus, seed=seed, **kwargs)
+    for raster, trial_targets, seed in zip(batch, targets, seeds):
+        alone = run_trial(adj, trial_targets, seed, sim)
         assert raster.seed == seed
         assert np.array_equal(raster.times, alone.times)
         assert np.array_equal(raster.offsets, alone.offsets)
@@ -421,9 +385,9 @@ def test_noise_events_follow_the_per_step_poisson_law():
 
 def test_batch_arguments_validated():
     with pytest.raises(ParameterError, match="single trial"):
-        run_trials(pair(), [None, None], [0, 1], synapse=QUIET, duration=50.0, record_trace=True)
+        run_trials(pair(), [(), ()], [0, 1], QUIET, record_trace=True)
     with pytest.raises(ParameterError, match="one stimulus"):
-        run_trials(pair(), [None], [0, 1], synapse=QUIET, duration=50.0)
+        run_trials(pair(), [()], [0, 1], QUIET)
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +396,20 @@ def test_batch_arguments_validated():
 
 def test_raster_csv_round_trip(tmp_path):
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=4, seed=8))
-    stim = StimulusPulse(targets=(0, 1, 2, 3), onset=10.0, duration=5.0, amplitude=2.5)
-    raster = run_trial(adj, stimulus=stim, duration=120.0, seed=9)
+    raster = run_trial(adj, (0, 1, 2, 3), 9, SimParams(onset=10.0, duration=120.0))
     path = tmp_path / "raster.csv"
-    write_raster_csv(raster, path, meta={"alpha": 0.05, "dt_ms": 0.1})
-    text = path.read_text()
-    assert text.startswith("# nodes=16\n")
-    assert "# alpha=0.05" in text and "# dt_ms=0.1" in text
-    back, meta = read_raster_csv(path)
-    assert back.duration == raster.duration and back.seed == raster.seed
-    assert all(np.array_equal(a, b) for a, b in zip(back.spikes, raster.spikes))
-    assert meta["alpha"] == "0.05"
-
-
-def test_raster_csv_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# nodes=2\n# duration_ms=10.0\n# seed=0\nneuron_id,spike_time_ms\nx,y\n")
-    with pytest.raises(ParseError, match="line 5"):
-        read_raster_csv(path)
+    write_raster_csv(raster, path, meta={"dt_ms": 0.1, "alpha": 0.05})
+    lines = path.read_text().splitlines()
+    assert lines[:7] == [
+        "# nodes=16",
+        "# duration_ms=120.0",
+        "# seed=9",
+        "# refractory_ms=2.0",
+        "# alpha=0.05",
+        "# dt_ms=0.1",
+        "neuron_id,spike_time_ms",
+    ]
+    rows = lines[7:]
+    assert len(rows) == raster.total_spikes
+    assert raster.spikes[0].size > 0
+    assert [row for row in rows if row.startswith("0,")] == [f"0,{t!r}" for t in raster.spikes[0].tolist()]

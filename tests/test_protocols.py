@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_decode.errors import ContractError, ParameterError, ParseError, ZeroResponseError
-from graphon_decode.lif import SpikeRaster, StimulusPulse, run_trial
+from graphon_decode.lif import SimParams, SpikeRaster, run_trial
 from graphon_decode.protocols import (
     Protocol,
     Responses,
@@ -131,8 +131,7 @@ def test_response_round_trip_keeps_label():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=5, seed=1))
     p = two_cluster_protocol(5)
     for label in p.labels:
-        stim = StimulusPulse(targets=p.targets_of(label), onset=15.0, duration=5.0, amplitude=2.5)
-        raster = run_trial(adj, stimulus=stim, duration=130.0, seed=3)
+        raster = run_trial(adj, p.targets_of(label), 3, SimParams(onset=15.0, duration=130.0))
         r = extract_response(raster, onset=15.0, trial_id=0)
         responses = Responses(values=[r], labels=[label], trial_ids=[0])
         assert responses.labels == (label,)
