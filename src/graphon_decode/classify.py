@@ -113,12 +113,18 @@ def predict(model: RidgeModel, coords) -> list[str]:
     return [model.class_order[k] for k in picks]
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     """Shuffled per-class round-robin assignment into ``folds`` test folds."""
     labels = np.asarray(labels)
     if folds < 2:
         raise ParameterError("need at least two folds")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng(seed)
     assignment = np.empty(labels.size, dtype=int)
     for lab in sorted(set(labels.tolist())):
         idx = np.nonzero(labels == lab)[0]
@@ -138,7 +144,9 @@ def bootstrap_mean_ci(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ParameterError("empty sample")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if resamples < 1:
+        raise ParameterError(f"resamples must be at least 1, got {resamples}")
+    rng = _rng(seed)
     draws = rng.integers(0, values.size, size=(resamples, values.size))
     means = values[draws].mean(axis=1)
     tail = 100.0 * (1.0 - level) / 2.0
@@ -179,6 +187,8 @@ def select_lambda(
     small to split further."""
     labels = np.asarray(labels)
     grid = sorted(float(g) for g in grid)
+    if not grid:
+        raise ParameterError("the penalty grid is empty")
     smallest = min(int((labels == lab).sum()) for lab in set(labels.tolist()))
     inner = min(folds, smallest)
     if inner < 2:

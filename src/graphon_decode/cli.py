@@ -26,8 +26,6 @@ from .experiment import (
     METHODS,
     Bases,
     ExperimentConfig,
-    SbmSection,
-    _validate_config,
     load_config,
     map_indices,
     project,
@@ -38,7 +36,7 @@ from .experiment import (
     write_graph,
 )
 from .protocols import read_block_map, read_responses_csv
-from .sbm import block_membership, eigendecompose, read_edge_list
+from .sbm import SbmConfig, block_membership, eigendecompose, read_edge_list
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,14 +50,13 @@ def _load_or_default_config(args) -> ExperimentConfig:
         config = replace(config, sbm=replace(config.sbm, seed=args.seed))
     if args.out is not None:
         config = replace(config, io=replace(config.io, out_dir=str(args.out)))
-    _validate_config(config)
     return config
 
 
 def _cmd_gen_graph(args) -> int:
+    adjacency = sample_graph(SbmConfig(alpha=args.alpha, n=args.n, seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    adjacency = sample_graph(SbmSection(alpha=args.alpha, n=args.n, seed=args.seed))
     write_graph(adjacency, out)
     print(f"wrote graph and spectra for {adjacency.size} nodes to {out}")
     return EXIT_OK

@@ -422,6 +422,8 @@ def read_embeddings_csv(path) -> EmbeddingSet:
             raise ParseError(f"{path}: row {ln}: non-finite cell")
         labels.append(cells[1])
         methods.append(cells[-1])
+    if not labels:
+        raise ParseError(f"{path}: no data rows")
     method = methods[0] if len(set(methods)) == 1 else "mixed"
     return EmbeddingSet(
         method=method,

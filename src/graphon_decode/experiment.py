@@ -7,6 +7,11 @@ deterministic given the config: per-trial RNG streams are derived from the
 root seed with a splittable seed sequence, a trial's raster does not depend on
 the batch it runs in, and results are gathered in trial-id order, so a worker
 pool never changes output bytes.
+
+The config is an :class:`ExperimentConfig` of frozen sections (``sbm`` is
+``sbm.SbmConfig``, ``sim`` is ``lif.SimParams``).  Each section checks its own
+fields in ``__post_init__``, so ``dataclasses.replace`` re-runs the checks, and
+ExperimentConfig checks what reads more than one section.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +79,7 @@ _GRAPH_STREAM = 0
 _TRIAL_STREAM = 1
 
 METHODS = ("graphon", "gft", "pca")
+PROTOCOLS = ("two_cluster", "mixed_cluster", "custom")
 
 
 def derive_seed(*keys: int) -> int:
@@ -87,16 +93,15 @@ def derive_seed(*keys: int) -> int:
 
 
 @dataclass(frozen=True)
-class SbmSection:
-    alpha: float = 0.05
-    n: int = 100
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ProtocolSection:
     name: str = "two_cluster"
     custom_path: str | None = None
+
+    def __post_init__(self):
+        if self.name not in PROTOCOLS:
+            raise ParameterError(f"protocol.name must be one of {PROTOCOLS}, got {self.name!r}")
+        if self.name == "custom" and not self.custom_path:
+            raise ParameterError("custom protocol requires protocol.custom_path")
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,16 @@ class EmbeddingSection:
     methods: tuple[str, ...] = METHODS
     dimensions: int = 3
     convention: str = "blocksum"
+
+    def __post_init__(self):
+        object.__setattr__(self, "methods", tuple(self.methods))
+        for method in self.methods:
+            if method not in METHODS:
+                raise ParameterError(f"embedding.methods must be among {METHODS}, got {method!r}")
+        if self.convention not in CONVENTIONS:
+            raise ParameterError(f"embedding.convention must be in {CONVENTIONS}, got {self.convention!r}")
+        if not 1 <= self.dimensions <= BLOCK_COUNT:
+            raise ParameterError(f"embedding.dimensions must lie in 1..4, got {self.dimensions}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +131,16 @@ class ClassifySection:
     seed: int = 0
     dimensions: int = 4
 
+    def __post_init__(self):
+        if self.lam_grid is not None:
+            object.__setattr__(self, "lam_grid", tuple(self.lam_grid))
+            if not self.lam_grid or min(self.lam_grid) < 0:
+                raise ParameterError(f"classify.lam_grid must be nonempty, all >= 0, got {self.lam_grid}")
+        for name, least in (("lam", 0), ("folds", 2), ("resamples", 1), ("seed", 0), ("dimensions", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ParameterError(f"classify.{name} must be at least {least}, got {value}")
+
 
 @dataclass(frozen=True)
 class IoSection:
@@ -124,7 +149,7 @@ class IoSection:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    sbm: SbmSection = field(default_factory=SbmSection)
+    sbm: SbmConfig = field(default_factory=SbmConfig)
     sim: SimParams = field(default_factory=SimParams)
     protocol: ProtocolSection = field(default_factory=ProtocolSection)
     trials_per_stimulus: int = 20
@@ -132,32 +157,30 @@ class ExperimentConfig:
     classify: ClassifySection = field(default_factory=ClassifySection)
     io: IoSection = field(default_factory=IoSection)
 
-
-_SECTIONS = {
-    "sbm": SbmSection,
-    "sim": SimParams,
-    "protocol": ProtocolSection,
-    "embedding": EmbeddingSection,
-    "classify": ClassifySection,
-    "io": IoSection,
-}
+    def __post_init__(self):
+        if self.trials_per_stimulus < 1:
+            raise ParameterError(f"trials_per_stimulus must be at least 1, got {self.trials_per_stimulus}")
+        # the kernel basis has four eigenfunctions, so graphon classifies in at most 4-D
+        dims = self.classify.dimensions
+        if dims > BLOCK_COUNT and "graphon" in self.embedding.methods:
+            raise ParameterError(f"classify.dimensions must lie in 1..4 with the graphon method, got {dims}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from nested dicts, rejecting unknown keys."""
+    """Build a config from nested dicts, rejecting unknown keys; every check
+    of the sections and of ExperimentConfig runs, and fails as a ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
+    top = {f.name: f for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in data.items():
-        if key == "trials_per_stimulus":
-            _check_scalars(key, "int", value)
-            if value < 1:
-                raise ConfigError(f"trials_per_stimulus must be a positive integer, got {value!r}")
+        if key not in top:
+            raise ConfigError(f"unknown config section {key!r}")
+        cls = top[key].default_factory  # MISSING for trials_per_stimulus, the one scalar
+        if not is_dataclass(cls):
+            _check_scalars(key, top[key].type, value)
             kwargs[key] = value
             continue
-        cls = _SECTIONS.get(key)
-        if cls is None:
-            raise ConfigError(f"unknown config section {key!r}")
         if not isinstance(value, dict):
             raise ConfigError(f"section {key!r} must be a mapping")
         known = {f.name: f.type for f in fields(cls)}
@@ -166,21 +189,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
         for name, item in value.items():
             _check_scalars(f"{key}.{name}", known[name], item)
-        payload = dict(value)
-        if cls is EmbeddingSection and "methods" in payload:
-            payload["methods"] = tuple(payload["methods"])
-        if cls is ClassifySection and payload.get("lam_grid") is not None:
-            payload["lam_grid"] = tuple(payload["lam_grid"])
         try:
-            kwargs[key] = cls(**payload)
+            kwargs[key] = cls(**value)
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"bad section {key!r}: {exc}") from exc
     try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
+        return ExperimentConfig(**kwargs)
+    except (TypeError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
-    _validate_config(config)
-    return config
 
 
 def _check_scalars(where: str, annotation: str, value) -> None:
@@ -197,36 +213,6 @@ def _check_scalars(where: str, annotation: str, value) -> None:
             raise ConfigError(f"{where} must be finite, got {item!r}")
 
 
-def _validate_config(config: ExperimentConfig) -> None:
-    if config.protocol.name not in ("two_cluster", "mixed_cluster", "custom"):
-        raise ConfigError(f"unknown protocol {config.protocol.name!r}")
-    if config.protocol.name == "custom" and not config.protocol.custom_path:
-        raise ConfigError("custom protocol requires protocol.custom_path")
-    for method in config.embedding.methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown embedding method {method!r}")
-    if config.embedding.convention not in CONVENTIONS:
-        raise ConfigError(f"unknown convention {config.embedding.convention!r}")
-    if not 1 <= config.embedding.dimensions <= BLOCK_COUNT:
-        raise ConfigError("embedding.dimensions must lie in 1..4")
-    # the kernel basis has four eigenfunctions, so graphon classifies in at most 4-D
-    dims = config.classify.dimensions
-    if dims < 1 or (dims > BLOCK_COUNT and "graphon" in config.embedding.methods):
-        raise ConfigError(f"classify.dimensions must lie in 1..4 (>= 1 without graphon), got {dims}")
-    try:
-        SbmConfig(alpha=config.sbm.alpha, n=config.sbm.n, seed=config.sbm.seed)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    data = asdict(config)
-    data["embedding"]["methods"] = list(data["embedding"]["methods"])
-    if data["classify"]["lam_grid"] is not None:
-        data["classify"]["lam_grid"] = list(data["classify"]["lam_grid"])
-    return data
-
-
 def load_config(path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -236,7 +222,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +307,12 @@ def run_protocol_trials(
     return Responses(values=np.vstack(rows), labels=labels, trial_ids=trial_ids), skipped
 
 
-def sample_graph(sbm: SbmSection, realization: int | None = None) -> AdjacencyMatrix:
+def sample_graph(sbm: SbmConfig, realization: int | None = None) -> AdjacencyMatrix:
     """The graph of one experiment.  A single-graph experiment draws it from
     ``sbm.seed`` itself; realization r of a multi-graph experiment draws it
     from the seed derived from (sbm.seed, r)."""
     seed = sbm.seed if realization is None else derive_seed(sbm.seed, _GRAPH_STREAM, realization)
-    return sample_adjacency(SbmConfig(alpha=sbm.alpha, n=sbm.n, seed=seed))
+    return sample_adjacency(replace(sbm, seed=seed))
 
 
 _GRAPH_FILES = ("graph.edges", "eigenvalues.csv", "eigenvectors.csv")
@@ -432,15 +418,16 @@ def project(method: str, responses, indices, bases: Bases) -> EmbeddingSet:
 def classification_embedder(method: str, responses: Responses, dims: int, bases: Bases):
     """Embedder callable for cross-validation over ``responses``: maps (train
     indices, test indices) to ``dims``-D coordinates.  PCA refits per training
-    fold, the two spectral bases are fixed and ignore the split."""
+    fold; the two spectral bases are fixed, so their coordinates are computed
+    once and each fold takes its rows."""
     mat = responses.values
-    indices = tuple(range(1, dims + 1))
+    if method != "pca":
+        coords = project(method, mat, tuple(range(1, dims + 1)), bases).coords
+        return lambda train, test: (coords[train], coords[test])
 
     def embed(train, test):
-        if method == "pca":
-            model = pca_fit(mat[train], dims=dims)
-            return pca_transform(model, mat[train]), pca_transform(model, mat[test])
-        return tuple(project(method, mat[rows], indices, bases).coords for rows in (train, test))
+        model = pca_fit(mat[train], dims=dims)
+        return pca_transform(model, mat[train]), pca_transform(model, mat[test])
 
     return embed
 
@@ -508,15 +495,16 @@ def verify_manifest(out_dir) -> list[str]:
 
 
 def run_experiment(
-    config: ExperimentConfig, jobs: int = 1, dump_rasters: bool = False, out_dir=None
+    config: ExperimentConfig, jobs: int = 1, dump_rasters: bool = False
 ) -> dict:
-    """Full pipeline for one config; returns a summary with output locations.
+    """Full pipeline for one config into ``config.io.out_dir``; returns a
+    summary with output locations.
 
     Zero-response trials are skipped with a note; the run fails (DataError)
     only when a stimulus class keeps fewer usable trials than the fold count
     needed for classification, or when nothing can be embedded at all.
     """
-    out = Path(out_dir if out_dir is not None else config.io.out_dir)
+    out = Path(config.io.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raster_dir = None
     if dump_rasters:
@@ -554,7 +542,7 @@ def run_experiment(
 
     write_manifest(
         out,
-        config_to_dict(config),
+        asdict(config),
         files,
         extra={
             "seeds": {
@@ -586,7 +574,7 @@ def trial_invariance_experiment(
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
-    config = ExperimentConfig(SbmSection(alpha, n, root_seed), sim, trials_per_stimulus=trials_per_stimulus)
+    config = ExperimentConfig(SbmConfig(alpha, n, root_seed), sim, trials_per_stimulus=trials_per_stimulus)
     bases, indices = _bases(config), map_indices(3)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
@@ -617,7 +605,7 @@ def mixed_cluster_experiment(
     """Three-stimulus run embedded with the kernel basis and with PCA,
     plus separability metrics for both maps."""
     config = ExperimentConfig(
-        SbmSection(alpha, n, root_seed), sim, ProtocolSection("mixed_cluster"),
+        SbmConfig(alpha, n, root_seed), sim, ProtocolSection("mixed_cluster"),
         trials_per_stimulus,
     )
     _, responses, _ = _simulate(config, jobs, realization=0)
@@ -648,7 +636,7 @@ def _write_xy(es: EmbeddingSet, cols: tuple[int, int], path: Path) -> None:
 
 def _reproduce_fig5(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     # the documented default experiment, its graph drawn from the seed itself
-    adjacency, responses, _ = _simulate(ExperimentConfig(sbm=SbmSection(seed=seed)), jobs)
+    adjacency, responses, _ = _simulate(ExperimentConfig(sbm=SbmConfig(seed=seed)), jobs)
     bases = Bases(decomposition=eigendecompose(adjacency))
     es = project("gft", responses, map_indices(3), bases)
     _write_xy(es, (0, 1), out / "fig5_gft_modes_2_3.csv")
@@ -713,7 +701,7 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     dataset, clearly marked, replaces the recordings."""
     experimental_csv, block_map_csv, rc_correct_csv = measured
     config = ExperimentConfig(
-        sbm=SbmSection(seed=seed),
+        sbm=SbmConfig(seed=seed),
         protocol=ProtocolSection(name="mixed_cluster"),
         trials_per_stimulus=7,
     )

@@ -48,11 +48,12 @@ class BlockProbabilityMatrix:
 
 @dataclass(frozen=True)
 class SbmConfig:
-    """Sampling parameters: coupling alpha, nodes per block n, RNG seed."""
+    """Sampling parameters: coupling alpha, nodes per block n, RNG seed.
+    Also the ``sbm`` section of an experiment config."""
 
-    alpha: float
-    n: int
-    seed: int
+    alpha: float = 0.05
+    n: int = 100
+    seed: int = 0
 
     def __post_init__(self):
         _check_alpha(self.alpha)

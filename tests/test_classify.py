@@ -13,6 +13,7 @@ from graphon_decode.classify import (
     read_correctness_csv,
     required_n_for_power,
     ridge_fit,
+    select_lambda,
     stratified_folds,
     training_accuracy,
     write_report,
@@ -184,8 +185,6 @@ def test_inner_cv_lambda_grid():
     rng = np.random.default_rng(11)
     coords = np.vstack([rng.normal(-1, 0.1, (12, 2)), rng.normal(1, 0.1, (12, 2))])
     labels = ["a"] * 12 + ["b"] * 12
-    from graphon_decode.classify import select_lambda
-
     lam = select_lambda(coords, labels, grid=(0.01, 0.1, 1.0, 10.0), seed=0)
     assert lam in (0.01, 0.1, 1.0, 10.0)
     assert lam == select_lambda(coords, labels, grid=(0.01, 0.1, 1.0, 10.0), seed=0)
@@ -202,8 +201,6 @@ def test_inner_cv_lambda_grid():
 
 
 def test_lambda_grid_falls_back_on_tiny_classes():
-    from graphon_decode.classify import select_lambda
-
     lam = select_lambda(np.array([[0.0], [1.0]]), ["a", "b"], grid=(0.01, 1.0, 10.0))
     assert lam == 1.0  # median candidate
 
@@ -215,6 +212,19 @@ def test_stratified_folds_balance_classes():
     for f in folds:
         labs = [labels[i] for i in f]
         assert labs.count("a") == 3 and labs.count("b") == 3
+
+
+def test_resampling_guards():
+    # a zero resample count, a negative seed or an empty penalty grid is a
+    # ParameterError rather than an IndexError or a ValueError from numpy
+    with pytest.raises(ParameterError, match="resamples"):
+        bootstrap_mean_ci([1.0, 0.0], resamples=0)
+    with pytest.raises(ParameterError, match="seed"):
+        bootstrap_mean_ci([1.0, 0.0], seed=-1)
+    with pytest.raises(ParameterError, match="seed"):
+        stratified_folds(["a", "b"] * 2, 2, seed=-1)
+    with pytest.raises(ParameterError, match="grid"):
+        select_lambda([[0.0], [1.0]], ["a", "b"], grid=())
 
 
 # ---------------------------------------------------------------------------

@@ -393,3 +393,10 @@ def test_embeddings_csv_rejects_non_finite_cells(tmp_path, cell):
     )
     with pytest.raises(ParseError, match="row 3: non-finite"):
         read_embeddings_csv(path)
+
+
+def test_embeddings_csv_without_rows_is_a_parse_error(tmp_path):
+    path = tmp_path / "embedding.csv"
+    path.write_text("trial_id,label,c1,c2,method\n")
+    with pytest.raises(ParseError, match="no data rows"):
+        read_embeddings_csv(path)

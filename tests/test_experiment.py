@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphon_decode.cli import main
-from graphon_decode.errors import ConfigError, DataError
+from graphon_decode.errors import ConfigError, DataError, ParameterError
 from graphon_decode.experiment import (
     config_from_dict,
     derive_seed,
@@ -71,6 +72,12 @@ def test_invalid_values_rejected():
         config_from_dict({"embedding": {"methods": ["umap"]}})
     with pytest.raises(ConfigError):
         config_from_dict({"protocol": {"name": "custom"}})  # missing path
+    with pytest.raises(ConfigError, match="protocol.name"):
+        config_from_dict({"protocol": {"name": "three_cluster"}})
+    with pytest.raises(ConfigError, match="embedding.convention"):
+        config_from_dict({"embedding": {"convention": "l1"}})
+    with pytest.raises(ConfigError, match="embedding.dimensions"):
+        config_from_dict({"embedding": {"dimensions": 5}})
     with pytest.raises(ConfigError):
         config_from_dict({"trials_per_stimulus": 0})
     with pytest.raises(ConfigError, match="classify.dimensions"):
@@ -78,6 +85,27 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError, match="classify.dimensions"):
         config_from_dict({"classify": {"dimensions": 5}})  # the kernel basis has four modes
     config_from_dict({"embedding": {"methods": ["gft", "pca"]}, "classify": {"dimensions": 5}})
+    # each of these once loaded and failed only after simulating every trial
+    for section, match in [
+        ({"folds": 1}, "classify.folds"),
+        ({"resamples": 0}, "classify.resamples"),
+        ({"lam": -1}, "classify.lam"),
+        ({"lam_grid": []}, "classify.lam_grid"),
+        ({"lam_grid": [-1, 1]}, "classify.lam_grid"),
+        ({"seed": -1}, "classify.seed"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"classify": section})
+
+
+def test_replace_reruns_the_section_checks():
+    cfg = config_from_dict({})
+    with pytest.raises(ParameterError, match="alpha"):
+        replace(cfg.sbm, alpha=0.9)
+    with pytest.raises(ParameterError, match="classify.folds"):
+        replace(cfg.classify, folds=1)
+    with pytest.raises(ParameterError, match="classify.dimensions"):
+        replace(cfg, classify=replace(cfg.classify, dimensions=5))
 
 
 @pytest.mark.parametrize(
@@ -307,6 +335,40 @@ def test_cli_nan_dt_exits_2(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+def test_cli_run_with_one_fold_exits_2_before_writing(tmp_path, capsys):
+    data = json.loads(json.dumps(SMALL))
+    data["classify"]["folds"] = 1
+    data["io"] = {"out_dir": str(tmp_path / "never")}
+    bad = tmp_path / "folds.json"
+    bad.write_text(json.dumps(data))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "classify.folds" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["classify", "--resamples", "0"], "resamples"),
+        (["stats", "--resamples", "0"], "resamples"),
+        (["classify", "--seed", "-1"], "seed"),
+    ],
+)
+def test_cli_bad_resampling_flags_exit_2(tmp_path, capsys, argv, match):
+    embeddings = tmp_path / "e.csv"
+    rows = [f"{i},{'s1' if i < 4 else 's2'},{i % 4 + 4 * (i >= 4)}.0,{i % 3}.0,pca" for i in range(8)]
+    embeddings.write_text("trial_id,label,c1,c2,method\n" + "\n".join(rows) + "\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("trial_id,correct\n0,1\n1,1\n2,0\n")
+    b.write_text("trial_id,correct\n0,0\n1,1\n2,1\n")
+    inputs = {
+        "classify": ["--embeddings", str(embeddings), "--folds", "2"],
+        "stats": ["--correct-a", str(a), "--correct-b", str(b)],
+    }[argv[0]]
+    assert main(argv + inputs + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert match in capsys.readouterr().err
+
+
 def test_cli_stats_bad_trial_id_exits_3(tmp_path, capsys):
     good = tmp_path / "a.csv"
     good.write_text("trial_id,correct\n0,1\n1,0\n")
@@ -317,8 +379,12 @@ def test_cli_stats_bad_trial_id_exits_3(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
-def test_cli_missing_file_exits_3(tmp_path):
+def test_cli_missing_file_exits_3(tmp_path, capsys):
     assert main(["classify", "--embeddings", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "r.csv")]) == 3
+    header_only = tmp_path / "e.csv"
+    header_only.write_text("trial_id,label,c1,c2,method\n")
+    assert main(["classify", "--embeddings", str(header_only), "--out", str(tmp_path / "r.csv")]) == 3
+    assert "no data rows" in capsys.readouterr().err
 
 
 def test_cli_stage_pipeline(tmp_path):

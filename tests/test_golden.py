@@ -1,4 +1,5 @@
-"""Golden hashes: the SHA-256 of every artifact of six canned runs.
+"""Golden hashes: the SHA-256 of every artifact of six canned runs, and of
+the default config file.
 
 Determinism tests compare a run against a second run of the same code, so a
 change that reorders a float sum would pass them.  These digests were taken
@@ -10,6 +11,7 @@ the core count, and every digest holds both on the default two threads of a
 output bytes re-pins them and says why in CHANGES.md.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +24,8 @@ from test_experiment import small_config
 def _file_digests(out: Path) -> dict:
     return json.loads((out / "manifest.json").read_text())["files"]
 
+
+DEFAULT_CONFIG = "5dc22e006fdc3a306b5bb21b25ab0093e15d89fa382a2cf5ba84fd26c07abd31"
 
 RUN_SMALL = {
     "eigenvalues.csv": "1797e24065d49b25b39961d288fc94c58b09f47726ae77fbdab3fc8595b4868a",
@@ -76,6 +80,12 @@ TABLE_MEASURED = {
     "table_report_graphon.csv": "2df06f47b41aa7d2dd554aa9533381dc745d9dfd3d53ef6d9a7403af3f2fc80c",
     "table_report_pca.csv": "ed36502bbd2466a47b6641ad5b5154461d35ca6d5638d074b6c5db21e4c9db1d",
 }
+
+
+def test_default_config_hash(tmp_path):
+    path = tmp_path / "config.json"
+    assert main(["default-config", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CONFIG
 
 
 def test_run_small_config_hashes(tmp_path):
