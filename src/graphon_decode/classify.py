@@ -113,6 +113,11 @@ def predict(model: RidgeModel, coords) -> list[str]:
     return [model.class_order[k] for k in picks]
 
 
+# Bootstrap indices drawn per block: 2**17 int64 draws plus their float gather
+# is 2 MiB, and larger blocks were no faster (BENCH_10.json).
+_BOOTSTRAP_BLOCK = 2**17
+
+
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
@@ -140,15 +145,26 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
 def bootstrap_mean_ci(
     values, resamples: int = 10_000, seed: int = 0, level: float = 0.95
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of ``values``."""
+    """Percentile bootstrap CI for the mean of ``values``.
+
+    The resamples are drawn and averaged in blocks of at most
+    ``_BOOTSTRAP_BLOCK`` indices, so memory does not grow with ``resamples``.
+    The blocks continue one generator stream and each row's mean depends on
+    that row alone, so the result equals one unblocked draw bit for bit.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ParameterError("empty sample")
     if resamples < 1:
         raise ParameterError(f"resamples must be at least 1, got {resamples}")
     rng = _rng(seed)
-    draws = rng.integers(0, values.size, size=(resamples, values.size))
-    means = values[draws].mean(axis=1)
+    n = values.size
+    rows = max(1, _BOOTSTRAP_BLOCK // n)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        draws = rng.integers(0, n, size=(stop - start, n))
+        means[start:stop] = values[draws].mean(axis=1)
     tail = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return float(lo), float(hi)

@@ -199,17 +199,37 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+# what each field annotation's base kind takes from JSON, and how to name it
+_KINDS = {
+    "bool": (bool, "a boolean"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+}
+
+
 def _check_scalars(where: str, annotation: str, value) -> None:
-    """Reject what JSON lets through but no field means: a boolean outside a
-    boolean field (``true`` is not a count), a non-integer in an integer
-    field, and NaN or infinite numbers.  Lists are checked item by item."""
-    for item in value if isinstance(value, (list, tuple)) else (value,):
-        if isinstance(item, bool):
-            if annotation != "bool":
-                raise ConfigError(f"{where} must not be a boolean, got {item!r}")
-        elif annotation == "int" and not isinstance(item, int):
-            raise ConfigError(f"{where} must be an integer, got {item!r}")
-        elif isinstance(item, float) and not math.isfinite(item):
+    """Reject a value of a kind its field's annotation does not take, so a
+    section's own checks see only values of the right kind: a string field
+    takes a string, a tuple field a list, a numeric field a finite number
+    (``true`` is not a count), and only an optional field takes null."""
+    kind = annotation.removesuffix(" | None")
+    if value is None:
+        if kind == annotation:
+            raise ConfigError(f"{where} must not be null")
+        return
+    items = (value,)
+    if kind.startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        kind, items = kind[len("tuple[") : -len(", ...]")], value
+    types, noun = _KINDS[kind]
+    for item in items:
+        if isinstance(item, bool) and kind != "bool":
+            raise ConfigError(f"{where} must not be a boolean, got {item!r}")
+        if not isinstance(item, types):
+            raise ConfigError(f"{where} must be {noun}, got {item!r}")
+        if isinstance(item, float) and not math.isfinite(item):
             raise ConfigError(f"{where} must be finite, got {item!r}")
 
 

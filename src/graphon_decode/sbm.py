@@ -288,13 +288,15 @@ def read_edge_list(path) -> AdjacencyMatrix:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParseError(f"{path}: missing header line")
-    fields = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split())
     try:
+        fields = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split())
         size = int(fields["nodes"])
+        alpha = None if fields.get("alpha", "none") == "none" else float(fields["alpha"])
+        seed = None if fields.get("seed", "none") == "none" else int(fields["seed"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: bad header {lines[0]!r}") from exc
-    alpha = None if fields.get("alpha", "none") == "none" else float(fields["alpha"])
-    seed = None if fields.get("seed", "none") == "none" else int(fields["seed"])
+    if size < 0:
+        raise ParseError(f"{path}: bad header {lines[0]!r}")
     entries = np.zeros((size, size), dtype=np.int8)
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from graphon_decode.classify import (
+    _BOOTSTRAP_BLOCK,
     EvalReport,
     bootstrap_mean_ci,
     cross_validated_accuracy,
@@ -285,6 +287,56 @@ def test_bootstrap_ci_brackets_true_accuracy():
 def test_bootstrap_ci_deterministic_given_seed():
     v = np.array([1.0, 0.0, 1.0, 1.0])
     assert bootstrap_mean_ci(v, seed=3) == bootstrap_mean_ci(v, seed=3)
+
+
+def _unblocked_means(values, resamples, seed):
+    # one (resamples x n) draw at once: the reference the blocks must match bit for bit
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.integers(0, values.size, size=(resamples, values.size))
+    return values[draws].mean(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["binary", "ternary", "gaussian"])
+@pytest.mark.parametrize("n", [1, 2, 7, 37, 900, _BOOTSTRAP_BLOCK + 1])
+def test_blocked_bootstrap_equals_one_unblocked_draw(n, kind, monkeypatch):
+    # spy on the means handed to np.percentile, so every resample's mean is
+    # compared bit for bit, not only the ones that set the interval
+    seen = []
+    percentile = np.percentile
+    monkeypatch.setattr(np, "percentile", lambda a, q: seen.append(a.copy()) or percentile(a, q))
+    rows = max(1, _BOOTSTRAP_BLOCK // n)
+    counts = {1, rows - 1, rows, rows + 1}
+    if n <= _BOOTSTRAP_BLOCK:  # above it the unblocked reference would need 10,000 x n x 16 bytes
+        counts.add(10_000)
+    for seed in (0, 1, 12345):
+        rng = np.random.default_rng([seed, n])
+        values = {
+            "binary": (rng.random(n) < 0.6).astype(float),
+            "ternary": rng.integers(-1, 2, n).astype(float),
+            "gaussian": rng.standard_normal(n),
+        }[kind]
+        for resamples in sorted(c for c in counts if c >= 1):
+            seen.clear()
+            ci = bootstrap_mean_ci(values, resamples=resamples, seed=seed)
+            expected = _unblocked_means(values, resamples, seed)
+            assert seen[0].tobytes() == expected.tobytes(), (seed, resamples)
+            tail = 100.0 * (1.0 - 0.95) / 2.0  # the default level, computed as the function does
+            lo, hi = percentile(expected, [tail, 100.0 - tail])
+            assert ci == (float(lo), float(hi)), (seed, resamples)
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    # numpy reports its buffers to tracemalloc; one unblocked draw of
+    # 10,000 x 900 indices plus its gather peaks at ~137 MiB
+    values = (np.random.default_rng(0).random(900) < 0.7).astype(float)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bootstrap_mean_ci(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
 
 
 def test_paired_stats_on_correlated_vectors():

@@ -96,6 +96,21 @@ def test_invalid_values_rejected():
     ]:
         with pytest.raises(ConfigError, match=match):
             config_from_dict({"classify": section})
+    # a value of the wrong kind is named with its field and the kind it needs
+    for data, match in [
+        ({"embedding": {"methods": "gft"}}, "embedding.methods must be a list"),
+        ({"classify": {"lam_grid": "ab"}}, "classify.lam_grid must be a list"),
+        ({"classify": {"lam_grid": ["a", "b"]}}, "classify.lam_grid must be a number"),
+        ({"sim": {"dt": "0.1"}}, "sim.dt must be a number"),
+        ({"io": {"out_dir": 7}}, "io.out_dir must be a string"),
+        ({"protocol": {"name": 3}}, "protocol.name must be a string"),
+        ({"sbm": {"n": [3]}}, "sbm.n must be an integer"),
+        ({"trials_per_stimulus": "20"}, "trials_per_stimulus must be an integer"),
+        ({"classify": {"enabled": 1}}, "classify.enabled must be a boolean"),
+        ({"sim": {"dt": None}}, "sim.dt must not be null"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(data)
 
 
 def test_replace_reruns_the_section_checks():
@@ -335,6 +350,13 @@ def test_cli_nan_dt_exits_2(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+def test_cli_wrong_kind_of_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "out_dir.json"
+    bad.write_text('{"io": {"out_dir": 7}}')
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "io.out_dir must be a string" in capsys.readouterr().err
+
+
 def test_cli_run_with_one_fold_exits_2_before_writing(tmp_path, capsys):
     data = json.loads(json.dumps(SMALL))
     data["classify"]["folds"] = 1
@@ -474,6 +496,17 @@ def test_cli_gft_embed_needs_graph(tmp_path):
         )
         == 0
     )
+
+
+def test_cli_gft_embed_with_a_bad_graph_header_exits_3(tmp_path, capsys):
+    rows = [f"{i},{'s1' if i < 4 else 's2'}," + ",".join(str(1 + (i + roi) % 3) for roi in range(8)) for i in range(8)]
+    csv_path = tmp_path / "responses.csv"
+    csv_path.write_text("trial_id,label," + ",".join(f"roi_{i}" for i in range(8)) + "\n" + "\n".join(rows) + "\n")
+    graph = tmp_path / "g.edges"
+    graph.write_text("# nodes=8 garbage\n0 1\n")
+    argv = ["embed", "--responses", str(csv_path), "--method", "gft", "--graph", str(graph)]
+    assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 3
+    assert "bad header" in capsys.readouterr().err
 
 
 def test_cli_embed_needs_a_block_map_only_for_graphon(tmp_path, capsys):

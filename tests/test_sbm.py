@@ -250,6 +250,17 @@ def test_edge_list_rejects_bad_rows(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["# nodes=8 garbage", "# nodes=8 alpha=high seed=0", "# nodes=8 alpha=0.05 seed=x", "# nodes=-4"],
+)
+def test_edge_list_rejects_bad_headers(tmp_path, header):
+    path = tmp_path / "bad.edges"
+    path.write_text(header + "\n0 1\n")
+    with pytest.raises(ParseError, match="bad header"):
+        read_edge_list(path)
+
+
 def test_spectra_export(tmp_path):
     dec = eigendecompose(np.eye(6, k=1) + np.eye(6, k=-1))  # path graph on 6 nodes
     vals = tmp_path / "eigenvalues.csv"
