@@ -252,13 +252,15 @@ def save_config(config: ExperimentConfig, path) -> None:
 def _trial_chunk(payload):
     """Simulate a chunk of (trial id, stimulus index, seed) specs as one
     run_trials batch; returns (trial id, label, response or None for a
-    zero-response trial, raster) per trial."""
-    adjacency, sim, protocol, specs = payload
+    zero-response trial, raster) per trial.  With ``stop_at_window`` the
+    rasters end with the counting window (see :func:`run_trials`)."""
+    adjacency, sim, protocol, specs, stop_at_window = payload
     rasters = run_trials(
         adjacency,
         [protocol.stimuli[stim_idx][1] for _, stim_idx, _ in specs],
         [seed for _, _, seed in specs],
         sim,
+        stop_at_window=stop_at_window,
     )
     results = []
     for (trial_id, stim_idx, _), raster in zip(specs, rasters):
@@ -268,6 +270,11 @@ def _trial_chunk(payload):
             response = None
         results.append((trial_id, protocol.stimuli[stim_idx][0], response, raster))
     return results
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
 
 
 def run_protocol_trials(
@@ -285,11 +292,14 @@ def run_protocol_trials(
     Trial seeds derive from (root_seed, realization, stimulus, trial), and a
     trial's raster does not depend on the batch it is simulated in, so any
     execution order, worker count, or subset of stimuli reproduces the same
-    per-trial dynamics.  The trials are split into ``jobs`` contiguous chunks,
-    one pool task each (so the adjacency is pickled once per chunk), and
-    each chunk runs as one batch, whatever its stimuli.  Zero-response trials
-    are skipped; a DataError is raised when no trial is usable.
+    per-trial dynamics.  The trials are split into min(``jobs``, trials)
+    contiguous chunks, one pool task and worker each (so the adjacency is
+    pickled once per chunk), and each chunk runs as one batch, whatever its
+    stimuli.  Unless rasters are written to ``raster_dir``, a trial is
+    simulated only up to the end of its counting window.  Zero-response
+    trials are skipped; a DataError is raised when no trial is usable.
     """
+    _check_jobs(jobs)
     n_stimuli = len(protocol.stimuli)
     specs = [
         (
@@ -300,10 +310,13 @@ def run_protocol_trials(
         for stim_idx in range(n_stimuli)
         for t in range(trials_per_stimulus)
     ]
-    parts = max(jobs, 1)
+    parts = max(min(jobs, len(specs)), 1)
     bounds = [len(specs) * i // parts for i in range(parts + 1)]
+    stop_at_window = raster_dir is None
     payloads = [
-        (adjacency, sim, protocol, specs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
+        (adjacency, sim, protocol, specs[lo:hi], stop_at_window)
+        for lo, hi in zip(bounds, bounds[1:])
+        if lo < hi
     ]
     if parts > 1:
         with ProcessPoolExecutor(max_workers=parts) as pool:
@@ -524,6 +537,7 @@ def run_experiment(
     only when a stimulus class keeps fewer usable trials than the fold count
     needed for classification, or when nothing can be embedded at all.
     """
+    _check_jobs(jobs)
     out = Path(config.io.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raster_dir = None
@@ -795,6 +809,7 @@ def reproduce(
     build = _FIGURES.get(figure_id)
     if build is None:
         raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
+    _check_jobs(jobs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files, degraded = build(out, seed, jobs, (experimental_csv, block_map_csv, rc_correct_csv))

@@ -29,18 +29,24 @@ receive a square current pulse of amplitude_na over
 [onset, onset + pulse_ms); the empty tuple means no stimulus.
 
 :func:`run_trials` advances a batch of trials together on (trials, neurons)
-state arrays and a (delay, trials, neurons) ring of pending conductance.  The
-synaptic input of a step is one sparse product: the resource emitted by the
-spiking cells, as a (trials, neurons) CSR matrix, times the transposed
-weights.  Row b of that product sums trial b's spiking neurons in neuron
-order and nothing else, and every trial draws its noise events from its own
-generator, so batching changes no bit of any raster; :func:`run_trial` is the
-batch of one.
+state arrays, updated in place in buffers allocated once per batch.  The
+spikes of step k arrive at step k + delay + 1 and no other step writes that
+arrival, so the pending spikes are kept per arrival step and a step that
+receives none skips the synaptic update.  The synaptic input of a step is one
+sparse product: the resource emitted by the spiking cells, as a (trials,
+neurons) CSR matrix, times the transposed weights.  Row b of that product
+sums trial b's spiking neurons in neuron order and nothing else, and every
+trial draws its noise events from its own generator, so batching changes no
+bit of any raster; :func:`run_trial` is the batch of one.  On request the
+loop stops at the first step whose end reaches onset + window, past which no
+spike is counted; such a truncated raster carries the span it covers as its
+``duration``, so it cannot pass for a full trial.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -248,12 +254,21 @@ def run_trial(
     return run_trials(adjacency, [targets], [seed], sim, record_trace)[0]
 
 
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys in [0, bound),
+    sorted on the narrowest unsigned dtype that holds them: numpy radix-sorts
+    keys of 16 bits or fewer, and a stable order does not depend on the dtype."""
+    dtype = np.min_scalar_type(max(bound - 1, 0))
+    return np.argsort(keys.astype(dtype, copy=False), kind="stable")
+
+
 def run_trials(
     adjacency: AdjacencyMatrix,
     targets: Sequence[Sequence[int]],
     seeds: Sequence[int],
     sim: SimParams = SimParams(),
     record_trace: bool = False,
+    stop_at_window: bool = False,
 ) -> list[SpikeRaster]:
     """Simulate one trial per (targets, seed) pair, all advanced together
     step by step, and return their rasters in order.  A trial's stimulus is
@@ -263,6 +278,10 @@ def run_trials(
     its synaptic input from its own row of the sparse product, so its raster
     is the one a batch of one gives it: identical arguments and seed give
     identical rasters, whatever else shares the batch.
+
+    With ``stop_at_window`` the loop ends at the first step whose end time
+    reaches onset + window, and each raster's ``duration`` is the span those
+    steps cover; its spikes are the full trial's spikes up to that time.
     """
     size = adjacency.size
     if size == 0:
@@ -272,8 +291,8 @@ def run_trials(
         raise ParameterError(
             "one stimulus (a tuple of targets, () for none) per seed required, and at least one seed"
         )
-    if record_trace and batch != 1:
-        raise ParameterError("a trace is recorded for a single trial only")
+    if record_trace and (batch != 1 or stop_at_window):
+        raise ParameterError("a trace is recorded for a single trial only, simulated in full")
 
     # stim_current[b] is trial b's pulse current, on while onset <= t < stim_stop
     stim_current = np.zeros((batch, size))
@@ -286,33 +305,51 @@ def run_trials(
     dt, duration = sim.dt, sim.duration
     delay_steps = round(sim.delay / dt)
     steps = int(math.floor(duration / dt + 1e-9))
+    run_steps = steps
+    if stop_at_window:
+        # step k's spikes fall at (k + 1) * dt; the last step run is the
+        # first whose spikes fall at or after onset + window
+        ends = np.arange(1, steps + 1) * dt
+        run_steps = min(steps, int(np.searchsorted(ends, sim.onset + sim.window)) + 1)
+        if run_steps < steps:
+            duration = float(ends[run_steps - 1])
     weights_t = np.ascontiguousarray(adjacency.entries.T, dtype=float)
     s = scaling_factors(adjacency, sim.zero_degree)
     has_input = s > 0
     unit_inc = np.where(has_input, sim.g_max / np.where(has_input, s, 1.0), 0.0)
     # the batch's noise events as flat cells trial * size + neuron, ordered by
-    # step: step k's are noise_cells[noise_bounds[k] : noise_bounds[k + 1]]
+    # step: step k's are noise_cells[noise_bounds[k] : noise_bounds[k + 1]].
+    # They are drawn over all steps, run or not, so the stream is the same
+    # whether or not the loop stops early.
     noise_lam = sim.poisson_rate * s * dt * 1e-3
     events = [noise_events(seed, noise_lam, steps) for seed in seeds]
     event_steps = np.concatenate([at for at, _ in events])
-    order = np.argsort(event_steps, kind="stable")
+    order = _stable_argsort(event_steps, steps)
     noise_cells = np.concatenate([b * size + source for b, (_, source) in enumerate(events)])[order]
-    noise_bounds = np.searchsorted(event_steps[order], np.arange(steps + 1))
+    noise_bounds = np.searchsorted(event_steps[order], np.arange(run_steps + 1))
     flat_inc = np.tile(unit_inc, batch)
 
     shape = (batch, size)
     v = np.full(shape, sim.e_leak if sim.v0 is None else sim.v0, dtype=float)
     g = np.full(shape, sim.g0, dtype=float)
-    g_flat = g.reshape(-1)
     g_kca = np.zeros(shape)
     resource = np.full(shape, sim.r0, dtype=float)
-    refract_until = np.full(shape, -np.inf)
+    v_flat, g_flat, kca_flat, resource_flat = (a.reshape(-1) for a in (v, g, g_kca, resource))
+    # the refractory cells: each step's spiking cells with the time their
+    # clamp ends, oldest first; a cell is clamped while t < that time
+    refractory: deque[tuple[float, np.ndarray]] = deque()
+    # per-step buffers: each update runs in place, one IEEE operation at a
+    # time in the order of the expression beside it, so its bits are those of
+    # the expression evaluated out of place
+    drive = np.empty(shape)
+    scratch = np.empty(shape)
+    spiked = np.empty(shape, dtype=bool)
 
-    ring_len = delay_steps + 2
-    ring = np.zeros((ring_len, batch, size))
-    # the resource emitted by the spiking cells, one CSR row per trial; the
-    # product reads only data, indices and indptr, so one matrix is refilled
-    # each step rather than a new one built and validated
+    # pending[k + delay + 1], written by step k alone if it has spikes, holds
+    # the resource its spiking cells emitted, one CSR row per trial as (data,
+    # indices, indptr).  On arrival it refills one CSR matrix for the product,
+    # which reads only those three arrays.
+    pending: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     emitted = csr_array((batch, size))
     row_ids = np.arange(batch + 1)
 
@@ -328,51 +365,64 @@ def run_trials(
         trace_v[0], trace_g[0], trace_r[0] = v[0], g[0], resource[0]
 
     inv_tau_mem = dt / sim.tau_mem
-    g_decay = dt / sim.tau_g
-    kca_decay = dt / sim.kca_tau
+    g_keep = 1.0 - dt / sim.tau_g
+    kca_keep = 1.0 - dt / sim.kca_tau
     r_relax = dt / sim.tau_recovery
 
-    for k in range(steps):
+    for k in range(run_steps):
         t = k * dt
-        slot = k % ring_len
 
-        g *= 1.0 - g_decay
-        g += ring[slot]
-        ring[slot] = 0.0
+        g *= g_keep
+        arrived = pending.pop(k, None)
+        if arrived is not None:
+            emitted.data, emitted.indices, emitted.indptr = arrived
+            np.multiply(unit_inc, emitted @ weights_t, out=scratch)
+            g += scratch
         hits = noise_cells[noise_bounds[k] : noise_bounds[k + 1]]
         np.add.at(g_flat, hits, flat_inc[hits])
 
-        drive = g * (sim.e_syn - v)
+        # drive = g * (e_syn - v) [+ g_kca * (kca_reversal - v)] [+ stimulus]
+        np.subtract(sim.e_syn, v, out=drive)
+        drive *= g
         if sim.kca_increment:
-            g_kca *= 1.0 - kca_decay
-            drive += g_kca * (sim.kca_reversal - v)
+            g_kca *= kca_keep
+            np.subtract(sim.kca_reversal, v, out=scratch)
+            scratch *= g_kca
+            drive += scratch
         if sim.onset <= t < stim_stop:
             drive += stim_current
 
-        resource += r_relax * (1.0 - resource)
+        np.subtract(1.0, resource, out=scratch)
+        scratch *= r_relax
+        resource += scratch
 
-        active = t >= refract_until
-        v = np.where(
-            active,
-            v + inv_tau_mem * (sim.e_leak - v + sim.r_in * drive),
-            sim.v_reset,
-        )
+        # v + inv_tau_mem * (e_leak - v + r_in * drive), then the refractory
+        # cells back to v_reset, where they already sat
+        drive *= sim.r_in
+        np.subtract(sim.e_leak, v, out=scratch)
+        scratch += drive
+        scratch *= inv_tau_mem
+        v += scratch
+        while refractory and t >= refractory[0][0]:
+            refractory.popleft()
+        for _, clamped in refractory:
+            v_flat[clamped] = sim.v_reset
 
-        spiked = active & (v >= sim.v_threshold)
-        if spiked.any():
-            cells = np.flatnonzero(spiked)
+        # a refractory cell sits at v_reset, below threshold, so cannot spike
+        np.greater_equal(v, sim.v_threshold, out=spiked)
+        cells = np.flatnonzero(spiked)
+        if cells.size:
             log_steps.append(k)
             log_cells.append(cells)
             # cells are sorted, so each trial's spiking neurons form one CSR row
             trial, source = np.divmod(cells, size)
             indptr = np.searchsorted(trial, row_ids)
-            emitted.data, emitted.indices, emitted.indptr = resource.ravel()[cells], source, indptr
-            ring[(k + delay_steps + 1) % ring_len] += unit_inc * (emitted @ weights_t)
-            resource[spiked] *= sim.beta
-            v[spiked] = sim.v_reset
+            pending[k + delay_steps + 1] = (resource_flat[cells], source, indptr)
+            resource_flat[cells] *= sim.beta
+            v_flat[cells] = sim.v_reset
             if sim.kca_increment:
-                g_kca[spiked] += sim.kca_increment
-            refract_until[spiked] = (k + 1) * dt + sim.refractory_ms
+                kca_flat[cells] += sim.kca_increment
+            refractory.append(((k + 1) * dt + sim.refractory_ms, cells))
 
         if record_trace:
             trace_v[k + 1], trace_g[k + 1], trace_r[k + 1] = v[0], g[0], resource[0]
@@ -389,7 +439,7 @@ def run_trials(
     # order the log by (trial, neuron); the stable sort keeps each neuron's steps in order
     cells = np.concatenate(log_cells) if log_cells else np.empty(0, dtype=np.int64)
     spike_steps = np.repeat(np.array(log_steps, dtype=np.int64), [c.size for c in log_cells])
-    spike_times = (spike_steps[np.argsort(cells, kind="stable")] + 1) * dt
+    spike_times = (spike_steps[_stable_argsort(cells, batch * size)] + 1) * dt
     per_neuron = np.bincount(cells, minlength=batch * size).reshape(batch, size)
     trial_bounds = np.concatenate(([0], np.cumsum(per_neuron.sum(axis=1))))
     return [

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphon_decode import experiment
 from graphon_decode.cli import main
 from graphon_decode.errors import ConfigError, DataError, ParameterError
 from graphon_decode.experiment import (
@@ -226,6 +227,70 @@ def test_uneven_worker_chunks_do_not_change_bytes(tmp_path):
         assert (Path(serial["out_dir"]) / name).read_bytes() == (
             Path(pooled["out_dir"]) / name
         ).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs, workers", [(3, 3), (10, 10), (11, 10), (5000, 10)])
+def test_workers_are_capped_at_the_trial_count(tmp_path, monkeypatch, jobs, workers):
+    # 2 stimuli x 5 trials: never more workers or chunks than the 10 trials
+    pools = []
+
+    class InProcessPool:
+        """Records max_workers and the chunk count, and runs the chunks here."""
+
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            self.chunks = len(payloads)
+            return map(fn, payloads)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    serial = run_experiment(small_config(tmp_path, "serial"), jobs=1)
+    pooled = run_experiment(small_config(tmp_path, "pooled"), jobs=jobs)
+    assert [(pool.max_workers, pool.chunks) for pool in pools] == [(workers, workers)]
+    for name in serial["files"]:
+        assert (Path(serial["out_dir"]) / name).read_bytes() == (
+            Path(pooled["out_dir"]) / name
+        ).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(tmp_path, jobs):
+    with pytest.raises(ParameterError, match="jobs must be at least 1"):
+        run_experiment(small_config(tmp_path, "never"), jobs=jobs)
+    assert not (tmp_path / "never").exists()
+    config_path = tmp_path / "config.json"
+    save_config(small_config(tmp_path, "never"), config_path)
+    for command in (["run"], ["simulate"], ["reproduce", "fig5"]):
+        argv = [*command, "--jobs", str(jobs), "--out", str(tmp_path / "never")]
+        if command[0] != "reproduce":
+            argv += ["--config", str(config_path)]
+        assert main(argv) == 2, command
+        assert not (tmp_path / "never").exists()
+
+
+def test_dumping_rasters_keeps_full_trials(tmp_path):
+    # without a dump, trials stop at the end of the counting window; the
+    # responses are the same, and every dumped raster covers the whole trial
+    config = small_config(tmp_path, "plain", classify={"enabled": False})
+    config_path = tmp_path / "config.json"
+    save_config(config, config_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "dump"), "--dump-rasters"]) == 0
+    plain, dump = (tmp_path / name / "responses.csv" for name in ("plain", "dump"))
+    assert plain.read_bytes() == dump.read_bytes()
+    rasters = sorted((tmp_path / "dump" / "rasters").iterdir())
+    assert len(rasters) == 10
+    for path in rasters:
+        assert f"# duration_ms={config.sim.duration!r}" in path.read_text().splitlines()
 
 
 def test_manifest_lists_and_verifies_every_file(tmp_path):

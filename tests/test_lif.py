@@ -3,16 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graphon_decode.errors import ContractError, ParameterError
+from graphon_decode.errors import ContractError, ParameterError, ZeroResponseError
 from graphon_decode.lif import (
     SimParams,
     SpikeRaster,
+    _stable_argsort,
     noise_events,
     run_trial,
     run_trials,
     scaling_factors,
     write_raster_csv,
 )
+from graphon_decode.protocols import extract_response
 from graphon_decode.sbm import SbmConfig, adjacency_from_entries, edge_probability_matrix, sample_adjacency
 
 QUIET = SimParams(poisson_rate=0.0)
@@ -355,6 +357,62 @@ def test_batched_trials_match_single_trials(sim):
     assert batch[0].total_spikes > 0 and batch[1].total_spikes > 0
 
 
+@pytest.mark.parametrize(
+    "sim",
+    [
+        SimParams(duration=130.0),
+        SimParams(duration=130.0, kca_increment=2e-5),
+        SimParams(duration=130.0, poisson_rate=0.0),
+        SimParams(duration=130.0, dt=0.05),
+        SimParams(duration=130.0, onset=0.0),
+        SimParams(duration=130.0, window=110.0),
+    ],
+    ids=["default", "kca", "no_noise", "dt_0.05", "onset_0", "window_to_duration"],
+)
+def test_stopping_at_the_window_changes_no_response(sim):
+    adj = sample_adjacency(SbmConfig(alpha=0.05, n=10, seed=4))
+    first, second = tuple(range(10)), tuple(range(15, 30))
+    targets = [first, second, (), first, second]
+    seeds = [11, 12, 13, 14, 11]
+    full = run_trials(adj, targets, seeds, sim)
+    cut = run_trials(adj, targets, seeds, sim, stop_at_window=True)
+    stop = sim.onset + sim.window
+    if stop == sim.duration:
+        span = sim.duration
+    else:
+        # the first step end at or after onset + window
+        span = next(k * sim.dt for k in range(1, 10**5) if k * sim.dt >= stop)
+        assert span < sim.duration
+    assert sum(r.total_spikes for r in cut) > 0
+    for whole, part in zip(full, cut):
+        assert part.duration == span and part.seed == whole.seed
+        for kept, all_spikes in zip(part.spikes, whole.spikes):
+            assert np.array_equal(kept, all_spikes[all_spikes <= span])
+        rows = []
+        for raster in (whole, part):
+            try:
+                rows.append(extract_response(raster, sim.onset, sim.window))
+            except ZeroResponseError:
+                rows.append(None)
+        assert (rows[0] is None and rows[1] is None) or rows[0].tobytes() == rows[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "bound", [0, 1, 2**8 - 1, 2**8, 2**8 + 1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**32 + 1]
+)
+def test_narrowed_sort_keys_keep_the_stable_order(bound):
+    assert _stable_argsort(np.empty(0, dtype=np.int64), bound).size == 0
+    if bound == 0:
+        return
+    rng = np.random.default_rng(bound)
+    # heavy ties at both ends of the range, so stability shows
+    keys = np.concatenate(
+        [rng.integers(bound, size=300), rng.choice([0, bound // 2, bound - 1], size=300)]
+    )
+    rng.shuffle(keys)
+    assert np.array_equal(_stable_argsort(keys, bound), np.argsort(keys, kind="stable"))
+
+
 def test_noise_events_follow_the_per_step_poisson_law():
     # a neuron's count over the trial is Poisson(steps * lam) and its events
     # spread uniformly over the steps, so each step's count is Poisson(lam):
@@ -386,6 +444,8 @@ def test_noise_events_follow_the_per_step_poisson_law():
 def test_batch_arguments_validated():
     with pytest.raises(ParameterError, match="single trial"):
         run_trials(pair(), [(), ()], [0, 1], QUIET, record_trace=True)
+    with pytest.raises(ParameterError, match="in full"):
+        run_trials(pair(), [()], [0], QUIET, record_trace=True, stop_at_window=True)
     with pytest.raises(ParameterError, match="one stimulus"):
         run_trials(pair(), [()], [0, 1], QUIET)
 
