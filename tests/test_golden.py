@@ -1,4 +1,4 @@
-"""Golden hashes: the SHA-256 of every artifact of six canned runs, and of
+"""Golden hashes: the SHA-256 of every artifact of seven canned runs, and of
 the default config file.
 
 Determinism tests compare a run against a second run of the same code, so a
@@ -51,6 +51,16 @@ FIG6_SEED0 = {
     "fig6_gft_realization_1.csv": "01137a3a7047b10804e66a6c482b581f2a6087c261ca59b3bb1a1b194eb2613d",
     "fig6_gft_realization_2.csv": "1bcb516146c4a3939a5ed12db7f4e1a8619de966f61bed7099f02e5d90e7e0dd",
     "fig6_graphon.csv": "7733d6b8120632ea8a0322e3548bab679b804e2ab5158c97bb7d1730881157a0",
+}
+
+FIG8_SEED0 = {
+    "fig8_graphon_alpha005.csv": "4853fd411d760e5d6871cc7cc1a5be29b87fa6e3ab2bbf8a181af8895d3784ea",
+    "fig8_graphon_alpha020.csv": "d8a5e17772d09100f81a53bf54aa77f43f3cf6bfe7e65a7ecf988de8e63afd4f",
+    "fig8_graphon_alpha045.csv": "7cb3539bff5eba11362122404a42c943ec06d15471083149dc3faa956b30f45e",
+    "fig8_pca_alpha005.csv": "6822b6fb789ca84f1b0acdd5abaf59e7123b65b43cc526f237d35b5e4764b84a",
+    "fig8_pca_alpha020.csv": "6ebd9437d60480b2262012f0333f01d3305f2454b702e739c57a75c447c69f3e",
+    "fig8_pca_alpha045.csv": "824df54bd525f9ac3efb53eb82d77f3ea9aca375b7764d994d9b606361cf9266",
+    "fig8_summary.csv": "72edc951d332bc9e319913d7e73982462323ca9caee9099fb5808c4a801da40a",
 }
 
 TABLE_SURROGATE_SEED0 = {
@@ -112,6 +122,11 @@ def test_reproduce_fig5_hashes(tmp_path):
 def test_reproduce_fig6_hashes(tmp_path):
     assert main(["reproduce", "fig6", "--seed", "0", "--out", str(tmp_path / "fig6")]) == 0
     assert _file_digests(tmp_path / "fig6") == FIG6_SEED0
+
+
+def test_reproduce_fig8_hashes(tmp_path):
+    assert main(["reproduce", "fig8", "--seed", "0", "--out", str(tmp_path / "fig8")]) == 0
+    assert _file_digests(tmp_path / "fig8") == FIG8_SEED0
 
 
 def test_reproduce_table_surrogate_hashes(tmp_path):
