@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, SingularSystemError
+from .errors import DataError, ParameterError, ParseError, SingularSystemError
 from .sbm import _readonly
 
 
@@ -355,8 +355,20 @@ def write_report(path, report: EvalReport, extra: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_correctness_csv(path) -> np.ndarray:
-    """trial_id,correct file with correct in {0, 1}, ordered by trial_id.
+def pair_by_trial_id(a: dict, b: dict, names=("a", "b")) -> tuple[np.ndarray, np.ndarray]:
+    """Two trial_id -> correctness maps as paired vectors in the order of
+    ``a``.  A trial id on one side only is a DataError naming the first such
+    id and the side, of ``names``, that holds it."""
+    unpaired = sorted(set(a).symmetric_difference(b))
+    if unpaired:
+        side = names[0] if unpaired[0] in a else names[1]
+        raise DataError(f"trial id {unpaired[0]} is only in {side} ({len(unpaired)} unpaired ids)")
+    return np.array(list(a.values()), dtype=float), np.array([b[t] for t in a], dtype=float)
+
+
+def read_correctness_csv(path) -> dict[int, float]:
+    """trial_id,correct file with correct in {0, 1}, as a trial_id ->
+    correct map ordered by trial_id.
 
     Every rejected row is named by its line number, and a trial id may
     appear only once.
@@ -379,4 +391,4 @@ def read_correctness_csv(path) -> np.ndarray:
             if trial_id in rows:
                 raise ParseError(f"{path}: row {row_no}: duplicate trial_id {trial_id}")
             rows[trial_id] = float(row[1])
-    return np.array([rows[t] for t in sorted(rows)])
+    return {t: rows[t] for t in sorted(rows)}

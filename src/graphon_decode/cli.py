@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .classify import (
     cross_validated_accuracy,
+    pair_by_trial_id,
     paired_difference_stats,
     read_correctness_csv,
     write_report,
@@ -116,8 +117,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    a = read_correctness_csv(args.correct_a)
-    b = read_correctness_csv(args.correct_b)
+    paths = (args.correct_a, args.correct_b)
+    a, b = pair_by_trial_id(*map(read_correctness_csv, paths), names=paths)
     ps = paired_difference_stats(a, b, resamples=args.resamples, seed=args.seed)
     lines = [
         "key,value",

@@ -30,6 +30,7 @@ from . import __version__
 from .classify import (
     EvalReport,
     cross_validated_accuracy,
+    pair_by_trial_id,
     paired_difference_stats,
     read_correctness_csv,
     write_report,
@@ -251,25 +252,32 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 def _trial_chunk(payload):
     """Simulate a chunk of (trial id, stimulus index, seed) specs as one
-    run_trials batch; returns (trial id, label, response or None for a
-    zero-response trial, raster) per trial.  With ``stop_at_window`` the
-    rasters end with the counting window (see :func:`run_trials`)."""
-    adjacency, sim, protocol, specs, stop_at_window = payload
+    run_trials batch; returns the (trial id, label, response) rows of the
+    trials that responded and the ids of those that did not.  With a
+    ``raster_dir`` the kept trials' rasters are written there, from this
+    process; without one the rasters end with the counting window (see
+    :func:`run_trials`) and are dropped."""
+    adjacency, sim, protocol, specs, raster_dir = payload
     rasters = run_trials(
         adjacency,
         [protocol.stimuli[stim_idx][1] for _, stim_idx, _ in specs],
         [seed for _, _, seed in specs],
         sim,
-        stop_at_window=stop_at_window,
+        stop_at_window=raster_dir is None,
     )
-    results = []
+    rows, skipped = [], []
     for (trial_id, stim_idx, _), raster in zip(specs, rasters):
+        label = protocol.stimuli[stim_idx][0]
         try:
             response = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
         except ZeroResponseError:
-            response = None
-        results.append((trial_id, protocol.stimuli[stim_idx][0], response, raster))
-    return results
+            skipped.append(trial_id)
+            continue
+        rows.append((trial_id, label, response))
+        if raster_dir is not None:
+            meta = {"label": label, **asdict(sim)}
+            write_raster_csv(raster, Path(raster_dir) / f"trial_{trial_id:04d}.csv", meta=meta)
+    return rows, skipped
 
 
 def _check_jobs(jobs: int) -> None:
@@ -278,18 +286,12 @@ def _check_jobs(jobs: int) -> None:
 
 
 def run_protocol_trials(
-    adjacency,
-    protocol: Protocol,
-    sim: SimParams,
-    trials_per_stimulus: int,
-    root_seed: int,
-    realization: int = 0,
-    jobs: int = 1,
-    raster_dir=None,
+    adjacency, config: ExperimentConfig, realization: int = 0, jobs: int = 1, raster_dir=None
 ) -> tuple[Responses, list[int]]:
-    """Run every (stimulus, trial) pair and return responses plus skipped ids.
+    """Run every (stimulus, trial) pair of the config's protocol on
+    ``adjacency`` and return the responses plus the skipped trial ids.
 
-    Trial seeds derive from (root_seed, realization, stimulus, trial), and a
+    Trial seeds derive from (sbm.seed, realization, stimulus, trial), and a
     trial's raster does not depend on the batch it is simulated in, so any
     execution order, worker count, or subset of stimuli reproduces the same
     per-trial dynamics.  The trials are split into min(``jobs``, trials)
@@ -300,21 +302,21 @@ def run_protocol_trials(
     trials are skipped; a DataError is raised when no trial is usable.
     """
     _check_jobs(jobs)
-    n_stimuli = len(protocol.stimuli)
+    protocol = _build_protocol(config)
+    n_stimuli, per_stimulus = len(protocol.stimuli), config.trials_per_stimulus
     specs = [
         (
-            (realization * n_stimuli + stim_idx) * trials_per_stimulus + t,
+            (realization * n_stimuli + stim_idx) * per_stimulus + t,
             stim_idx,
-            derive_seed(root_seed, _TRIAL_STREAM, realization, stim_idx, t),
+            derive_seed(config.sbm.seed, _TRIAL_STREAM, realization, stim_idx, t),
         )
         for stim_idx in range(n_stimuli)
-        for t in range(trials_per_stimulus)
+        for t in range(per_stimulus)
     ]
     parts = max(min(jobs, len(specs)), 1)
     bounds = [len(specs) * i // parts for i in range(parts + 1)]
-    stop_at_window = raster_dir is None
     payloads = [
-        (adjacency, sim, protocol, specs[lo:hi], stop_at_window)
+        (adjacency, config.sim, protocol, specs[lo:hi], raster_dir)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
@@ -322,22 +324,17 @@ def run_protocol_trials(
         with ProcessPoolExecutor(max_workers=parts) as pool:
             chunks = list(pool.map(_trial_chunk, payloads))
     else:
-        chunks = map(_trial_chunk, payloads)
-    # specs and chunks are in trial-id order, so the results are too
-    results = [item for chunk in chunks for item in chunk]
-    kept = [item for item in results if item[2] is not None]
-    if not kept:
+        chunks = list(map(_trial_chunk, payloads))
+    # specs and chunks are in trial-id order, so the rows are too
+    rows = [row for chunk_rows, _ in chunks for row in chunk_rows]
+    skipped = [trial_id for _, chunk_skipped in chunks for trial_id in chunk_skipped]
+    if not rows:
         raise DataError(
-            f"realization {realization}: all {len(results)} trials were zero-response; "
+            f"realization {realization}: all {len(specs)} trials were zero-response; "
             "nothing to embed"
         )
-    if raster_dir is not None:
-        for trial_id, label, _, raster in kept:
-            meta = {"label": label, **asdict(sim)}
-            write_raster_csv(raster, Path(raster_dir) / f"trial_{trial_id:04d}.csv", meta=meta)
-    trial_ids, labels, rows, _ = zip(*kept)
-    skipped = [trial_id for trial_id, _, row, _ in results if row is None]
-    return Responses(values=np.vstack(rows), labels=labels, trial_ids=trial_ids), skipped
+    trial_ids, labels, values = zip(*rows)
+    return Responses(values=np.vstack(values), labels=labels, trial_ids=trial_ids), skipped
 
 
 def sample_graph(sbm: SbmConfig, realization: int | None = None) -> AdjacencyMatrix:
@@ -369,10 +366,7 @@ def _simulate(
     skipped trial ids.  Trial seeds derive from (sbm.seed, realization or 0,
     stimulus, trial)."""
     adjacency = sample_graph(config.sbm, realization)
-    responses, skipped = run_protocol_trials(
-        adjacency, _build_protocol(config), config.sim, config.trials_per_stimulus,
-        config.sbm.seed, realization or 0, jobs, raster_dir,
-    )
+    responses, skipped = run_protocol_trials(adjacency, config, realization or 0, jobs, raster_dir)
     return adjacency, responses, skipped
 
 
@@ -590,16 +584,8 @@ def run_experiment(
     return summary
 
 
-def trial_invariance_experiment(
-    alpha: float = 0.05,
-    n: int = 100,
-    realizations: int = 3,
-    trials_per_stimulus: int = 5,
-    root_seed: int = 0,
-    jobs: int = 1,
-    sim: SimParams = SimParams(),
-) -> dict:
-    """Fixed stimuli on independently re-sampled graphs.
+def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3, jobs: int = 1) -> dict:
+    """The config's stimuli on ``realizations`` independently re-sampled graphs.
 
     Each realization gets its own graph and eigenbasis; responses are embedded
     with the per-realization (aligned) eigenvector basis and with the fixed
@@ -608,7 +594,6 @@ def trial_invariance_experiment(
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
-    config = ExperimentConfig(SbmConfig(alpha, n, root_seed), sim, trials_per_stimulus=trials_per_stimulus)
     bases, indices = _bases(config), map_indices(3)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
@@ -628,23 +613,12 @@ def trial_invariance_experiment(
     }
 
 
-def mixed_cluster_experiment(
-    alpha: float,
-    n: int = 100,
-    trials_per_stimulus: int = 10,
-    root_seed: int = 0,
-    jobs: int = 1,
-    sim: SimParams = SimParams(),
-) -> dict:
-    """Three-stimulus run embedded with the kernel basis and with PCA,
-    plus separability metrics for both maps."""
-    config = ExperimentConfig(
-        SbmConfig(alpha, n, root_seed), sim, ProtocolSection("mixed_cluster"),
-        trials_per_stimulus,
-    )
+def mixed_cluster_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
+    """The config's experiment on realization 0, embedded with the kernel
+    basis and with PCA, plus separability metrics for both maps."""
     _, responses, _ = _simulate(config, jobs, realization=0)
     bases = _bases(config)
-    result = {"responses": responses, "metrics": {}}
+    result = {"metrics": {}}
     for method in ("graphon", "pca"):
         es = result[method] = project(method, responses, map_indices(3), bases)
         result["metrics"][method] = {
@@ -679,9 +653,8 @@ def _reproduce_fig5(out: Path, seed: int, jobs: int, measured) -> tuple[list[str
 
 
 def _reproduce_fig6(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
-    result = trial_invariance_experiment(
-        realizations=3, trials_per_stimulus=5, root_seed=seed, jobs=jobs
-    )
+    config = ExperimentConfig(sbm=SbmConfig(seed=seed), trials_per_stimulus=5)
+    result = trial_invariance_experiment(config, realizations=3, jobs=jobs)
     files = []
     for r, es in enumerate(result["gft_embeddings"]):
         name = f"fig6_gft_realization_{r}.csv"
@@ -711,9 +684,12 @@ def _reproduce_fig8(out: Path, seed: int, jobs: int, measured) -> tuple[list[str
     files = []
     summary = ["alpha,method,silhouette,betweenness"]
     for alpha in (0.05, 0.20, 0.45):
-        result = mixed_cluster_experiment(
-            alpha, trials_per_stimulus=10, root_seed=seed, jobs=jobs
+        config = ExperimentConfig(
+            sbm=SbmConfig(alpha=alpha, seed=seed),
+            protocol=ProtocolSection(name="mixed_cluster"),
+            trials_per_stimulus=10,
         )
+        result = mixed_cluster_experiment(config, jobs=jobs)
         tag = f"{int(round(alpha * 100)):03d}"
         for method in ("graphon", "pca"):
             name = f"fig8_{method}_alpha{tag}.csv"
@@ -732,14 +708,15 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     """Accuracy table: kernel embedding vs PCA, cross-validated, with paired
     statistics.  ``measured`` holds the paths (responses CSV, block map CSV,
     external correctness CSV); without the first two a simulated surrogate
-    dataset, clearly marked, replaces the recordings."""
+    dataset, clearly marked, replaces the recordings.  The external decoder's
+    correctness pairs with the kernel embedding's by trial id."""
     experimental_csv, block_map_csv, rc_correct_csv = measured
     config = ExperimentConfig(
         sbm=SbmConfig(seed=seed),
         protocol=ProtocolSection(name="mixed_cluster"),
         trials_per_stimulus=7,
     )
-    degraded = not (experimental_csv and block_map_csv)
+    degraded = not experimental_csv
     if degraded:
         source = "simulated_surrogate"
         _, responses, _ = _simulate(config, jobs, realization=0)
@@ -752,32 +729,31 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     reports = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
     paired = paired_difference_stats(reports["graphon"].correct, reports["pca"].correct)
 
-    files = []
-    for method, report in reports.items():
-        name = f"table_report_{method}.csv"
-        write_report(out / name, report, extra={"method": method, "source": source})
-        files.append(name)
-
     lines = ["key,value", f"source,{source}", f"n,{reports['graphon'].n}"]
     for method, report in reports.items():
         lines.append(f"accuracy_{method},{repr(report.accuracy)}")
         lines.append(f"ci95_{method},{repr(report.ci95[0])}|{repr(report.ci95[1])}")
     lines.append(f"accuracy_rc_reference,{repr(REFERENCE_RC_ACCURACY)}")
     lines.append(f"paired_diff_graphon_minus_pca,{repr(paired.mean_difference)}")
-    lines.append(
-        f"paired_diff_ci95,{repr(paired.diff_ci95[0])}|{repr(paired.diff_ci95[1])}"
-    )
+    lines.append(f"paired_diff_ci95,{repr(paired.diff_ci95[0])}|{repr(paired.diff_ci95[1])}")
     lines.append(f"effect_size,{repr(paired.effect_size)}")
     lines.append(f"required_n_for_80pct_power,{repr(paired.required_n)}")
     if rc_correct_csv:
-        rc = read_correctness_csv(rc_correct_csv)
-        vs_rc = paired_difference_stats(reports["graphon"].correct, rc)
-        lines.append(f"paired_diff_graphon_minus_rc,{repr(vs_rc.mean_difference)}")
-        lines.append(
-            f"paired_diff_rc_ci95,{repr(vs_rc.diff_ci95[0])}|{repr(vs_rc.diff_ci95[1])}"
+        graphon = dict(zip(responses.trial_ids, reports["graphon"].correct))
+        names = (str(experimental_csv), str(rc_correct_csv))
+        vs_rc = paired_difference_stats(
+            *pair_by_trial_id(graphon, read_correctness_csv(rc_correct_csv), names=names)
         )
+        lines.append(f"paired_diff_graphon_minus_rc,{repr(vs_rc.mean_difference)}")
+        lines.append(f"paired_diff_rc_ci95,{repr(vs_rc.diff_ci95[0])}|{repr(vs_rc.diff_ci95[1])}")
         lines.append(f"effect_size_vs_rc,{repr(vs_rc.effect_size)}")
         lines.append(f"required_n_vs_rc,{repr(vs_rc.required_n)}")
+
+    files = []
+    for method, report in reports.items():
+        name = f"table_report_{method}.csv"
+        write_report(out / name, report, extra={"method": method, "source": source})
+        files.append(name)
     (out / "table_accuracy.csv").write_text("\n".join(lines) + "\n")
     files.append("table_accuracy.csv")
     return files, degraded
@@ -801,7 +777,9 @@ def reproduce(
     block_map_csv=None,
     rc_correct_csv=None,
 ) -> dict:
-    """Canned experiment behind each shipped figure or table.
+    """Canned experiment behind each shipped figure or table.  Measured
+    inputs that the figure does not read, or that do not go together, are a
+    ConfigError raised before anything is simulated or written.
 
     Returns a summary with the output files and a ``degraded`` flag that is
     True when a surrogate dataset replaced missing experimental inputs.
@@ -810,9 +788,18 @@ def reproduce(
     if build is None:
         raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
     _check_jobs(jobs)
+    # only the table reads measured inputs, and an external decoder's
+    # correctness pairs with measured trials, not with the surrogate's
+    measured = (experimental_csv, block_map_csv, rc_correct_csv)
+    if figure_id != "table" and any(measured):
+        raise ConfigError(f"reproduce {figure_id} reads no measured inputs; only table does")
+    if bool(experimental_csv) != bool(block_map_csv):
+        raise ConfigError("--experimental-csv and --block-map must be given together")
+    if rc_correct_csv and not experimental_csv:
+        raise ConfigError("--rc-correct needs the measured trials of --experimental-csv and --block-map")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files, degraded = build(out, seed, jobs, (experimental_csv, block_map_csv, rc_correct_csv))
+    files, degraded = build(out, seed, jobs, measured)
     write_manifest(
         out,
         {"figure_id": figure_id, "seed": seed},

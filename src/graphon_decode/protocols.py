@@ -163,8 +163,9 @@ def write_responses_csv(responses: Responses, path) -> None:
 def read_responses_csv(path, allowed_labels=None) -> Responses:
     """Read a response CSV, renormalizing rows (a no-op for unit rows).
 
-    Every rejected row is named by its line number; ``allowed_labels``
-    optionally restricts the stimulus labels.
+    Every rejected row is named by its line number, and a trial id may
+    appear only once; ``allowed_labels`` optionally restricts the stimulus
+    labels.
     """
     with open(path, newline="") as fh:
         # a line count bounds the row count, so the matrix is allocated once
@@ -183,7 +184,7 @@ def read_responses_csv(path, allowed_labels=None) -> Responses:
                 f"{path}: header must be trial_id,label,roi_0..roi_{{m-1}}, got {header[:4]}..."
             )
         values = np.empty((capacity - 1, m))
-        labels, trial_ids = [], []
+        labels, trial_ids, seen = [], [], set()
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -193,6 +194,9 @@ def read_responses_csv(path, allowed_labels=None) -> Responses:
                 trial_id = int(row[0])
             except ValueError:
                 raise ParseError(f"{path}: row {row_no}: bad trial_id {row[0]!r}") from None
+            if trial_id in seen:
+                raise ParseError(f"{path}: row {row_no}: duplicate trial_id {trial_id}")
+            seen.add(trial_id)
             label = row[1]
             if allowed_labels is not None and label not in allowed_labels:
                 raise ParseError(

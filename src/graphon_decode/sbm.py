@@ -39,14 +39,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockProbabilityMatrix:
-    """4x4 symmetric matrix of block-to-block connection probabilities."""
-
-    alpha: float
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class SbmConfig:
     """Sampling parameters: coupling alpha, nodes per block n, RNG seed.
     Also the ``sbm`` section of an experiment config."""
@@ -114,8 +106,9 @@ def adjacency_from_entries(entries) -> AdjacencyMatrix:
     return AdjacencyMatrix(entries=_readonly(arr.copy()))
 
 
-def build_block_probability_matrix(alpha: float) -> BlockProbabilityMatrix:
-    """Connection probabilities for the four-block architecture.
+def build_block_probability_matrix(alpha: float) -> np.ndarray:
+    """Read-only 4x4 symmetric matrix of block-to-block connection
+    probabilities for the four-block architecture.
 
     Intra-block density is 1 - 2*alpha; blocks 1-2, 1-3, 2-4 and 3-4 couple
     with density alpha; blocks 1 and 4 are disconnected.  Every row sums to 1.
@@ -123,15 +116,16 @@ def build_block_probability_matrix(alpha: float) -> BlockProbabilityMatrix:
     _check_alpha(alpha)
     a = float(alpha)
     d = 1.0 - 2.0 * a
-    entries = np.array(
-        [
-            [d, a, a, 0.0],
-            [a, d, 0.0, a],
-            [a, 0.0, d, a],
-            [0.0, a, a, d],
-        ]
+    return _readonly(
+        np.array(
+            [
+                [d, a, a, 0.0],
+                [a, d, 0.0, a],
+                [a, 0.0, d, a],
+                [0.0, a, a, d],
+            ]
+        )
     )
-    return BlockProbabilityMatrix(alpha=a, entries=_readonly(entries))
 
 
 def block_eigenvector_matrix() -> np.ndarray:
@@ -173,7 +167,7 @@ def block_membership(n: int) -> np.ndarray:
 
 def edge_probability_matrix(config: SbmConfig) -> np.ndarray:
     """Bernoulli parameter for every node pair: block matrix (x) complete graph."""
-    c = build_block_probability_matrix(config.alpha).entries
+    c = build_block_probability_matrix(config.alpha)
     k = np.ones((config.n, config.n)) - np.eye(config.n)
     return np.kron(c, k)
 

@@ -51,7 +51,7 @@ def test_criterion_1_analytic_eigenstructure():
     start = time.time()
     worst = 0.0
     for alpha in ALPHAS:
-        c = build_block_probability_matrix(alpha).entries
+        c = build_block_probability_matrix(alpha)
         for lam, vec in analytic_block_eigenpairs(alpha):
             worst = max(worst, float(np.max(np.abs(c @ vec - lam * vec))))
         # the limit kernel operator on quarter-constant functions: c @ (phi * 1/4)
@@ -148,9 +148,8 @@ def test_criterion_5_trial_invariance():
     start = time.time()
     wins, ratios = 0, []
     for meta in range(5):
-        result = trial_invariance_experiment(
-            realizations=10, trials_per_stimulus=4, root_seed=1000 + meta
-        )
+        config = config_from_dict({"sbm": {"seed": 1000 + meta}, "trials_per_stimulus": 4})
+        result = trial_invariance_experiment(config, realizations=10)
         ratios.append(result["ratio"])
         wins += result["ratio"] < 1.0
     _report(
@@ -169,7 +168,14 @@ def test_criterion_6_mixed_cluster_betweenness_and_robustness():
     betweenness = {}
     silhouettes = {}
     for alpha in ALPHAS:
-        result = mixed_cluster_experiment(alpha, trials_per_stimulus=7, root_seed=1)
+        config = config_from_dict(
+            {
+                "sbm": {"alpha": alpha, "seed": 1},
+                "protocol": {"name": "mixed_cluster"},
+                "trials_per_stimulus": 7,
+            }
+        )
+        result = mixed_cluster_experiment(config)
         betweenness[alpha] = result["metrics"]["graphon"]["betweenness"]
         silhouettes[alpha] = {
             m: result["metrics"][m]["silhouette"] for m in ("graphon", "pca")

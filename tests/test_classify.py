@@ -10,6 +10,7 @@ from graphon_decode.classify import (
     EvalReport,
     bootstrap_mean_ci,
     cross_validated_accuracy,
+    pair_by_trial_id,
     paired_difference_stats,
     predict,
     read_correctness_csv,
@@ -21,7 +22,7 @@ from graphon_decode.classify import (
     write_report,
 )
 from graphon_decode.embedding import pca_fit, pca_transform
-from graphon_decode.errors import ParameterError, ParseError, SingularSystemError
+from graphon_decode.errors import DataError, ParameterError, ParseError, SingularSystemError
 from graphon_decode.protocols import Responses
 
 
@@ -387,11 +388,20 @@ def test_read_correctness_csv(tmp_path):
     path = tmp_path / "correct.csv"
     path.write_text("trial_id,correct\n1,0\n0,1\n2,1\n")
     v = read_correctness_csv(path)
-    assert np.array_equal(v, [1.0, 0.0, 1.0])
+    assert list(v.items()) == [(0, 1.0), (1, 0.0), (2, 1.0)]
     bad = tmp_path / "bad.csv"
     bad.write_text("trial_id,correct\n0,2\n")
     with pytest.raises(ParseError, match="row 2"):
         read_correctness_csv(bad)
+
+
+def test_pair_by_trial_id_follows_the_first_map():
+    a, b = pair_by_trial_id({5: 1.0, 2: 0.0, 9: 1.0}, {2: 1.0, 9: 0.0, 5: 0.0})
+    assert a.tolist() == [1.0, 0.0, 1.0] and b.tolist() == [0.0, 1.0, 0.0]
+    with pytest.raises(DataError, match=r"trial id 9 is only in a \(1 unpaired ids\)"):
+        pair_by_trial_id({2: 1.0, 9: 1.0}, {2: 1.0})
+    with pytest.raises(DataError, match=r"trial id 1 is only in right \(7 unpaired ids\)"):
+        pair_by_trial_id({0: 1.0, 9: 0.0}, dict.fromkeys(range(7), 1.0), names=("left", "right"))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 from graphon_decode import experiment
+from graphon_decode.classify import cross_validated_accuracy
 from graphon_decode.cli import main
 from graphon_decode.errors import ConfigError, DataError, ParameterError
 from graphon_decode.experiment import (
+    Bases,
+    classification_embedder,
     config_from_dict,
     derive_seed,
     load_config,
@@ -16,6 +20,7 @@ from graphon_decode.experiment import (
     save_config,
     verify_manifest,
 )
+from graphon_decode.protocols import load_experimental_responses
 
 SMALL = {
     "sbm": {"alpha": 0.05, "n": 8, "seed": 3},
@@ -33,6 +38,34 @@ def small_config(tmp_path, name="out", **overrides):
             data[key] = value
     data.setdefault("io", {})["out_dir"] = str(tmp_path / name)
     return config_from_dict(data)
+
+
+def write_measured(tmp_path) -> tuple[Path, Path]:
+    """Nine trials per stimulus over 16 ROIs in four blocks of four.
+
+    Counts come from integer arithmetic, not a random generator, so the input
+    bytes cannot drift with numpy; stimulus s1 lifts blocks 1-2, s2 blocks 2-3
+    and s3 blocks 3-4.
+    """
+    lifted = {"s1": (1, 2), "s2": (2, 3), "s3": (3, 4)}
+    blocks = [1 + (roi % 4) for roi in range(16)]
+    lines = ["trial_id,label," + ",".join(f"roi_{i}" for i in range(16))]
+    trial_id = 0
+    for rep in range(9):
+        for label, lift in lifted.items():
+            counts = [
+                1 + (3 * trial_id + 5 * roi) % 4 + (3 if blocks[roi] in lift else 0)
+                for roi in range(16)
+            ]
+            lines.append(f"{trial_id},{label}," + ",".join(map(str, counts)))
+            trial_id += 1
+    csv_path = tmp_path / "measured.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    map_path = tmp_path / "blocks.csv"
+    map_path.write_text(
+        "roi_index,block\n" + "".join(f"{i},{b}\n" for i, b in enumerate(blocks))
+    )
+    return csv_path, map_path
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +262,16 @@ def test_uneven_worker_chunks_do_not_change_bytes(tmp_path):
         ).read_bytes(), name
 
 
-@pytest.mark.parametrize("jobs, workers", [(3, 3), (10, 10), (11, 10), (5000, 10)])
-def test_workers_are_capped_at_the_trial_count(tmp_path, monkeypatch, jobs, workers):
-    # 2 stimuli x 5 trials: never more workers or chunks than the 10 trials
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Replaces the worker pool by one that runs its chunks in this process;
+    returns the pools made, each with its max_workers and chunk results."""
+    made = []
 
     class InProcessPool:
-        """Records max_workers and the chunk count, and runs the chunks here."""
-
         def __init__(self, max_workers):
-            self.max_workers, self.chunks = max_workers, 0
-            pools.append(self)
+            self.max_workers, self.results = max_workers, []
+            made.append(self)
 
         def __enter__(self):
             return self
@@ -248,18 +280,36 @@ def test_workers_are_capped_at_the_trial_count(tmp_path, monkeypatch, jobs, work
             return False
 
         def map(self, fn, payloads):
-            payloads = list(payloads)
-            self.chunks = len(payloads)
-            return map(fn, payloads)
+            self.results = [fn(payload) for payload in payloads]
+            return iter(self.results)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    return made
+
+
+@pytest.mark.parametrize("jobs, workers", [(3, 3), (10, 10), (11, 10), (5000, 10)])
+def test_workers_are_capped_at_the_trial_count(tmp_path, pools, jobs, workers):
+    # 2 stimuli x 5 trials: never more workers or chunks than the 10 trials
     serial = run_experiment(small_config(tmp_path, "serial"), jobs=1)
     pooled = run_experiment(small_config(tmp_path, "pooled"), jobs=jobs)
-    assert [(pool.max_workers, pool.chunks) for pool in pools] == [(workers, workers)]
+    assert [(pool.max_workers, len(pool.results)) for pool in pools] == [(workers, workers)]
     for name in serial["files"]:
         assert (Path(serial["out_dir"]) / name).read_bytes() == (
             Path(pooled["out_dir"]) / name
         ).read_bytes(), name
+
+
+def test_trial_chunks_send_no_rasters_back(tmp_path, pools):
+    # a worker returns response rows and skipped ids only; dumped rasters are
+    # written by the worker that simulated them
+    for dump in (False, True):
+        config = small_config(tmp_path, f"dump_{dump}", classify={"enabled": False})
+        run_experiment(config, jobs=2, dump_rasters=dump)
+    results = [result for pool in pools for result in pool.results]
+    assert len(results) == 4
+    for result in results:
+        assert b"SpikeRaster" not in pickle.dumps(result)
+    assert len(list((tmp_path / "dump_True" / "rasters").iterdir())) == 10
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -544,6 +594,80 @@ def test_cli_table_with_a_short_measured_class_exits_3(tmp_path, capsys):
     argv += ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]
     assert main(argv) == 3
     assert "'s3': 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["fig5", "--experimental-csv", "x.csv"], "reproduce fig5 reads no measured inputs"),
+        (["fig8", "--rc-correct", "rc.csv"], "reproduce fig8 reads no measured inputs"),
+        (["table", "--experimental-csv", "x.csv"], "must be given together"),
+        (["table", "--block-map", "b.csv"], "must be given together"),
+        (["table", "--rc-correct", "rc.csv"], "--rc-correct needs the measured trials"),
+    ],
+)
+def test_cli_reproduce_rejects_misused_measured_inputs(tmp_path, capsys, argv, match):
+    # rejected before anything is simulated or written
+    out = tmp_path / "never"
+    assert main(["reproduce", *argv, "--out", str(out)]) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _table_argv(out, csv_path, map_path, rc_path):
+    argv = ["reproduce", "table", "--out", str(out), "--experimental-csv", str(csv_path)]
+    return argv + ["--block-map", str(map_path), "--rc-correct", str(rc_path)]
+
+
+def test_cli_table_pairs_rc_correctness_by_trial_id(tmp_path):
+    # measured rows out of trial-id order, and an rc file holding the kernel
+    # decoder's own correctness: paired by id, every difference is 0
+    csv_path, map_path = write_measured(tmp_path)
+    header, *rows = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([header, *rows[5:], *rows[:5]]) + "\n")
+    responses, block_map = load_experimental_responses(csv_path, map_path)
+    embed = classification_embedder("graphon", responses, 4, Bases(block_map=block_map))
+    report = cross_validated_accuracy(responses.labels, embed, folds=7, resamples=10)
+    assert 0 < report.accuracy < 1
+    rc_path = tmp_path / "rc.csv"
+    pairs = sorted(zip(responses.trial_ids, report.correct))
+    rc_path.write_text("trial_id,correct\n" + "".join(f"{t},{int(c)}\n" for t, c in pairs))
+    assert main(_table_argv(tmp_path / "table", csv_path, map_path, rc_path)) == 0
+    table = (tmp_path / "table" / "table_accuracy.csv").read_text().splitlines()
+    assert "paired_diff_rc_ci95,0.0|0.0" in table
+
+
+def test_cli_table_rc_ids_must_match_the_measured_trials(tmp_path, capsys):
+    csv_path, map_path = write_measured(tmp_path)  # trial ids 0..26
+    rc_path = tmp_path / "rc.csv"
+    rc_path.write_text("trial_id,correct\n" + "".join(f"{100 + i},{i % 2}\n" for i in range(27)))
+    out = tmp_path / "table"
+    assert main(_table_argv(out, csv_path, map_path, rc_path)) == 3
+    assert f"trial id 0 is only in {csv_path} (54 unpaired ids)" in capsys.readouterr().err
+    assert not (out / "table_accuracy.csv").exists()
+
+
+def test_cli_table_repeated_measured_trial_id_exits_3(tmp_path, capsys):
+    csv_path, map_path = write_measured(tmp_path)
+    header, *rows = csv_path.read_text().splitlines()
+    rows = ["0," + row.split(",", 1)[1] for row in rows]
+    csv_path.write_text("\n".join([header, *rows]) + "\n")
+    argv = ["reproduce", "table", "--out", str(tmp_path / "table")]
+    assert main(argv + ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]) == 3
+    assert "row 3: duplicate trial_id 0" in capsys.readouterr().err
+
+
+def test_cli_stats_pairs_by_trial_id(tmp_path, capsys):
+    a, b, c = (tmp_path / f"{name}.csv" for name in "abc")
+    a.write_text("trial_id,correct\n0,1\n1,0\n2,1\n3,1\n")
+    b.write_text("trial_id,correct\n3,0\n1,1\n0,1\n2,0\n")  # the same ids, reordered
+    c.write_text("trial_id,correct\n10,1\n11,0\n12,1\n13,1\n")
+    out = tmp_path / "stats.csv"
+    argv = ["stats", "--out", str(out), "--resamples", "50", "--correct-a", str(a), "--correct-b"]
+    assert main(argv + [str(b)]) == 0
+    assert "mean_difference,0.25" in out.read_text().splitlines()
+    assert main(argv + [str(c)]) == 3
+    assert f"trial id 0 is only in {a} (8 unpaired ids)" in capsys.readouterr().err
 
 
 def test_cli_gft_embed_needs_graph(tmp_path):

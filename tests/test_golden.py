@@ -18,7 +18,7 @@ from pathlib import Path
 from graphon_decode.cli import main
 from graphon_decode.experiment import save_config
 
-from test_experiment import small_config
+from test_experiment import small_config, write_measured
 
 
 def _file_digests(out: Path) -> dict:
@@ -133,34 +133,6 @@ def test_reproduce_table_surrogate_hashes(tmp_path):
     # no measured inputs: the simulated surrogate runs and the exit is degraded
     assert main(["reproduce", "table", "--seed", "0", "--out", str(tmp_path / "table")]) == 4
     assert _file_digests(tmp_path / "table") == TABLE_SURROGATE_SEED0
-
-
-def write_measured(tmp_path) -> tuple[Path, Path]:
-    """Nine trials per stimulus over 16 ROIs in four blocks of four.
-
-    Counts come from integer arithmetic, not a random generator, so the input
-    bytes cannot drift with numpy; stimulus s1 lifts blocks 1-2, s2 blocks 2-3
-    and s3 blocks 3-4.
-    """
-    lifted = {"s1": (1, 2), "s2": (2, 3), "s3": (3, 4)}
-    blocks = [1 + (roi % 4) for roi in range(16)]
-    lines = ["trial_id,label," + ",".join(f"roi_{i}" for i in range(16))]
-    trial_id = 0
-    for rep in range(9):
-        for label, lift in lifted.items():
-            counts = [
-                1 + (3 * trial_id + 5 * roi) % 4 + (3 if blocks[roi] in lift else 0)
-                for roi in range(16)
-            ]
-            lines.append(f"{trial_id},{label}," + ",".join(map(str, counts)))
-            trial_id += 1
-    csv_path = tmp_path / "measured.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    map_path = tmp_path / "blocks.csv"
-    map_path.write_text(
-        "roi_index,block\n" + "".join(f"{i},{b}\n" for i, b in enumerate(blocks))
-    )
-    return csv_path, map_path
 
 
 def test_reproduce_table_measured_hashes(tmp_path):

@@ -25,7 +25,7 @@ def brute_force_norm(u: np.ndarray) -> float:
 def apply_limit_kernel(alpha: float, phi: np.ndarray) -> np.ndarray:
     """Quarter values of the limit kernel operator applied to the function
     with quarter values phi: each quarter has length 1/4."""
-    return build_block_probability_matrix(alpha).entries @ (phi * 0.25)
+    return build_block_probability_matrix(alpha) @ (phi * 0.25)
 
 
 def random_symmetric(rng, m: int) -> np.ndarray:
@@ -161,7 +161,7 @@ def test_norm_deterministic_given_seed():
 def test_sampled_kernels_approach_the_limit():
     # Distance estimate between a sampled graph and the limit kernel, both on
     # the graph's cells, shrinks with graph size, averaged over seeds.
-    c = build_block_probability_matrix(0.05).entries
+    c = build_block_probability_matrix(0.05)
     means = []
     for n in (4, 10, 24):
         blocks = block_membership(n) - 1

@@ -260,6 +260,13 @@ def test_missing_header_rejected(tmp_path):
         read_responses_csv(resp)
 
 
+def test_repeated_trial_id_rejected(tmp_path):
+    resp = tmp_path / "responses.csv"
+    resp.write_text("trial_id,label,roi_0\n0,s1,1.0\n1,s1,2.0\n0,s2,1.0\n")
+    with pytest.raises(ParseError, match="row 4: duplicate trial_id 0"):
+        read_responses_csv(resp)
+
+
 def test_responses_csv_round_trip(tmp_path):
     rs = Responses(
         values=[normalize_response(np.array([1.0, 2.0, 2.0])), [0.0, 0.0, 1.0]],

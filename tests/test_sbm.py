@@ -28,7 +28,7 @@ alphas = st.floats(min_value=1e-6, max_value=0.5 - 1e-6, exclude_max=True)
 
 
 def test_block_matrix_at_default_alpha():
-    c = build_block_probability_matrix(0.05).entries
+    c = build_block_probability_matrix(0.05)
     assert np.allclose(np.diag(c), 0.90)
     assert c[0, 3] == 0.0 and c[3, 0] == 0.0
     for i, j in [(0, 1), (0, 2), (1, 3), (2, 3)]:
@@ -37,12 +37,12 @@ def test_block_matrix_at_default_alpha():
 
 
 def test_block_matrix_small_alpha_approaches_identity():
-    c = build_block_probability_matrix(1e-12).entries
+    c = build_block_probability_matrix(1e-12)
     assert np.allclose(c, np.eye(4), atol=3e-12)
 
 
 def test_block_matrix_quarter_alpha_spectrum():
-    c = build_block_probability_matrix(0.25).entries
+    c = build_block_probability_matrix(0.25)
     w = np.sort(np.linalg.eigvalsh(c))[::-1]
     assert np.allclose(w, [1.0, 0.5, 0.5, 0.0], atol=1e-12)
 
@@ -56,7 +56,7 @@ def test_block_matrix_rejects_out_of_range_alpha(bad):
 @given(alphas)
 @settings(max_examples=50, deadline=None)
 def test_block_matrix_invariants(alpha):
-    c = build_block_probability_matrix(alpha).entries
+    c = build_block_probability_matrix(alpha)
     assert np.array_equal(c, c.T)
     assert np.all(c >= 0.0) and np.all(c <= 1.0)
     assert np.allclose(c.sum(axis=1), 1.0, atol=1e-12)
@@ -74,7 +74,7 @@ def test_analytic_block_eigenvalues_at_default_alpha():
 @given(alphas)
 @settings(max_examples=50, deadline=None)
 def test_analytic_block_pairs_satisfy_eigen_equation(alpha):
-    c = build_block_probability_matrix(alpha).entries
+    c = build_block_probability_matrix(alpha)
     for lam, vec in analytic_block_eigenpairs(alpha):
         assert np.allclose(c @ vec, lam * vec, atol=1e-12)
 
