@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
@@ -140,6 +141,17 @@ def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
         idx = rng.permutation(idx)
         assignment[idx] = np.arange(idx.size) % folds
     return [np.nonzero(assignment == f)[0] for f in range(folds)]
+
+
+def _check_class_sizes(labels, classes, folds: int, source: str = "") -> None:
+    """DataError, its message prefixed by ``source``, unless ``classes`` holds
+    two or more classes and each has at least ``folds`` trials in ``labels``."""
+    counts = Counter(labels)
+    short = {lab: counts[lab] for lab in classes if counts[lab] < folds}
+    if short:
+        raise DataError(f"{source}classes with fewer usable trials than {folds} folds: {short}")
+    if len(classes) < 2:
+        raise DataError(f"{source}need at least two classes, got {list(classes)}")
 
 
 def bootstrap_mean_ci(

@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .classify import (
+    _check_class_sizes,
     cross_validated_accuracy,
     pair_by_trial_id,
     paired_difference_stats,
@@ -21,7 +22,9 @@ from .classify import (
     write_report,
 )
 from .embedding import CONVENTIONS, read_embeddings_csv, write_embeddings_csv
-from .errors import ConfigError, ContractError, DataError, ParameterError, ParseError, ZeroResponseError
+from .errors import (
+    ConfigError, ContractError, DataError, ParameterError, ParseError, SingularSystemError, ZeroResponseError
+)
 from .experiment import (
     FIGURE_IDS,
     METHODS,
@@ -102,6 +105,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_classify(args) -> int:
     es = read_embeddings_csv(args.embeddings)
+    _check_class_sizes(es.labels, sorted(set(es.labels)), args.folds, f"{args.embeddings}: ")
     # precomputed coordinates are the features; no per-fold embedding refit
     report = cross_validated_accuracy(
         es.labels,
@@ -119,6 +123,8 @@ def _cmd_classify(args) -> int:
 def _cmd_stats(args) -> int:
     paths = (args.correct_a, args.correct_b)
     a, b = pair_by_trial_id(*map(read_correctness_csv, paths), names=paths)
+    if a.size < 2:
+        raise DataError(f"{paths[0]} and {paths[1]} pair on {a.size} trial id(s); need at least 2")
     ps = paired_difference_stats(a, b, resamples=args.resamples, seed=args.seed)
     lines = [
         "key,value",
@@ -256,7 +262,7 @@ def main(argv=None) -> int:
     except (DataError, ParseError, ZeroResponseError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ParameterError, ContractError) as exc:
+    except (ParameterError, ContractError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

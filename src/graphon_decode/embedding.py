@@ -19,13 +19,12 @@ values read directly as block-mass differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import blas, eigh
 
-from .errors import ContractError, ParameterError, ParseError
-from .protocols import Responses
+from .errors import ContractError, ParameterError
+from .protocols import Responses, _read_trial_table, _write_trial_table
 from .sbm import BLOCK_COUNT, SpectralDecomposition, block_eigenvector_matrix, _readonly
 
 CONVENTIONS = ("blocksum", "orthonormal")
@@ -392,42 +391,19 @@ def cross_realization_dispersion(embeddings: list[EmbeddingSet]) -> float:
 def write_embeddings_csv(embedding: EmbeddingSet, path) -> None:
     """trial_id,label,c1..cd,method rows; the file consumed by plotting and
     classification."""
-    d = embedding.coords.shape[1]
-    lines = ["trial_id,label," + ",".join(f"c{i + 1}" for i in range(d)) + ",method"]
-    for tid, lab, row in zip(embedding.trial_ids, embedding.labels, embedding.coords):
-        vals = ",".join(repr(float(x)) for x in row)
-        lines.append(f"{tid},{lab},{vals},{embedding.method}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [f"c{i + 1}" for i in range(embedding.coords.shape[1])]
+    _write_trial_table(
+        path, columns, embedding.trial_ids, embedding.labels, embedding.coords, embedding.method
+    )
 
 
 def read_embeddings_csv(path) -> EmbeddingSet:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[:2] != ["trial_id", "label"] or header[-1] != "method":
-        raise ParseError(f"{path}: unexpected header {lines[0]!r}")
-    d = len(header) - 3
-    coords, labels, trial_ids, methods = [], [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != d + 3:
-            raise ParseError(f"{path}: row {ln}: expected {d + 3} cells")
-        try:
-            trial_ids.append(int(cells[0]))
-            coords.append([float(tok) for tok in cells[2 : 2 + d]])
-        except ValueError:
-            raise ParseError(f"{path}: row {ln}: non-numeric cell") from None
-        if not np.isfinite(coords[-1]).all():
-            raise ParseError(f"{path}: row {ln}: non-finite cell")
-        labels.append(cells[1])
-        methods.append(cells[-1])
-    if not labels:
-        raise ParseError(f"{path}: no data rows")
-    method = methods[0] if len(set(methods)) == 1 else "mixed"
+    """Inverse of :func:`write_embeddings_csv`; rows of more than one method
+    read as method "mixed"."""
+    trial_ids, labels, coords, _, methods = _read_trial_table(path, "c", 1, method=True)
     return EmbeddingSet(
-        method=method,
-        coords=np.array(coords),
+        method=methods[0] if len(set(methods)) == 1 else "mixed",
+        coords=coords,
         labels=tuple(labels),
         trial_ids=tuple(trial_ids),
     )

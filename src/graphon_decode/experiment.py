@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -29,6 +28,7 @@ import numpy as np
 from . import __version__
 from .classify import (
     EvalReport,
+    _check_class_sizes,
     cross_validated_accuracy,
     pair_by_trial_id,
     paired_difference_stats,
@@ -54,6 +54,7 @@ from .lif import SimParams, run_trials, write_raster_csv
 from .protocols import (
     Protocol,
     Responses,
+    _write_trial_table,
     extract_response,
     load_experimental_responses,
     mixed_cluster_protocol,
@@ -464,10 +465,7 @@ def _cross_validate(
 ) -> dict[str, EvalReport]:
     """Cross-validated report of each method.  A DataError names every class
     of ``classes`` that kept fewer usable trials than there are folds."""
-    counts = Counter(responses.labels)
-    short = {lab: counts[lab] for lab in classes if counts[lab] < classify.folds}
-    if short:
-        raise DataError(f"classes with fewer usable trials than {classify.folds} folds: {short}")
+    _check_class_sizes(responses.labels, classes, classify.folds)
     return {
         method: cross_validated_accuracy(
             responses.labels,
@@ -635,21 +633,15 @@ def mixed_cluster_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
 # and whether a surrogate replaced missing measured inputs.
 
 
-def _write_xy(es: EmbeddingSet, cols: tuple[int, int], path: Path) -> None:
-    lines = ["trial_id,label,x,y"]
-    for tid, lab, row in zip(es.trial_ids, es.labels, es.coords):
-        lines.append(f"{tid},{lab},{repr(float(row[cols[0]]))},{repr(float(row[cols[1]]))}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _reproduce_fig5(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     # the documented default experiment, its graph drawn from the seed itself
     adjacency, responses, _ = _simulate(ExperimentConfig(sbm=SbmConfig(seed=seed)), jobs)
     bases = Bases(decomposition=eigendecompose(adjacency))
     es = project("gft", responses, map_indices(3), bases)
-    _write_xy(es, (0, 1), out / "fig5_gft_modes_2_3.csv")
-    _write_xy(es, (0, 2), out / "fig5_gft_modes_2_4.csv")
-    return ["fig5_gft_modes_2_3.csv", "fig5_gft_modes_2_4.csv"], False
+    files = {"fig5_gft_modes_2_3.csv": [0, 1], "fig5_gft_modes_2_4.csv": [0, 2]}
+    for name, cols in files.items():
+        _write_trial_table(out / name, ("x", "y"), es.trial_ids, es.labels, es.coords[:, cols])
+    return list(files), False
 
 
 def _reproduce_fig6(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:

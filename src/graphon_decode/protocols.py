@@ -1,4 +1,4 @@
-"""Stimulation protocols, response extraction, and response-matrix ingestion.
+"""Stimulation protocols, response extraction, and the per-trial CSV tables.
 
 Responses are per-unit spike counts (or fluorescence intensities) inside a
 100-ms window starting at stimulus onset, normalized to unit L2 norm.  The
@@ -150,46 +150,42 @@ def normalize_response(values: np.ndarray) -> np.ndarray:
     return values if abs(norm - 1.0) <= 1e-12 else values / norm
 
 
-def write_responses_csv(responses: Responses, path) -> None:
-    """trial_id,label,roi_0..roi_{m-1} with one row per trial."""
-    m = responses.values.shape[1]
-    lines = ["trial_id,label," + ",".join(f"roi_{i}" for i in range(m))]
-    for trial_id, label, row in zip(responses.trial_ids, responses.labels, responses.values):
+def _write_trial_table(path, columns, trial_ids, labels, values, method=None) -> None:
+    """trial_id,label,<columns>[,method] with one row per trial, every value
+    written as repr(float), so reading it back gives the same bits."""
+    tail = "" if method is None else f",{method}"
+    lines = [",".join(["trial_id", "label", *columns]) + ("" if method is None else ",method")]
+    for trial_id, label, row in zip(trial_ids, labels, values):
         vals = ",".join(repr(float(x)) for x in row)
-        lines.append(f"{trial_id},{label},{vals}")
+        lines.append(f"{trial_id},{label},{vals}{tail}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_responses_csv(path, allowed_labels=None) -> Responses:
-    """Read a response CSV, renormalizing rows (a no-op for unit rows).
+def _read_trial_table(path, prefix: str, first: int, method: bool = False):
+    """Parse trial_id,label,<prefix><first>..<prefix><first+m-1>[,method], m >= 1.
 
-    Every rejected row is named by its line number, and a trial id may
-    appear only once; ``allowed_labels`` optionally restricts the stimulus
-    labels.
+    Returns the trial ids, labels, (rows x m) value matrix, line number of
+    each row and the method column (None without one).  Trial ids are unique
+    integers and values finite numbers; a rejected row is named by its line.
     """
+    tail = ["method"] if method else []
     with open(path, newline="") as fh:
         # a line count bounds the row count, so the matrix is allocated once
         capacity = sum(1 for _ in fh)
         fh.seek(0)
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        m = len(header) - 2
-        if m < 1 or header[:2] != ["trial_id", "label"] or header[2:] != [
-            f"roi_{i}" for i in range(m)
-        ]:
-            raise ParseError(
-                f"{path}: header must be trial_id,label,roi_0..roi_{{m-1}}, got {header[:4]}..."
-            )
+        header = next(reader, [])
+        m = len(header) - 2 - len(tail)
+        if m < 1 or header != ["trial_id", "label", *(f"{prefix}{first + i}" for i in range(m)), *tail]:
+            layout = ",".join(["trial_id", "label", f"{prefix}{first}..{prefix}<k>", *tail])
+            raise ParseError(f"{path}: header must be {layout}, got {','.join(header)[:80]!r}")
         values = np.empty((capacity - 1, m))
-        labels, trial_ids, seen = [], [], set()
+        trial_ids, labels, lines, methods, seen = [], [], [], [], set()
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != m + 2:
-                raise ParseError(f"{path}: row {row_no}: expected {m + 2} cells, got {len(row)}")
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
             try:
                 trial_id = int(row[0])
             except ValueError:
@@ -197,29 +193,44 @@ def read_responses_csv(path, allowed_labels=None) -> Responses:
             if trial_id in seen:
                 raise ParseError(f"{path}: row {row_no}: duplicate trial_id {trial_id}")
             seen.add(trial_id)
-            label = row[1]
-            if allowed_labels is not None and label not in allowed_labels:
-                raise ParseError(
-                    f"{path}: row {row_no}: label {label!r} not in {sorted(allowed_labels)}"
-                )
             i = len(labels)
             try:
-                values[i] = [float(tok) for tok in row[2:]]
+                values[i] = [float(tok) for tok in row[2 : 2 + m]]
             except ValueError:
                 raise ParseError(f"{path}: row {row_no}: non-numeric cell") from None
             if not np.isfinite(values[i]).all():
                 raise ParseError(f"{path}: row {row_no}: non-finite cell")
-            if np.any(values[i] < 0):
-                raise ParseError(f"{path}: row {row_no}: negative response value")
-            try:
-                values[i] = normalize_response(values[i])
-            except ZeroResponseError:
-                raise ParseError(f"{path}: row {row_no}: all-zero response") from None
-            labels.append(label)
             trial_ids.append(trial_id)
+            labels.append(row[1])
+            lines.append(row_no)
+            methods.append(row[-1])
     if not labels:
         raise ParseError(f"{path}: no data rows")
-    return Responses(values=values[: len(labels)], labels=labels, trial_ids=trial_ids)
+    return trial_ids, labels, values[: len(labels)], lines, methods if method else None
+
+
+def write_responses_csv(responses: Responses, path) -> None:
+    """trial_id,label,roi_0..roi_{m-1} with one row per trial."""
+    columns = [f"roi_{i}" for i in range(responses.values.shape[1])]
+    _write_trial_table(path, columns, responses.trial_ids, responses.labels, responses.values)
+
+
+def read_responses_csv(path, allowed_labels=None) -> Responses:
+    """Read a response CSV, renormalizing rows (a no-op for unit rows) and,
+    given ``allowed_labels``, restricting the stimulus labels; a rejected row
+    is named by its line number."""
+    trial_ids, labels, values, lines, _ = _read_trial_table(path, "roi_", 0)
+    negative = (values < 0).any(axis=1)
+    for i, (label, row_no) in enumerate(zip(labels, lines)):
+        if allowed_labels is not None and label not in allowed_labels:
+            raise ParseError(f"{path}: row {row_no}: label {label!r} not in {sorted(allowed_labels)}")
+        if negative[i]:
+            raise ParseError(f"{path}: row {row_no}: negative response value")
+        try:
+            values[i] = normalize_response(values[i])
+        except ZeroResponseError:
+            raise ParseError(f"{path}: row {row_no}: all-zero response") from None
+    return Responses(values=values, labels=labels, trial_ids=trial_ids)
 
 
 def read_block_map(path, expected_size: int | None = None) -> np.ndarray:
@@ -234,8 +245,8 @@ def read_block_map(path, expected_size: int | None = None) -> np.ndarray:
             if not row:
                 continue
             try:
-                idx, block = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
+                idx, block = (int(cell) for cell in row)
+            except ValueError:  # a non-integer cell, or not exactly two cells
                 raise ParseError(f"{path}: row {row_no}: bad row {row!r}") from None
             if not 1 <= block <= BLOCK_COUNT:
                 raise ParseError(f"{path}: row {row_no}: block {block} outside 1..4")

@@ -301,6 +301,8 @@ def read_edge_list(path) -> AdjacencyMatrix:
             raise ParseError(f"{path}: line {ln}: expected 'u v', got {line!r}") from exc
         if not (0 <= a < size and 0 <= b < size):
             raise ParseError(f"{path}: line {ln}: node index out of range")
+        if a == b:
+            raise ParseError(f"{path}: line {ln}: self-loop {a} {b}")
         entries[a, b] = entries[b, a] = 1
     n = size // BLOCK_COUNT if size % BLOCK_COUNT == 0 else None
     return AdjacencyMatrix(entries=_readonly(entries), n=n, alpha=alpha, seed=seed)

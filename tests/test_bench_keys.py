@@ -60,3 +60,31 @@ def test_every_span_name_layer_metrics_reads_is_a_public_function_of_its_module(
     for name in LAYER_SPAN_NAMES:
         assert f'"{name}"' in source, f"layer_metrics no longer reads {name}; update this list"
         assert_public_function(name, "layer_metrics")
+
+
+def test_table_files_are_read_and_written_without_child_spans(tmp_path):
+    # protocols.write_s and embedding.write_s are these functions' self time,
+    # so the table helpers they share must stay untraced (private)
+    from graphon_decode import embedding, protocols
+
+    responses = protocols.Responses(values=[[0.6, 0.8]], labels=("s1",), trial_ids=(0,))
+    es = embedding.EmbeddingSet(method="pca", coords=[[1.0, 2.0]], labels=("s1",), trial_ids=(0,))
+
+    def op():
+        protocols.write_responses_csv(responses, tmp_path / "responses.csv")
+        embedding.write_embeddings_csv(es, tmp_path / "embeddings.csv")
+        embedding.read_embeddings_csv(tmp_path / "embeddings.csv")
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run_op(op)
+    finally:
+        tracer.uninstall()
+    recorded = [(s.name, s.parent) for s in tracer.op_spans(tracer.op)]
+    assert recorded == [
+        (spans.ROOT, None),
+        ("protocols.write_responses_csv", 0),
+        ("embedding.write_embeddings_csv", 0),
+        ("embedding.read_embeddings_csv", 0),
+    ]

@@ -395,6 +395,23 @@ def test_embeddings_csv_rejects_non_finite_cells(tmp_path, cell):
         read_embeddings_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("trial_id,label,method\n0,s1,pca\n1,s2,pca\n", "header must be trial_id,label,c1..c<k>,method"),
+        ("trial_id,label,foo,method\n0,s1,0.5,pca\n1,s2,1.0,pca\n", "header must be"),
+        ("trial_id,label,c2,c3,method\n0,s1,0.5,1.0,pca\n", "header must be"),
+        ("trial_id,label,c1,method\n0,s1,0.5,pca\n1,s2,1.0,pca\n0,s2,2.0,pca\n", "row 4: duplicate trial_id 0"),
+    ],
+    ids=["no-value-columns", "misnamed-column", "not-from-c1", "repeated-trial-id"],
+)
+def test_embeddings_csv_rejects_malformed_tables(tmp_path, text, match):
+    path = tmp_path / "embedding.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match):
+        read_embeddings_csv(path)
+
+
 def test_embeddings_csv_without_rows_is_a_parse_error(tmp_path):
     path = tmp_path / "embedding.csv"
     path.write_text("trial_id,label,c1,c2,method\n")

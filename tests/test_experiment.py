@@ -524,6 +524,65 @@ def test_cli_missing_file_exits_3(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+def _write_embeddings(path, labels, coords):
+    """A two-coordinate embeddings file; returns the classify argv that reads it."""
+    rows = [f"{i},{lab},{c1},{c2},pca" for i, (lab, (c1, c2)) in enumerate(zip(labels, coords))]
+    path.write_text("trial_id,label,c1,c2,method\n" + "\n".join(rows) + "\n")
+    return ["classify", "--embeddings", str(path), "--out", str(path.parent / "report.csv"), "--resamples", "50"]
+
+
+def _rows(cells):
+    return "".join(f"{i % 7},s{1 + i // 4},{cells}pca\n" for i in range(8))  # ids 0..6, then 0
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("trial_id,label,method\n" + _rows(""), "header must be"),
+        ("trial_id,label,foo,method\n" + _rows("0.5,"), "header must be"),
+        ("trial_id,label,c1,method\n" + _rows("0.5,"), "row 9: duplicate trial_id 0"),
+    ],
+    ids=["no-value-columns", "misnamed-column", "repeated-trial-id"],
+)
+def test_cli_classify_malformed_embeddings_exit_3(tmp_path, capsys, text, match):
+    path = tmp_path / "e.csv"
+    path.write_text(text)
+    assert main(["classify", "--embeddings", str(path), "--out", str(tmp_path / "r.csv"), "--folds", "2"]) == 3
+    assert match in capsys.readouterr().err
+
+
+def test_cli_classify_short_class_exits_3(tmp_path, capsys):
+    path = tmp_path / "e.csv"
+    argv = _write_embeddings(path, ["s1"] * 4 + ["s2"] * 2, [[i, i % 2] for i in range(6)])
+    assert main(argv + ["--folds", "3"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: classes with fewer usable trials than 3 folds: {{'s2': 2}}" in err
+
+
+def test_cli_classify_single_class_exits_3(tmp_path, capsys):
+    path = tmp_path / "e.csv"
+    argv = _write_embeddings(path, ["s1"] * 6, [[i, i % 2] for i in range(6)])
+    assert main(argv + ["--folds", "2"]) == 3
+    assert f"{path}: need at least two classes, got ['s1']" in capsys.readouterr().err
+
+
+def test_cli_classify_singular_system_exits_2(tmp_path, capsys):
+    # c2 = 2 c1: collinear coordinates leave the unpenalized normal equations singular
+    path = tmp_path / "e.csv"
+    argv = _write_embeddings(path, ["s1"] * 4 + ["s2"] * 4, [[i, 2.0 * i] for i in range(8)])
+    assert main(argv + ["--folds", "2", "--lam", "0"]) == 2
+    assert "lam > 0" in capsys.readouterr().err
+
+
+def test_cli_stats_on_one_paired_trial_exits_3(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("trial_id,correct\n5,1\n")
+    b.write_text("trial_id,correct\n5,0\n")
+    argv = ["stats", "--correct-a", str(a), "--correct-b", str(b), "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 3
+    assert f"{a} and {b} pair on 1 trial id(s)" in capsys.readouterr().err
+
+
 def test_cli_stage_pipeline(tmp_path):
     config_path = tmp_path / "config.json"
     cfg = small_config(tmp_path, "staged", classify={"enabled": False})

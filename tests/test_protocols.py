@@ -253,6 +253,13 @@ def test_block_map_gaps_rejected(tmp_path):
         read_block_map(bmap)
 
 
+def test_block_map_rows_need_two_cells(tmp_path):
+    bmap = tmp_path / "blocks.csv"
+    bmap.write_text("roi_index,block\n0,1,99\n1,2\n")
+    with pytest.raises(ParseError, match="row 2: bad row"):
+        read_block_map(bmap)
+
+
 def test_missing_header_rejected(tmp_path):
     resp = tmp_path / "responses.csv"
     resp.write_text("id,label,roi_0\n0,s1,1.0\n")

@@ -250,6 +250,13 @@ def test_edge_list_rejects_bad_rows(tmp_path):
         read_edge_list(path)
 
 
+def test_edge_list_rejects_self_loops(tmp_path):
+    path = tmp_path / "loop.edges"
+    path.write_text("# nodes=4 alpha=none seed=none\n0 1\n3 3\n")
+    with pytest.raises(ParseError, match="line 3: self-loop 3 3"):
+        read_edge_list(path)
+
+
 @pytest.mark.parametrize(
     "header",
     ["# nodes=8 garbage", "# nodes=8 alpha=high seed=0", "# nodes=8 alpha=0.05 seed=x", "# nodes=-4"],
