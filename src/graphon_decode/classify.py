@@ -14,13 +14,12 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ParseError, SingularSystemError
-from .sbm import _readonly
+from .sbm import _readonly, _write_csv
 
 
 @dataclass(frozen=True)
@@ -352,19 +351,18 @@ def paired_difference_stats(
 
 def write_report(path, report: EvalReport, extra: dict | None = None) -> None:
     """Key,value lines followed by the confusion matrix; one file per method."""
-    lines = ["key,value"]
-    lines.append(f"n,{report.n}")
-    lines.append(f"accuracy,{repr(report.accuracy)}")
-    lines.append(f"ci95_low,{repr(report.ci95[0])}")
-    lines.append(f"ci95_high,{repr(report.ci95[1])}")
-    for lab in report.class_order:
-        lines.append(f"accuracy_{lab},{repr(report.per_class_accuracy[lab])}")
-    for key in sorted(extra or {}):
-        lines.append(f"{key},{extra[key]}")
-    lines.append("confusion_rows_true_cols_predicted," + "|".join(report.class_order))
-    for lab, row in zip(report.class_order, report.confusion):
-        lines.append(f"confusion_{lab}," + "|".join(str(int(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    order = report.class_order
+    _write_csv(path, [
+        ("key", "value"),
+        ("n", report.n),
+        ("accuracy", report.accuracy),
+        ("ci95_low", report.ci95[0]),
+        ("ci95_high", report.ci95[1]),
+        *((f"accuracy_{lab}", report.per_class_accuracy[lab]) for lab in order),
+        *sorted((extra or {}).items()),
+        ("confusion_rows_true_cols_predicted", order),
+        *((f"confusion_{lab}", tuple(row.tolist())) for lab, row in zip(order, report.confusion)),
+    ])
 
 
 def pair_by_trial_id(a: dict, b: dict, names=("a", "b")) -> tuple[np.ndarray, np.ndarray]:

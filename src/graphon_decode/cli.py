@@ -40,7 +40,7 @@ from .experiment import (
     write_graph,
 )
 from .protocols import read_block_map, read_responses_csv
-from .sbm import SbmConfig, block_membership, eigendecompose, read_edge_list
+from .sbm import SbmConfig, block_membership, eigendecompose, read_edge_list, _write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,15 +126,14 @@ def _cmd_stats(args) -> int:
     if a.size < 2:
         raise DataError(f"{paths[0]} and {paths[1]} pair on {a.size} trial id(s); need at least 2")
     ps = paired_difference_stats(a, b, resamples=args.resamples, seed=args.seed)
-    lines = [
-        "key,value",
-        f"mean_difference,{repr(ps.mean_difference)}",
-        f"diff_ci95_low,{repr(ps.diff_ci95[0])}",
-        f"diff_ci95_high,{repr(ps.diff_ci95[1])}",
-        f"effect_size,{repr(ps.effect_size)}",
-        f"required_n_for_80pct_power,{repr(ps.required_n)}",
-    ]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_csv(args.out, [
+        ("key", "value"),
+        ("mean_difference", ps.mean_difference),
+        ("diff_ci95_low", ps.diff_ci95[0]),
+        ("diff_ci95_high", ps.diff_ci95[1]),
+        ("effect_size", ps.effect_size),
+        ("required_n_for_80pct_power", ps.required_n),
+    ])
     print(
         f"mean diff {ps.mean_difference:+.4f}, ci95 [{ps.diff_ci95[0]:.4f}, {ps.diff_ci95[1]:.4f}], "
         f"effect size {ps.effect_size:.3f}, required n {ps.required_n}"

@@ -59,25 +59,28 @@ def _unpack(responses) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
     return mat, ("",) * mat.shape[0], tuple(range(mat.shape[0]))
 
 
-def gft_project(responses, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> EmbeddingSet:
-    """Inner products with selected eigenvectors (1-based, descending order)."""
+def _basis_project(responses, basis: np.ndarray, indices, basis_meta: dict) -> EmbeddingSet:
+    """Inner products of the responses with the columns of ``basis`` at the
+    1-based ``indices``; ``basis_meta`` is added to the embedding's."""
     mat, labels, trial_ids = _unpack(responses)
-    size = decomposition.eigenvectors.shape[0]
+    size, modes = basis.shape
     if mat.shape[1] != size:
-        raise ParameterError(
-            f"response length {mat.shape[1]} does not match basis size {size}"
-        )
+        raise ParameterError(f"response length {mat.shape[1]} does not match basis size {size}")
     idx = np.asarray(indices, dtype=int)
-    if idx.size == 0 or np.any(idx < 1) or np.any(idx > size):
-        raise ParameterError(f"eigen indices must lie in 1..{size}, got {indices}")
-    coords = mat @ decomposition.eigenvectors[:, idx - 1]
+    if idx.size == 0 or np.any(idx < 1) or np.any(idx > modes):
+        raise ParameterError(f"eigen indices must lie in 1..{modes}, got {indices}")
     return EmbeddingSet(
         method="gft",
-        coords=coords,
+        coords=mat @ basis[:, idx - 1],
         labels=labels,
         trial_ids=trial_ids,
-        basis_meta={"indices": tuple(int(i) for i in idx)},
+        basis_meta={"indices": tuple(int(i) for i in idx), **basis_meta},
     )
+
+
+def gft_project(responses, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> EmbeddingSet:
+    """Inner products with selected eigenvectors (1-based, descending order)."""
+    return _basis_project(responses, decomposition.eigenvectors, indices, {})
 
 
 def _block_sums(mat: np.ndarray, block_map: np.ndarray) -> np.ndarray:
@@ -285,24 +288,10 @@ def aligned_eigenvector_basis(
 
 def aligned_gft_project(responses, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> EmbeddingSet:
     """gft_project with the per-realization basis aligned first (see
-    :func:`aligned_eigenvector_basis`)."""
-    mat, labels, trial_ids = _unpack(responses)
+    :func:`aligned_eigenvector_basis`); it covers modes 1..4 only."""
     basis, alignment = aligned_eigenvector_basis(decomposition)
-    idx = np.asarray(indices, dtype=int)
-    if np.any(idx < 1) or np.any(idx > BLOCK_COUNT):
-        raise ParameterError(f"aligned projection only covers modes 1..4, got {indices}")
-    coords = mat @ basis[:, idx - 1]
-    return EmbeddingSet(
-        method="gft",
-        coords=coords,
-        labels=labels,
-        trial_ids=trial_ids,
-        basis_meta={
-            "indices": tuple(int(i) for i in idx),
-            "aligned": True,
-            "degenerate_pair": alignment.degenerate,
-        },
-    )
+    meta = {"aligned": True, "degenerate_pair": alignment.degenerate}
+    return _basis_project(responses, basis, indices, meta)
 
 
 # ---------------------------------------------------------------------------

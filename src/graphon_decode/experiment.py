@@ -71,6 +71,7 @@ from .sbm import (
     sample_adjacency,
     write_edge_list,
     write_spectra,
+    _write_csv,
 )
 
 # Published decoding accuracy of the reservoir-computing baseline on the same
@@ -661,20 +662,15 @@ def _reproduce_fig6(out: Path, seed: int, jobs: int, measured) -> tuple[list[str
     )
     write_embeddings_csv(merged, out / "fig6_graphon.csv")
     files.append("fig6_graphon.csv")
-    lines = [
-        "key,value",
-        f"dispersion_gft,{repr(result['dispersion_gft'])}",
-        f"dispersion_graphon,{repr(result['dispersion_graphon'])}",
-        f"ratio,{repr(result['ratio'])}",
-    ]
-    (out / "fig6_dispersion.csv").write_text("\n".join(lines) + "\n")
+    keys = ("dispersion_gft", "dispersion_graphon", "ratio")
+    _write_csv(out / "fig6_dispersion.csv", [("key", "value"), *((k, result[k]) for k in keys)])
     files.append("fig6_dispersion.csv")
     return files, False
 
 
 def _reproduce_fig8(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     files = []
-    summary = ["alpha,method,silhouette,betweenness"]
+    summary = [("alpha", "method", "silhouette", "betweenness")]
     for alpha in (0.05, 0.20, 0.45):
         config = ExperimentConfig(
             sbm=SbmConfig(alpha=alpha, seed=seed),
@@ -688,10 +684,8 @@ def _reproduce_fig8(out: Path, seed: int, jobs: int, measured) -> tuple[list[str
             write_embeddings_csv(result[method], out / name)
             files.append(name)
             m = result["metrics"][method]
-            summary.append(
-                f"{repr(alpha)},{method},{repr(m['silhouette'])},{repr(m['betweenness'])}"
-            )
-    (out / "fig8_summary.csv").write_text("\n".join(summary) + "\n")
+            summary.append((alpha, method, m["silhouette"], m["betweenness"]))
+    _write_csv(out / "fig8_summary.csv", summary)
     files.append("fig8_summary.csv")
     return files, False
 
@@ -721,32 +715,35 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     reports = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
     paired = paired_difference_stats(reports["graphon"].correct, reports["pca"].correct)
 
-    lines = ["key,value", f"source,{source}", f"n,{reports['graphon'].n}"]
+    rows = [("key", "value"), ("source", source), ("n", reports["graphon"].n)]
     for method, report in reports.items():
-        lines.append(f"accuracy_{method},{repr(report.accuracy)}")
-        lines.append(f"ci95_{method},{repr(report.ci95[0])}|{repr(report.ci95[1])}")
-    lines.append(f"accuracy_rc_reference,{repr(REFERENCE_RC_ACCURACY)}")
-    lines.append(f"paired_diff_graphon_minus_pca,{repr(paired.mean_difference)}")
-    lines.append(f"paired_diff_ci95,{repr(paired.diff_ci95[0])}|{repr(paired.diff_ci95[1])}")
-    lines.append(f"effect_size,{repr(paired.effect_size)}")
-    lines.append(f"required_n_for_80pct_power,{repr(paired.required_n)}")
+        rows += [(f"accuracy_{method}", report.accuracy), (f"ci95_{method}", report.ci95)]
+    rows += [
+        ("accuracy_rc_reference", REFERENCE_RC_ACCURACY),
+        ("paired_diff_graphon_minus_pca", paired.mean_difference),
+        ("paired_diff_ci95", paired.diff_ci95),
+        ("effect_size", paired.effect_size),
+        ("required_n_for_80pct_power", paired.required_n),
+    ]
     if rc_correct_csv:
         graphon = dict(zip(responses.trial_ids, reports["graphon"].correct))
         names = (str(experimental_csv), str(rc_correct_csv))
         vs_rc = paired_difference_stats(
             *pair_by_trial_id(graphon, read_correctness_csv(rc_correct_csv), names=names)
         )
-        lines.append(f"paired_diff_graphon_minus_rc,{repr(vs_rc.mean_difference)}")
-        lines.append(f"paired_diff_rc_ci95,{repr(vs_rc.diff_ci95[0])}|{repr(vs_rc.diff_ci95[1])}")
-        lines.append(f"effect_size_vs_rc,{repr(vs_rc.effect_size)}")
-        lines.append(f"required_n_vs_rc,{repr(vs_rc.required_n)}")
+        rows += [
+            ("paired_diff_graphon_minus_rc", vs_rc.mean_difference),
+            ("paired_diff_rc_ci95", vs_rc.diff_ci95),
+            ("effect_size_vs_rc", vs_rc.effect_size),
+            ("required_n_vs_rc", vs_rc.required_n),
+        ]
 
     files = []
     for method, report in reports.items():
         name = f"table_report_{method}.csv"
         write_report(out / name, report, extra={"method": method, "source": source})
         files.append(name)
-    (out / "table_accuracy.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "table_accuracy.csv", rows)
     files.append("table_accuracy.csv")
     return files, degraded
 

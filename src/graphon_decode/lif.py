@@ -49,13 +49,12 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ContractError, ParameterError
-from .sbm import AdjacencyMatrix, _readonly
+from .sbm import AdjacencyMatrix, _cell, _readonly, _write_csv
 
 
 def _check_zero_degree(zero_degree: str) -> None:
@@ -457,13 +456,9 @@ def run_trials(
 
 def write_raster_csv(raster: SpikeRaster, path, meta: dict | None = None) -> None:
     """neuron_id,spike_time_ms rows preceded by '#'-prefixed metadata lines."""
-    lines = [f"# nodes={raster.size}"]
-    lines.append(f"# duration_ms={repr(float(raster.duration))}")
-    lines.append(f"# seed={raster.seed}")
-    lines.append(f"# refractory_ms={repr(float(raster.refractory_ms))}")
-    for key in sorted(meta or {}):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append("neuron_id,spike_time_ms")
-    for i, times in enumerate(raster.spikes):
-        lines.extend(f"{i},{repr(float(t))}" for t in times)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = [("nodes", raster.size), ("duration_ms", float(raster.duration)), ("seed", raster.seed),
+              ("refractory_ms", float(raster.refractory_ms)), *sorted((meta or {}).items())]
+    rows = [[f"# {key}={_cell(value)}"] for key, value in header]
+    rows.append(("neuron_id", "spike_time_ms"))
+    rows.extend((i, t) for i, times in enumerate(raster.spikes) for t in times)
+    _write_csv(path, rows)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from .lif import SpikeRaster
-from .sbm import BLOCK_COUNT, _readonly
+from .sbm import BLOCK_COUNT, _readonly, _write_csv
 
 EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 
@@ -151,14 +150,11 @@ def normalize_response(values: np.ndarray) -> np.ndarray:
 
 
 def _write_trial_table(path, columns, trial_ids, labels, values, method=None) -> None:
-    """trial_id,label,<columns>[,method] with one row per trial, every value
-    written as repr(float), so reading it back gives the same bits."""
-    tail = "" if method is None else f",{method}"
-    lines = [",".join(["trial_id", "label", *columns]) + ("" if method is None else ",method")]
-    for trial_id, label, row in zip(trial_ids, labels, values):
-        vals = ",".join(repr(float(x)) for x in row)
-        lines.append(f"{trial_id},{label},{vals}{tail}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """trial_id,label,<columns>[,method] with one row per trial."""
+    tail = () if method is None else (method,)
+    rows = [("trial_id", "label", *columns, *(("method",) if tail else ()))]
+    rows.extend((t, lab, *row, *tail) for t, lab, row in zip(trial_ids, labels, values.tolist()))
+    _write_csv(path, rows)
 
 
 def _read_trial_table(path, prefix: str, first: int, method: bool = False):

@@ -38,6 +38,22 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _cell(x) -> str:
+    """A CSV cell: a float as repr(float), which reads back bit for bit; a
+    tuple as its cells joined by "|"; anything else as str."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, tuple):
+        return "|".join(map(_cell, x))
+    return str(x)
+
+
+def _write_csv(path, rows) -> None:
+    """Every artifact CSV: each row's cells formatted by :func:`_cell` and
+    joined by ",", each row ended by a newline."""
+    Path(path).write_text("".join(",".join(map(_cell, row)) + "\n" for row in rows))
+
+
 @dataclass(frozen=True)
 class SbmConfig:
     """Sampling parameters: coupling alpha, nodes per block n, RNG seed.
@@ -262,14 +278,10 @@ def top_eigenvalue_deviation(alpha: float, n: int, seeds) -> float:
     return float(np.mean(devs))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_edge_list(adjacency: AdjacencyMatrix, path) -> None:
     """Plain-text edge list, one "u v" pair per line (0-based, upper triangle),
     preceded by a header recording size and sampling metadata."""
-    alpha = "none" if adjacency.alpha is None else _fmt(adjacency.alpha)
+    alpha = "none" if adjacency.alpha is None else _cell(adjacency.alpha)
     seed = "none" if adjacency.seed is None else str(adjacency.seed)
     u, v = np.nonzero(np.triu(adjacency.entries, k=1))
     lines = [f"# nodes={adjacency.size} alpha={alpha} seed={seed}"]
@@ -312,8 +324,5 @@ def write_spectra(decomposition: SpectralDecomposition, values_path, vectors_pat
     """Every eigenvalue as index,eigenvalue CSV; the eigenvectors of the four
     block modes (nodes x modes, columns aligned with eigenvalue indices 0..3)
     in a sidecar CSV, the only modes any embedding reads."""
-    vals = ["index,eigenvalue"]
-    vals.extend(f"{i},{_fmt(w)}" for i, w in enumerate(decomposition.eigenvalues))
-    Path(values_path).write_text("\n".join(vals) + "\n")
-    rows = [",".join(_fmt(x) for x in row) for row in decomposition.eigenvectors[:, :BLOCK_COUNT]]
-    Path(vectors_path).write_text("\n".join(rows) + "\n")
+    _write_csv(values_path, [("index", "eigenvalue"), *enumerate(decomposition.eigenvalues)])
+    _write_csv(vectors_path, decomposition.eigenvectors[:, :BLOCK_COUNT])
