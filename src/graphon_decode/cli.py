@@ -83,9 +83,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_embed(args) -> int:
     responses = read_responses_csv(args.responses)
+    length = responses.values.shape[1]
     block_map = decomposition = None
     if args.method == "graphon":  # the only method that reads a block map
-        length = responses.values.shape[1]
         if args.block_map:
             block_map = read_block_map(args.block_map, expected_size=length)
         elif length % 4 == 0:
@@ -95,7 +95,10 @@ def _cmd_embed(args) -> int:
     if args.method == "gft":
         if not args.graph:
             raise ConfigError("--graph EDGELIST is required for the gft method")
-        decomposition = eigendecompose(read_edge_list(args.graph))
+        graph = read_edge_list(args.graph)
+        if graph.size != length:
+            raise DataError(f"{args.graph} has {graph.size} nodes, {args.responses} has {length} columns")
+        decomposition = eigendecompose(graph)
     bases = Bases(block_map, args.convention, decomposition)
     es = project(args.method, responses, map_indices(args.dims), bases)
     write_embeddings_csv(es, args.out)

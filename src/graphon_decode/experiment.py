@@ -49,7 +49,7 @@ from .embedding import (
     silhouette_score,
     write_embeddings_csv,
 )
-from .errors import ConfigError, DataError, ParameterError, ZeroResponseError
+from .errors import ConfigError, ContractError, DataError, ParameterError, ZeroResponseError
 from .lif import SimParams, run_trials, write_raster_csv
 from .protocols import (
     Protocol,
@@ -373,27 +373,37 @@ def _simulate(
 
 
 def _build_protocol(config: ExperimentConfig) -> Protocol:
+    """The config's protocol.  Every fault of a custom protocol file is a
+    ConfigError that names the file."""
     name = config.protocol.name
     if name == "two_cluster":
         return two_cluster_protocol(config.sbm.n)
     if name == "mixed_cluster":
         return mixed_cluster_protocol(config.sbm.n)
+    path = config.protocol.custom_path
     try:
-        data = json.loads(Path(config.protocol.custom_path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{config.protocol.custom_path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
-        stimuli = tuple((s["label"], tuple(s["targets"])) for s in data["stimuli"])
+        stimuli = tuple((s["label"], s["targets"]) for s in data["stimuli"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(
-            f"{config.protocol.custom_path}: custom protocol must be "
-            '{"stimuli": [{"label": ..., "targets": [...]}]}'
+            f'{path}: custom protocol must be {{"stimuli": [{{"label": ..., "targets": [...]}}]}}'
         ) from exc
-    size = 4 * config.sbm.n
+    if not stimuli:
+        raise ConfigError(f"{path}: custom protocol has no stimuli")
+    size = BLOCK_COUNT * config.sbm.n
     for label, targets in stimuli:
+        # JSON true and 1.7 are not node indices
+        if not isinstance(targets, list) or any(type(t) is not int for t in targets):
+            raise ConfigError(f"{path}: custom stimulus {label!r} targets must be a list of integers")
         if any(not 0 <= t < size for t in targets):
-            raise ConfigError(f"custom stimulus {label!r} targets outside 0..{size - 1}")
-    return Protocol(name="custom", stimuli=stimuli)
+            raise ConfigError(f"{path}: custom stimulus {label!r} targets outside 0..{size - 1}")
+    try:
+        return Protocol(name="custom", stimuli=stimuli)
+    except ContractError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +541,7 @@ def run_experiment(
     needed for classification, or when nothing can be embedded at all.
     """
     _check_jobs(jobs)
+    protocol = _build_protocol(config)  # a bad custom protocol file fails before any write
     out = Path(config.io.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raster_dir = None
@@ -559,8 +570,8 @@ def run_experiment(
 
     if config.classify.enabled:
         # the protocol's labels, so a class that lost every trial is named too
-        classes = _build_protocol(config).labels
-        reports = _cross_validate(responses, classes, config.embedding.methods, bases, config.classify)
+        methods = config.embedding.methods
+        reports = _cross_validate(responses, protocol.labels, methods, bases, config.classify)
         for method, report in reports.items():
             name = f"report_{method}.csv"
             write_report(out / name, report, extra={"method": method})
@@ -786,6 +797,7 @@ def reproduce(
         raise ConfigError("--experimental-csv and --block-map must be given together")
     if rc_correct_csv and not experimental_csv:
         raise ConfigError("--rc-correct needs the measured trials of --experimental-csv and --block-map")
+    SbmConfig(seed=seed)  # checks the seed before the output directory is made
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files, degraded = build(out, seed, jobs, measured)

@@ -9,6 +9,7 @@ endpoint is excluded.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,11 @@ from .lif import SpikeRaster
 from .sbm import BLOCK_COUNT, _readonly, _write_csv
 
 EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
+
+# a label is written as one unquoted CSV cell, and "|" joins the labels of a
+# report's confusion header, so none of these may occur in it
+_BAD_LABEL = re.compile(r'[,"|\r\n]')
+_BAD_LABEL_TEXT = "contains a comma, quote, '|' or line break"
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,9 @@ class Protocol:
         labels = [label for label, _ in self.stimuli]
         if len(set(labels)) != len(labels):
             raise ContractError(f"stimulus labels must be unique, got {labels}")
+        for label in labels:
+            if _BAD_LABEL.search(str(label)):
+                raise ContractError(f"stimulus label {str(label)!r} {_BAD_LABEL_TEXT}")
         clean = tuple(
             (str(label), tuple(sorted(int(t) for t in targets)))
             for label, targets in self.stimuli
@@ -189,6 +198,8 @@ def _read_trial_table(path, prefix: str, first: int, method: bool = False):
             if trial_id in seen:
                 raise ParseError(f"{path}: row {row_no}: duplicate trial_id {trial_id}")
             seen.add(trial_id)
+            if _BAD_LABEL.search(row[1]):
+                raise ParseError(f"{path}: row {row_no}: label {row[1]!r} {_BAD_LABEL_TEXT}")
             i = len(labels)
             try:
                 values[i] = [float(tok) for tok in row[2 : 2 + m]]

@@ -423,6 +423,37 @@ def test_custom_protocol_malformed_json_is_a_config_error(tmp_path):
         run_experiment(cfg)
 
 
+_BAD_LABEL_IDS = ["comma", "quote", "bar", "newline", "return"]
+
+
+@pytest.mark.parametrize(
+    "stimuli, match",
+    [
+        ([{"label": "a", "targets": "abc"}], "targets must be a list of integers"),
+        ([{"label": "a", "targets": [1.7]}], "targets must be a list of integers"),
+        ([{"label": "a", "targets": [True]}], "targets must be a list of integers"),
+        ([], "has no stimuli"),
+        ([{"label": "a", "targets": [0]}, {"label": "a", "targets": [1]}], "labels must be unique"),
+        *(
+            ([{"label": f"a{ch}b", "targets": [0]}, {"label": "c", "targets": [1]}], "comma, quote")
+            for ch in ',"|\n\r'
+        ),
+    ],
+    ids=["string-targets", "float-target", "boolean-target", "no-stimuli", "duplicate-labels", *_BAD_LABEL_IDS],
+)
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_cli_bad_custom_protocol_exits_2_before_writing(tmp_path, capsys, command, stimuli, match):
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps({"stimuli": stimuli}))
+    config_path = tmp_path / "config.json"
+    protocol = {"name": "custom", "custom_path": str(protocol_path)}
+    save_config(small_config(tmp_path, "never", protocol=protocol), config_path)
+    assert main([command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{protocol_path}: " in err and match in err
+    assert not (tmp_path / "never").exists()
+
+
 def test_alpha_sweep_produces_one_artifact_dir_per_alpha(tmp_path):
     # sweep emulates the robustness comparison: same config, three couplings
     accs = {}
@@ -663,6 +694,7 @@ def test_cli_table_with_a_short_measured_class_exits_3(tmp_path, capsys):
         (["table", "--experimental-csv", "x.csv"], "must be given together"),
         (["table", "--block-map", "b.csv"], "must be given together"),
         (["table", "--rc-correct", "rc.csv"], "--rc-correct needs the measured trials"),
+        (["fig5", "--seed", "-1"], "seed must be a nonnegative integer"),
     ],
 )
 def test_cli_reproduce_rejects_misused_measured_inputs(tmp_path, capsys, argv, match):
@@ -757,6 +789,33 @@ def test_cli_gft_embed_with_a_bad_graph_header_exits_3(tmp_path, capsys):
     assert "bad header" in capsys.readouterr().err
 
 
+def _write_responses(path, labels, rois=8):
+    rows = [f"{i},{lab}," + ",".join(str(1 + (i + roi) % 3) for roi in range(rois)) for i, lab in enumerate(labels)]
+    path.write_text("trial_id,label," + ",".join(f"roi_{i}" for i in range(rois)) + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_cli_gft_embed_with_a_graph_of_another_size_exits_3(tmp_path, capsys):
+    csv_path = _write_responses(tmp_path / "responses.csv", ["s1"] * 4 + ["s2"] * 4)
+    graph = tmp_path / "g.edges"
+    graph.write_text("# nodes=12\n0 1\n")
+    argv = ["embed", "--responses", str(csv_path), "--method", "gft", "--graph", str(graph)]
+    assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 3
+    assert f"{graph} has 12 nodes, {csv_path} has 8 columns" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("cell", ['"x,y"', '"x""y"', '"x|y"', '"x\ny"', '"x\ry"'], ids=_BAD_LABEL_IDS)
+def test_cli_embed_label_that_breaks_a_row_exits_3(tmp_path, capsys, cell):
+    # csv.reader reads such a label from a quoted cell; written back unquoted
+    # it would break the embeddings row
+    csv_path = _write_responses(tmp_path / "responses.csv", [cell] + ["s1"] * 3 + ["s2"] * 4)
+    argv = ["embed", "--responses", str(csv_path), "--method", "pca", "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 3
+    assert "row 2: label" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_cli_embed_needs_a_block_map_only_for_graphon(tmp_path, capsys):
     # five ROIs do not split into four equal blocks, which only the graphon method needs
     rows = [f"{i},{'s1' if i < 4 else 's2'}," + ",".join(str(1 + (i * roi) % 4) for roi in range(5)) for i in range(8)]
@@ -791,3 +850,47 @@ def test_cli_seed_override_changes_graph(tmp_path):
     g1 = (tmp_path / "s1" / "graph.edges").read_text()
     g2 = (tmp_path / "s2" / "graph.edges").read_text()
     assert g1 != g2
+
+
+
+def _check_csv_cells(path):
+    """Every row after the '#' lines has the header's cell count, and every
+    float cell, or float in a '|'-joined cell, is the repr of its value."""
+    header, *rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    width = len(header.split(","))
+    for row_no, row in enumerate(rows, start=2):
+        cells = row.split(",")
+        assert len(cells) == width, (path, row_no)
+        for text in (part for cell in cells for part in cell.split("|")):
+            try:
+                int(text)
+                continue
+            except ValueError:
+                pass
+            try:
+                value = float(text)
+            except ValueError:
+                continue
+            assert repr(value) == text, (path, row_no, text)
+
+
+def test_every_csv_artifact_has_full_rows_and_repr_floats(tmp_path):
+    config_path = tmp_path / "config.json"
+    save_config(small_config(tmp_path, "run"), config_path)
+    assert main(["run", "--config", str(config_path), "--dump-rasters"]) == 0
+    outs = [tmp_path / "run"]
+    for figure in ("fig5", "fig6", "fig8", "table"):
+        outs.append(tmp_path / figure)
+        assert main(["reproduce", figure, "--seed", "3", "--out", str(outs[-1])]) in (0, 4)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("trial_id,correct\n" + "".join(f"{i},{int(i % 3 > 0)}\n" for i in range(12)))
+    b.write_text("trial_id,correct\n" + "".join(f"{i},{int(i % 4 > 0)}\n" for i in range(12)))
+    stats = tmp_path / "stats.csv"
+    assert main(["stats", "--correct-a", str(a), "--correct-b", str(b), "--out", str(stats), "--resamples", "50"]) == 0
+    paths = [stats]
+    for out in outs:
+        names = json.loads((out / "manifest.json").read_text())["files"]
+        paths += [out / name for name in names if name.endswith(".csv")]
+    assert len(paths) == 37  # rasters, graph, tables, reports and summaries
+    for path in paths:
+        _check_csv_cells(path)

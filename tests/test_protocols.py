@@ -85,6 +85,12 @@ def test_protocol_rejects_duplicate_labels():
         Protocol(name="custom", stimuli=(("a", (0,)), ("a", (1,))))
 
 
+@pytest.mark.parametrize("label", ["a,b", 'a"b', "a|b", "a\nb", "a\rb"])
+def test_protocol_rejects_labels_that_break_a_csv_row(label):
+    with pytest.raises(ContractError, match="comma, quote"):
+        Protocol(name="custom", stimuli=((label, (0,)), ("c", (1,))))
+
+
 # ---------------------------------------------------------------------------
 # response extraction
 

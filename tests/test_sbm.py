@@ -18,6 +18,7 @@ from graphon_decode.sbm import (
     top_eigenvalue_deviation,
     write_edge_list,
     write_spectra,
+    _cell,
 )
 
 alphas = st.floats(min_value=1e-6, max_value=0.5 - 1e-6, exclude_max=True)
@@ -291,3 +292,11 @@ def test_adjacency_wrapper_validation():
         adjacency_from_entries(np.array([[0, 2], [2, 0]]))  # non-binary
     with pytest.raises(ContractError):
         AdjacencyMatrix(entries=np.array([[0, 1], [0, 0]], dtype=np.int8))
+
+
+def test_cell_writes_floats_as_repr_and_tuples_joined_by_bars():
+    assert _cell(np.float64(0.1)) == "0.1"
+    assert _cell(np.float32(0.5)) == "0.5"
+    assert _cell(3) == "3" and _cell(np.int64(3)) == "3"
+    assert _cell((0.25, np.float64(1.0), 2)) == "0.25|1.0|2"
+    assert _cell("s1") == "s1"
