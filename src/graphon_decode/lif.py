@@ -456,9 +456,9 @@ def run_trials(
 
 def write_raster_csv(raster: SpikeRaster, path, meta: dict | None = None) -> None:
     """neuron_id,spike_time_ms rows preceded by '#'-prefixed metadata lines."""
-    header = [("nodes", raster.size), ("duration_ms", float(raster.duration)), ("seed", raster.seed),
-              ("refractory_ms", float(raster.refractory_ms)), *sorted((meta or {}).items())]
-    rows = [[f"# {key}={_cell(value)}"] for key, value in header]
+    metadata = [("nodes", raster.size), ("duration_ms", float(raster.duration)), ("seed", raster.seed),
+                ("refractory_ms", float(raster.refractory_ms)), *sorted((meta or {}).items())]
+    rows = [[f"# {key}={_cell(value)}"] for key, value in metadata]
     rows.append(("neuron_id", "spike_time_ms"))
     rows.extend((i, t) for i, times in enumerate(raster.spikes) for t in times)
     _write_csv(path, rows)
