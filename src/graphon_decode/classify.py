@@ -155,36 +155,45 @@ def _check_class_sizes(labels, classes, folds: int, source: str = "") -> None:
 
 def bootstrap_mean_ci(
     values, resamples: int = 10_000, seed: int = 0, level: float = 0.95
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of ``values``.
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Percentile bootstrap CI for the mean of ``values``: one (low, high)
+    pair for one sample (1-D), or a list of k pairs for a k x n stack of
+    samples.
 
     The resamples are drawn and averaged in blocks of at most
     ``_BOOTSTRAP_BLOCK`` indices, so memory does not grow with ``resamples``.
     The blocks continue one generator stream and each row's mean depends on
     that row alone, so the result equals one unblocked draw bit for bit.
+    Every sample of a stack is averaged over the same drawn indices, so its
+    pair equals the pair of its own call.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ParameterError("empty sample")
+    if values.ndim not in (1, 2) or values.size == 0:
+        raise ParameterError("need a nonempty sample or k x n stack of samples")
     if resamples < 1:
         raise ParameterError(f"resamples must be at least 1, got {resamples}")
     rng = _rng(seed)
-    n = values.size
+    samples = values.reshape(-1, values.shape[-1])
+    n = samples.shape[1]
     rows = max(1, _BOOTSTRAP_BLOCK // n)
-    means = np.empty(resamples)
+    means = np.empty((len(samples), resamples))
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
         draws = rng.integers(0, n, size=(stop - start, n))
-        means[start:stop] = values[draws].mean(axis=1)
+        for sample, out in zip(samples, means):
+            out[start:stop] = sample[draws].mean(axis=1)
     tail = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(means, [tail, 100.0 - tail])
-    return float(lo), float(hi)
+    pairs = [tuple(float(x) for x in np.percentile(row, [tail, 100.0 - tail])) for row in means]
+    return pairs[0] if values.ndim == 1 else pairs
 
 
-def _evaluate_predictions(labels, predicted, class_order, resamples, seed) -> EvalReport:
+def _evaluate_predictions(labels, predicted, ci) -> EvalReport:
+    """The report of out-of-fold ``predicted`` labels, with ``ci`` the
+    bootstrap CI of their correctness."""
     labels = np.asarray(labels)
     predicted = np.asarray(predicted)
     correct = (labels == predicted).astype(float)
+    class_order = tuple(sorted(set(labels.tolist())))
     k = len(class_order)
     col = {lab: i for i, lab in enumerate(class_order)}
     confusion = np.zeros((k, k), dtype=int)
@@ -194,14 +203,13 @@ def _evaluate_predictions(labels, predicted, class_order, resamples, seed) -> Ev
     for lab in class_order:
         sel = labels == lab
         per_class[lab] = float(correct[sel].mean()) if sel.any() else float("nan")
-    ci = bootstrap_mean_ci(correct, resamples=resamples, seed=seed)
     return EvalReport(
         accuracy=float(correct.mean()),
         per_class_accuracy=per_class,
         confusion=confusion,
         ci95=ci,
         n=int(labels.size),
-        class_order=tuple(class_order),
+        class_order=class_order,
         correct=correct,
     )
 
@@ -256,9 +264,17 @@ def cross_validated_accuracy(
     out-of-fold predictions.
     """
     labels = np.asarray(labels)
-    fold_indices = stratified_folds(labels, folds, seed=seed)
+    predicted = _out_of_fold_predictions(labels, embed, folds, lam, seed, lam_grid)
+    ci = bootstrap_mean_ci(labels == predicted, resamples=resamples, seed=seed)
+    return _evaluate_predictions(labels, predicted, ci)
+
+
+def _out_of_fold_predictions(labels, embed, folds: int, lam: float, seed: int, lam_grid) -> np.ndarray:
+    """Each trial's label as predicted by the model fitted without its fold,
+    for ``cross_validated_accuracy``'s arguments."""
+    labels = np.asarray(labels)
     predicted = np.empty(labels.size, dtype=object)
-    for test_idx in fold_indices:
+    for test_idx in stratified_folds(labels, folds, seed=seed):
         train_mask = np.ones(labels.size, dtype=bool)
         train_mask[test_idx] = False
         train_coords, test_coords = embed(np.flatnonzero(train_mask), test_idx)
@@ -267,10 +283,7 @@ def cross_validated_accuracy(
             lam_fold = select_lambda(train_coords, labels[train_mask], lam_grid, seed=seed)
         model = ridge_fit(train_coords, labels[train_mask], lam=lam_fold)
         predicted[test_idx] = predict(model, test_coords)
-    class_order = tuple(sorted(set(labels.tolist())))
-    return _evaluate_predictions(
-        labels, predicted.astype(str), class_order, resamples, seed
-    )
+    return predicted.astype(str)
 
 
 def training_accuracy(coords, labels, lam: float = 1e-6) -> float:
@@ -321,6 +334,14 @@ def paired_difference_stats(
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ParameterError("need two equal-length 1-D vectors with >= 2 entries")
     diff = a - b
+    # a difference without variance needs no draw
+    ci = None if diff.std(ddof=1) == 0.0 else bootstrap_mean_ci(diff, resamples=resamples, seed=seed)
+    return _paired_stats(diff, ci)
+
+
+def _paired_stats(diff, ci) -> PairedStats:
+    """The statistics of paired differences ``diff`` (>= 2 entries), with
+    ``ci`` the bootstrap CI of their mean, unused when they have no variance."""
     mean = float(diff.mean())
     sd = float(diff.std(ddof=1))
     if sd == 0.0:
@@ -336,7 +357,6 @@ def paired_difference_stats(
             "effect size is undefined"
         )
     effect = mean / sd
-    ci = bootstrap_mean_ci(diff, resamples=resamples, seed=seed)
     return PairedStats(
         mean_difference=mean,
         diff_ci95=ci,

@@ -28,10 +28,13 @@ import numpy as np
 from . import __version__
 from .classify import (
     EvalReport,
+    PairedStats,
     _check_class_sizes,
-    cross_validated_accuracy,
+    _evaluate_predictions,
+    _out_of_fold_predictions,
+    _paired_stats,
+    bootstrap_mean_ci,
     pair_by_trial_id,
-    paired_difference_stats,
     read_correctness_csv,
     write_report,
 )
@@ -473,22 +476,37 @@ def classification_embedder(method: str, responses: Responses, dims: int, bases:
 
 def _cross_validate(
     responses: Responses, classes, methods, bases: Bases, classify: ClassifySection
-) -> dict[str, EvalReport]:
-    """Cross-validated report of each method.  A DataError names every class
-    of ``classes`` that kept fewer usable trials than there are folds."""
+) -> dict[str, np.ndarray]:
+    """Out-of-fold predicted labels of each method.  A DataError names every
+    class of ``classes`` that kept fewer usable trials than there are folds."""
     _check_class_sizes(responses.labels, classes, classify.folds)
     return {
-        method: cross_validated_accuracy(
+        method: _out_of_fold_predictions(
             responses.labels,
             classification_embedder(method, responses, classify.dimensions, bases),
-            folds=classify.folds,
-            lam=classify.lam,
-            seed=classify.seed,
-            resamples=classify.resamples,
-            lam_grid=classify.lam_grid,
+            classify.folds,
+            classify.lam,
+            classify.seed,
+            classify.lam_grid,
         )
         for method in methods
     }
+
+
+def _evaluate(
+    labels, predicted: dict, classify: ClassifySection, differences=()
+) -> tuple[dict[str, EvalReport], list[PairedStats]]:
+    """The report of each method's ``predicted`` labels, and the paired
+    statistics of each vector of ``differences``.  Every interval comes from
+    one bootstrap draw, and each equals the interval of its own draw."""
+    labels = np.asarray(labels)
+    correct = [labels == p for p in predicted.values()]
+    cis = bootstrap_mean_ci(
+        np.vstack([*correct, *differences]), resamples=classify.resamples, seed=classify.seed
+    )
+    reports = {m: _evaluate_predictions(labels, p, ci) for (m, p), ci in zip(predicted.items(), cis)}
+    paired = [_paired_stats(d, ci) for d, ci in zip(differences, cis[len(reports):])]
+    return reports, paired
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +589,8 @@ def run_experiment(
     if config.classify.enabled:
         # the protocol's labels, so a class that lost every trial is named too
         methods = config.embedding.methods
-        reports = _cross_validate(responses, protocol.labels, methods, bases, config.classify)
+        predicted = _cross_validate(responses, protocol.labels, methods, bases, config.classify)
+        reports, _ = _evaluate(responses.labels, predicted, config.classify)
         for method, report in reports.items():
             name = f"report_{method}.csv"
             write_report(out / name, report, extra={"method": method})
@@ -723,8 +742,16 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
         responses, block_map = load_experimental_responses(experimental_csv, block_map_csv)
     bases = _bases(config, block_map=block_map)
     classes = sorted(set(responses.labels))
-    reports = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
-    paired = paired_difference_stats(reports["graphon"].correct, reports["pca"].correct)
+    predicted = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
+    labels = np.asarray(responses.labels)
+    graphon, pca = ((labels == predicted[m]).astype(float) for m in ("graphon", "pca"))
+    differences = [graphon - pca]
+    if rc_correct_csv:
+        names = (str(experimental_csv), str(rc_correct_csv))
+        rc = read_correctness_csv(rc_correct_csv)
+        a, b = pair_by_trial_id(dict(zip(responses.trial_ids, graphon)), rc, names=names)
+        differences.append(a - b)
+    reports, (paired, *vs_rc) = _evaluate(labels, predicted, config.classify, differences)
 
     rows = [("key", "value"), ("source", source), ("n", reports["graphon"].n)]
     for method, report in reports.items():
@@ -736,17 +763,12 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
         ("effect_size", paired.effect_size),
         ("required_n_for_80pct_power", paired.required_n),
     ]
-    if rc_correct_csv:
-        graphon = dict(zip(responses.trial_ids, reports["graphon"].correct))
-        names = (str(experimental_csv), str(rc_correct_csv))
-        vs_rc = paired_difference_stats(
-            *pair_by_trial_id(graphon, read_correctness_csv(rc_correct_csv), names=names)
-        )
+    for vs in vs_rc:
         rows += [
-            ("paired_diff_graphon_minus_rc", vs_rc.mean_difference),
-            ("paired_diff_rc_ci95", vs_rc.diff_ci95),
-            ("effect_size_vs_rc", vs_rc.effect_size),
-            ("required_n_vs_rc", vs_rc.required_n),
+            ("paired_diff_graphon_minus_rc", vs.mean_difference),
+            ("paired_diff_rc_ci95", vs.diff_ci95),
+            ("effect_size_vs_rc", vs.effect_size),
+            ("required_n_vs_rc", vs.required_n),
         ]
 
     files = []

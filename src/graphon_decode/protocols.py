@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 _BAD_LABEL = re.compile(r'[,"|\r\n]')
 _BAD_LABEL_TEXT = "contains a comma, quote, '|' or line break"
 
+# Table rows whose value cells one np.loadtxt call converts.  A block's text
+# is held at once, so a bounded block keeps memory flat in the file size;
+# joining a whole 900 x 1000 table first raised peak RSS by ~0.9 MB.
+_PARSE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class Protocol:
@@ -34,12 +40,12 @@ class Protocol:
     stimuli: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        labels = [label for label, _ in self.stimuli]
+        labels = [str(label) for label, _ in self.stimuli]  # 1 and "1" are one label
         if len(set(labels)) != len(labels):
             raise ContractError(f"stimulus labels must be unique, got {labels}")
         for label in labels:
-            if _BAD_LABEL.search(str(label)):
-                raise ContractError(f"stimulus label {str(label)!r} {_BAD_LABEL_TEXT}")
+            if _BAD_LABEL.search(label):
+                raise ContractError(f"stimulus label {label!r} {_BAD_LABEL_TEXT}")
         clean = tuple(
             (str(label), tuple(sorted(int(t) for t in targets)))
             for label, targets in self.stimuli
@@ -166,12 +172,64 @@ def _write_trial_table(path, columns, trial_ids, labels, values, method=None) ->
     _write_csv(path, rows)
 
 
+def _trial_id(row, width: int, seen: set) -> int:
+    """The trial id of a data row; a ValueError names the row's first fault
+    among its cell count, trial id and label."""
+    if len(row) != width:
+        raise ValueError(f"expected {width} cells, got {len(row)}")
+    try:
+        trial_id = int(row[0])
+    except ValueError:
+        raise ValueError(f"bad trial_id {row[0]!r}") from None
+    if trial_id in seen:
+        raise ValueError(f"duplicate trial_id {trial_id}")
+    if _BAD_LABEL.search(row[1]):
+        raise ValueError(f"label {row[1]!r} {_BAD_LABEL_TEXT}")
+    return trial_id
+
+
+def _parse_values(texts, m: int):
+    """The (len(texts) x m) matrix of rows of comma-joined value cells as
+    numpy's C reader converts them, or None when a row does not give m
+    numbers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty row is skipped, which the shape check catches
+        try:
+            block = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return block if block.shape == (len(texts), m) else None
+
+
+def _convert_rows(path, texts, row_nos, out) -> None:
+    """Fill ``out`` with the values in ``texts``, the joined value cells of
+    the rows numbered ``row_nos``, in one parse; a rejected row is named as a
+    row-by-row parse would name it."""
+    if not texts:
+        return
+    block = _parse_values(texts, out.shape[1])
+    if block is not None:
+        out[:] = block
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if bad.size:
+            raise ParseError(f"{path}: row {row_nos[bad[0]]}: non-finite cell")
+        return
+    for text, row_no, dest in zip(texts, row_nos, out):
+        row = _parse_values([text], out.shape[1])
+        if row is None:
+            raise ParseError(f"{path}: row {row_no}: non-numeric cell")
+        if not np.isfinite(row).all():
+            raise ParseError(f"{path}: row {row_no}: non-finite cell")
+        dest[:] = row[0]
+
+
 def _read_trial_table(path, prefix: str, first: int, method: bool = False):
     """Parse trial_id,label,<prefix><first>..<prefix><first+m-1>[,method], m >= 1.
 
     Returns the trial ids, labels, (rows x m) value matrix, line number of
     each row and the method column (None without one).  Trial ids are unique
-    integers and values finite numbers; a rejected row is named by its line.
+    integers and values finite numbers; the first rejected row is named by
+    its line.  The value cells are converted _PARSE_BLOCK rows at a time.
     """
     tail = ["method"] if method else []
     with open(path, newline="") as fh:
@@ -186,31 +244,26 @@ def _read_trial_table(path, prefix: str, first: int, method: bool = False):
             raise ParseError(f"{path}: header must be {layout}, got {','.join(header)[:80]!r}")
         values = np.empty((capacity - 1, m))
         trial_ids, labels, lines, methods, seen = [], [], [], [], set()
+        done, pending = 0, []  # rows converted; value cells of the rows after them
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
             try:
-                trial_id = int(row[0])
-            except ValueError:
-                raise ParseError(f"{path}: row {row_no}: bad trial_id {row[0]!r}") from None
-            if trial_id in seen:
-                raise ParseError(f"{path}: row {row_no}: duplicate trial_id {trial_id}")
+                trial_id = _trial_id(row, len(header), seen)
+            except ValueError as exc:
+                # a bad value in an earlier row is named first
+                _convert_rows(path, pending, lines[done:], values[done : len(labels)])
+                raise ParseError(f"{path}: row {row_no}: {exc}") from None
             seen.add(trial_id)
-            if _BAD_LABEL.search(row[1]):
-                raise ParseError(f"{path}: row {row_no}: label {row[1]!r} {_BAD_LABEL_TEXT}")
-            i = len(labels)
-            try:
-                values[i] = [float(tok) for tok in row[2 : 2 + m]]
-            except ValueError:
-                raise ParseError(f"{path}: row {row_no}: non-numeric cell") from None
-            if not np.isfinite(values[i]).all():
-                raise ParseError(f"{path}: row {row_no}: non-finite cell")
             trial_ids.append(trial_id)
             labels.append(row[1])
             lines.append(row_no)
             methods.append(row[-1])
+            pending.append(",".join(row[2 : 2 + m]))
+            if len(pending) == _PARSE_BLOCK:
+                _convert_rows(path, pending, lines[done:], values[done : len(labels)])
+                done, pending = len(labels), []
+        _convert_rows(path, pending, lines[done:], values[done : len(labels)])
     if not labels:
         raise ParseError(f"{path}: no data rows")
     return trial_ids, labels, values[: len(labels)], lines, methods if method else None

@@ -324,6 +324,16 @@ def test_blocked_bootstrap_equals_one_unblocked_draw(n, kind, monkeypatch):
             tail = 100.0 * (1.0 - 0.95) / 2.0  # the default level, computed as the function does
             lo, hi = percentile(expected, [tail, 100.0 - tail])
             assert ci == (float(lo), float(hi)), (seed, resamples)
+            # a stack shares the draw, and each row equals its own call bit for bit
+            stack = np.vstack([values, 1.0 - values, rng.standard_normal(n)])
+            seen.clear()
+            pairs = bootstrap_mean_ci(stack, resamples=resamples, seed=seed)
+            stacked_means = list(seen)
+            assert len(pairs) == len(stacked_means) == 3
+            for row, pair, means in zip(stack, pairs, stacked_means):
+                seen.clear()
+                assert bootstrap_mean_ci(row, resamples=resamples, seed=seed) == pair, (seed, resamples)
+                assert seen[0].tobytes() == means.tobytes(), (seed, resamples)
 
 
 def test_bootstrap_memory_does_not_grow_with_resamples():

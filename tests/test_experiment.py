@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphon_decode import experiment
+from graphon_decode import classify, experiment
 from graphon_decode.classify import cross_validated_accuracy
 from graphon_decode.cli import main
 from graphon_decode.errors import ConfigError, DataError, ParameterError
@@ -434,12 +434,16 @@ _BAD_LABEL_IDS = ["comma", "quote", "bar", "newline", "return"]
         ([{"label": "a", "targets": [True]}], "targets must be a list of integers"),
         ([], "has no stimuli"),
         ([{"label": "a", "targets": [0]}, {"label": "a", "targets": [1]}], "labels must be unique"),
+        ([{"label": 1, "targets": [0]}, {"label": "1", "targets": [1]}], "labels must be unique"),
         *(
             ([{"label": f"a{ch}b", "targets": [0]}, {"label": "c", "targets": [1]}], "comma, quote")
             for ch in ',"|\n\r'
         ),
     ],
-    ids=["string-targets", "float-target", "boolean-target", "no-stimuli", "duplicate-labels", *_BAD_LABEL_IDS],
+    ids=[
+        "string-targets", "float-target", "boolean-target", "no-stimuli", "duplicate-labels",
+        "labels-equal-as-text", *_BAD_LABEL_IDS,
+    ],
 )
 @pytest.mark.parametrize("command", ["run", "simulate"])
 def test_cli_bad_custom_protocol_exits_2_before_writing(tmp_path, capsys, command, stimuli, match):
@@ -746,6 +750,32 @@ def test_cli_table_repeated_measured_trial_id_exits_3(tmp_path, capsys):
     argv = ["reproduce", "table", "--out", str(tmp_path / "table")]
     assert main(argv + ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]) == 3
     assert "row 3: duplicate trial_id 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "table", "table-rc"])
+def test_one_bootstrap_draw_serves_every_interval(tmp_path, monkeypatch, command):
+    # run: one CI per method; table: graphon, PCA and graphon - PCA, and with
+    # --rc-correct graphon - rc too
+    calls = []
+    real = classify.bootstrap_mean_ci
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    for module in (classify, experiment):
+        monkeypatch.setattr(module, "bootstrap_mean_ci", spy, raising=False)
+    if command == "run":
+        config_path = tmp_path / "config.json"
+        save_config(small_config(tmp_path, "run"), config_path)
+        assert main(["run", "--config", str(config_path)]) == 0
+    else:
+        csv_path, map_path = write_measured(tmp_path)
+        rc_path = tmp_path / "rc.csv"
+        rc_path.write_text("trial_id,correct\n" + "".join(f"{i},{i % 2}\n" for i in range(27)))
+        argv = _table_argv(tmp_path / "table", csv_path, map_path, rc_path)
+        assert main(argv if command == "table-rc" else argv[:-2]) == 0
+    assert calls == [{"run": (3, 10), "table": (3, 27), "table-rc": (4, 27)}[command]]
 
 
 def test_cli_stats_pairs_by_trial_id(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,10 @@ from hypothesis import strategies as st
 from graphon_decode.errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from graphon_decode.lif import SimParams, SpikeRaster, run_trial
 from graphon_decode.protocols import (
+    _PARSE_BLOCK,
     Protocol,
     Responses,
+    _read_trial_table,
     extract_response,
     load_experimental_responses,
     mixed_cluster_protocol,
@@ -227,21 +232,79 @@ def test_unknown_label_rejected_with_row_number(tmp_path):
         load_experimental_responses(resp, bmap)
 
 
+def _rows_with(cell, count, at):
+    """A two-ROI responses table of ``count`` rows whose rows ``at`` (0-based)
+    and, if there is one, ``at + 1`` hold ``cell`` as their second value, so
+    the first bad row of a block must be the one named."""
+    rows = ["trial_id,label,roi_0,roi_1"]
+    rows += [f"{i},s{1 + i % 3},1.0,{cell if i in (at, at + 1) else '0.5'}" for i in range(count)]
+    return rows
+
+
+# where the bad row sits: the only row, in a later full block, in the last
+# partial block
+_BAD_ROW_AT = [(1, 0), (2 * _PARSE_BLOCK + 5, _PARSE_BLOCK + 3), (2 * _PARSE_BLOCK + 5, 2 * _PARSE_BLOCK + 2)]
+
+
 def test_non_numeric_cell_rejected(tmp_path):
-    rows = ["trial_id,label,roi_0,roi_1", "0,s1,1.0,oops"]
+    # numpy's reader takes only ASCII decimals: Python's float() also read
+    # "1_000" and Arabic-Indic digits; a quoted "1,5" is two cells once unquoted
     blocks = ["roi_index,block", "0,1", "1,2"]
-    resp, bmap = _write_dataset(tmp_path, rows, blocks)
-    with pytest.raises(ParseError, match="row 2"):
-        load_experimental_responses(resp, bmap)
+    for cell in ["oops", '"1,5"', "1_000", "\u0661"]:
+        for count, at in _BAD_ROW_AT:
+            resp, bmap = _write_dataset(tmp_path, _rows_with(cell, count, at), blocks)
+            with pytest.raises(ParseError, match=f"row {at + 2}: non-numeric cell"):
+                load_experimental_responses(resp, bmap)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
 def test_non_finite_cell_rejected(tmp_path, cell):
-    rows = ["trial_id,label,roi_0,roi_1", "0,s1,1.0,0.0", f"1,s2,{cell},1.0"]
     blocks = ["roi_index,block", "0,1", "1,2"]
-    resp, bmap = _write_dataset(tmp_path, rows, blocks)
-    with pytest.raises(ParseError, match="row 3: non-finite"):
-        load_experimental_responses(resp, bmap)
+    for count, at in [(2, 1), *_BAD_ROW_AT[1:]]:
+        resp, bmap = _write_dataset(tmp_path, _rows_with(cell, count, at), blocks)
+        with pytest.raises(ParseError, match=f"row {at + 2}: non-finite cell"):
+            load_experimental_responses(resp, bmap)
+
+
+def test_empty_cell_of_a_one_column_table_is_non_numeric(tmp_path):
+    # the joined cells form an empty line, which numpy would skip with a warning
+    resp = tmp_path / "responses.csv"
+    resp.write_text("trial_id,label,roi_0\n0,s1,1.0\n1,s2,\n2,s1,3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="row 3: non-numeric cell"):
+            read_responses_csv(resp)
+
+
+@pytest.mark.parametrize("bad, first", [("1,s2,1.0,x", "non-numeric"), ("1,s2,nan,0.5", "non-finite")])
+def test_first_rejected_row_is_named(tmp_path, bad, first):
+    # a bad trial id later in the same block does not hide a bad value before it
+    resp = tmp_path / "responses.csv"
+    resp.write_text(f"trial_id,label,roi_0,roi_1\n0,s1,1.0,0.5\n{bad}\n2,s1,1.0,0.5\nx,s2,1.0,0.5\n")
+    with pytest.raises(ParseError, match=f"row 3: {first} cell"):
+        read_responses_csv(resp)
+
+
+@pytest.mark.parametrize("count", [_PARSE_BLOCK - 1, _PARSE_BLOCK, _PARSE_BLOCK + 1])
+def test_value_cells_read_as_float_reads_them(tmp_path, count):
+    # every ASCII spelling float() reads, across block edges and blank lines
+    rng = np.random.default_rng(count)
+    spellings = ["3", "+2", "-0.0", ".5", "5.", "1e-3", "2.5E+2", " 7.25 ", '"1.5"', "0.1", "123456789.123456789012"]
+    lines = ["trial_id,label," + ",".join(f"roi_{i}" for i in range(12))]
+    for i in range(count):
+        cells = [spellings[(i + j) % len(spellings)] for j in range(11)] + [repr(float(rng.standard_normal()))]
+        lines.append(f"{i},s{1 + i % 3}," + ",".join(cells))
+        if i % 5 == 0:
+            lines.append("")
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with open(path, newline="") as fh:
+        rows = [(row_no, row) for row_no, row in enumerate(csv.reader(fh), start=1) if row][1:]
+    trial_ids, _, values, row_nos, _ = _read_trial_table(path, "roi_", 0)
+    assert trial_ids == list(range(count)) and row_nos == [row_no for row_no, _ in rows]
+    expected = np.array([[float(cell) for cell in row[2:]] for _, row in rows])
+    assert values.tobytes() == expected.tobytes()
+    assert values[0, 8] == 1.5  # the quoted cell
 
 
 def test_block_map_mismatch_rejected(tmp_path):
