@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DataError, ParameterError, ParseError, SingularSystemError
-from .sbm import _readonly, _write_csv
+from .sbm import _int, _readonly, _write_csv
 
 
 @dataclass(frozen=True)
@@ -415,7 +415,7 @@ def read_correctness_csv(path) -> dict[int, float]:
             if len(row) != 2 or row[1] not in ("0", "1"):
                 raise ParseError(f"{path}: row {row_no}: bad row {row!r}")
             try:
-                trial_id = int(row[0])
+                trial_id = _int(row[0])
             except ValueError:
                 raise ParseError(f"{path}: row {row_no}: bad trial_id {row[0]!r}") from None
             if trial_id in rows:

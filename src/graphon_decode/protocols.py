@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from .lif import SpikeRaster
-from .sbm import BLOCK_COUNT, _readonly, _write_csv
+from .sbm import BLOCK_COUNT, _int, _readonly, _write_csv
 
 EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 
@@ -178,7 +178,7 @@ def _trial_id(row, width: int, seen: set) -> int:
     if len(row) != width:
         raise ValueError(f"expected {width} cells, got {len(row)}")
     try:
-        trial_id = int(row[0])
+        trial_id = _int(row[0])
     except ValueError:
         raise ValueError(f"bad trial_id {row[0]!r}") from None
     if trial_id in seen:
@@ -305,7 +305,7 @@ def read_block_map(path, expected_size: int | None = None) -> np.ndarray:
             if not row:
                 continue
             try:
-                idx, block = (int(cell) for cell in row)
+                idx, block = (_int(cell) for cell in row)
             except ValueError:  # a non-integer cell, or not exactly two cells
                 raise ParseError(f"{path}: row {row_no}: bad row {row!r}") from None
             if not 1 <= block <= BLOCK_COUNT:

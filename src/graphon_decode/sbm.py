@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,17 @@ def _cell(x) -> str:
     if isinstance(x, tuple):
         return "|".join(map(_cell, x))
     return str(x)
+
+
+_ASCII_INT = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """The integer a file spells as an optional "-" and ASCII digits; any
+    other text, such as "+1", " 1", "1_0" or "١", is a ValueError."""
+    if _ASCII_INT.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _write_csv(path, rows) -> None:
@@ -296,19 +308,19 @@ def read_edge_list(path) -> AdjacencyMatrix:
         raise ParseError(f"{path}: missing header line")
     try:
         fields = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split())
-        size = int(fields["nodes"])
+        size = _int(fields["nodes"])
         alpha = None if fields.get("alpha", "none") == "none" else float(fields["alpha"])
-        seed = None if fields.get("seed", "none") == "none" else int(fields["seed"])
+        seed = None if fields.get("seed", "none") == "none" else _int(fields["seed"])
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: bad header {lines[0]!r}") from exc
+        raise ParseError(f"{path}: line 1: bad header {lines[0]!r}") from exc
     if size < 0:
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
+        raise ParseError(f"{path}: line 1: bad header {lines[0]!r}")
     entries = np.zeros((size, size), dtype=np.int8)
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            a, b = (int(tok) for tok in line.split())
+            a, b = (_int(tok) for tok in line.split())
         except ValueError as exc:
             raise ParseError(f"{path}: line {ln}: expected 'u v', got {line!r}") from exc
         if not (0 <= a < size and 0 <= b < size):

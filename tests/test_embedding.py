@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from graphon_decode import embedding
 from graphon_decode.embedding import (
     align_degenerate_pair,
     aligned_eigenvector_basis,
@@ -222,7 +228,15 @@ def svd_reference(mat, dims):
     return comps, svals[:dims] ** 2 / np.sum(svals**2)
 
 
-@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (25, 25)], ids=["wide", "tall", "square"])
+# Gram orders 450: above the order from which pca_fit solves by Lanczos
+LANCZOS_SHAPES = [(450, 600), (700, 450)]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(12, 40), (40, 12), (25, 25), *LANCZOS_SHAPES],
+    ids=["wide", "tall", "square", "lanczos-wide", "lanczos-tall"],
+)
 def test_pca_matches_the_svd(shape):
     mat = np.random.default_rng(8).poisson(3.0, size=shape).astype(float)
     comps, ratios = svd_reference(mat, dims=4)
@@ -240,6 +254,52 @@ def test_rank_deficient_wide_pca_stays_finite():
     assert model.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(model.components[0], svd_reference(mat, dims=1)[0][0], atol=1e-10)
     assert np.isfinite(pca_transform(model, rows)).all()
+
+
+def test_lanczos_shapes_skip_the_dense_solver(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(embedding, "eigh", dense)
+    for shape in LANCZOS_SHAPES:
+        pca_fit(np.random.default_rng(8).poisson(3.0, size=shape).astype(float), dims=4)
+
+
+def test_package_import_leaves_the_lanczos_solver_unloaded():
+    # importing scipy.sparse.linalg costs ~17 ms, which pca_fit pays only
+    # when a Gram matrix first needs it; a fresh interpreter, because this
+    # run's other tests load it
+    src = str(Path(embedding.__file__).resolve().parents[1])
+    code = "import sys, graphon_decode.cli; print('scipy.sparse.linalg' in sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert loaded.strip() == "False"
+
+
+def test_rank_one_lanczos_pca_has_zero_trailing_axes():
+    rng = np.random.default_rng(10)
+    mat = np.outer(rng.random(450), rng.random(600))
+    model = pca_fit(mat, dims=4)
+    assert np.isfinite(model.components).all()
+    assert np.all(model.components[1:] == 0.0)
+    assert np.all(model.explained_variance_ratio[1:] == 0.0)
+    assert model.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(model.components[0], svd_reference(mat, dims=1)[0][0], atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", LANCZOS_SHAPES, ids=["wide", "tall"])
+def test_pca_of_identical_rows_has_zero_axes(shape):
+    # integer rows average to themselves exactly, so C is all zeros
+    row = np.random.default_rng(11).poisson(3.0, size=shape[1]).astype(float)
+    model = pca_fit(np.tile(row, (shape[0], 1)), dims=4)
+    assert np.all(model.components == 0.0)
+    assert np.all(model.explained_variance_ratio == 0.0)
+    assert np.array_equal(model.mean, row)
 
 
 # ---------------------------------------------------------------------------

@@ -846,6 +846,62 @@ def test_cli_embed_label_that_breaks_a_row_exits_3(tmp_path, capsys, cell):
     assert not (tmp_path / "e.csv").exists()
 
 
+def _int_field_argv(tmp_path, field, text):
+    """The argv of a command whose input holds ``text`` in one integer
+    field, at row 3 of a CSV or line 3 (line 1 for a header field) of an
+    edge list, and the fault its error must name."""
+    responses = _write_responses(tmp_path / "responses.csv", ["s1"] * 4 + ["s2"] * 4)
+    out = ["--out", str(tmp_path / "out.csv")]
+    embed = ["embed", "--responses", str(responses)] + out
+    path = tmp_path / "input"
+    if field == "responses-trial-id":
+        lines = responses.read_text().splitlines(keepends=True)
+        lines[2] = text + lines[2][1:]
+        responses.write_text("".join(lines))
+        return embed + ["--method", "pca"], "row 3: bad trial_id"
+    if field == "embeddings-trial-id":
+        argv = _write_embeddings(path, ["s1"] * 4 + ["s2"] * 4, [[i, i % 3] for i in range(8)])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = text + lines[2][1:]
+        path.write_text("".join(lines))
+        return argv + ["--folds", "2"], "row 3: bad trial_id"
+    if field in ("roi-index", "block"):
+        rows = [[str(i), str(1 + i // 2)] for i in range(8)]
+        rows[1][field == "block"] = text
+        path.write_text("roi_index,block\n" + "".join(",".join(r) + "\n" for r in rows))
+        return embed + ["--method", "graphon", "--block-map", str(path)], "row 3: bad row"
+    if field == "correct-trial-id":
+        good = tmp_path / "good.csv"
+        good.write_text("trial_id,correct\n0,1\n1,0\n")
+        path.write_text(f"trial_id,correct\n0,1\n{text},0\n")
+        return ["stats", "--correct-a", str(good), "--correct-b", str(path)] + out, "row 3: bad trial_id"
+    header, edge = {"nodes": (f"# nodes={text}", "2 3"), "seed": (f"# nodes=8 seed={text}", "2 3")}.get(
+        field, ("# nodes=8 alpha=none seed=none", f"{text} 3")
+    )
+    path.write_text(f"{header}\n0 1\n{edge}\n")
+    where = "line 3: expected 'u v'" if field == "edge-node" else "line 1: bad header"
+    return embed + ["--method", "gft", "--graph", str(path)], where
+
+
+_CSV_INT_FIELDS = ["responses-trial-id", "embeddings-trial-id", "roi-index", "block", "correct-trial-id"]
+# Python's int() reads each of these texts; an edge list splits on
+# whitespace, so a space-padded token is a plain integer there
+_BAD_INTS = {"underscore": "1_0", "arabic-indic": "\u0661", "plus": "+1", "space": " 1"}
+_BAD_INT_CASES = [
+    pytest.param(field, text, id=f"{field}-{name}")
+    for field in _CSV_INT_FIELDS + ["edge-node", "nodes", "seed"]
+    for name, text in _BAD_INTS.items()
+    if name != "space" or field in _CSV_INT_FIELDS
+]
+
+
+@pytest.mark.parametrize("field, text", _BAD_INT_CASES)
+def test_cli_integer_fields_take_only_ascii_digits(tmp_path, capsys, field, text):
+    argv, where = _int_field_argv(tmp_path, field, text)
+    assert main(argv) == 3
+    assert where in capsys.readouterr().err
+
+
 def test_cli_embed_needs_a_block_map_only_for_graphon(tmp_path, capsys):
     # five ROIs do not split into four equal blocks, which only the graphon method needs
     rows = [f"{i},{'s1' if i < 4 else 's2'}," + ",".join(str(1 + (i * roi) % 4) for roi in range(5)) for i in range(8)]

@@ -1,4 +1,4 @@
-"""Golden hashes: the SHA-256 of every artifact of seven canned runs, and of
+"""Golden hashes: the SHA-256 of every artifact of eight canned runs, and of
 the default config file.
 
 Determinism tests compare a run against a second run of the same code, so a
@@ -91,6 +91,47 @@ TABLE_MEASURED = {
     "table_report_pca.csv": "ed36502bbd2466a47b6641ad5b5154461d35ca6d5638d074b6c5db21e4c9db1d",
 }
 
+# a table whose PCA fold fits solve Gram matrices of order 516 to 519 (see
+# write_large_measured); taken before those fits moved off the dense solver
+TABLE_MEASURED_LARGE = {
+    "table_accuracy.csv": "5f52cde2fcdcaede7be01c15ea16593f69d3bb61cc2df45b84dcf8308472e247",
+    "table_report_graphon.csv": "82c10dc7480dd8a1a7e321e345fd2ca8ea250f58b23d141519913cb6e410220e",
+    "table_report_pca.csv": "fb03a562f9a15ddbbff158f1442275e2c660957752c2953f085984b993a49c84",
+}
+
+
+def write_large_measured(tmp_path) -> tuple[Path, Path]:
+    """201 trials per stimulus over 600 ROIs in four interleaved blocks.
+
+    As in ``write_measured`` the counts are integer arithmetic, so the bytes
+    cannot drift with numpy; a quadratic residue in trial and ROI spreads
+    them, and stimulus s1 lifts blocks 1-2, s2 blocks 2-3 and s3 blocks 3-4.
+    Each of the 7 outer training folds keeps 516 to 519 trials, and the top
+    five eigenvalues of each one's centred Gram matrix lie at least 4% of the
+    largest apart, so no tie decides an axis.
+    """
+    rois = 600
+    lifted = {"s1": (1, 2), "s2": (2, 3), "s3": (3, 4)}
+    blocks = [1 + roi % 4 for roi in range(rois)]
+    lines = ["trial_id,label," + ",".join(f"roi_{i}" for i in range(rois))]
+    trial_id = 0
+    for rep in range(201):
+        for label, lift in lifted.items():
+            counts = [
+                1 + (7 * trial_id * trial_id + 13 * trial_id * roi + 3 * roi * roi + roi) % 8
+                + (2 if blocks[roi] in lift else 0)
+                for roi in range(rois)
+            ]
+            lines.append(f"{trial_id},{label}," + ",".join(map(str, counts)))
+            trial_id += 1
+    csv_path = tmp_path / "measured_large.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    map_path = tmp_path / "blocks_large.csv"
+    map_path.write_text(
+        "roi_index,block\n" + "".join(f"{i},{b}\n" for i, b in enumerate(blocks))
+    )
+    return csv_path, map_path
+
 
 def test_default_config_hash(tmp_path):
     path = tmp_path / "config.json"
@@ -142,3 +183,12 @@ def test_reproduce_table_measured_hashes(tmp_path):
     argv += ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]
     assert main(argv) == 0
     assert _file_digests(out) == TABLE_MEASURED
+
+
+def test_reproduce_table_measured_large_hashes(tmp_path):
+    csv_path, map_path = write_large_measured(tmp_path)
+    out = tmp_path / "table"
+    argv = ["reproduce", "table", "--out", str(out)]
+    argv += ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]
+    assert main(argv) == 0
+    assert _file_digests(out) == TABLE_MEASURED_LARGE

@@ -19,6 +19,7 @@ from graphon_decode.sbm import (
     write_edge_list,
     write_spectra,
     _cell,
+    _int,
 )
 
 alphas = st.floats(min_value=1e-6, max_value=0.5 - 1e-6, exclude_max=True)
@@ -292,6 +293,13 @@ def test_adjacency_wrapper_validation():
         adjacency_from_entries(np.array([[0, 2], [2, 0]]))  # non-binary
     with pytest.raises(ContractError):
         AdjacencyMatrix(entries=np.array([[0, 1], [0, 0]], dtype=np.int8))
+
+
+def test_int_reads_an_optional_minus_and_ascii_digits_only():
+    assert [_int(t) for t in ("0", "7", "-12", "007")] == [0, 7, -12, 7]
+    for text in ("", "-", "+1", " 1", "1 ", "1_0", "\u0661", "1.0", "0x1", "1\n"):
+        with pytest.raises(ValueError, match="not an integer"):
+            _int(text)
 
 
 def test_cell_writes_floats_as_repr_and_tuples_joined_by_bars():
