@@ -1,4 +1,4 @@
-"""Golden hashes: the SHA-256 of every artifact of eight canned runs, and of
+"""Golden hashes: the SHA-256 of every artifact of nine canned runs, and of
 the default config file.
 
 Determinism tests compare a run against a second run of the same code, so a
@@ -38,6 +38,13 @@ RUN_SMALL = {
     "report_graphon.csv": "0a6133592713f6826d8640000ffcc1068568c93cee5b16ea9159e23bed73fa4b",
     "report_pca.csv": "3f1879869a4a95982a41ad8b28902d0b37e1ed04151821dc3a256c3b3236f587",
     "responses.csv": "069474ffb828b9ad7f6ebc1622175dac9373a5215ff83e9221925dcbd0e4c162",
+}
+
+# RUN_SMALL with each fold's penalty chosen by inner cross-validation over a
+# grid; its graphon report differs from RUN_SMALL's, so the grid decides it
+RUN_SMALL_LAM_GRID = {
+    **RUN_SMALL,
+    "report_graphon.csv": "c7ebd45796c0b11d01f770db5f827a45760f9e40d7d26eb1d7448af2ce889e11",
 }
 
 FIG5_SEED0 = {
@@ -144,6 +151,14 @@ def test_run_small_config_hashes(tmp_path):
     save_config(small_config(tmp_path, "run"), config_path)
     assert main(["run", "--config", str(config_path)]) == 0
     assert _file_digests(tmp_path / "run") == RUN_SMALL
+
+
+def test_run_small_config_lam_grid_hashes(tmp_path):
+    config_path = tmp_path / "config.json"
+    config = small_config(tmp_path, "run", classify={"lam_grid": [0.01, 0.1, 1.0, 10.0], "dimensions": 3})
+    save_config(config, config_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert _file_digests(tmp_path / "run") == RUN_SMALL_LAM_GRID
 
 
 def test_run_noise_free_simulated_hashes(tmp_path):
