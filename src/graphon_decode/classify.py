@@ -18,6 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .embedding import pca_fit, pca_transform
 from .errors import DataError, ParameterError, ParseError, SingularSystemError
 from .sbm import _int, _readonly, _write_csv
 
@@ -228,69 +229,70 @@ def select_lambda(
     inner = min(folds, smallest)
     if inner < 2:
         return grid[len(grid) // 2]
-    fold_indices = stratified_folds(labels, inner, seed=seed)
     coords = np.asarray(coords, dtype=float)
-    best_lam, best_acc = grid[0], -1.0
+    best_lam, best_hits = grid[0], -1
     for lam in grid:
-        hits = 0
-        for test_idx in fold_indices:
-            train_mask = np.ones(labels.size, dtype=bool)
-            train_mask[test_idx] = False
-            model = ridge_fit(coords[train_mask], labels[train_mask], lam=lam)
-            hits += int(np.sum(np.asarray(predict(model, coords[test_idx])) == labels[test_idx]))
-        acc = hits / labels.size
-        if acc >= best_acc:  # >= so ties prefer the larger (more regularized) lam
-            best_lam, best_acc = lam, acc
+        hits = int(np.sum(_out_of_fold_predictions(labels, coords, inner, lam, seed) == labels))
+        if hits >= best_hits:  # >= so ties prefer the larger (more regularized) lam
+            best_lam, best_hits = lam, hits
     return best_lam
 
 
 def cross_validated_accuracy(
     labels,
-    embed,
+    coords,
     folds: int = 7,
     lam: float = 1.0,
     seed: int = 0,
     resamples: int = 10_000,
     lam_grid=None,
 ) -> EvalReport:
-    """Stratified k-fold accuracy with the embedding fitted on train folds only.
+    """Stratified k-fold accuracy of a ridge classifier on fixed coordinates.
 
-    ``labels`` holds one stimulus label per trial; ``embed`` maps (train
-    indices, test indices) into those trials to a (train_coords, test_coords)
-    pair, so methods with a fitting step (PCA) cannot leak test data, while
-    fixed bases simply ignore the split.  With ``lam_grid`` set, the penalty
-    is chosen per outer fold by inner cross-validation on that fold's
-    training data; otherwise ``lam`` is used as-is.  The report pools
-    out-of-fold predictions.
+    ``labels`` holds one stimulus label per trial and ``coords`` one row of
+    coordinates per trial.  With ``lam_grid`` set, the penalty is chosen per
+    outer fold by inner cross-validation on that fold's training rows;
+    otherwise ``lam`` is used as-is.  The report pools out-of-fold
+    predictions.
     """
     labels = np.asarray(labels)
-    predicted = _out_of_fold_predictions(labels, embed, folds, lam, seed, lam_grid)
+    coords = np.asarray(coords, dtype=float)
+    predicted = _out_of_fold_predictions(labels, coords, folds, lam, seed, lam_grid)
     ci = bootstrap_mean_ci(labels == predicted, resamples=resamples, seed=seed)
     return _evaluate_predictions(labels, predicted, ci)
 
 
-def _out_of_fold_predictions(labels, embed, folds: int, lam: float, seed: int, lam_grid) -> np.ndarray:
-    """Each trial's label as predicted by the model fitted without its fold,
-    for ``cross_validated_accuracy``'s arguments."""
+def _fit_decoder(rows, labels, lam: float, pca_dims: int | None = None, lam_grid=None, seed: int = 0):
+    """The predict function of a decoder fitted on ``rows``: a ridge
+    classifier on the rows themselves, or with ``pca_dims`` set on their top
+    principal components, with its penalty chosen from ``lam_grid`` by
+    :func:`select_lambda` when that is set.  The function maps rows to
+    predicted labels."""
+    pca = None if pca_dims is None else pca_fit(rows, dims=pca_dims)
+
+    def embed(mat):
+        return mat if pca is None else pca_transform(pca, mat)
+
+    coords = embed(rows)
+    if lam_grid is not None:
+        lam = select_lambda(coords, labels, lam_grid, seed=seed)
+    model = ridge_fit(coords, labels, lam=lam)
+    return lambda mat: predict(model, embed(mat))
+
+
+def _out_of_fold_predictions(
+    labels, rows, folds: int, lam: float, seed: int, lam_grid=None, pca_dims: int | None = None
+) -> np.ndarray:
+    """Each trial's label as predicted by the decoder :func:`_fit_decoder`
+    fits without its fold, so nothing fitted sees the trials it predicts."""
     labels = np.asarray(labels)
     predicted = np.empty(labels.size, dtype=object)
     for test_idx in stratified_folds(labels, folds, seed=seed):
         train_mask = np.ones(labels.size, dtype=bool)
         train_mask[test_idx] = False
-        train_coords, test_coords = embed(np.flatnonzero(train_mask), test_idx)
-        lam_fold = lam
-        if lam_grid is not None:
-            lam_fold = select_lambda(train_coords, labels[train_mask], lam_grid, seed=seed)
-        model = ridge_fit(train_coords, labels[train_mask], lam=lam_fold)
-        predicted[test_idx] = predict(model, test_coords)
+        decode = _fit_decoder(rows[train_mask], labels[train_mask], lam, pca_dims, lam_grid, seed)
+        predicted[test_idx] = decode(rows[test_idx])
     return predicted.astype(str)
-
-
-def training_accuracy(coords, labels, lam: float = 1e-6) -> float:
-    """Accuracy of a linear separator fitted and evaluated on the same data."""
-    model = ridge_fit(coords, labels, lam=lam)
-    predicted = predict(model, coords)
-    return float(np.mean(np.asarray(predicted) == np.asarray(labels)))
 
 
 # ---------------------------------------------------------------------------

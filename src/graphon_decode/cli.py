@@ -109,10 +109,9 @@ def _cmd_embed(args) -> int:
 def _cmd_classify(args) -> int:
     es = read_embeddings_csv(args.embeddings)
     _check_class_sizes(es.labels, sorted(set(es.labels)), args.folds, f"{args.embeddings}: ")
-    # precomputed coordinates are the features; no per-fold embedding refit
     report = cross_validated_accuracy(
         es.labels,
-        lambda tr, te: (es.coords[tr], es.coords[te]),
+        es.coords,
         folds=args.folds,
         lam=args.lam,
         seed=args.seed,

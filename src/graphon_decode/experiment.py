@@ -46,9 +46,7 @@ from .embedding import (
     cross_realization_dispersion,
     gft_project,
     graphon_project,
-    pca_fit,
     pca_fit_transform,
-    pca_transform,
     silhouette_score,
     write_embeddings_csv,
 )
@@ -457,40 +455,26 @@ def project(method: str, responses, indices, bases: Bases) -> EmbeddingSet:
     raise ConfigError(f"unknown embedding method {method!r}")
 
 
-def classification_embedder(method: str, responses: Responses, dims: int, bases: Bases):
-    """Embedder callable for cross-validation over ``responses``: maps (train
-    indices, test indices) to ``dims``-D coordinates.  PCA refits per training
-    fold; the two spectral bases are fixed, so their coordinates are computed
-    once and each fold takes its rows."""
-    mat = responses.values
-    if method != "pca":
-        coords = project(method, mat, tuple(range(1, dims + 1)), bases).coords
-        return lambda train, test: (coords[train], coords[test])
-
-    def embed(train, test):
-        model = pca_fit(mat[train], dims=dims)
-        return pca_transform(model, mat[train]), pca_transform(model, mat[test])
-
-    return embed
-
-
 def _cross_validate(
     responses: Responses, classes, methods, bases: Bases, classify: ClassifySection
 ) -> dict[str, np.ndarray]:
     """Out-of-fold predicted labels of each method.  A DataError names every
-    class of ``classes`` that kept fewer usable trials than there are folds."""
+    class of ``classes`` that kept fewer usable trials than there are folds.
+
+    PCA is refitted on each training fold; a fixed basis projects every row
+    once, and each fold takes its rows."""
     _check_class_sizes(responses.labels, classes, classify.folds)
-    return {
-        method: _out_of_fold_predictions(
-            responses.labels,
-            classification_embedder(method, responses, classify.dimensions, bases),
-            classify.folds,
-            classify.lam,
-            classify.seed,
-            classify.lam_grid,
+    dims = classify.dimensions
+    predicted = {}
+    for method in methods:
+        rows, pca_dims = responses.values, dims
+        if method != "pca":
+            rows, pca_dims = project(method, rows, tuple(range(1, dims + 1)), bases).coords, None
+        predicted[method] = _out_of_fold_predictions(
+            responses.labels, rows, classify.folds, classify.lam, classify.seed, classify.lam_grid,
+            pca_dims,
         )
-        for method in methods
-    }
+    return predicted
 
 
 def _evaluate(

@@ -5,6 +5,7 @@ metric read 0 without any error.  These tests catch both from the package
 side; they read bench/spans.py and change nothing under bench/."""
 
 import importlib
+from collections import Counter
 import inspect
 import os
 import subprocess
@@ -16,6 +17,7 @@ import graphon_decode
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import spans  # noqa: E402
+from test_experiment import write_measured  # noqa: E402
 
 
 # the span names layer_metrics reads besides those of SELF_GROUPS
@@ -88,3 +90,24 @@ def test_table_files_are_read_and_written_without_child_spans(tmp_path):
         ("embedding.write_embeddings_csv", 0),
         ("embedding.read_embeddings_csv", 0),
     ]
+
+
+def test_measured_table_fits_pca_and_ridge_once_per_fold(tmp_path):
+    # embedding.pca_s and classify.ridge_fits read these spans: 7 folds, each
+    # fitting PCA once and a ridge model for graphon and for PCA, while the
+    # fixed graphon basis projects every trial once, not once per fold
+    from graphon_decode.cli import main
+
+    csv_path, map_path = write_measured(tmp_path)
+    argv = ["reproduce", "table", "--out", str(tmp_path / "table")]
+    argv += ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.run_op(main, argv) == 0
+    finally:
+        tracer.uninstall()
+    calls = Counter(s.name for s in tracer.op_spans(tracer.op))
+    assert calls["embedding.pca_fit"] == 7
+    assert calls["classify.ridge_fit"] == 14
+    assert calls["embedding.graphon_project"] == 1

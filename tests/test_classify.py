@@ -5,8 +5,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from graphon_decode import classify
 from graphon_decode.classify import (
     _BOOTSTRAP_BLOCK,
+    _fit_decoder,
+    _out_of_fold_predictions,
     EvalReport,
     bootstrap_mean_ci,
     cross_validated_accuracy,
@@ -18,10 +21,9 @@ from graphon_decode.classify import (
     ridge_fit,
     select_lambda,
     stratified_folds,
-    training_accuracy,
     write_report,
 )
-from graphon_decode.embedding import pca_fit, pca_transform
+from graphon_decode.embedding import pca_fit
 from graphon_decode.errors import DataError, ParameterError, ParseError, SingularSystemError
 from graphon_decode.protocols import Responses
 
@@ -34,10 +36,6 @@ def make_dataset(matrix, labels):
     )
 
 
-def identity_embedder(ds):
-    return lambda train, test: (ds.values[train], ds.values[test])
-
-
 # ---------------------------------------------------------------------------
 # ridge fit and predict
 
@@ -46,7 +44,7 @@ def test_two_point_classes_separate_at_zero():
     coords = np.array([[-1.0], [-1.0], [1.0], [1.0]])
     labels = ["s1", "s1", "s2", "s2"]
     model = ridge_fit(coords, labels, lam=0.0)
-    assert training_accuracy(coords, labels, lam=0.0) == 1.0
+    assert _fit_decoder(coords, labels, lam=0.0)(coords) == labels
     # the decision boundary sits at 0: scores cross there
     lo = predict(model, np.array([[-0.01]]))[0]
     hi = predict(model, np.array([[0.01]]))[0]
@@ -129,7 +127,7 @@ def test_separable_data_cross_validates_perfectly():
     )
     labels = ["s1"] * 14 + ["s2"] * 14
     ds = make_dataset(mat, labels)
-    report = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=7, lam=1.0, seed=0)
+    report = cross_validated_accuracy(ds.labels, ds.values, folds=7, lam=1.0, seed=0)
     assert report.accuracy == 1.0
     assert report.ci95 == (1.0, 1.0)
     assert report.confusion.trace() == report.n
@@ -141,7 +139,7 @@ def test_permuted_labels_score_near_chance():
     labels = list(np.array(["s1", "s2", "s3"]).repeat(20))
     rng.shuffle(labels)
     ds = make_dataset(mat, labels)
-    report = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=5, lam=1.0, seed=1)
+    report = cross_validated_accuracy(ds.labels, ds.values, folds=5, lam=1.0, seed=1)
     assert report.ci95[0] <= 1.0 / 3.0 <= report.ci95[1]
 
 
@@ -150,29 +148,32 @@ def test_cross_validation_is_deterministic():
     mat = np.abs(rng.normal(1.0, 0.5, size=(28, 5)))
     labels = ["s1"] * 14 + ["s2"] * 14
     ds = make_dataset(mat, labels)
-    r1 = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=7, seed=9)
-    r2 = cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=7, seed=9)
+    r1 = cross_validated_accuracy(ds.labels, ds.values, folds=7, seed=9)
+    r2 = cross_validated_accuracy(ds.labels, ds.values, folds=7, seed=9)
     assert r1.accuracy == r2.accuracy
     assert r1.ci95 == r2.ci95
     assert np.array_equal(r1.correct, r2.correct)
     assert np.array_equal(r1.confusion, r2.confusion)
 
 
-def test_pca_embedder_fits_on_train_only():
+def test_pca_embedder_fits_on_train_only(monkeypatch):
     rng = np.random.default_rng(5)
     mat = np.abs(rng.normal(1.0, 0.2, size=(21, 10)))
     labels = ["s1"] * 7 + ["s2"] * 7 + ["s3"] * 7
     ds = make_dataset(mat, labels)
     seen = []
 
-    def pca_embedder(train, test):
-        model = pca_fit(ds.values[train], dims=4)
-        seen.append(train.size)
-        assert not set(train) & set(test)
-        return pca_transform(model, ds.values[train]), pca_transform(model, ds.values[test])
+    def recording_fit(rows, dims):
+        seen.append(rows.copy())
+        return pca_fit(rows, dims=dims)
 
-    cross_validated_accuracy(ds.labels, pca_embedder, folds=7, seed=0)
-    assert all(s == 18 for s in seen)  # 21 trials, 3 held out per fold
+    monkeypatch.setattr(classify, "pca_fit", recording_fit)
+    _out_of_fold_predictions(np.asarray(ds.labels), ds.values, 7, 1.0, 0, pca_dims=4)
+    # each fold's fit sees its 18 training trials and none of its 3 held out
+    folds = stratified_folds(ds.labels, 7, seed=0)
+    assert len(seen) == len(folds) == 7
+    for rows, test in zip(seen, folds):
+        assert np.array_equal(rows, np.delete(ds.values, test, axis=0))
 
 
 def test_insufficient_class_counts_rejected():
@@ -181,7 +182,7 @@ def test_insufficient_class_counts_rejected():
     labels = ["s1"] * 6 + ["s2"] * 2
     ds = make_dataset(mat, labels)
     with pytest.raises(ParameterError, match="fewer than"):
-        cross_validated_accuracy(ds.labels, identity_embedder(ds), folds=4)
+        cross_validated_accuracy(ds.labels, ds.values, folds=4)
 
 
 def test_inner_cv_lambda_grid():
@@ -198,7 +199,7 @@ def test_inner_cv_lambda_grid():
     )
     ds = make_dataset(mat, labels)
     report = cross_validated_accuracy(
-        ds.labels, identity_embedder(ds), folds=4, lam_grid=(0.01, 0.1, 1.0, 10.0), seed=0
+        ds.labels, ds.values, folds=4, lam_grid=(0.01, 0.1, 1.0, 10.0), seed=0
     )
     assert report.accuracy == 1.0
 

@@ -12,10 +12,10 @@ from graphon_decode.cli import main
 from graphon_decode.errors import ConfigError, DataError, ParameterError
 from graphon_decode.experiment import (
     Bases,
-    classification_embedder,
     config_from_dict,
     derive_seed,
     load_config,
+    project,
     run_experiment,
     save_config,
     verify_manifest,
@@ -721,8 +721,8 @@ def test_cli_table_pairs_rc_correctness_by_trial_id(tmp_path):
     header, *rows = csv_path.read_text().splitlines()
     csv_path.write_text("\n".join([header, *rows[5:], *rows[:5]]) + "\n")
     responses, block_map = load_experimental_responses(csv_path, map_path)
-    embed = classification_embedder("graphon", responses, 4, Bases(block_map=block_map))
-    report = cross_validated_accuracy(responses.labels, embed, folds=7, resamples=10)
+    coords = project("graphon", responses, (1, 2, 3, 4), Bases(block_map=block_map)).coords
+    report = cross_validated_accuracy(responses.labels, coords, folds=7, resamples=10)
     assert 0 < report.accuracy < 1
     rc_path = tmp_path / "rc.csv"
     pairs = sorted(zip(responses.trial_ids, report.correct))
