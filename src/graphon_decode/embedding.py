@@ -185,7 +185,8 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     fixed start vector), a smaller one or more than 16 components by a dense
     ``eigh``; both agree with the SVD of C to rounding.  A direction without
     variance, which only a wide rank-deficient C has among its top ``dims``,
-    gets a zero axis, and so does every axis of a C that is all zeros.
+    gets a zero axis, and so does every axis when all rows are equal, even if
+    C holds the rounding of their mean rather than exact zeros.
 
     The products here and in :func:`pca_transform` call scipy's BLAS, the
     library the eigensolvers run in.  numpy and scipy each ship their own
@@ -206,10 +207,14 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     gram = blas.dsyrk(1.0, centered.T, trans=int(wide))
     k = gram.shape[0]
     total = float(np.sum(centered * centered))
-    if total > 0:
+    # rows that are all equal leave in C only the rounding of their mean, of
+    # relative size n·eps; sum(X²) = sum(C²) + n·|mean|²
+    n = mat.shape[0]
+    varied = total > (n * np.finfo(float).eps) ** 2 * (total + n * float(np.sum(mean * mean)))
+    if varied:
         evals, evecs = _top_eigenpairs(gram, dims)
         evals = np.maximum(evals, 0.0)
-    else:  # all rows equal; ARPACK would stop on the zero operator
+    else:  # ARPACK would stop on the zero operator
         evals, evecs = np.zeros(dims), np.zeros((k, dims))
     if wide:
         # below this an eigenvalue of C Cᵀ is rounding, and uᵀC / √λ noise
@@ -224,7 +229,7 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     signs = np.sign(comps[np.arange(dims), lead])
     signs[signs == 0] = 1.0
     comps *= signs[:, None]
-    evr = (evals / total) if total > 0 else np.zeros(dims)
+    evr = evals / total if varied else np.zeros(dims)
     return PcaModel(
         mean=_readonly(mean), components=_readonly(comps), explained_variance_ratio=_readonly(evr)
     )

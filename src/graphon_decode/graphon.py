@@ -13,6 +13,8 @@ finite matrix algebra, limited only by floating-point rounding.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ContractError, ParameterError
@@ -51,8 +53,12 @@ def infty_to_one_norm_lower_bound(u, restarts: int = 32, seed: int = 0) -> float
     The result never exceeds the true norm, is monotone in ``restarts`` for a
     fixed seed, and is deterministic given the seed.
 
-    The exact norm is combinatorially hard; this estimator is intended as a
-    convergence diagnostic, not a certified distance.
+    When 2^(N-1) <= ``restarts``, the ascent instead starts from every sign
+    vector whose first entry is +1.  Up to a global sign, one of them is an
+    optimal g, whose first half-step already reaches the optimum, so the
+    result is the exact norm.  Otherwise the exact norm is combinatorially
+    hard; this estimator is intended as a convergence diagnostic, not a
+    certified distance.
     """
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
@@ -62,13 +68,14 @@ def infty_to_one_norm_lower_bound(u, restarts: int = 32, seed: int = 0) -> float
     if not np.array_equal(u, u.T):
         raise ContractError("kernel values must be symmetric")
     m = u / u.shape[0] ** 2
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n = m.shape[0]
+    if 2 ** (n - 1) <= restarts:
+        starts = (np.array((1.0, *signs)) for signs in itertools.product((1.0, -1.0), repeat=n - 1))
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        starts = (np.ones(n) if r == 0 else rng.choice([-1.0, 1.0], size=n) for r in range(restarts))
     best = 0.0
-    for r in range(restarts):
-        if r == 0:
-            g = np.ones(m.shape[0])
-        else:
-            g = rng.choice([-1.0, 1.0], size=m.shape[0])
+    for g in starts:
         prev = -np.inf
         for _ in range(200):
             f = _unit_signs(m @ g)

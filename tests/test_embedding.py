@@ -302,6 +302,15 @@ def test_pca_of_identical_rows_has_zero_axes(shape):
     assert np.array_equal(model.mean, row)
 
 
+@pytest.mark.parametrize("shape", LANCZOS_SHAPES, ids=["wide", "tall"])
+def test_pca_of_equal_rows_with_an_inexact_mean_has_zero_axes(shape):
+    # sevenths do not average to themselves exactly: C is ~1e-15, not 0
+    row = np.random.default_rng(0).random(shape[1]) / 7
+    model = pca_fit(np.tile(row, (shape[0], 1)), dims=4)
+    assert np.all(model.components == 0.0)
+    assert np.all(model.explained_variance_ratio == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # degenerate-pair alignment
 

@@ -131,6 +131,15 @@ def test_norm_estimate_matches_exhaustive_search_and_bound(m, seed):
     assert abs(est - exact) < 1e-10
 
 
+@pytest.mark.parametrize("seed", [10, 94, 2542])
+def test_norm_estimate_is_exact_when_restarts_cover_every_sign_class(seed):
+    # 31 random starts missed the optimum's sign class at these seeds; 8
+    # classes of 4 cells fit in 32 restarts, so every class is a start
+    u = random_symmetric(np.random.default_rng(seed), 4)
+    est = infty_to_one_norm_lower_bound(u, restarts=32, seed=seed)
+    assert est == pytest.approx(brute_force_norm(u), abs=1e-15)
+
+
 def test_norm_is_exact_total_mass_for_constant_sign_kernels():
     # when the kernel never changes sign the all-ones pair is optimal, so the
     # estimator returns the integral of |K| exactly on its first restart
