@@ -10,7 +10,6 @@ estimate.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,7 +19,8 @@ import numpy as np
 
 from .embedding import pca_fit, pca_transform
 from .errors import DataError, ParameterError, ParseError, SingularSystemError
-from .sbm import _int, _readonly, _write_csv
+from .protocols import _read_keyed_rows
+from .sbm import _readonly, _write_csv
 
 
 @dataclass(frozen=True)
@@ -239,13 +239,7 @@ def select_lambda(
 
 
 def cross_validated_accuracy(
-    labels,
-    coords,
-    folds: int = 7,
-    lam: float = 1.0,
-    seed: int = 0,
-    resamples: int = 10_000,
-    lam_grid=None,
+    labels, coords, folds: int = 7, lam: float = 1.0, seed: int = 0, resamples: int = 10_000, lam_grid=None
 ) -> EvalReport:
     """Stratified k-fold accuracy of a ridge classifier on fixed coordinates.
 
@@ -263,11 +257,9 @@ def cross_validated_accuracy(
 
 
 def _fit_decoder(rows, labels, lam: float, pca_dims: int | None = None, lam_grid=None, seed: int = 0):
-    """The predict function of a decoder fitted on ``rows``: a ridge
-    classifier on the rows themselves, or with ``pca_dims`` set on their top
-    principal components, with its penalty chosen from ``lam_grid`` by
-    :func:`select_lambda` when that is set.  The function maps rows to
-    predicted labels."""
+    """The rows -> labels function of a ridge classifier fitted on ``rows``,
+    or with ``pca_dims`` on their top principal components, its penalty chosen
+    from ``lam_grid`` by :func:`select_lambda` when that is set."""
     pca = None if pca_dims is None else pca_fit(rows, dims=pca_dims)
 
     def embed(mat):
@@ -398,6 +390,12 @@ def pair_by_trial_id(a: dict, b: dict, names=("a", "b")) -> tuple[np.ndarray, np
     return np.array(list(a.values()), dtype=float), np.array([b[t] for t in a], dtype=float)
 
 
+def _correct(text: str) -> float:
+    if text not in ("0", "1"):
+        raise ValueError(f"correct must be 0 or 1, got {text!r}")
+    return float(text)
+
+
 def read_correctness_csv(path) -> dict[int, float]:
     """trial_id,correct file with correct in {0, 1}, as a trial_id ->
     correct map ordered by trial_id.
@@ -405,22 +403,5 @@ def read_correctness_csv(path) -> dict[int, float]:
     Every rejected row is named by its line number, and a trial id may
     appear only once.
     """
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["trial_id", "correct"]:
-            raise ParseError(f"{path}: header must be trial_id,correct")
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or row[1] not in ("0", "1"):
-                raise ParseError(f"{path}: row {row_no}: bad row {row!r}")
-            try:
-                trial_id = _int(row[0])
-            except ValueError:
-                raise ParseError(f"{path}: row {row_no}: bad trial_id {row[0]!r}") from None
-            if trial_id in rows:
-                raise ParseError(f"{path}: row {row_no}: duplicate trial_id {trial_id}")
-            rows[trial_id] = float(row[1])
+    rows = _read_keyed_rows(path, ("trial_id", "correct"), _correct, name_key=True)
     return {t: rows[t] for t in sorted(rows)}

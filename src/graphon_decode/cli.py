@@ -110,12 +110,7 @@ def _cmd_classify(args) -> int:
     es = read_embeddings_csv(args.embeddings)
     _check_class_sizes(es.labels, sorted(set(es.labels)), args.folds, f"{args.embeddings}: ")
     report = cross_validated_accuracy(
-        es.labels,
-        es.coords,
-        folds=args.folds,
-        lam=args.lam,
-        seed=args.seed,
-        resamples=args.resamples,
+        es.labels, es.coords, folds=args.folds, lam=args.lam, seed=args.seed, resamples=args.resamples
     )
     write_report(args.out, report, extra={"method": es.method, "embeddings": args.embeddings})
     print(f"accuracy {report.accuracy:.3f} ci95 [{report.ci95[0]:.3f}, {report.ci95[1]:.3f}]")

@@ -185,8 +185,7 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     fixed start vector), a smaller one or more than 16 components by a dense
     ``eigh``; both agree with the SVD of C to rounding.  A direction without
     variance, which only a wide rank-deficient C has among its top ``dims``,
-    gets a zero axis, and so does every axis when all rows are equal, even if
-    C holds the rounding of their mean rather than exact zeros.
+    gets a zero axis, and so does every axis when all rows are equal.
 
     The products here and in :func:`pca_transform` call scipy's BLAS, the
     library the eigensolvers run in.  numpy and scipy each ship their own
@@ -207,8 +206,7 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     gram = blas.dsyrk(1.0, centered.T, trans=int(wide))
     k = gram.shape[0]
     total = float(np.sum(centered * centered))
-    # rows that are all equal leave in C only the rounding of their mean, of
-    # relative size n·eps; sum(X²) = sum(C²) + n·|mean|²
+    # equal rows leave only their mean's rounding: sum(C²) <~ (n·eps)²·(sum(C²) + n·|mean|²)
     n = mat.shape[0]
     varied = total > (n * np.finfo(float).eps) ** 2 * (total + n * float(np.sum(mean * mean)))
     if varied:

@@ -460,9 +460,7 @@ def _cross_validate(
 ) -> dict[str, np.ndarray]:
     """Out-of-fold predicted labels of each method.  A DataError names every
     class of ``classes`` that kept fewer usable trials than there are folds.
-
-    PCA is refitted on each training fold; a fixed basis projects every row
-    once, and each fold takes its rows."""
+    PCA is refitted per training fold; a fixed basis projects all rows once."""
     _check_class_sizes(responses.labels, classes, classify.folds)
     dims = classify.dimensions
     predicted = {}

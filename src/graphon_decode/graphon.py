@@ -53,12 +53,10 @@ def infty_to_one_norm_lower_bound(u, restarts: int = 32, seed: int = 0) -> float
     The result never exceeds the true norm, is monotone in ``restarts`` for a
     fixed seed, and is deterministic given the seed.
 
-    When 2^(N-1) <= ``restarts``, the ascent instead starts from every sign
-    vector whose first entry is +1.  Up to a global sign, one of them is an
-    optimal g, whose first half-step already reaches the optimum, so the
-    result is the exact norm.  Otherwise the exact norm is combinatorially
-    hard; this estimator is intended as a convergence diagnostic, not a
-    certified distance.
+    When 2^(N-1) <= ``restarts`` it starts instead from every sign vector
+    whose first entry is +1, one of which is optimal up to sign, so the result
+    is the exact norm.  Otherwise the exact norm is combinatorially hard; this
+    estimator is intended as a convergence diagnostic, not a certified distance.
     """
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")

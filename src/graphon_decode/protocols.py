@@ -293,26 +293,51 @@ def read_responses_csv(path, allowed_labels=None) -> Responses:
     return Responses(values=values, labels=labels, trial_ids=trial_ids)
 
 
-def read_block_map(path, expected_size: int | None = None) -> np.ndarray:
-    """roi_index,block CSV covering indices 0..m-1 exactly once, block in 1..4."""
-    entries: dict[int, int] = {}
+def _read_keyed_rows(path, header: tuple[str, str], value, name_key: bool = False) -> dict:
+    """A two-column CSV headed ``header`` as {integer first cell: ``value`` of
+    the second}, in file order, skipping blank rows.  A rejected row is a
+    ParseError naming it: a bad row (not two cells, a ValueError from
+    ``value``, or a non-integer key, which ``name_key`` names by its column),
+    a duplicate key, or the ParseError that ``value`` raised."""
+    entries = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["roi_index", "block"]:
-            raise ParseError(f"{path}: header must be roi_index,block, got {header}")
+        got = next(reader, None)
+        if got != list(header):
+            raise ParseError(f"{path}: header must be {','.join(header)}, got {got}")
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            where = f"{path}: row {row_no}"
+            if len(row) != 2:
+                raise ParseError(f"{where}: bad row {row!r}")
             try:
-                idx, block = (_int(cell) for cell in row)
-            except ValueError:  # a non-integer cell, or not exactly two cells
-                raise ParseError(f"{path}: row {row_no}: bad row {row!r}") from None
-            if not 1 <= block <= BLOCK_COUNT:
-                raise ParseError(f"{path}: row {row_no}: block {block} outside 1..4")
-            if idx in entries:
-                raise ParseError(f"{path}: row {row_no}: duplicate roi_index {idx}")
-            entries[idx] = block
+                key = _int(row[0])
+            except ValueError:
+                bad = f"{header[0]} {row[0]!r}" if name_key else f"row {row!r}"
+                raise ParseError(f"{where}: bad {bad}") from None
+            try:
+                entry = value(row[1])
+            except ParseError as exc:
+                raise ParseError(f"{where}: {exc}") from None
+            except ValueError:
+                raise ParseError(f"{where}: bad row {row!r}") from None
+            if key in entries:
+                raise ParseError(f"{where}: duplicate {header[0]} {key}")
+            entries[key] = entry
+    return entries
+
+
+def _block(text: str) -> int:
+    block = _int(text)
+    if not 1 <= block <= BLOCK_COUNT:
+        raise ParseError(f"block {block} outside 1..4")
+    return block
+
+
+def read_block_map(path, expected_size: int | None = None) -> np.ndarray:
+    """roi_index,block CSV covering indices 0..m-1 exactly once, block in 1..4."""
+    entries = _read_keyed_rows(path, ("roi_index", "block"), _block)
     m = len(entries)
     if m == 0:
         raise ParseError(f"{path}: no data rows")

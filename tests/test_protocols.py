@@ -329,6 +329,25 @@ def test_block_map_rows_need_two_cells(tmp_path):
         read_block_map(bmap)
 
 
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("roi,block\n0,1\n", "header must be roi_index,block"),
+        ("roi_index,block\n0,1\n1,5\n", "row 3: block 5 outside 1..4"),
+        ("roi_index,block\n0,1\n0,2\n", "row 3: duplicate roi_index 0"),
+        ("roi_index,block\n0,1\n\n1\n", "row 4: bad row"),
+    ],
+)
+def test_block_map_rows_are_checked_one_by_one(tmp_path, body, match):
+    bmap = tmp_path / "blocks.csv"
+    bmap.write_text(body)
+    with pytest.raises(ParseError, match=match):
+        read_block_map(bmap)
+    # a blank row is skipped, and still counted in the row numbers
+    bmap.write_text("roi_index,block\n0,4\n\n1,1\n")
+    assert read_block_map(bmap).tolist() == [4, 1]
+
+
 def test_missing_header_rejected(tmp_path):
     resp = tmp_path / "responses.csv"
     resp.write_text("id,label,roi_0\n0,s1,1.0\n")
