@@ -5,11 +5,11 @@ metric read 0 without any error.  These tests catch both from the package
 side; they read bench/spans.py and change nothing under bench/."""
 
 import importlib
-from collections import Counter
 import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import graphon_decode
