@@ -275,10 +275,7 @@ class AlignmentResult:
     degenerate: bool
 
 
-def align_degenerate_pair(
-    decomposition: SpectralDecomposition,
-    rel_gap: float = 0.05,
-) -> AlignmentResult:
+def align_degenerate_pair(decomposition: SpectralDecomposition) -> AlignmentResult:
     """Orthogonal Procrustes fit of empirical modes 2 and 3 onto the analytic
     block contrasts.
 
@@ -286,15 +283,15 @@ def align_degenerate_pair(
     graph's modes 2 and 3 span an arbitrary rotation (possibly reflection) of
     the analytic plane.  This returns the 2x2 orthogonal matrix Q minimizing
     ||E Q - T||_F for the empirical pair E and the discretized targets T.
-    When the two empirical eigenvalues differ by more than ``rel_gap``
-    (relative), the pair is not treated as degenerate and Q is the identity.
+    When the two empirical eigenvalues differ by more than 5% (relative), the
+    pair is not treated as degenerate and Q is the identity.
     """
     size = decomposition.eigenvectors.shape[0]
     if size % BLOCK_COUNT != 0:
         raise ParameterError("decomposition size must be a multiple of 4")
     lam2, lam3 = decomposition.eigenvalues[1], decomposition.eigenvalues[2]
     denom = max(abs(lam2), abs(lam3))
-    if denom == 0 or abs(lam2 - lam3) / denom > rel_gap:
+    if denom == 0 or abs(lam2 - lam3) / denom > 0.05:
         return AlignmentResult(rotation=_readonly(np.eye(2)), degenerate=False)
     basis = discretized_eigenvector_basis(size // BLOCK_COUNT)
     target = basis[:, 1:3]
@@ -305,7 +302,7 @@ def align_degenerate_pair(
 
 
 def aligned_eigenvector_basis(
-    decomposition: SpectralDecomposition, rel_gap: float = 0.05
+    decomposition: SpectralDecomposition,
 ) -> tuple[np.ndarray, AlignmentResult]:
     """Top-4 empirical eigenvectors made comparable across graph realizations.
 
@@ -316,7 +313,7 @@ def aligned_eigenvector_basis(
     """
     size = decomposition.eigenvectors.shape[0]
     basis = decomposition.eigenvectors[:, :BLOCK_COUNT].copy()
-    alignment = align_degenerate_pair(decomposition, rel_gap=rel_gap)
+    alignment = align_degenerate_pair(decomposition)
     basis[:, 1:3] = basis[:, 1:3] @ alignment.rotation
     targets = discretized_eigenvector_basis(size // BLOCK_COUNT)
     for col in (0, 3):
@@ -365,13 +362,13 @@ def silhouette_score(coords: np.ndarray, labels) -> float:
     return float(scores.mean())
 
 
-def centroid_betweenness(coords: np.ndarray, labels, order=("s1", "s2", "s3")) -> float:
-    """Projection parameter of the middle centroid onto the segment between
-    the two outer centroids; values strictly inside (0, 1) mean the middle
+def centroid_betweenness(coords: np.ndarray, labels) -> float:
+    """Projection parameter of the s2 centroid onto the segment from the s1
+    to the s3 centroid; values strictly inside (0, 1) mean the middle
     stimulus response sits between the outer two."""
     cents = centroids_by_label(np.asarray(coords, dtype=float), labels)
     try:
-        a, mid, b = (cents[lab] for lab in order)
+        a, mid, b = (cents[lab] for lab in ("s1", "s2", "s3"))
     except KeyError as exc:
         raise ParameterError(f"label {exc} missing from embedding") from exc
     span = b - a

@@ -402,7 +402,7 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
         if any(not 0 <= t < size for t in targets):
             raise ConfigError(f"{path}: custom stimulus {label!r} targets outside 0..{size - 1}")
     try:
-        return Protocol(name="custom", stimuli=stimuli)
+        return Protocol(stimuli=stimuli)
     except ContractError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -499,7 +499,7 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, config_dict: dict, files: list[str], extra: dict | None = None) -> None:
+def write_manifest(out_dir: Path, config_dict: dict, files: list[str], extra: dict) -> None:
     manifest = {
         "package_version": __version__,
         "config": config_dict,
@@ -507,9 +507,8 @@ def write_manifest(out_dir: Path, config_dict: dict, files: list[str], extra: di
             json.dumps(config_dict, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest(),
         "files": {name: _sha256_file(out_dir / name) for name in sorted(files)},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 

@@ -26,17 +26,11 @@ EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 _BAD_LABEL = re.compile(r'[,"|\r\n]')
 _BAD_LABEL_TEXT = "contains a comma, quote, '|' or line break"
 
-# Table rows whose value cells one np.loadtxt call converts.  A block's text
-# is held at once, so a bounded block keeps memory flat in the file size;
-# joining a whole 900 x 1000 table first raised peak RSS by ~0.9 MB.
-_PARSE_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class Protocol:
-    """Named list of stimuli, each a (label, target node indices) pair."""
+    """Stimuli, each a (label, target node indices) pair."""
 
-    name: str
     stimuli: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
@@ -55,12 +49,6 @@ class Protocol:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.stimuli)
-
-    def targets_of(self, label: str) -> tuple[int, ...]:
-        for lab, targets in self.stimuli:
-            if lab == label:
-                return targets
-        raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -105,13 +93,7 @@ def two_cluster_protocol(n: int) -> Protocol:
     """s1 targets all of block 1, s2 all of block 2."""
     if n < 1:
         raise ParameterError(f"n must be positive, got {n}")
-    return Protocol(
-        name="two_cluster",
-        stimuli=(
-            ("s1", tuple(range(0, n))),
-            ("s2", tuple(range(n, 2 * n))),
-        ),
-    )
+    return Protocol(stimuli=(("s1", tuple(range(0, n))), ("s2", tuple(range(n, 2 * n)))))
 
 
 def mixed_cluster_protocol(n: int) -> Protocol:
@@ -129,7 +111,7 @@ def mixed_cluster_protocol(n: int) -> Protocol:
     s1 = tuple(range(0, n - third))
     s2 = tuple(range(n - third, n)) + tuple(range(n, n + third))
     s3 = tuple(range(n + third, 2 * n))
-    return Protocol(name="mixed_cluster", stimuli=(("s1", s1), ("s2", s2), ("s3", s3)))
+    return Protocol(stimuli=(("s1", s1), ("s2", s2), ("s3", s3)))
 
 
 def extract_response(
@@ -201,26 +183,20 @@ def _parse_values(texts, m: int):
     return block if block.shape == (len(texts), m) else None
 
 
-def _convert_rows(path, texts, row_nos, out) -> None:
-    """Fill ``out`` with the values in ``texts``, the joined value cells of
-    the rows numbered ``row_nos``, in one parse; a rejected row is named as a
-    row-by-row parse would name it."""
-    if not texts:
-        return
-    block = _parse_values(texts, out.shape[1])
-    if block is not None:
-        out[:] = block
-        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-        if bad.size:
-            raise ParseError(f"{path}: row {row_nos[bad[0]]}: non-finite cell")
-        return
-    for text, row_no, dest in zip(texts, row_nos, out):
-        row = _parse_values([text], out.shape[1])
+def _convert_rows(path, texts, row_nos, m: int) -> np.ndarray:
+    """The (rows x m) matrix of ``texts``, the joined value cells of the rows
+    numbered ``row_nos``, in one parse.  When that fails, the rows are parsed
+    one by one to name the first that is non-numeric or non-finite."""
+    values = _parse_values(texts, m)
+    if values is not None and np.isfinite(values).all():
+        return values
+    for text, row_no in zip(texts, row_nos):
+        row = _parse_values([text], m)
         if row is None:
             raise ParseError(f"{path}: row {row_no}: non-numeric cell")
         if not np.isfinite(row).all():
             raise ParseError(f"{path}: row {row_no}: non-finite cell")
-        dest[:] = row[0]
+    return values
 
 
 def _read_trial_table(path, prefix: str, first: int, method: bool = False):
@@ -229,44 +205,34 @@ def _read_trial_table(path, prefix: str, first: int, method: bool = False):
     Returns the trial ids, labels, (rows x m) value matrix, line number of
     each row and the method column (None without one).  Trial ids are unique
     integers and values finite numbers; the first rejected row is named by
-    its line.  The value cells are converted _PARSE_BLOCK rows at a time.
+    its line.  The value cells of all rows are converted in one call.
     """
     tail = ["method"] if method else []
     with open(path, newline="") as fh:
-        # a line count bounds the row count, so the matrix is allocated once
-        capacity = sum(1 for _ in fh)
-        fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, [])
         m = len(header) - 2 - len(tail)
         if m < 1 or header != ["trial_id", "label", *(f"{prefix}{first + i}" for i in range(m)), *tail]:
             layout = ",".join(["trial_id", "label", f"{prefix}{first}..{prefix}<k>", *tail])
             raise ParseError(f"{path}: header must be {layout}, got {','.join(header)[:80]!r}")
-        values = np.empty((capacity - 1, m))
-        trial_ids, labels, lines, methods, seen = [], [], [], [], set()
-        done, pending = 0, []  # rows converted; value cells of the rows after them
+        trial_ids, labels, lines, methods, texts, seen = [], [], [], [], [], set()
         for row_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 trial_id = _trial_id(row, len(header), seen)
             except ValueError as exc:
-                # a bad value in an earlier row is named first
-                _convert_rows(path, pending, lines[done:], values[done : len(labels)])
+                _convert_rows(path, texts, lines, m)  # a bad value in an earlier row is named first
                 raise ParseError(f"{path}: row {row_no}: {exc}") from None
             seen.add(trial_id)
             trial_ids.append(trial_id)
             labels.append(row[1])
             lines.append(row_no)
             methods.append(row[-1])
-            pending.append(",".join(row[2 : 2 + m]))
-            if len(pending) == _PARSE_BLOCK:
-                _convert_rows(path, pending, lines[done:], values[done : len(labels)])
-                done, pending = len(labels), []
-        _convert_rows(path, pending, lines[done:], values[done : len(labels)])
+            texts.append(",".join(row[2 : 2 + m]))
     if not labels:
         raise ParseError(f"{path}: no data rows")
-    return trial_ids, labels, values[: len(labels)], lines, methods if method else None
+    return trial_ids, labels, _convert_rows(path, texts, lines, m), lines, methods if method else None
 
 
 def write_responses_csv(responses: Responses, path) -> None:

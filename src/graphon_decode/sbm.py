@@ -91,12 +91,11 @@ class SbmConfig:
 class AdjacencyMatrix:
     """Symmetric 0/1 adjacency matrix with zero diagonal.
 
-    ``n``, ``alpha`` and ``seed`` record how the graph was sampled and may be
-    None for graphs built directly from entries.
+    ``alpha`` and ``seed`` record how the graph was sampled and may be None
+    for graphs built directly from entries.
     """
 
     entries: np.ndarray
-    n: int | None = None
     alpha: float | None = None
     seed: int | None = None
 
@@ -211,9 +210,7 @@ def sample_adjacency(config: SbmConfig) -> AdjacencyMatrix:
     entries = np.zeros((size, size), dtype=np.int8)
     entries[iu] = edges
     entries += entries.T
-    return AdjacencyMatrix(
-        entries=_readonly(entries), n=config.n, alpha=config.alpha, seed=config.seed
-    )
+    return AdjacencyMatrix(entries=_readonly(entries), alpha=config.alpha, seed=config.seed)
 
 
 @functools.cache
@@ -248,24 +245,17 @@ def _one_blas_thread():
         put(before)
 
 
-def eigendecompose(adjacency) -> SpectralDecomposition:
-    """Dense symmetric eigendecomposition, eigenvalues descending.
+def eigendecompose(adjacency: AdjacencyMatrix) -> SpectralDecomposition:
+    """Dense eigendecomposition of a graph's adjacency matrix, eigenvalues
+    descending.
 
-    Accepts an AdjacencyMatrix or any real symmetric matrix.  Eigenvector
-    signs are fixed so each column's largest-magnitude entry is positive,
-    making the output deterministic up to degenerate subspaces; ``eigh`` runs
-    on one OpenBLAS thread, so the bytes do not depend on the core count.
+    Eigenvector signs are fixed so each column's largest-magnitude entry is
+    positive, making the output deterministic up to degenerate subspaces;
+    ``eigh`` runs on one OpenBLAS thread, so the bytes do not depend on the
+    core count.
     """
-    if isinstance(adjacency, AdjacencyMatrix):
-        mat = adjacency.entries.astype(float)
-    else:
-        mat = np.asarray(adjacency, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ContractError(f"expected a square matrix, got shape {mat.shape}")
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
-            raise ContractError("matrix must be symmetric")
     with _one_blas_thread():
-        w, v = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(adjacency.entries.astype(float))
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     lead = np.argmax(np.abs(v), axis=0)
@@ -328,8 +318,7 @@ def read_edge_list(path) -> AdjacencyMatrix:
         if a == b:
             raise ParseError(f"{path}: line {ln}: self-loop {a} {b}")
         entries[a, b] = entries[b, a] = 1
-    n = size // BLOCK_COUNT if size % BLOCK_COUNT == 0 else None
-    return AdjacencyMatrix(entries=_readonly(entries), n=n, alpha=alpha, seed=seed)
+    return AdjacencyMatrix(entries=_readonly(entries), alpha=alpha, seed=seed)
 
 
 def write_spectra(decomposition: SpectralDecomposition, values_path, vectors_path) -> None:

@@ -198,15 +198,31 @@ def test_inner_cv_lambda_grid():
         [np.abs(rng.normal([3.0, 0.1], 0.05, (12, 2))), np.abs(rng.normal([0.1, 3.0], 0.05, (12, 2)))]
     )
     ds = make_dataset(mat, labels)
-    report = cross_validated_accuracy(
-        ds.labels, ds.values, folds=4, lam_grid=(0.01, 0.1, 1.0, 10.0), seed=0
-    )
-    assert report.accuracy == 1.0
+    predicted = _out_of_fold_predictions(ds.labels, ds.values, 4, 1.0, 0, lam_grid=(0.01, 0.1, 1.0, 10.0))
+    assert predicted.tolist() == list(ds.labels)
 
 
 def test_lambda_grid_falls_back_on_tiny_classes():
     lam = select_lambda(np.array([[0.0], [1.0]]), ["a", "b"], grid=(0.01, 1.0, 10.0))
     assert lam == 1.0  # median candidate
+
+
+def test_lambda_grid_sees_the_training_rows_not_their_pca_coordinates(monkeypatch):
+    # the penalty is chosen by refitting PCA inside each inner fold, so the
+    # axes never see the rows that score a penalty
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((24, 10))
+    labels = np.array(["a", "b"] * 12)
+    rows[labels == "b", 0] += 3.0
+    seen, choose = [], classify.select_lambda
+
+    def spy(coords, *args, **kwargs):
+        seen.append(np.shape(coords))
+        return choose(coords, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "select_lambda", spy)
+    _out_of_fold_predictions(labels, rows, 3, 1.0, 0, lam_grid=(0.1, 1.0), pca_dims=2)
+    assert seen == [(16, 10)] * 3
 
 
 def test_stratified_folds_balance_classes():
@@ -322,7 +338,7 @@ def test_blocked_bootstrap_equals_one_unblocked_draw(n, kind, monkeypatch):
             ci = bootstrap_mean_ci(values, resamples=resamples, seed=seed)
             expected = _unblocked_means(values, resamples, seed)
             assert seen[0].tobytes() == expected.tobytes(), (seed, resamples)
-            tail = 100.0 * (1.0 - 0.95) / 2.0  # the default level, computed as the function does
+            tail = 100.0 * (1.0 - 0.95) / 2.0  # the 95% level, computed as the function does
             lo, hi = percentile(expected, [tail, 100.0 - tail])
             assert ci == (float(lo), float(hi)), (seed, resamples)
             # a stack shares the draw, and each row equals its own call bit for bit
@@ -384,15 +400,25 @@ def test_report_round_trip(tmp_path):
 
 
 def test_report_validates_consistency():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="confusion matrix total"):
         EvalReport(
-            accuracy=0.95,
+            accuracy=0.5,
             per_class_accuracy={},
             confusion=np.array([[1]]),
-            ci95=(0.1, 0.2),
-            n=1,
+            ci95=(0.5, 0.5),
+            n=2,
             class_order=("s1",),
         )
+
+
+def test_single_resample_report_need_not_contain_its_accuracy():
+    # one resample's percentile interval is that resample's mean, which
+    # seldom equals the accuracy
+    rng = np.random.default_rng(3)
+    mat = np.abs(rng.normal(1.0, 0.3, size=(20, 6)))
+    labels = ["s1", "s2"] * 10
+    report = cross_validated_accuracy(labels, mat, folds=5, resamples=1, seed=0)
+    assert report.ci95[0] == report.ci95[1] != report.accuracy
 
 
 def test_read_correctness_csv(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphon_decode.errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from graphon_decode.lif import SimParams, SpikeRaster, run_trial
 from graphon_decode.protocols import (
-    _PARSE_BLOCK,
     Protocol,
     Responses,
     _read_trial_table,
@@ -36,15 +35,15 @@ def raster_from(spikes, duration=200.0, seed=0):
 
 
 def test_two_cluster_small():
-    p = two_cluster_protocol(3)
-    assert p.targets_of("s1") == (0, 1, 2)
-    assert p.targets_of("s2") == (3, 4, 5)
+    targets = dict(two_cluster_protocol(3).stimuli)
+    assert targets["s1"] == (0, 1, 2)
+    assert targets["s2"] == (3, 4, 5)
 
 
 def test_two_cluster_targets_fill_blocks():
     n = 100
-    p = two_cluster_protocol(n)
-    s1, s2 = p.targets_of("s1"), p.targets_of("s2")
+    targets = dict(two_cluster_protocol(n).stimuli)
+    s1, s2 = targets["s1"], targets["s2"]
     assert len(s1) == len(s2) == n
     assert not set(s1) & set(s2)
     blocks = block_membership(n)
@@ -53,27 +52,27 @@ def test_two_cluster_targets_fill_blocks():
 
 
 def test_mixed_cluster_small():
-    p = mixed_cluster_protocol(3)
-    assert p.targets_of("s1") == (0, 1)
-    assert p.targets_of("s2") == (2, 3)
-    assert p.targets_of("s3") == (4, 5)
+    targets = dict(mixed_cluster_protocol(3).stimuli)
+    assert targets["s1"] == (0, 1)
+    assert targets["s2"] == (2, 3)
+    assert targets["s3"] == (4, 5)
 
 
 def test_mixed_cluster_divisible_sizes():
-    p = mixed_cluster_protocol(99)
-    assert len(p.targets_of("s1")) == 66
-    assert len(p.targets_of("s2")) == 66
-    assert len(p.targets_of("s3")) == 66
+    targets = dict(mixed_cluster_protocol(99).stimuli)
+    assert len(targets["s1"]) == 66
+    assert len(targets["s2"]) == 66
+    assert len(targets["s3"]) == 66
     blocks = block_membership(99)
-    s2_blocks = [blocks[t] for t in p.targets_of("s2")]
+    s2_blocks = [blocks[t] for t in targets["s2"]]
     assert s2_blocks.count(1) == 33 and s2_blocks.count(2) == 33
 
 
 @given(st.integers(min_value=3, max_value=200))
 @settings(max_examples=60, deadline=None)
 def test_mixed_cluster_partitions_first_two_blocks(n):
-    p = mixed_cluster_protocol(n)
-    sets = [set(p.targets_of(lab)) for lab in ("s1", "s2", "s3")]
+    targets = dict(mixed_cluster_protocol(n).stimuli)
+    sets = [set(targets[lab]) for lab in ("s1", "s2", "s3")]
     assert sum(len(s) for s in sets) == 2 * n
     union = sets[0] | sets[1] | sets[2]
     assert union == set(range(2 * n))
@@ -87,13 +86,13 @@ def test_mixed_cluster_rejects_tiny_n():
 
 def test_protocol_rejects_duplicate_labels():
     with pytest.raises(ContractError):
-        Protocol(name="custom", stimuli=(("a", (0,)), ("a", (1,))))
+        Protocol(stimuli=(("a", (0,)), ("a", (1,))))
 
 
 @pytest.mark.parametrize("label", ["a,b", 'a"b', "a|b", "a\nb", "a\rb"])
 def test_protocol_rejects_labels_that_break_a_csv_row(label):
     with pytest.raises(ContractError, match="comma, quote"):
-        Protocol(name="custom", stimuli=((label, (0,)), ("c", (1,))))
+        Protocol(stimuli=((label, (0,)), ("c", (1,))))
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +139,8 @@ def test_normalization_is_idempotent():
 
 def test_response_round_trip_keeps_label():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=5, seed=1))
-    p = two_cluster_protocol(5)
-    for label in p.labels:
-        raster = run_trial(adj, p.targets_of(label), 3, SimParams(onset=15.0, duration=130.0))
+    for label, targets in two_cluster_protocol(5).stimuli:
+        raster = run_trial(adj, targets, 3, SimParams(onset=15.0, duration=130.0))
         r = extract_response(raster, onset=15.0, trial_id=0)
         responses = Responses(values=[r], labels=[label], trial_ids=[0])
         assert responses.labels == (label,)
@@ -241,9 +239,8 @@ def _rows_with(cell, count, at):
     return rows
 
 
-# where the bad row sits: the only row, in a later full block, in the last
-# partial block
-_BAD_ROW_AT = [(1, 0), (2 * _PARSE_BLOCK + 5, _PARSE_BLOCK + 3), (2 * _PARSE_BLOCK + 5, 2 * _PARSE_BLOCK + 2)]
+# where the bad row sits: the only row, and two rows deep inside a longer table
+_BAD_ROW_AT = [(1, 0), (2 * 64 + 5, 64 + 3), (2 * 64 + 5, 2 * 64 + 2)]
 
 
 def test_non_numeric_cell_rejected(tmp_path):
@@ -278,16 +275,25 @@ def test_empty_cell_of_a_one_column_table_is_non_numeric(tmp_path):
 
 @pytest.mark.parametrize("bad, first", [("1,s2,1.0,x", "non-numeric"), ("1,s2,nan,0.5", "non-finite")])
 def test_first_rejected_row_is_named(tmp_path, bad, first):
-    # a bad trial id later in the same block does not hide a bad value before it
+    # a bad trial id later in the table does not hide a bad value before it
     resp = tmp_path / "responses.csv"
     resp.write_text(f"trial_id,label,roi_0,roi_1\n0,s1,1.0,0.5\n{bad}\n2,s1,1.0,0.5\nx,s2,1.0,0.5\n")
     with pytest.raises(ParseError, match=f"row 3: {first} cell"):
         read_responses_csv(resp)
 
 
-@pytest.mark.parametrize("count", [_PARSE_BLOCK - 1, _PARSE_BLOCK, _PARSE_BLOCK + 1])
+def test_row_by_row_fallback_names_the_first_bad_row_of_either_kind(tmp_path):
+    # the x makes the one-call parse fail; the nan two rows before it is
+    # numeric but non-finite, and it is the row named
+    resp = tmp_path / "responses.csv"
+    resp.write_text("trial_id,label,roi_0,roi_1\n0,s1,1.0,0.5\n1,s2,nan,0.5\n2,s1,1.0,0.5\n3,s2,x,0.5\n")
+    with pytest.raises(ParseError, match="row 3: non-finite cell"):
+        read_responses_csv(resp)
+
+
+@pytest.mark.parametrize("count", [64 - 1, 64, 64 + 1])
 def test_value_cells_read_as_float_reads_them(tmp_path, count):
-    # every ASCII spelling float() reads, across block edges and blank lines
+    # every ASCII spelling float() reads, with blank lines between rows
     rng = np.random.default_rng(count)
     spellings = ["3", "+2", "-0.0", ".5", "5.", "1e-3", "2.5E+2", " 7.25 ", '"1.5"', "0.1", "123456789.123456789012"]
     lines = ["trial_id,label," + ",".join(f"roi_{i}" for i in range(12))]

