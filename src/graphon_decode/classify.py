@@ -218,14 +218,16 @@ def select_lambda(
     larger penalty.  Each penalty is scored by the decoder of
     :func:`_fit_decoder`, so with ``pca_dims`` the principal axes are refitted
     without each inner fold's rows.  Falls back to the median candidate when
-    the classes are too small to split further."""
+    the classes are too small to split further, or an inner training set too
+    small to fit ``pca_dims`` components."""
     labels = np.asarray(labels)
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ParameterError("the penalty grid is empty")
-    smallest = min(int((labels == lab).sum()) for lab in set(labels.tolist()))
-    inner = min(3, smallest)
-    if inner < 2:
+    counts = Counter(labels.tolist()).values()
+    inner = min(3, *counts)
+    largest_fold = sum(-(-c // inner) for c in counts)  # stratified_folds deals each class round-robin
+    if inner < 2 or (pca_dims is not None and labels.size - largest_fold < pca_dims + 1):
         return grid[len(grid) // 2]
     coords = np.asarray(coords, dtype=float)
     best_lam, best_hits = grid[0], -1

@@ -190,12 +190,14 @@ def _convert_rows(path, texts, row_nos, m: int) -> np.ndarray:
     values = _parse_values(texts, m)
     if values is not None and np.isfinite(values).all():
         return values
-    for text, row_no in zip(texts, row_nos):
+    values = np.empty((len(texts), m))
+    for i, (text, row_no) in enumerate(zip(texts, row_nos)):
         row = _parse_values([text], m)
         if row is None:
             raise ParseError(f"{path}: row {row_no}: non-numeric cell")
         if not np.isfinite(row).all():
             raise ParseError(f"{path}: row {row_no}: non-finite cell")
+        values[i] = row
     return values
 
 

@@ -225,6 +225,16 @@ def test_lambda_grid_sees_the_training_rows_not_their_pca_coordinates(monkeypatc
     assert seen == [(16, 10)] * 3
 
 
+def test_lambda_grid_takes_the_median_when_inner_folds_cannot_fit_pca():
+    # 4 trials per class split 2/1/1 leave an inner training set of 4 rows:
+    # enough for 3 components, too few for 4
+    rows = np.random.default_rng(3).standard_normal((8, 10))
+    labels = ["a", "b"] * 4
+    grid = (0.01, 0.1, 1.0, 10.0)
+    assert select_lambda(rows, labels, grid, pca_dims=4) == 1.0
+    assert select_lambda(rows, labels, grid, pca_dims=3) in grid
+
+
 def test_stratified_folds_balance_classes():
     labels = ["a"] * 12 + ["b"] * 12
     folds = stratified_folds(labels, 4, seed=0)

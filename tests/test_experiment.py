@@ -68,6 +68,14 @@ def write_measured(tmp_path) -> tuple[Path, Path]:
     return csv_path, map_path
 
 
+def test_lam_grid_run_with_inner_folds_too_small_for_pca(tmp_path):
+    # each outer fold fits 4 PCA components on 8 trials; the penalty's inner
+    # folds train on 4, so the grid's median is taken instead of failing
+    # after every trial was simulated
+    summary = run_experiment(small_config(tmp_path, classify={"lam_grid": [0.01, 0.1, 1.0, 10.0]}))
+    assert set(summary["accuracy"]) == {"graphon", "gft", "pca"}
+
+
 # ---------------------------------------------------------------------------
 # configuration
 

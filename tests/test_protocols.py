@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphon_decode import protocols
 from graphon_decode.errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from graphon_decode.lif import SimParams, SpikeRaster, run_trial
 from graphon_decode.protocols import (
@@ -289,6 +290,16 @@ def test_row_by_row_fallback_names_the_first_bad_row_of_either_kind(tmp_path):
     resp.write_text("trial_id,label,roi_0,roi_1\n0,s1,1.0,0.5\n1,s2,nan,0.5\n2,s1,1.0,0.5\n3,s2,x,0.5\n")
     with pytest.raises(ParseError, match="row 3: non-finite cell"):
         read_responses_csv(resp)
+
+
+def test_row_by_row_fallback_returns_the_rows_it_parsed(tmp_path, monkeypatch):
+    # rows that parse one by one after the one-call parse failed still come
+    # back as the value matrix
+    parse = protocols._parse_values
+    monkeypatch.setattr(protocols, "_parse_values", lambda texts, m: parse(texts, m) if len(texts) == 1 else None)
+    resp = tmp_path / "responses.csv"
+    resp.write_text("trial_id,label,roi_0,roi_1\n0,s1,1.0,0.0\n1,s2,0.0,1.0\n")
+    assert read_responses_csv(resp).values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("count", [64 - 1, 64, 64 + 1])
