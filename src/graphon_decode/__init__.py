@@ -37,7 +37,6 @@ from .protocols import (
 )
 from .embedding import (
     EmbeddingSet,
-    align_degenerate_pair,
     gft_project,
     graphon_project,
     pca_fit_transform,
@@ -79,7 +78,6 @@ __all__ = [
     "mixed_cluster_protocol",
     "two_cluster_protocol",
     "EmbeddingSet",
-    "align_degenerate_pair",
     "gft_project",
     "graphon_project",
     "pca_fit_transform",

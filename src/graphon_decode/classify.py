@@ -211,9 +211,7 @@ def _evaluate_predictions(labels, predicted, ci) -> EvalReport:
     )
 
 
-def select_lambda(
-    coords, labels, grid=(0.01, 0.1, 1.0, 10.0), seed: int = 0, pca_dims: int | None = None
-) -> float:
+def select_lambda(coords, labels, grid, seed: int = 0, pca_dims: int | None = None) -> float:
     """Inner 3-fold cross-validation over a penalty grid; ties go to the
     larger penalty.  Each penalty is scored by the decoder of
     :func:`_fit_decoder`, so with ``pca_dims`` the principal axes are refitted
@@ -298,16 +296,14 @@ class PairedStats:
     required_n: float  # trials per paired sample for 80 percent power
 
 
-def required_n_for_power(
-    effect_size: float, power: float = 0.80, alpha: float = 0.05
-) -> float:
-    """Paired-sample size for a two-sided test at the given significance and
-    power under the normal approximation: n = ((z_{1-a/2} + z_{power}) / d)^2,
+def required_n_for_power(effect_size: float) -> float:
+    """Paired-sample size for a two-sided test at 5% significance and 80%
+    power under the normal approximation: n = ((z_{0.975} + z_{0.80}) / d)^2,
     rounded up."""
     if effect_size == 0:
         return math.inf
-    z_alpha = NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    z_power = NormalDist().inv_cdf(power)
+    z_alpha = NormalDist().inv_cdf(1.0 - 0.05 / 2.0)
+    z_power = NormalDist().inv_cdf(0.80)
     return float(math.ceil(((z_alpha + z_power) / abs(effect_size)) ** 2))
 
 
@@ -327,9 +323,7 @@ def paired_difference_stats(
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ParameterError("need two equal-length 1-D vectors with >= 2 entries")
     diff = a - b
-    # a difference without variance needs no draw
-    ci = None if diff.std(ddof=1) == 0.0 else bootstrap_mean_ci(diff, resamples=resamples, seed=seed)
-    return _paired_stats(diff, ci)
+    return _paired_stats(diff, bootstrap_mean_ci(diff, resamples=resamples, seed=seed))
 
 
 def _paired_stats(diff, ci) -> PairedStats:

@@ -257,76 +257,48 @@ def pca_fit_transform(responses, dims: int = 3) -> EmbeddingSet:
     )
 
 
-def discretized_eigenvector_basis(n: int) -> np.ndarray:
-    """Unit-norm node-space versions of the four block eigenvectors: each
-    block value repeated n times and divided by sqrt(n)."""
-    return np.repeat(block_eigenvector_matrix(), n, axis=0) / np.sqrt(n)
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Orthogonal transform for the degenerate eigenvector pair (modes 2, 3).
-
-    ``degenerate`` is False when the two empirical eigenvalues were not close
-    enough to justify mixing the pair; the rotation is then the identity.
-    """
-
-    rotation: np.ndarray
-    degenerate: bool
-
-
-def align_degenerate_pair(decomposition: SpectralDecomposition) -> AlignmentResult:
-    """Orthogonal Procrustes fit of empirical modes 2 and 3 onto the analytic
-    block contrasts.
+def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.ndarray, bool]:
+    """Top-4 empirical eigenvectors made comparable across graph realizations,
+    and whether modes 2 and 3 were treated as a degenerate pair.
 
     The limit operator's second and third eigenvalues coincide, so a sampled
     graph's modes 2 and 3 span an arbitrary rotation (possibly reflection) of
-    the analytic plane.  This returns the 2x2 orthogonal matrix Q minimizing
-    ||E Q - T||_F for the empirical pair E and the discretized targets T.
-    When the two empirical eigenvalues differ by more than 5% (relative), the
-    pair is not treated as degenerate and Q is the identity.
+    the analytic plane.  Unless the two empirical eigenvalues differ by more
+    than 5% (relative), the pair is multiplied by the 2x2 orthogonal Q
+    minimizing ||E Q - T||_F for the empirical pair E and the targets T: the
+    block eigenvectors with each block value repeated over its nodes, at unit
+    norm.  Modes 1 and 4 are flipped to positive inner product with their
+    targets.  Without this, per-realization bases differ by arbitrary in-plane
+    rotations and sign flips, which would inflate any cross-realization
+    scatter measurement.
     """
     size = decomposition.eigenvectors.shape[0]
     if size % BLOCK_COUNT != 0:
         raise ParameterError("decomposition size must be a multiple of 4")
+    n = size // BLOCK_COUNT
+    targets = np.repeat(block_eigenvector_matrix(), n, axis=0) / np.sqrt(n)
+    basis = decomposition.eigenvectors[:, :BLOCK_COUNT].copy()
     lam2, lam3 = decomposition.eigenvalues[1], decomposition.eigenvalues[2]
     denom = max(abs(lam2), abs(lam3))
-    if denom == 0 or abs(lam2 - lam3) / denom > 0.05:
-        return AlignmentResult(rotation=_readonly(np.eye(2)), degenerate=False)
-    basis = discretized_eigenvector_basis(size // BLOCK_COUNT)
-    target = basis[:, 1:3]
-    empirical = decomposition.eigenvectors[:, 1:3]
-    u, _, vt = np.linalg.svd(empirical.T @ target)
-    rotation = u @ vt
-    return AlignmentResult(rotation=_readonly(rotation), degenerate=True)
-
-
-def aligned_eigenvector_basis(
-    decomposition: SpectralDecomposition,
-) -> tuple[np.ndarray, AlignmentResult]:
-    """Top-4 empirical eigenvectors made comparable across graph realizations.
-
-    Applies the degenerate-pair rotation to modes 2 and 3 and flips modes 1
-    and 4 to positive inner product with their analytic counterparts.  Without
-    this, per-realization bases differ by arbitrary in-plane rotations and
-    sign flips, which would inflate any cross-realization scatter measurement.
-    """
-    size = decomposition.eigenvectors.shape[0]
-    basis = decomposition.eigenvectors[:, :BLOCK_COUNT].copy()
-    alignment = align_degenerate_pair(decomposition)
-    basis[:, 1:3] = basis[:, 1:3] @ alignment.rotation
-    targets = discretized_eigenvector_basis(size // BLOCK_COUNT)
+    degenerate = not (denom == 0 or abs(lam2 - lam3) / denom > 0.05)
+    rotation = np.eye(2)
+    if degenerate:
+        u, _, vt = np.linalg.svd(decomposition.eigenvectors[:, 1:3].T @ targets[:, 1:3])
+        rotation = u @ vt
+    # multiplied even by the identity: skipping the product can change the
+    # sign of a zero entry, and with it the bytes written
+    basis[:, 1:3] = basis[:, 1:3] @ rotation
     for col in (0, 3):
         if basis[:, col] @ targets[:, col] < 0:
             basis[:, col] = -basis[:, col]
-    return basis, alignment
+    return basis, degenerate
 
 
 def aligned_gft_project(responses, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> EmbeddingSet:
     """gft_project with the per-realization basis aligned first (see
     :func:`aligned_eigenvector_basis`); it covers modes 1..4 only."""
-    basis, alignment = aligned_eigenvector_basis(decomposition)
-    meta = {"aligned": True, "degenerate_pair": alignment.degenerate}
+    basis, degenerate = aligned_eigenvector_basis(decomposition)
+    meta = {"aligned": True, "degenerate_pair": degenerate}
     return _basis_project(responses, basis, indices, meta)
 
 

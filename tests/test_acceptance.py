@@ -198,7 +198,7 @@ def test_criterion_6_mixed_cluster_betweenness_and_robustness():
 
 def test_criterion_7_power_analysis():
     start = time.time()
-    n = required_n_for_power(0.213, power=0.80, alpha=0.05)
+    n = required_n_for_power(0.213)
     _report(
         7,
         "sample-size estimate",

@@ -268,6 +268,8 @@ def test_identical_vectors_give_null_stats():
     assert ps.diff_ci95 == (0.0, 0.0)
     assert ps.effect_size == 0.0
     assert math.isinf(ps.required_n)
+    with pytest.raises(ParameterError, match="resamples"):  # the draw is checked without variance too
+        paired_difference_stats(v, v, resamples=0)
 
 
 def test_constant_nonzero_difference_is_an_error():

@@ -8,12 +8,10 @@ import pytest
 
 from graphon_decode import embedding
 from graphon_decode.embedding import (
-    align_degenerate_pair,
     aligned_eigenvector_basis,
     aligned_gft_project,
     centroid_betweenness,
     cross_realization_dispersion,
-    discretized_eigenvector_basis,
     gft_project,
     graphon_project,
     pca_fit,
@@ -28,6 +26,7 @@ from graphon_decode.graphon import analytic_graphon_eigenpairs
 from graphon_decode.sbm import (
     SbmConfig,
     SpectralDecomposition,
+    block_eigenvector_matrix,
     block_membership,
     edge_probability_matrix,
     eigendecompose,
@@ -315,58 +314,75 @@ def test_pca_of_equal_rows_with_an_inexact_mean_has_zero_axes(shape):
 # degenerate-pair alignment
 
 
-def synthetic_decomposition(n, rotate=None, swap=False):
-    basis = discretized_eigenvector_basis(n)
-    pair = basis[:, 1:3].copy()
+def analytic_targets(n):
+    """The four block eigenvectors with each block value repeated over its n
+    nodes, at unit norm: what an aligned basis should equal."""
+    return np.repeat(block_eigenvector_matrix(), n, axis=0) / np.sqrt(n)
+
+
+def synthetic_decomposition(n, rotate=None, swap=False, flip=False):
+    vecs = analytic_targets(n)
+    pair = vecs[:, 1:3].copy()
     if rotate is not None:
         c, s = np.cos(rotate), np.sin(rotate)
         pair = pair @ np.array([[c, -s], [s, c]])
     if swap:
         pair = pair[:, ::-1]
-    vecs = basis.copy()
     vecs[:, 1:3] = pair
+    if flip:
+        vecs[:, [0, 3]] *= -1.0
     vals = np.array([1.0, 0.9, 0.9, 0.8])
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def test_alignment_is_identity_when_already_aligned():
     dec = synthetic_decomposition(5)
-    res = align_degenerate_pair(dec)
-    assert res.degenerate
-    assert np.allclose(res.rotation, np.eye(2), atol=1e-10)
+    basis, degenerate = aligned_eigenvector_basis(dec)
+    assert degenerate
+    assert np.allclose(basis, dec.eigenvectors, atol=1e-10)
 
 
 def test_alignment_recovers_swap():
     dec = synthetic_decomposition(5, swap=True)
-    res = align_degenerate_pair(dec)
-    assert np.allclose(res.rotation, [[0.0, 1.0], [1.0, 0.0]], atol=1e-10)
+    basis, degenerate = aligned_eigenvector_basis(dec)
+    assert degenerate
+    assert np.allclose(basis[:, 1:3], dec.eigenvectors[:, 2:0:-1], atol=1e-10)
 
 
 def test_alignment_recovers_rotation():
-    theta = np.deg2rad(30.0)
-    dec = synthetic_decomposition(6, rotate=theta)
-    res = align_degenerate_pair(dec)
-    aligned = dec.eigenvectors[:, 1:3] @ res.rotation
-    target = discretized_eigenvector_basis(6)[:, 1:3]
-    assert np.max(np.abs(aligned - target)) < 1e-8
+    dec = synthetic_decomposition(6, rotate=np.deg2rad(30.0))
+    basis, _ = aligned_eigenvector_basis(dec)
+    assert np.max(np.abs(basis[:, 1:3] - analytic_targets(6)[:, 1:3])) < 1e-8
 
 
 def test_alignment_refuses_non_degenerate_pair():
-    basis = discretized_eigenvector_basis(4)
+    basis = analytic_targets(4)
     vals = np.array([1.0, 0.9, 0.7, 0.5])  # gap 2-3 over 20 percent
     dec = SpectralDecomposition(eigenvalues=vals, eigenvectors=basis)
-    res = align_degenerate_pair(dec)
-    assert not res.degenerate
-    assert np.array_equal(res.rotation, np.eye(2))
+    aligned, degenerate = aligned_eigenvector_basis(dec)
+    assert not degenerate
+    assert np.array_equal(aligned[:, 1:3], basis[:, 1:3])
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("flip", [False, True])
+def test_aligned_basis_equals_targets_over_a_full_turn(swap, flip):
+    # the signs of modes 1 and 4 are checked here, not only the overlaps' size
+    target = analytic_targets(5)
+    for theta in np.linspace(0.0, 2.0 * np.pi, 13):
+        dec = synthetic_decomposition(5, rotate=theta, swap=swap, flip=flip)
+        basis, degenerate = aligned_eigenvector_basis(dec)
+        assert degenerate
+        assert np.max(np.abs(basis - target)) < 1e-10
 
 
 def test_aligned_basis_close_to_analytic_on_samples():
     n = 60
-    target = discretized_eigenvector_basis(n)
+    target = analytic_targets(n)
     for seed in range(3):
         adj = sample_adjacency(SbmConfig(alpha=0.05, n=n, seed=seed))
-        basis, alignment = aligned_eigenvector_basis(eigendecompose(adj))
-        assert alignment.degenerate
+        basis, degenerate = aligned_eigenvector_basis(eigendecompose(adj))
+        assert degenerate
         for col in range(4):
             overlap = abs(basis[:, col] @ target[:, col])
             assert overlap > 0.9

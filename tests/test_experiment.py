@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphon_decode
 from graphon_decode import classify, experiment
 from graphon_decode.classify import cross_validated_accuracy
 from graphon_decode.cli import main
@@ -532,6 +533,7 @@ def test_cli_run_with_one_fold_exits_2_before_writing(tmp_path, capsys):
         (["classify", "--resamples", "0"], "resamples"),
         (["stats", "--resamples", "0"], "resamples"),
         (["classify", "--seed", "-1"], "seed"),
+        (["stats", "--seed", "-1"], "seed"),
     ],
 )
 def test_cli_bad_resampling_flags_exit_2(tmp_path, capsys, argv, match):
@@ -542,11 +544,13 @@ def test_cli_bad_resampling_flags_exit_2(tmp_path, capsys, argv, match):
     a.write_text("trial_id,correct\n0,1\n1,1\n2,0\n")
     b.write_text("trial_id,correct\n0,0\n1,1\n2,1\n")
     inputs = {
-        "classify": ["--embeddings", str(embeddings), "--folds", "2"],
-        "stats": ["--correct-a", str(a), "--correct-b", str(b)],
+        "classify": [["--embeddings", str(embeddings), "--folds", "2"]],
+        # identical files, whose differences have no variance, are checked too
+        "stats": [["--correct-a", str(a), "--correct-b", str(other)] for other in (b, a)],
     }[argv[0]]
-    assert main(argv + inputs + ["--out", str(tmp_path / "out.csv")]) == 2
-    assert match in capsys.readouterr().err
+    for files in inputs:
+        assert main(argv + files + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert match in capsys.readouterr().err
 
 
 def test_cli_stats_bad_trial_id_exits_3(tmp_path, capsys):
@@ -988,3 +992,11 @@ def test_every_csv_artifact_has_full_rows_and_repr_floats(tmp_path):
     assert len(paths) == 37  # rasters, graph, tables, reports and summaries
     for path in paths:
         _check_csv_cells(path)
+
+
+def test_package_all_names_resolve():
+    missing = [name for name in graphon_decode.__all__ if not hasattr(graphon_decode, name)]
+    assert missing == []
+    namespace = {}
+    exec("from graphon_decode import *", namespace)  # a star-import is only legal at module level
+    assert set(graphon_decode.__all__) <= set(namespace)
