@@ -26,7 +26,7 @@ from .sbm import (
     eigendecompose,
     sample_adjacency,
 )
-from .graphon import analytic_graphon_eigenpairs, infty_to_one_norm_lower_bound
+from .graphon import analytic_graphon_eigenpairs
 from .lif import SimParams, SpikeRaster, run_trial, run_trials
 from .protocols import (
     Responses,
@@ -67,7 +67,6 @@ __all__ = [
     "eigendecompose",
     "sample_adjacency",
     "analytic_graphon_eigenpairs",
-    "infty_to_one_norm_lower_bound",
     "SimParams",
     "SpikeRaster",
     "run_trial",

@@ -11,9 +11,10 @@ with the sign pattern of block eigenvector k scaled to unit maximum entry:
 Under "orthonormal" coordinate k is the exact L2([0,1]) inner product of the
 response (viewed as a step function whose cells subdivide each quarter) with
 the unit-norm eigenfunction, i.e. sum_b phi_k(b) * S_b / (4 m_b) for block
-sizes m_b.  The two differ only by a fixed positive factor per coordinate, so
-maps and classifiers behave identically; blocksum is the default because its
-values read directly as block-mass differences.
+sizes m_b.  The two differ by a fixed positive factor per coordinate: maps
+differ only in axis scale, but a ridge fit at a fixed ``lam`` is not scale
+invariant, so cross-validated accuracy can differ.  blocksum is the default
+because its values read directly as block-mass differences.
 """
 
 from __future__ import annotations

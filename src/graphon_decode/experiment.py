@@ -119,6 +119,8 @@ class EmbeddingSection:
         for method in self.methods:
             if method not in METHODS:
                 raise ParameterError(f"embedding.methods must be among {METHODS}, got {method!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ParameterError(f"embedding.methods must not repeat a method, got {list(self.methods)}")
         if self.convention not in CONVENTIONS:
             raise ParameterError(f"embedding.convention must be in {CONVENTIONS}, got {self.convention!r}")
         if not 1 <= self.dimensions <= BLOCK_COUNT:
@@ -164,6 +166,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials_per_stimulus < 1:
             raise ParameterError(f"trials_per_stimulus must be at least 1, got {self.trials_per_stimulus}")
+        if self.classify.enabled and not self.embedding.methods:
+            raise ParameterError("embedding.methods must name at least one method when classify.enabled is true")
         # the kernel basis has four eigenfunctions, so graphon classifies in at most 4-D
         dims = self.classify.dimensions
         if dims > BLOCK_COUNT and "graphon" in self.embedding.methods:

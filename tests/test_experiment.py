@@ -1,3 +1,4 @@
+import importlib
 import json
 import pickle
 from dataclasses import replace
@@ -22,6 +23,8 @@ from graphon_decode.experiment import (
     verify_manifest,
 )
 from graphon_decode.protocols import load_experimental_responses
+
+REPO = Path(__file__).resolve().parents[1]
 
 SMALL = {
     "sbm": {"alpha": 0.05, "n": 8, "seed": 3},
@@ -128,6 +131,11 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError, match="classify.dimensions"):
         config_from_dict({"classify": {"dimensions": 5}})  # the kernel basis has four modes
     config_from_dict({"embedding": {"methods": ["gft", "pca"]}, "classify": {"dimensions": 5}})
+    with pytest.raises(ConfigError, match="embedding.methods must name at least one method"):
+        config_from_dict({"embedding": {"methods": []}})  # classification has nothing to score
+    with pytest.raises(ConfigError, match="embedding.methods must not repeat"):
+        config_from_dict({"embedding": {"methods": ["pca", "gft", "pca"]}})
+    config_from_dict({"embedding": {"methods": []}, "classify": {"enabled": False}})
     # each of these once loaded and failed only after simulating every trial
     for section, match in [
         ({"folds": 1}, "classify.folds"),
@@ -499,6 +507,21 @@ def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"sbm": {"alpha": 2.0}}')
     assert main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_run_with_no_or_repeated_methods_exits_2_before_writing(tmp_path, capsys):
+    for methods, match in [([], "must name at least one method"), (["pca", "pca"], "must not repeat a method")]:
+        data = json.loads(json.dumps(SMALL))
+        data["embedding"] = {"methods": methods}
+        data["io"] = {"out_dir": str(tmp_path / "never")}
+        bad = tmp_path / "methods.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert f"embedding.methods {match}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+    good = tmp_path / "good.json"
+    save_config(small_config(tmp_path, "simulated"), good)
+    assert main(["simulate", "--config", str(good)]) == 0  # simulate drops the methods itself
 
 
 def test_cli_nan_dt_exits_2(tmp_path, capsys):
@@ -1000,3 +1023,19 @@ def test_package_all_names_resolve():
     namespace = {}
     exec("from graphon_decode import *", namespace)  # a star-import is only legal at module level
     assert set(graphon_decode.__all__) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["coords"].shape == (2, 3)
+
+
+def test_console_script_resolves_to_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["graphon-decode"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphon_decode import sbm
 from graphon_decode.errors import ContractError, ParameterError, ParseError
 from graphon_decode.sbm import (
     AdjacencyMatrix,
@@ -211,6 +217,51 @@ def test_sign_convention_makes_leading_entry_positive():
     dec = eigendecompose(adj)
     lead = np.argmax(np.abs(dec.eigenvectors), axis=0)
     assert np.all(dec.eigenvectors[lead, np.arange(adj.size)] > 0)
+
+
+def test_eigendecompose_bytes_do_not_depend_on_the_blas_thread_count():
+    # raw eigh bytes of this 400-node graph differ between 1 and 2 OpenBLAS
+    # threads, so this holds only while eigendecompose pins one thread; fresh
+    # interpreters, because OpenBLAS reads the variable once, at load
+    src = str(Path(sbm.__file__).resolve().parents[1])
+    code = (
+        "import hashlib\n"
+        "from graphon_decode.experiment import sample_graph\n"
+        "from graphon_decode.sbm import SbmConfig, eigendecompose\n"
+        "dec = eigendecompose(sample_graph(SbmConfig(seed=0)))\n"
+        "print(hashlib.sha256(dec.eigenvalues.tobytes() + dec.eigenvectors.tobytes()).hexdigest())\n"
+    )
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        for threads in ("1", "2")
+    }
+    assert len(digests) == 1
+
+
+def test_one_blas_thread_restores_the_count_after_the_body_raises():
+    threads = sbm._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    get, put = threads
+    before = get()
+    try:
+        put(2)
+        outside = get()
+        if outside == 1:
+            pytest.skip("OpenBLAS runs on one thread only")
+        with pytest.raises(RuntimeError, match="body"):
+            with sbm._one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("body")
+        assert get() == outside
+    finally:
+        put(before)
 
 
 def test_scaled_top_eigenvalues_near_limit_values():
