@@ -1,4 +1,4 @@
-"""Golden hashes: the SHA-256 of every artifact of nine canned runs, and of
+"""Golden hashes: the SHA-256 of every artifact of ten canned runs, and of
 the default config file.
 
 Determinism tests compare a run against a second run of the same code, so a
@@ -44,6 +44,14 @@ RUN_SMALL = {
 # grid; its graphon report differs from RUN_SMALL's, so the grid decides it
 RUN_SMALL_LAM_GRID = {
     **RUN_SMALL,
+    "report_graphon.csv": "c7ebd45796c0b11d01f770db5f827a45760f9e40d7d26eb1d7448af2ce889e11",
+}
+
+# RUN_SMALL with the orthonormal graphon convention: its coordinates read the
+# last bit of the unit eigenfunctions' block values, which blocksum's do not
+RUN_SMALL_ORTHONORMAL = {
+    **RUN_SMALL,
+    "embeddings_graphon.csv": "b7ae703933a92f75bb69c414aa9b98518d5a7af007b6476378720489fd164003",
     "report_graphon.csv": "c7ebd45796c0b11d01f770db5f827a45760f9e40d7d26eb1d7448af2ce889e11",
 }
 
@@ -159,6 +167,13 @@ def test_run_small_config_lam_grid_hashes(tmp_path):
     save_config(config, config_path)
     assert main(["run", "--config", str(config_path)]) == 0
     assert _file_digests(tmp_path / "run") == RUN_SMALL_LAM_GRID
+
+
+def test_run_small_config_orthonormal_hashes(tmp_path):
+    config_path = tmp_path / "config.json"
+    save_config(small_config(tmp_path, "run", embedding={"convention": "orthonormal"}), config_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert _file_digests(tmp_path / "run") == RUN_SMALL_ORTHONORMAL
 
 
 def test_run_noise_free_simulated_hashes(tmp_path):
