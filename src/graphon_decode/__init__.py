@@ -21,7 +21,6 @@ from .errors import (
 from .sbm import (
     SbmConfig,
     build_block_probability_matrix,
-    analytic_block_eigenpairs,
     block_membership,
     eigendecompose,
     sample_adjacency,
@@ -62,7 +61,6 @@ __all__ = [
     "ZeroResponseError",
     "SbmConfig",
     "build_block_probability_matrix",
-    "analytic_block_eigenpairs",
     "block_membership",
     "eigendecompose",
     "sample_adjacency",

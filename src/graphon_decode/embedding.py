@@ -3,7 +3,7 @@ eigenfunctions, and principal components.
 
 Two conventions exist for the kernel-eigenfunction coordinates.  Under
 "blocksum" coordinate k is the signed sum of per-block response sums
-with the sign pattern of block eigenvector k scaled to unit maximum entry:
+with the sign pattern of eigenfunction k scaled to unit maximum entry:
 
     c1 = S1 + S2 + S3 + S4        c2 = S2 - S3
     c3 = S1 - S4                  c4 = (S1 + S4) - (S2 + S3)
@@ -26,7 +26,8 @@ from scipy.linalg import blas, eigh
 
 from .errors import ContractError, ParameterError
 from .protocols import Responses, _read_trial_table, _write_trial_table
-from .sbm import BLOCK_COUNT, SpectralDecomposition, block_eigenvector_matrix, _readonly
+from .graphon import EIGENFUNCTIONS
+from .sbm import BLOCK_COUNT, SpectralDecomposition, _readonly
 
 CONVENTIONS = ("blocksum", "orthonormal")
 
@@ -102,7 +103,7 @@ def graphon_project(
     ``block_map`` assigns every response entry to a block 1..4; the analytic
     eigenfunctions are constant per block, so each coordinate only needs the
     per-block response sums (see the module docstring for both conventions).
-    Their block values, twice the block eigenvectors, do not depend on alpha.
+    Their block values are the columns of :data:`graphon.EIGENFUNCTIONS`.
     """
     if convention not in CONVENTIONS:
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
@@ -120,7 +121,7 @@ def graphon_project(
     if convention == "orthonormal" and np.any(block_counts == 0):
         raise ParameterError("orthonormal convention needs every block populated")
 
-    phi = 2.0 * block_eigenvector_matrix()[:, idx - 1]  # block values of the unit eigenfunctions
+    phi = EIGENFUNCTIONS[:, idx - 1]
     if convention == "blocksum":
         weights = phi / np.max(np.abs(phi), axis=0)
     else:
@@ -267,8 +268,7 @@ def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.
     the analytic plane.  Unless the two empirical eigenvalues differ by more
     than 5% (relative), the pair is multiplied by the 2x2 orthogonal Q
     minimizing ||E Q - T||_F for the empirical pair E and the targets T: the
-    block eigenvectors with each block value repeated over its nodes, at unit
-    norm.  Modes 1 and 4 are flipped to positive inner product with their
+    limit eigenfunctions sampled at the nodes, at unit norm.  Modes 1 and 4 are flipped to positive inner product with their
     targets.  Without this, per-realization bases differ by arbitrary in-plane
     rotations and sign flips, which would inflate any cross-realization
     scatter measurement.
@@ -276,8 +276,7 @@ def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.
     size = decomposition.eigenvectors.shape[0]
     if size % BLOCK_COUNT != 0:
         raise ParameterError("decomposition size must be a multiple of 4")
-    n = size // BLOCK_COUNT
-    targets = np.repeat(block_eigenvector_matrix(), n, axis=0) / np.sqrt(n)
+    targets = np.repeat(EIGENFUNCTIONS, size // BLOCK_COUNT, axis=0) / np.sqrt(size)
     basis = decomposition.eigenvectors[:, :BLOCK_COUNT].copy()
     lam2, lam3 = decomposition.eigenvalues[1], decomposition.eigenvalues[2]
     denom = max(abs(lam2), abs(lam3))

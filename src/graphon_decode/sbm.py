@@ -155,36 +155,6 @@ def build_block_probability_matrix(alpha: float) -> np.ndarray:
     )
 
 
-def block_eigenvector_matrix() -> np.ndarray:
-    """The alpha-independent orthonormal eigenvectors of the block matrix as
-    columns: the flat vector, the block-2-minus-3 and block-1-minus-4
-    contrasts, and the (+, -, -, +) pattern."""
-    s = 1.0 / np.sqrt(2.0)
-    vecs = np.array(
-        [
-            [0.5, 0.0, s, 0.5],
-            [0.5, s, 0.0, -0.5],
-            [0.5, -s, 0.0, -0.5],
-            [0.5, 0.0, -s, 0.5],
-        ]
-    )
-    return _readonly(vecs)
-
-
-def analytic_block_eigenpairs(alpha: float) -> list[tuple[float, np.ndarray]]:
-    """Closed-form eigenpairs of the block probability matrix.
-
-    Returns four (eigenvalue, unit eigenvector) pairs in fixed order: 1 with
-    the flat vector, the double eigenvalue 1 - 2*alpha spanned by the
-    block-2-minus-3 and block-1-minus-4 contrasts, and 1 - 4*alpha with the
-    (+, -, -, +) block pattern.  The vectors are pairwise orthonormal.
-    """
-    _check_alpha(alpha)
-    vecs = block_eigenvector_matrix()
-    values = [1.0, 1.0 - 2.0 * alpha, 1.0 - 2.0 * alpha, 1.0 - 4.0 * alpha]
-    return [(lam, _readonly(vecs[:, k].copy())) for k, lam in enumerate(values)]
-
-
 def block_membership(n: int) -> np.ndarray:
     """Block id (1..4) of every node for blocks of n nodes in index order."""
     if n < 1:
@@ -263,21 +233,6 @@ def eigendecompose(adjacency: AdjacencyMatrix) -> SpectralDecomposition:
     signs[signs == 0] = 1.0
     v *= signs
     return SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
-
-
-def top_eigenvalue_deviation(alpha: float, n: int, seeds) -> float:
-    """Convergence diagnostic: mean absolute gap between the top-4 eigenvalues
-    of A / size and their limit values {1, 1-2a, 1-2a, 1-4a} / 4, averaged over
-    the given seeds.  Positions 2 and 3 share a limit value, so their internal
-    order does not matter."""
-    targets = np.array([lam / BLOCK_COUNT for lam, _ in analytic_block_eigenpairs(alpha)])
-    devs = []
-    for seed in seeds:
-        adj = sample_adjacency(SbmConfig(alpha=alpha, n=n, seed=seed))
-        dec = eigendecompose(adj)
-        top = dec.eigenvalues[:BLOCK_COUNT] / adj.size
-        devs.append(np.mean(np.abs(top - targets)))
-    return float(np.mean(devs))
 
 
 def write_edge_list(adjacency: AdjacencyMatrix, path) -> None:

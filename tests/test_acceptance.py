@@ -20,7 +20,7 @@ import numpy as np
 
 from graphon_decode.classify import _fit_decoder, required_n_for_power
 from graphon_decode.cli import main
-from graphon_decode.embedding import read_embeddings_csv
+from graphon_decode.embedding import graphon_project, read_embeddings_csv
 from graphon_decode.experiment import (
     config_from_dict,
     mixed_cluster_experiment,
@@ -28,14 +28,9 @@ from graphon_decode.experiment import (
     run_experiment,
     trial_invariance_experiment,
 )
-from graphon_decode.graphon import analytic_graphon_eigenpairs
+from graphon_decode.graphon import analytic_graphon_eigenpairs, top_eigenvalue_deviation
 from graphon_decode.lif import SimParams, run_trial
-from graphon_decode.sbm import (
-    adjacency_from_entries,
-    analytic_block_eigenpairs,
-    build_block_probability_matrix,
-    top_eigenvalue_deviation,
-)
+from graphon_decode.sbm import adjacency_from_entries, block_membership, build_block_probability_matrix
 
 ALPHAS = (0.05, 0.20, 0.45)
 
@@ -52,11 +47,21 @@ def test_criterion_1_analytic_eigenstructure():
     worst = 0.0
     for alpha in ALPHAS:
         c = build_block_probability_matrix(alpha)
-        for lam, vec in analytic_block_eigenpairs(alpha):
-            worst = max(worst, float(np.max(np.abs(c @ vec - lam * vec))))
+        pairs = analytic_graphon_eigenpairs(alpha)
         # the limit kernel operator on quarter-constant functions: c @ (phi * 1/4)
-        for lam, phi in analytic_graphon_eigenpairs(alpha):
+        for lam, phi in pairs:
             worst = max(worst, float(np.max(np.abs(c @ (phi * 0.25) - lam * phi))))
+        # the basis the pipeline projects onto: the eigenfunctions, sampled at
+        # the 4n nodes, project to the identity, and the kernel applied to
+        # them projects to diag(lambda)
+        phis = np.column_stack([phi for _, phi in pairs])
+        lams = np.diag([lam for lam, _ in pairs])
+        for n in (1, 5, 100):
+            block_map = block_membership(n)
+            for signals, want in ((phis, np.eye(4)), (c @ (phis * 0.25), lams)):
+                sampled = np.repeat(signals, n, axis=0).T
+                got = graphon_project(sampled, block_map, "orthonormal", (1, 2, 3, 4)).coords
+                worst = max(worst, float(np.max(np.abs(got - want))))
     _report(
         1,
         "analytic eigenstructure",

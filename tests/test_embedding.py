@@ -22,11 +22,10 @@ from graphon_decode.embedding import (
     write_embeddings_csv,
 )
 from graphon_decode.errors import ParameterError, ParseError
-from graphon_decode.graphon import analytic_graphon_eigenpairs
+from graphon_decode.graphon import EIGENFUNCTIONS, analytic_graphon_eigenpairs
 from graphon_decode.sbm import (
     SbmConfig,
     SpectralDecomposition,
-    block_eigenvector_matrix,
     block_membership,
     edge_probability_matrix,
     eigendecompose,
@@ -315,9 +314,9 @@ def test_pca_of_equal_rows_with_an_inexact_mean_has_zero_axes(shape):
 
 
 def analytic_targets(n):
-    """The four block eigenvectors with each block value repeated over its n
-    nodes, at unit norm: what an aligned basis should equal."""
-    return np.repeat(block_eigenvector_matrix(), n, axis=0) / np.sqrt(n)
+    """The four limit eigenfunctions sampled at the 4n nodes, at unit norm:
+    what an aligned basis should equal."""
+    return np.repeat(EIGENFUNCTIONS, n, axis=0) / np.sqrt(4 * n)
 
 
 def synthetic_decomposition(n, rotate=None, swap=False, flip=False):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_decode.errors import ParameterError
-from graphon_decode.graphon import analytic_graphon_eigenpairs
+from graphon_decode.graphon import EIGENFUNCTIONS, analytic_graphon_eigenpairs
 from graphon_decode.sbm import build_block_probability_matrix
 
 
@@ -40,6 +42,13 @@ def test_analytic_pairs_satisfy_kernel_eigen_equation(alpha):
         assert np.max(np.abs(apply_limit_kernel(alpha, phi) - lam * phi)) < 1e-12
 
 
+@given(st.floats(min_value=1e-6, max_value=0.5 - 1e-6, exclude_max=True))
+@settings(max_examples=50, deadline=None)
+def test_analytic_pairs_satisfy_kernel_eigen_equation_at_any_alpha(alpha):
+    for lam, phi in analytic_graphon_eigenpairs(alpha):
+        assert np.max(np.abs(apply_limit_kernel(alpha, phi) - lam * phi)) < 1e-12
+
+
 def test_graphon_eigenpairs_reject_bad_alpha():
     with pytest.raises(ParameterError):
         analytic_graphon_eigenpairs(0.0)
@@ -50,6 +59,11 @@ def test_eigenpair_container_holds_metadata():
     assert isinstance(lam, float) and lam == 0.25
     assert phi.shape == (4,) and not phi.flags.writeable
     assert np.allclose(phi, 1.0)
+    assert not EIGENFUNCTIONS.flags.writeable
+    for k, (_, phi) in enumerate(analytic_graphon_eigenpairs(0.2)):
+        assert np.array_equal(phi, EIGENFUNCTIONS[:, k])
+    # 2 * (1 / sqrt(2)) rounds one ulp below sqrt(2); orthonormal bits read it
+    assert EIGENFUNCTIONS[1, 1] == np.nextafter(np.sqrt(2.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 
 from graphon_decode import sbm
 from graphon_decode.errors import ContractError, ParameterError, ParseError
+from graphon_decode.graphon import top_eigenvalue_deviation
 from graphon_decode.sbm import (
     AdjacencyMatrix,
     SbmConfig,
     adjacency_from_entries,
-    analytic_block_eigenpairs,
     block_membership,
     build_block_probability_matrix,
     edge_probability_matrix,
     eigendecompose,
     read_edge_list,
     sample_adjacency,
-    top_eigenvalue_deviation,
     write_edge_list,
     write_spectra,
     _cell,
@@ -68,33 +67,6 @@ def test_block_matrix_invariants(alpha):
     assert np.array_equal(c, c.T)
     assert np.all(c >= 0.0) and np.all(c <= 1.0)
     assert np.allclose(c.sum(axis=1), 1.0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# analytic block eigenpairs
-
-
-def test_analytic_block_eigenvalues_at_default_alpha():
-    vals = [lam for lam, _ in analytic_block_eigenpairs(0.05)]
-    assert np.allclose(vals, [1.0, 0.9, 0.9, 0.8], atol=1e-15)
-
-
-@given(alphas)
-@settings(max_examples=50, deadline=None)
-def test_analytic_block_pairs_satisfy_eigen_equation(alpha):
-    c = build_block_probability_matrix(alpha)
-    for lam, vec in analytic_block_eigenpairs(alpha):
-        assert np.allclose(c @ vec, lam * vec, atol=1e-12)
-
-
-def test_analytic_block_vectors_are_orthonormal():
-    vecs = np.column_stack([v for _, v in analytic_block_eigenpairs(0.13)])
-    assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
-
-
-def test_analytic_block_pairs_reject_bad_alpha():
-    with pytest.raises(ParameterError):
-        analytic_block_eigenpairs(0.5)
 
 
 # ---------------------------------------------------------------------------
