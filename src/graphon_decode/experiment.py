@@ -283,8 +283,12 @@ def _trial_chunk(payload):
         rows.append((trial_id, label, response))
         if raster_dir is not None:
             meta = {"label": label, **asdict(sim)}
-            write_raster_csv(raster, Path(raster_dir) / f"trial_{trial_id:04d}.csv", meta=meta)
+            write_raster_csv(raster, Path(raster_dir) / _raster_name(trial_id), meta=meta)
     return rows, skipped
+
+
+def _raster_name(trial_id: int) -> str:
+    return f"trial_{trial_id:04d}.csv"
 
 
 def _check_jobs(jobs: int) -> None:
@@ -557,7 +561,8 @@ def run_experiment(
     write_responses_csv(responses, out / "responses.csv")
     files = [*_GRAPH_FILES, "responses.csv"]
     if raster_dir is not None:
-        files += [f"rasters/{p.name}" for p in sorted(raster_dir.iterdir())]
+        # this run's rasters only: an earlier run into the same directory may have left others
+        files += [f"rasters/{_raster_name(t)}" for t in responses.trial_ids]
 
     summary: dict = {
         "out_dir": str(out),

@@ -386,6 +386,24 @@ def test_raster_dump_is_optional(tmp_path):
     assert not (Path(summary2["out_dir"]) / "rasters").exists()
 
 
+def test_manifest_of_a_rerun_lists_only_its_own_rasters(tmp_path, capsys):
+    # the second run writes 6 rasters into a directory holding 12 from the
+    # first; it certifies its own 6 and deletes none of the others
+    out = tmp_path / "out"
+    for trials in (6, 3):
+        config = small_config(
+            tmp_path, trials_per_stimulus=trials, sbm={"n": 12}, classify={"enabled": False}
+        )
+        save_config(config, tmp_path / "config.json")
+        assert main(["run", "--config", str(tmp_path / "config.json"), "--dump-rasters"]) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    listed = [name for name in files if name.startswith("rasters/")]
+    assert listed == [f"rasters/trial_{i:04d}.csv" for i in range(6)]
+    assert len(list((out / "rasters").iterdir())) == 12
+    assert verify_manifest(out) == []
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": 13 files")
+
+
 def test_all_silent_trials_fail_with_data_error(tmp_path):
     cfg = small_config(
         tmp_path,
