@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, ParseError, ZeroResponseError, FileNotFoundError) as exc:
+    except (DataError, ParseError, ZeroResponseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ParameterError, ContractError, SingularSystemError) as exc:

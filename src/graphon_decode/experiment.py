@@ -81,6 +81,7 @@ REFERENCE_RC_ACCURACY = 0.748
 
 _GRAPH_STREAM = 0
 _TRIAL_STREAM = 1
+_RASTER_NAME = "trial_{:04d}.csv"  # the one name format of a trial's raster
 
 METHODS = ("graphon", "gft", "pca")
 PROTOCOLS = ("two_cluster", "mixed_cluster", "custom")
@@ -243,8 +244,8 @@ def _check_scalars(where: str, annotation: str, value) -> None:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data)
 
@@ -283,12 +284,8 @@ def _trial_chunk(payload):
         rows.append((trial_id, label, response))
         if raster_dir is not None:
             meta = {"label": label, **asdict(sim)}
-            write_raster_csv(raster, Path(raster_dir) / _raster_name(trial_id), meta=meta)
+            write_raster_csv(raster, Path(raster_dir) / _RASTER_NAME.format(trial_id), meta=meta)
     return rows, skipped
-
-
-def _raster_name(trial_id: int) -> str:
-    return f"trial_{trial_id:04d}.csv"
 
 
 def _check_jobs(jobs: int) -> None:
@@ -391,8 +388,8 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
         return mixed_cluster_protocol(config.sbm.n)
     path = config.protocol.custom_path
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         stimuli = tuple((s["label"], s["targets"]) for s in data["stimuli"])
@@ -561,8 +558,8 @@ def run_experiment(
     write_responses_csv(responses, out / "responses.csv")
     files = [*_GRAPH_FILES, "responses.csv"]
     if raster_dir is not None:
-        # this run's rasters only: an earlier run into the same directory may have left others
-        files += [f"rasters/{_raster_name(t)}" for t in responses.trial_ids]
+        # this run's only: an earlier run may have left others there
+        files += [f"rasters/{_RASTER_NAME.format(t)}" for t in responses.trial_ids]
 
     summary: dict = {
         "out_dir": str(out),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sbm import BLOCK_COUNT, SbmConfig, _check_alpha, _readonly, eigendecompose, sample_adjacency
+from .sbm import BLOCK_COUNT, SbmConfig, _check_alpha, eigendecompose, sample_adjacency
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -24,17 +24,15 @@ _S = 1.0 / np.sqrt(2.0)
 # [0, 1]: the flat function, the quarter-2-minus-3 and quarter-1-minus-4
 # contrasts, and the (+, -, -, +) pattern, for every alpha.  2 * _S is one ulp
 # below sqrt(2), and orthonormal coordinates read that last bit.
-EIGENFUNCTIONS = _readonly(
-    2.0
-    * np.array(
-        [
-            [0.5, 0.0, _S, 0.5],
-            [0.5, _S, 0.0, -0.5],
-            [0.5, -_S, 0.0, -0.5],
-            [0.5, 0.0, -_S, 0.5],
-        ]
-    )
+EIGENFUNCTIONS = 2.0 * np.array(
+    [
+        [0.5, 0.0, _S, 0.5],
+        [0.5, _S, 0.0, -0.5],
+        [0.5, -_S, 0.0, -0.5],
+        [0.5, 0.0, -_S, 0.5],
+    ]
 )
+EIGENFUNCTIONS.setflags(write=False)
 
 
 def analytic_graphon_eigenpairs(alpha: float) -> list[tuple[float, np.ndarray]]:
@@ -63,7 +61,6 @@ def top_eigenvalue_deviation(alpha: float, n: int, seeds) -> float:
     devs = []
     for seed in seeds:
         adj = sample_adjacency(SbmConfig(alpha=alpha, n=n, seed=seed))
-        dec = eigendecompose(adj)
-        top = dec.eigenvalues[:BLOCK_COUNT] / adj.size
+        top = eigendecompose(adj).eigenvalues[:BLOCK_COUNT] / adj.size
         devs.append(np.mean(np.abs(top - targets)))
     return float(np.mean(devs))

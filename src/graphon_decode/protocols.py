@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from .lif import SpikeRaster
-from .sbm import BLOCK_COUNT, _int, _readonly, _write_csv
+from .sbm import BLOCK_COUNT, _int, _open_utf8, _readonly, _write_csv
 
 EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 
@@ -210,7 +210,7 @@ def _read_trial_table(path, prefix: str, first: int, method: bool = False):
     its line.  The value cells of all rows are converted in one call.
     """
     tail = ["method"] if method else []
-    with open(path, newline="") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         m = len(header) - 2 - len(tail)
@@ -268,7 +268,7 @@ def _read_keyed_rows(path, header: tuple[str, str], value, name_key: bool = Fals
     ``value``, or a non-integer key, which ``name_key`` names by its column),
     a duplicate key, or the ParseError that ``value`` raised."""
     entries = {}
-    with open(path, newline="") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
         if got != list(header):

@@ -60,6 +60,16 @@ def _int(text: str) -> int:
     return int(text)
 
 
+@contextmanager
+def _open_utf8(path):
+    """The file as UTF-8 text for ``csv``; a byte that does not decode is a ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _write_csv(path, rows) -> None:
     """Every artifact CSV: each row's cells formatted by :func:`_cell` and
     joined by ",", each row ended by a newline."""
@@ -248,7 +258,8 @@ def write_edge_list(adjacency: AdjacencyMatrix, path) -> None:
 
 def read_edge_list(path) -> AdjacencyMatrix:
     """Inverse of :func:`write_edge_list`."""
-    lines = Path(path).read_text().splitlines()
+    with _open_utf8(path) as fh:
+        lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParseError(f"{path}: missing header line")
     try:

@@ -612,6 +612,52 @@ def test_cli_missing_file_exits_3(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+def _unreadable_input(tmp_path, case):
+    """The argv of one command whose input named ``bad`` cannot be read as
+    text: a byte 0xff where UTF-8 is required, or a directory."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"trial_id,label\xff\n")
+    out = ["--out", str(tmp_path / "out")]
+    if case == "config":
+        return ["run", "--config", str(bad), *out], bad
+    if case == "protocol":
+        config = small_config(tmp_path, protocol={"name": "custom", "custom_path": str(bad)})
+        save_config(config, tmp_path / "config.json")
+        return ["run", "--config", str(tmp_path / "config.json"), *out], bad
+    if case == "responses":
+        return ["embed", "--responses", str(bad), "--method", "graphon", *out], bad
+    if case == "block-map":
+        csv_path, _ = write_measured(tmp_path)
+        return ["reproduce", "table", "--experimental-csv", str(csv_path), "--block-map", str(bad), *out], bad
+    if case == "edge-list":
+        responses = tmp_path / "responses.csv"
+        responses.write_text("trial_id,label,roi_0,roi_1,roi_2,roi_3\n0,s1,1,0,0,0\n")
+        return ["embed", "--responses", str(responses), "--method", "gft", "--graph", str(bad), *out], bad
+    if case == "responses-directory":
+        return ["embed", "--responses", str(tmp_path), "--method", "graphon", *out], tmp_path
+    return ["classify", "--embeddings", str(tmp_path), *out], tmp_path
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("config", 2),
+        ("protocol", 2),
+        ("responses", 3),
+        ("block-map", 3),
+        ("edge-list", 3),
+        ("responses-directory", 3),
+        ("embeddings-directory", 3),
+    ],
+)
+def test_cli_unreadable_input_exits_with_an_error_naming_it(tmp_path, capsys, case, code):
+    argv, path = _unreadable_input(tmp_path, case)
+    assert main(argv) == code
+    assert str(path) in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())  # table makes its directory first
+
+
 def _write_embeddings(path, labels, coords):
     """A two-coordinate embeddings file; returns the classify argv that reads it."""
     rows = [f"{i},{lab},{c1},{c2},pca" for i, (lab, (c1, c2)) in enumerate(zip(labels, coords))]
