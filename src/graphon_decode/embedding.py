@@ -268,10 +268,10 @@ def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.
     the analytic plane.  Unless the two empirical eigenvalues differ by more
     than 5% (relative), the pair is multiplied by the 2x2 orthogonal Q
     minimizing ||E Q - T||_F for the empirical pair E and the targets T: the
-    limit eigenfunctions sampled at the nodes, at unit norm.  Modes 1 and 4 are flipped to positive inner product with their
-    targets.  Without this, per-realization bases differ by arbitrary in-plane
-    rotations and sign flips, which would inflate any cross-realization
-    scatter measurement.
+    limit eigenfunctions sampled at the nodes, at unit norm.  Modes 1 and 4
+    are flipped to positive inner product with their targets.  Without this,
+    per-realization bases differ by arbitrary in-plane rotations and sign
+    flips, which would inflate any cross-realization scatter measurement.
     """
     size = decomposition.eigenvectors.shape[0]
     if size % BLOCK_COUNT != 0:

@@ -558,7 +558,7 @@ def run_experiment(
     write_responses_csv(responses, out / "responses.csv")
     files = [*_GRAPH_FILES, "responses.csv"]
     if raster_dir is not None:
-        # this run's only: an earlier run may have left others there
+        # this run's rasters only: an earlier run may have left others there
         files += [f"rasters/{_RASTER_NAME.format(t)}" for t in responses.trial_ids]
 
     summary: dict = {
