@@ -19,13 +19,13 @@ because its values read directly as block-mass differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, eigh
 
 from .errors import ContractError, ParameterError
-from .protocols import Responses, _read_trial_table, _write_trial_table
+from .protocols import _read_trial_table, _write_trial_table
 from .graphon import EIGENFUNCTIONS
 from .sbm import BLOCK_COUNT, SpectralDecomposition, _readonly
 
@@ -34,13 +34,12 @@ CONVENTIONS = ("blocksum", "orthonormal")
 
 @dataclass
 class EmbeddingSet:
-    """Per-trial coordinates with their labels and a description of the basis."""
+    """Per-trial coordinates with their labels."""
 
     method: str
     coords: np.ndarray
     labels: tuple[str, ...]
     trial_ids: tuple[int, ...]
-    basis_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
@@ -50,39 +49,29 @@ class EmbeddingSet:
             raise ContractError("one label and trial id per coordinate row required")
 
 
-def _unpack(responses) -> tuple[np.ndarray, tuple[str, ...], tuple[int, ...]]:
-    """Matrix, labels and trial ids of a Responses; a plain (signals x units)
-    array, such as raw eigenvectors, gets empty labels and ids 0..k-1."""
-    if isinstance(responses, Responses):
-        return responses.values, responses.labels, responses.trial_ids
-    mat = np.asarray(responses, dtype=float)
+def _matrix(mat) -> np.ndarray:
+    """``mat`` as a nonempty 2-D float array; a non-array object, such as a Responses, is 0-D."""
+    mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] == 0:
-        raise ParameterError("expected Responses or a nonempty 2-D (signals x units) array")
-    return mat, ("",) * mat.shape[0], tuple(range(mat.shape[0]))
+        raise ParameterError("expected a nonempty 2-D (signals x units) array")
+    return mat.astype(float, copy=False)
 
 
-def _basis_project(responses, basis: np.ndarray, indices, basis_meta: dict) -> EmbeddingSet:
-    """Inner products of the responses with the columns of ``basis`` at the
-    1-based ``indices``; ``basis_meta`` is added to the embedding's."""
-    mat, labels, trial_ids = _unpack(responses)
+def _basis_project(mat, basis: np.ndarray, indices) -> np.ndarray:
+    """Inner products of the rows of ``mat`` with the basis columns at 1-based ``indices``."""
+    mat = _matrix(mat)
     size, modes = basis.shape
     if mat.shape[1] != size:
         raise ParameterError(f"response length {mat.shape[1]} does not match basis size {size}")
     idx = np.asarray(indices, dtype=int)
     if idx.size == 0 or np.any(idx < 1) or np.any(idx > modes):
         raise ParameterError(f"eigen indices must lie in 1..{modes}, got {indices}")
-    return EmbeddingSet(
-        method="gft",
-        coords=mat @ basis[:, idx - 1],
-        labels=labels,
-        trial_ids=trial_ids,
-        basis_meta={"indices": tuple(int(i) for i in idx), **basis_meta},
-    )
+    return mat @ basis[:, idx - 1]
 
 
-def gft_project(responses, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> EmbeddingSet:
-    """Inner products with selected eigenvectors (1-based, descending order)."""
-    return _basis_project(responses, decomposition.eigenvectors, indices, {})
+def gft_project(mat, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> np.ndarray:
+    """Inner products of each row with selected eigenvectors (1-based, descending order)."""
+    return _basis_project(mat, decomposition.eigenvectors, indices)
 
 
 def _block_sums(mat: np.ndarray, block_map: np.ndarray) -> np.ndarray:
@@ -93,21 +82,21 @@ def _block_sums(mat: np.ndarray, block_map: np.ndarray) -> np.ndarray:
 
 
 def graphon_project(
-    responses,
+    mat,
     block_map,
     convention: str = "blocksum",
     indices=(2, 3, 4),
-) -> EmbeddingSet:
-    """Kernel-eigenfunction coordinates of responses grouped by block.
+) -> np.ndarray:
+    """Kernel-eigenfunction coordinates of each row of ``mat``, its units grouped by block.
 
-    ``block_map`` assigns every response entry to a block 1..4; the analytic
+    ``block_map`` assigns every unit to a block 1..4; the analytic
     eigenfunctions are constant per block, so each coordinate only needs the
     per-block response sums (see the module docstring for both conventions).
     Their block values are the columns of :data:`graphon.EIGENFUNCTIONS`.
     """
     if convention not in CONVENTIONS:
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    mat, labels, trial_ids = _unpack(responses)
+    mat = _matrix(mat)
     block_map = np.asarray(block_map, dtype=int)
     if block_map.shape != (mat.shape[1],):
         raise ParameterError(
@@ -126,14 +115,7 @@ def graphon_project(
         weights = phi / np.max(np.abs(phi), axis=0)
     else:
         weights = phi / (BLOCK_COUNT * np.where(block_counts > 0, block_counts, 1))[:, None]
-    coords = sums @ weights
-    return EmbeddingSet(
-        method="graphon",
-        coords=coords,
-        labels=labels,
-        trial_ids=trial_ids,
-        basis_meta={"indices": tuple(int(i) for i in idx), "convention": convention},
-    )
+    return sums @ weights
 
 
 @dataclass(frozen=True)
@@ -242,21 +224,10 @@ def pca_transform(model: PcaModel, mat: np.ndarray) -> np.ndarray:
     return blas.dgemm(1.0, model.components, (mat - model.mean).T).T
 
 
-def pca_fit_transform(responses, dims: int = 3) -> EmbeddingSet:
-    """Mean-centered projection onto the top principal axes of these responses."""
-    mat, labels, trial_ids = _unpack(responses)
-    model = pca_fit(mat, dims)
-    coords = pca_transform(model, mat)
-    return EmbeddingSet(
-        method="pca",
-        coords=coords,
-        labels=labels,
-        trial_ids=trial_ids,
-        basis_meta={
-            "dims": dims,
-            "explained_variance_ratio": tuple(float(x) for x in model.explained_variance_ratio),
-        },
-    )
+def pca_fit_transform(mat, dims: int = 3) -> np.ndarray:
+    """Mean-centered projection of the rows of ``mat`` onto their own top principal axes."""
+    mat = _matrix(mat)
+    return pca_transform(pca_fit(mat, dims), mat)
 
 
 def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.ndarray, bool]:
@@ -294,12 +265,11 @@ def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.
     return basis, degenerate
 
 
-def aligned_gft_project(responses, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> EmbeddingSet:
+def aligned_gft_project(mat, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> np.ndarray:
     """gft_project with the per-realization basis aligned first (see
     :func:`aligned_eigenvector_basis`); it covers modes 1..4 only."""
-    basis, degenerate = aligned_eigenvector_basis(decomposition)
-    meta = {"aligned": True, "degenerate_pair": degenerate}
-    return _basis_project(responses, basis, indices, meta)
+    basis, _ = aligned_eigenvector_basis(decomposition)
+    return _basis_project(mat, basis, indices)
 
 
 # ---------------------------------------------------------------------------

@@ -447,17 +447,19 @@ def map_indices(dimensions: int) -> tuple[int, ...]:
     return (2, 3, 4)[:dimensions]
 
 
-def project(method: str, responses, indices, bases: Bases) -> EmbeddingSet:
-    """Embed ``responses`` (a Responses or a plain matrix) with one method:
-    the basis coordinates at ``indices``, or for PCA the top len(indices)
-    principal components of these rows."""
+def project(method: str, responses: Responses, indices, bases: Bases) -> EmbeddingSet:
+    """Embed ``responses`` with one method: the basis coordinates at
+    ``indices``, or for PCA the top len(indices) principal components of
+    these rows, each row under its trial's label and id."""
     if method == "graphon":
-        return graphon_project(responses, bases.block_map, convention=bases.convention, indices=indices)
-    if method == "gft":
-        return gft_project(responses, bases.decomposition, indices=indices)
-    if method == "pca":
-        return pca_fit_transform(responses, dims=len(indices))
-    raise ConfigError(f"unknown embedding method {method!r}")
+        coords = graphon_project(responses.values, bases.block_map, bases.convention, indices)
+    elif method == "gft":
+        coords = gft_project(responses.values, bases.decomposition, indices)
+    elif method == "pca":
+        coords = pca_fit_transform(responses.values, len(indices))
+    else:
+        raise ConfigError(f"unknown embedding method {method!r}")
+    return EmbeddingSet(method, coords, responses.labels, responses.trial_ids)
 
 
 def _cross_validate(
@@ -472,7 +474,7 @@ def _cross_validate(
     for method in methods:
         rows, pca_dims = responses.values, dims
         if method != "pca":
-            rows, pca_dims = project(method, rows, tuple(range(1, dims + 1)), bases).coords, None
+            rows, pca_dims = project(method, responses, tuple(range(1, dims + 1)), bases).coords, None
         predicted[method] = _out_of_fold_predictions(
             responses.labels, rows, classify.folds, classify.lam, classify.seed, classify.lam_grid,
             pca_dims,
@@ -542,9 +544,13 @@ def run_experiment(
 
     Zero-response trials are skipped with a note; the run fails (DataError)
     only when a stimulus class keeps fewer usable trials than the fold count
-    needed for classification, or when nothing can be embedded at all.
+    needed for classification, or when nothing can be embedded at all; with
+    fewer trials per stimulus than folds it fails (ConfigError) before any write.
     """
     _check_jobs(jobs)
+    folds, per_stimulus = config.classify.folds, config.trials_per_stimulus
+    if config.classify.enabled and per_stimulus < folds:
+        raise ConfigError(f"trials_per_stimulus {per_stimulus} is below classify.folds {folds}")
     protocol = _build_protocol(config)  # a bad custom protocol file fails before any write
     out = Path(config.io.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -615,8 +621,8 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
     graphon_sets: list[EmbeddingSet] = []
     for r in range(realizations):
         adjacency, responses, _ = _simulate(config, jobs, realization=r)
-        decomposition = eigendecompose(adjacency)
-        gft_sets.append(aligned_gft_project(responses, decomposition, indices=indices))
+        coords = aligned_gft_project(responses.values, eigendecompose(adjacency), indices)
+        gft_sets.append(EmbeddingSet("gft", coords, responses.labels, responses.trial_ids))
         graphon_sets.append(project("graphon", responses, indices, bases))
     disp_gft = cross_realization_dispersion(gft_sets)
     disp_graphon = cross_realization_dispersion(graphon_sets)
@@ -709,35 +715,30 @@ def _reproduce_fig8(out: Path, seed: int, jobs: int, measured) -> tuple[list[str
 
 def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     """Accuracy table: kernel embedding vs PCA, cross-validated, with paired
-    statistics.  ``measured`` holds the paths (responses CSV, block map CSV,
-    external correctness CSV); without the first two a simulated surrogate
-    dataset, clearly marked, replaces the recordings.  The external decoder's
-    correctness pairs with the kernel embedding's by trial id."""
-    experimental_csv, block_map_csv, rc_correct_csv = measured
+    statistics.  ``measured`` holds the measured responses, block map and
+    external decoder's correctness (or None) that :func:`reproduce` read;
+    without it a simulated surrogate dataset, clearly marked, replaces them."""
     config = ExperimentConfig(
         sbm=SbmConfig(seed=seed),
         protocol=ProtocolSection(name="mixed_cluster"),
         trials_per_stimulus=7,
     )
-    degraded = not experimental_csv
+    degraded = measured is None
     if degraded:
         source = "simulated_surrogate"
         _, responses, _ = _simulate(config, jobs, realization=0)
-        block_map = None
+        block_map = rc = None
     else:
         source = "experimental"
-        responses, block_map = load_experimental_responses(experimental_csv, block_map_csv)
+        responses, block_map, rc = measured
     bases = _bases(config, block_map=block_map)
     classes = sorted(set(responses.labels))
     predicted = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
     labels = np.asarray(responses.labels)
     graphon, pca = ((labels == predicted[m]).astype(float) for m in ("graphon", "pca"))
     differences = [graphon - pca]
-    if rc_correct_csv:
-        names = (str(experimental_csv), str(rc_correct_csv))
-        rc = read_correctness_csv(rc_correct_csv)
-        a, b = pair_by_trial_id(dict(zip(responses.trial_ids, graphon)), rc, names=names)
-        differences.append(a - b)
+    if rc is not None:
+        differences.append(graphon - rc)
     reports, (paired, *vs_rc) = _evaluate(labels, predicted, config.classify, differences)
 
     rows = [("key", "value"), ("source", source), ("n", reports["graphon"].n)]
@@ -788,7 +789,8 @@ def reproduce(
 ) -> dict:
     """Canned experiment behind each shipped figure or table.  Measured
     inputs that the figure does not read, or that do not go together, are a
-    ConfigError raised before anything is simulated or written.
+    ConfigError raised before anything is simulated or written, and the
+    table's measured inputs are read before the output directory is made.
 
     Returns a summary with the output files and a ``degraded`` flag that is
     True when a surrogate dataset replaced missing experimental inputs.
@@ -799,14 +801,23 @@ def reproduce(
     _check_jobs(jobs)
     # only the table reads measured inputs, and an external decoder's
     # correctness pairs with measured trials, not with the surrogate's
-    measured = (experimental_csv, block_map_csv, rc_correct_csv)
-    if figure_id != "table" and any(measured):
+    paths = (experimental_csv, block_map_csv, rc_correct_csv)
+    if figure_id != "table" and any(paths):
         raise ConfigError(f"reproduce {figure_id} reads no measured inputs; only table does")
     if bool(experimental_csv) != bool(block_map_csv):
         raise ConfigError("--experimental-csv and --block-map must be given together")
     if rc_correct_csv and not experimental_csv:
         raise ConfigError("--rc-correct needs the measured trials of --experimental-csv and --block-map")
     SbmConfig(seed=seed)  # checks the seed before the output directory is made
+    measured = None  # the table's measured inputs, read before the directory is made
+    if experimental_csv:
+        responses, block_map = load_experimental_responses(experimental_csv, block_map_csv)
+        rc = None
+        if rc_correct_csv:  # in the responses' row order, paired by trial id
+            names = (str(experimental_csv), str(rc_correct_csv))
+            ids = dict.fromkeys(responses.trial_ids, 0.0)
+            _, rc = pair_by_trial_id(ids, read_correctness_csv(rc_correct_csv), names=names)
+        measured = (responses, block_map, rc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files, degraded = build(out, seed, jobs, measured)

@@ -60,7 +60,7 @@ def test_criterion_1_analytic_eigenstructure():
             block_map = block_membership(n)
             for signals, want in ((phis, np.eye(4)), (c @ (phis * 0.25), lams)):
                 sampled = np.repeat(signals, n, axis=0).T
-                got = graphon_project(sampled, block_map, "orthonormal", (1, 2, 3, 4)).coords
+                got = graphon_project(sampled, block_map, "orthonormal", (1, 2, 3, 4))
                 worst = max(worst, float(np.max(np.abs(got - want))))
     _report(
         1,

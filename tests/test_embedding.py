@@ -48,16 +48,16 @@ def test_projecting_an_eigenvector_gives_a_unit_coordinate():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=6, seed=0))
     dec = eigendecompose(adj)
     f = dec.eigenvectors[:, 1]  # mode 2
-    es = gft_project([f], dec, indices=(2, 3, 4))
-    assert np.allclose(es.coords[0], [1.0, 0.0, 0.0], atol=1e-10)
+    coords = gft_project([f], dec, indices=(2, 3, 4))
+    assert np.allclose(coords[0], [1.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_projection_of_orthogonal_signal_is_zero():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=6, seed=1))
     dec = eigendecompose(adj)
     f = dec.eigenvectors[:, 10]
-    es = gft_project([f], dec, indices=(2, 3, 4))
-    assert np.allclose(es.coords[0], 0.0, atol=1e-10)
+    coords = gft_project([f], dec, indices=(2, 3, 4))
+    assert np.allclose(coords[0], 0.0, atol=1e-10)
 
 
 def test_parseval_identity_for_unit_norm_signal():
@@ -65,8 +65,8 @@ def test_parseval_identity_for_unit_norm_signal():
     dec = eigendecompose(adj)
     rng = np.random.default_rng(0)
     f = unit(rng.random(adj.size))
-    es = gft_project([f], dec, indices=tuple(range(1, adj.size + 1)))
-    assert np.sum(es.coords[0] ** 2) == pytest.approx(1.0, abs=1e-10)
+    coords = gft_project([f], dec, indices=tuple(range(1, adj.size + 1)))
+    assert np.sum(coords[0] ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gft_dimension_mismatch():
@@ -83,8 +83,8 @@ def test_gft_dimension_mismatch():
 def test_uniform_response_has_zero_contrast_coordinates():
     n = 10
     f = unit(np.ones(4 * n))
-    es = graphon_project([f], block_membership(n))
-    assert np.allclose(es.coords[0], 0.0, atol=1e-12)
+    coords = graphon_project([f], block_membership(n))
+    assert np.allclose(coords[0], 0.0, atol=1e-12)
 
 
 def test_block_two_concentration():
@@ -95,21 +95,21 @@ def test_block_two_concentration():
     values = values / np.linalg.norm(values)
     scale = values[n]  # entries now this per node; rescale expectations
     block_sum = scale * n
-    es = graphon_project([values], block_membership(n), indices=(2, 3, 4))
-    assert np.allclose(es.coords[0], [block_sum, 0.0, -block_sum], atol=1e-12)
+    coords = graphon_project([values], block_membership(n), indices=(2, 3, 4))
+    assert np.allclose(coords[0], [block_sum, 0.0, -block_sum], atol=1e-12)
     # with the raw L1-normalized signal the coordinates are exactly (+1, 0, -1)
     raw = np.zeros(4 * n)
     raw[n : 2 * n] = 0.25
-    es_raw = graphon_project([raw], block_membership(n), indices=(2, 3, 4))
-    assert np.allclose(es_raw.coords[0], [1.0, 0.0, -1.0], atol=1e-12)
+    coords_raw = graphon_project([raw], block_membership(n), indices=(2, 3, 4))
+    assert np.allclose(coords_raw[0], [1.0, 0.0, -1.0], atol=1e-12)
 
 
 def test_block_one_concentration():
     n = 5
     raw = np.zeros(4 * n)
     raw[:n] = 1.0 / n  # unit L1 block sum
-    es = graphon_project([raw], block_membership(n), indices=(2, 3, 4))
-    assert np.allclose(es.coords[0], [0.0, 1.0, 1.0], atol=1e-12)
+    coords = graphon_project([raw], block_membership(n), indices=(2, 3, 4))
+    assert np.allclose(coords[0], [0.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_orthonormal_convention_matches_exact_quadrature():
@@ -119,10 +119,10 @@ def test_orthonormal_convention_matches_exact_quadrature():
     n = 6
     rng = np.random.default_rng(3)
     f = unit(rng.random(4 * n))
-    es = graphon_project([f], block_membership(n), convention="orthonormal", indices=(1, 2, 3, 4))
+    coords = graphon_project([f], block_membership(n), convention="orthonormal", indices=(1, 2, 3, 4))
     for col, k in enumerate((1, 2, 3, 4)):
         want = float(np.sum(f * np.repeat(PHIS[k - 1], n))) / (4 * n)
-        assert es.coords[0, col] == pytest.approx(want, abs=1e-12)
+        assert coords[0, col] == pytest.approx(want, abs=1e-12)
 
 
 def test_conventions_differ_by_fixed_positive_factor():
@@ -131,7 +131,7 @@ def test_conventions_differ_by_fixed_positive_factor():
     mat = np.vstack([unit(rng.random(4 * n)) for _ in range(5)])
     blocksum = graphon_project(mat, block_membership(n), indices=(2, 3, 4))
     ortho = graphon_project(mat, block_membership(n), convention="orthonormal", indices=(2, 3, 4))
-    ratio = ortho.coords / blocksum.coords
+    ratio = ortho / blocksum
     for col, k in enumerate((2, 3, 4)):
         phi = PHIS[k - 1]
         expected = np.max(np.abs(phi)) / (4 * n)
@@ -156,14 +156,31 @@ def test_blocksum_matches_projection_onto_expectation_graph_eigenvectors():
         assert np.allclose(bp, lam * pat, atol=1e-12)
     rng = np.random.default_rng(5)
     f = unit(rng.random(4 * n))
-    es = graphon_project([f], block_membership(n), indices=(2, 3, 4))
+    coords = graphon_project([f], block_membership(n), indices=(2, 3, 4))
     for col, k in enumerate((2, 3, 4)):
-        assert es.coords[0, col] == pytest.approx(float(f @ patterns[k]), abs=1e-12)
+        assert coords[0, col] == pytest.approx(float(f @ patterns[k]), abs=1e-12)
 
 
 def test_graphon_project_requires_matching_block_map():
     with pytest.raises(ParameterError):
         graphon_project([unit(np.ones(8))], block_membership(3))
+
+
+def _project_with(name, mat):
+    n = 2
+    if name == "graphon":
+        return graphon_project(mat, block_membership(n))
+    if name == "pca":
+        return pca_fit_transform(mat, dims=1)
+    dec = eigendecompose(sample_adjacency(SbmConfig(alpha=0.05, n=n, seed=0)))
+    return (gft_project if name == "gft" else aligned_gft_project)(mat, dec)
+
+
+@pytest.mark.parametrize("name", ["graphon", "gft", "aligned_gft", "pca"])
+@pytest.mark.parametrize("mat", [np.ones(8), np.empty((0, 8))], ids=["vector", "no-rows"])
+def test_projections_reject_what_is_not_a_nonempty_matrix(name, mat):
+    with pytest.raises(ParameterError, match="nonempty 2-D"):
+        _project_with(name, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +191,13 @@ def test_collinear_data_is_captured_by_first_component():
     base = np.array([1.0, -2.0, 0.5, 3.0])
     ts = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     mat = np.outer(ts, base)
-    es = pca_fit_transform(mat, dims=2)
-    evr = es.basis_meta["explained_variance_ratio"]
+    coords = pca_fit_transform(mat, dims=2)
+    evr = pca_fit(mat, dims=2).explained_variance_ratio
     assert evr[0] == pytest.approx(1.0, abs=1e-12)
     dists = ts * np.linalg.norm(base)
-    assert np.allclose(np.abs(es.coords[:, 0]), np.abs(dists), atol=1e-10)
+    assert np.allclose(np.abs(coords[:, 0]), np.abs(dists), atol=1e-10)
     # signed order along the line is preserved (up to one global flip)
-    deltas = np.diff(es.coords[:, 0])
+    deltas = np.diff(coords[:, 0])
     assert np.all(deltas > 0) or np.all(deltas < 0)
 
 
@@ -387,12 +404,14 @@ def test_aligned_basis_close_to_analytic_on_samples():
             assert overlap > 0.9
 
 
-def test_aligned_projection_reports_basis_meta():
+def test_aligned_projection_is_the_product_with_the_aligned_basis():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=30, seed=1))
     dec = eigendecompose(adj)
     f = unit(np.random.default_rng(1).random(adj.size))
-    es = aligned_gft_project([f], dec)
-    assert es.basis_meta["aligned"] is True
+    basis, _ = aligned_eigenvector_basis(dec)
+    # a fancy index, as the projection takes: a 1:4 slice is a strided view,
+    # whose product can differ in the last bits
+    assert np.array_equal(aligned_gft_project([f], dec), np.array([f]) @ basis[:, [1, 2, 3]])
 
 
 # ---------------------------------------------------------------------------

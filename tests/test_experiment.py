@@ -542,6 +542,17 @@ def test_cli_run_with_no_or_repeated_methods_exits_2_before_writing(tmp_path, ca
     assert main(["simulate", "--config", str(good)]) == 0  # simulate drops the methods itself
 
 
+def test_cli_run_with_fewer_trials_than_folds_exits_2_before_writing(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"sbm": {"n": 12}, "trials_per_stimulus": 5}))
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "trials_per_stimulus 5 is below classify.folds 7" in capsys.readouterr().err
+    assert not out.exists()
+    # simulate turns classification off, so the same config runs
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+
+
 def test_cli_nan_dt_exits_2(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text('{"sim": {"dt": NaN}}')
@@ -629,6 +640,8 @@ def _unreadable_input(tmp_path, case):
     if case == "block-map":
         csv_path, _ = write_measured(tmp_path)
         return ["reproduce", "table", "--experimental-csv", str(csv_path), "--block-map", str(bad), *out], bad
+    if case == "rc-correct":
+        return _table_argv(tmp_path / "out", *write_measured(tmp_path), bad), bad
     if case == "edge-list":
         responses = tmp_path / "responses.csv"
         responses.write_text("trial_id,label,roi_0,roi_1,roi_2,roi_3\n0,s1,1,0,0,0\n")
@@ -645,6 +658,7 @@ def _unreadable_input(tmp_path, case):
         ("protocol", 2),
         ("responses", 3),
         ("block-map", 3),
+        ("rc-correct", 3),
         ("edge-list", 3),
         ("responses-directory", 3),
         ("embeddings-directory", 3),
@@ -654,8 +668,7 @@ def test_cli_unreadable_input_exits_with_an_error_naming_it(tmp_path, capsys, ca
     argv, path = _unreadable_input(tmp_path, case)
     assert main(argv) == code
     assert str(path) in capsys.readouterr().err
-    out = tmp_path / "out"
-    assert not out.exists() or not any(out.iterdir())  # table makes its directory first
+    assert not (tmp_path / "out").exists()
 
 
 def _write_embeddings(path, labels, coords):
@@ -838,6 +851,7 @@ def test_cli_table_rc_ids_must_match_the_measured_trials(tmp_path, capsys):
     out = tmp_path / "table"
     assert main(_table_argv(out, csv_path, map_path, rc_path)) == 3
     assert f"trial id 0 is only in {csv_path} (54 unpaired ids)" in capsys.readouterr().err
+    assert not out.exists()
     assert not (out / "table_accuracy.csv").exists()
 
 
