@@ -57,15 +57,23 @@ def _matrix(mat) -> np.ndarray:
     return mat.astype(float, copy=False)
 
 
+def _check_indices(indices, top: int, kind: str) -> np.ndarray:
+    """``indices`` as an int array; the error names the first outside 1..``top``, not all."""
+    idx = np.asarray(indices, dtype=int)
+    out = idx[(idx < 1) | (idx > top)]
+    if idx.size == 0 or out.size:
+        first = f", the first out of range is {out[0]}" if out.size else ""
+        raise ParameterError(f"{kind} indices must lie in 1..{top}, got {idx.size} indices{first}")
+    return idx
+
+
 def _basis_project(mat, basis: np.ndarray, indices) -> np.ndarray:
     """Inner products of the rows of ``mat`` with the basis columns at 1-based ``indices``."""
     mat = _matrix(mat)
     size, modes = basis.shape
     if mat.shape[1] != size:
         raise ParameterError(f"response length {mat.shape[1]} does not match basis size {size}")
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0 or np.any(idx < 1) or np.any(idx > modes):
-        raise ParameterError(f"eigen indices must lie in 1..{modes}, got {indices}")
+    idx = _check_indices(indices, modes, "eigen")
     return mat @ basis[:, idx - 1]
 
 
@@ -102,9 +110,7 @@ def graphon_project(
         raise ParameterError(
             f"block map covers {block_map.size} units, responses have {mat.shape[1]}"
         )
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0 or np.any(idx < 1) or np.any(idx > BLOCK_COUNT):
-        raise ParameterError(f"coordinate indices must lie in 1..4, got {indices}")
+    idx = _check_indices(indices, BLOCK_COUNT, "coordinate")
     sums = _block_sums(mat, block_map)
     block_counts = np.array([(block_map == b).sum() for b in range(1, BLOCK_COUNT + 1)])
     if convention == "orthonormal" and np.any(block_counts == 0):

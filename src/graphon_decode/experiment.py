@@ -59,6 +59,7 @@ from .protocols import (
     extract_response,
     load_experimental_responses,
     mixed_cluster_protocol,
+    normalize_response,
     two_cluster_protocol,
     write_responses_csv,
 )
@@ -260,8 +261,8 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 def _trial_chunk(payload):
     """Simulate a chunk of (trial id, stimulus index, seed) specs as one
-    run_trials batch; returns the (trial id, label, response) rows of the
-    trials that responded and the ids of those that did not.  With a
+    run_trials batch; returns the (trial id, label, window counts) rows of
+    the trials that responded and the ids of those that did not.  With a
     ``raster_dir`` the kept trials' rasters are written there, from this
     process; without one the rasters end with the counting window (see
     :func:`run_trials`) and are dropped."""
@@ -277,11 +278,11 @@ def _trial_chunk(payload):
     for (trial_id, stim_idx, _), raster in zip(specs, rasters):
         label = protocol.stimuli[stim_idx][0]
         try:
-            response = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
+            counts = extract_response(raster, onset=sim.onset, window=sim.window, trial_id=trial_id)
         except ZeroResponseError:
             skipped.append(trial_id)
             continue
-        rows.append((trial_id, label, response))
+        rows.append((trial_id, label, counts))
         if raster_dir is not None:
             meta = {"label": label, **asdict(sim)}
             write_raster_csv(raster, Path(raster_dir) / _RASTER_NAME.format(trial_id), meta=meta)
@@ -295,9 +296,10 @@ def _check_jobs(jobs: int) -> None:
 
 def run_protocol_trials(
     adjacency, config: ExperimentConfig, realization: int = 0, jobs: int = 1, raster_dir=None
-) -> tuple[Responses, list[int]]:
+) -> tuple[Responses, np.ndarray, list[int]]:
     """Run every (stimulus, trial) pair of the config's protocol on
-    ``adjacency`` and return the responses plus the skipped trial ids.
+    ``adjacency`` and return the responses, the window counts they are
+    normalized from (one int64 row per response) and the skipped trial ids.
 
     Trial seeds derive from (sbm.seed, realization, stimulus, trial), and a
     trial's raster does not depend on the batch it is simulated in, so any
@@ -341,8 +343,9 @@ def run_protocol_trials(
             f"realization {realization}: all {len(specs)} trials were zero-response; "
             "nothing to embed"
         )
-    trial_ids, labels, values = zip(*rows)
-    return Responses(values=np.vstack(values), labels=labels, trial_ids=trial_ids), skipped
+    trial_ids, labels, counts = zip(*rows)
+    values = np.vstack([normalize_response(row) for row in counts])
+    return Responses(values=values, labels=labels, trial_ids=trial_ids), np.vstack(counts), skipped
 
 
 def sample_graph(sbm: SbmConfig, realization: int | None = None) -> AdjacencyMatrix:
@@ -367,15 +370,14 @@ def write_graph(adjacency: AdjacencyMatrix, out_dir: Path) -> SpectralDecomposit
 
 
 def _simulate(
-    config: ExperimentConfig, jobs: int = 1, realization: int | None = None, raster_dir=None
-) -> tuple[AdjacencyMatrix, Responses, list[int]]:
+    config: ExperimentConfig, jobs: int = 1, realization: int | None = None
+) -> tuple[AdjacencyMatrix, Responses]:
     """Sample the graph (see :func:`sample_graph`) and run the configured
-    protocol's trials on it; returns the adjacency, the responses and the
-    skipped trial ids.  Trial seeds derive from (sbm.seed, realization or 0,
-    stimulus, trial)."""
+    protocol's trials on it; returns the adjacency and the responses.  Trial
+    seeds derive from (sbm.seed, realization or 0, stimulus, trial)."""
     adjacency = sample_graph(config.sbm, realization)
-    responses, skipped = run_protocol_trials(adjacency, config, realization or 0, jobs, raster_dir)
-    return adjacency, responses, skipped
+    responses, _, _ = run_protocol_trials(adjacency, config, realization or 0, jobs)
+    return adjacency, responses
 
 
 def _build_protocol(config: ExperimentConfig) -> Protocol:
@@ -559,9 +561,10 @@ def run_experiment(
         raster_dir = out / "rasters"
         raster_dir.mkdir(exist_ok=True)
 
-    adjacency, responses, skipped = _simulate(config, jobs, raster_dir=raster_dir)
+    adjacency = sample_graph(config.sbm)
+    responses, counts, skipped = run_protocol_trials(adjacency, config, jobs=jobs, raster_dir=raster_dir)
     bases = _bases(config, decomposition=write_graph(adjacency, out))
-    write_responses_csv(responses, out / "responses.csv")
+    write_responses_csv(counts, responses.labels, responses.trial_ids, out / "responses.csv")
     files = [*_GRAPH_FILES, "responses.csv"]
     if raster_dir is not None:
         # this run's rasters only: an earlier run may have left others there
@@ -620,7 +623,7 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
     for r in range(realizations):
-        adjacency, responses, _ = _simulate(config, jobs, realization=r)
+        adjacency, responses = _simulate(config, jobs, realization=r)
         coords = aligned_gft_project(responses.values, eigendecompose(adjacency), indices)
         gft_sets.append(EmbeddingSet("gft", coords, responses.labels, responses.trial_ids))
         graphon_sets.append(project("graphon", responses, indices, bases))
@@ -638,7 +641,7 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
 def mixed_cluster_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     """The config's experiment on realization 0, embedded with the kernel
     basis and with PCA, plus separability metrics for both maps."""
-    _, responses, _ = _simulate(config, jobs, realization=0)
+    _, responses = _simulate(config, jobs, realization=0)
     bases = _bases(config)
     result = {"metrics": {}}
     for method in ("graphon", "pca"):
@@ -659,7 +662,7 @@ def mixed_cluster_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
 
 def _reproduce_fig5(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     # the documented default experiment, its graph drawn from the seed itself
-    adjacency, responses, _ = _simulate(ExperimentConfig(sbm=SbmConfig(seed=seed)), jobs)
+    adjacency, responses = _simulate(ExperimentConfig(sbm=SbmConfig(seed=seed)), jobs)
     bases = Bases(decomposition=eigendecompose(adjacency))
     es = project("gft", responses, map_indices(3), bases)
     files = {"fig5_gft_modes_2_3.csv": [0, 1], "fig5_gft_modes_2_4.csv": [0, 2]}
@@ -726,7 +729,7 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     degraded = measured is None
     if degraded:
         source = "simulated_surrogate"
-        _, responses, _ = _simulate(config, jobs, realization=0)
+        _, responses = _simulate(config, jobs, realization=0)
         block_map = rc = None
     else:
         source = "experimental"

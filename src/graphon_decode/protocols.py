@@ -1,9 +1,9 @@
 """Stimulation protocols, response extraction, and the per-trial CSV tables.
 
 Responses are per-unit spike counts (or fluorescence intensities) inside a
-100-ms window starting at stimulus onset, normalized to unit L2 norm.  The
-window is half-open, [onset, onset + window), so an event exactly at the right
-endpoint is excluded.
+100-ms window starting at stimulus onset, written as counts and normalized to
+unit L2 norm on use.  The window is half-open, [onset, onset + window), so an
+event exactly at the right endpoint is excluded.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def mixed_cluster_protocol(n: int) -> Protocol:
 def extract_response(
     raster: SpikeRaster, onset: float, window: float = 100.0, trial_id: int = 0
 ) -> np.ndarray:
-    """Spike counts per neuron in [onset, onset + window), L2-normalized.
+    """Spike counts per neuron in [onset, onset + window), as int64.
 
     Raises ZeroResponseError when no neuron spiked in the window; such trials
     carry no information and normalization would be undefined.
@@ -128,17 +128,17 @@ def extract_response(
         raise ParameterError(
             f"window [{onset}, {onset + window}) outside trial of {raster.duration} ms"
         )
-    counts = raster.counts(onset, onset + window)
-    norm = np.linalg.norm(counts)
-    if norm == 0.0:
+    counts = raster.counts(onset, onset + window).astype(np.int64)
+    if not counts.any():
         raise ZeroResponseError(f"trial {trial_id}: no spikes in [{onset}, {onset + window})")
-    return counts / norm
+    return counts
 
 
 def normalize_response(values: np.ndarray) -> np.ndarray:
-    """L2 normalization, bit-idempotent: a row whose norm is within 1e-12 of 1
-    comes back unchanged, so a response read back from its CSV equals the row
-    that was written (dividing again could move its last bits)."""
+    """L2 normalization, the one rule that turns a row of counts into a unit
+    response.  Bit-idempotent: a row whose norm is within 1e-12 of 1 comes
+    back unchanged, so a file of unit rows reads back as written; an integer
+    row has norm 1 only as a single spike, which division leaves unchanged."""
     values = np.asarray(values, dtype=float)
     norm = np.linalg.norm(values)
     if norm == 0.0:
@@ -237,16 +237,23 @@ def _read_trial_table(path, prefix: str, first: int, method: bool = False):
     return trial_ids, labels, _convert_rows(path, texts, lines, m), lines, methods if method else None
 
 
-def write_responses_csv(responses: Responses, path) -> None:
-    """trial_id,label,roi_0..roi_{m-1} with one row per trial."""
-    columns = [f"roi_{i}" for i in range(responses.values.shape[1])]
-    _write_trial_table(path, columns, responses.trial_ids, responses.labels, responses.values)
+def write_responses_csv(counts, labels, trial_ids, path) -> None:
+    """trial_id,label,roi_0..roi_{m-1} with one row of nonnegative integer
+    counts per trial, such as :func:`extract_response` gives."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.dtype.kind not in "iu" or (counts < 0).any():
+        raise ContractError("responses are written as a (trials x units) matrix of nonnegative integers")
+    if not len(labels) == len(trial_ids) == len(counts):
+        raise ContractError("one label and one trial id per response row required")
+    columns = [f"roi_{i}" for i in range(counts.shape[1])]
+    _write_trial_table(path, columns, trial_ids, labels, counts)
 
 
 def read_responses_csv(path, allowed_labels=None) -> Responses:
-    """Read a response CSV, renormalizing rows (a no-op for unit rows) and,
-    given ``allowed_labels``, restricting the stimulus labels; a rejected row
-    is named by its line number."""
+    """Read a response CSV of nonnegative rows, counts or otherwise, each
+    normalized by :func:`normalize_response` (a no-op for unit rows), and,
+    given ``allowed_labels``, restrict the stimulus labels; a rejected row is
+    named by its line number."""
     trial_ids, labels, values, lines, _ = _read_trial_table(path, "roi_", 0)
     negative = (values < 0).any(axis=1)
     for i, (label, row_no) in enumerate(zip(labels, lines)):

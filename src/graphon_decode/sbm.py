@@ -288,8 +288,8 @@ def read_edge_list(path) -> AdjacencyMatrix:
 
 
 def write_spectra(decomposition: SpectralDecomposition, values_path, vectors_path) -> None:
-    """Every eigenvalue as index,eigenvalue CSV; the eigenvectors of the four
-    block modes (nodes x modes, columns aligned with eigenvalue indices 0..3)
-    in a sidecar CSV, the only modes any embedding reads."""
-    _write_csv(values_path, [("index", "eigenvalue"), *enumerate(decomposition.eigenvalues)])
+    """The four block modes, the only modes any embedding reads: their
+    eigenvalues as index,eigenvalue CSV, and their eigenvectors (nodes x
+    modes, columns aligned with eigenvalue indices 0..3) in a sidecar CSV."""
+    _write_csv(values_path, [("index", "eigenvalue"), *enumerate(decomposition.eigenvalues[:BLOCK_COUNT])])
     _write_csv(vectors_path, decomposition.eigenvectors[:, :BLOCK_COUNT])

@@ -73,7 +73,7 @@ def test_table_files_are_read_and_written_without_child_spans(tmp_path):
     es = embedding.EmbeddingSet(method="pca", coords=[[1.0, 2.0]], labels=("s1",), trial_ids=(0,))
 
     def op():
-        protocols.write_responses_csv(responses, tmp_path / "responses.csv")
+        protocols.write_responses_csv([[3, 4]], responses.labels, responses.trial_ids, tmp_path / "responses.csv")
         embedding.write_embeddings_csv(es, tmp_path / "embeddings.csv")
         embedding.read_embeddings_csv(tmp_path / "embeddings.csv")
 

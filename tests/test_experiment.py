@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import pickle
@@ -22,7 +23,7 @@ from graphon_decode.experiment import (
     save_config,
     verify_manifest,
 )
-from graphon_decode.protocols import load_experimental_responses
+from graphon_decode.protocols import load_experimental_responses, read_responses_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -358,6 +359,48 @@ def test_dumping_rasters_keeps_full_trials(tmp_path):
     assert len(rasters) == 10
     for path in rasters:
         assert f"# duration_ms={config.sim.duration!r}" in path.read_text().splitlines()
+
+
+def test_run_writes_each_trials_window_counts(tmp_path):
+    # responses.csv holds integer spike counts; read back, they give the very
+    # rows run_protocol_trials hands to the projections, and each row counts
+    # its trial's dumped raster over the half-open window
+    config = small_config(tmp_path, "run", classify={"enabled": False})
+    run_experiment(config, dump_rasters=True)
+    out = tmp_path / "run"
+    with open(out / "responses.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 10
+    for row in rows:
+        assert all(cell.isascii() and cell.isdigit() for cell in row[2:]), row
+    responses, counts, skipped = experiment.run_protocol_trials(experiment.sample_graph(config.sbm), config)
+    back = read_responses_csv(out / "responses.csv")
+    assert back.values.tobytes() == responses.values.tobytes()
+    assert (back.labels, back.trial_ids) == (responses.labels, responses.trial_ids)
+    assert counts.tolist() == [[int(cell) for cell in row[2:]] for row in rows] and skipped == []
+    start, stop = config.sim.onset, config.sim.onset + config.sim.window
+    for row in rows:
+        with open(out / "rasters" / f"trial_{int(row[0]):04d}.csv", newline="") as fh:
+            lines = [line for line in csv.reader(fh) if not line[0].startswith("#")][1:]
+        window = np.zeros(len(row) - 2, dtype=int)
+        for neuron, time in lines:
+            window[int(neuron)] += start <= float(time) < stop
+        assert [int(cell) for cell in row[2:]] == window.tolist(), row[0]
+
+
+def test_cli_embed_names_the_first_index_out_of_range(tmp_path, capsys):
+    # 450 indices asked of a 400-node graph: the message names the count and
+    # the first bad index, not all 450
+    assert main(["gen-graph", "--n", "100", "--seed", "0", "--out", str(tmp_path)]) == 0
+    responses = tmp_path / "responses.csv"
+    responses.write_text("trial_id,label," + ",".join(f"roi_{i}" for i in range(400)) + "\n0,s1" + ",1" * 400 + "\n")
+    argv = ["embed", "--responses", str(responses), "--dims", "450", "--out", str(tmp_path / "emb.csv")]
+    for method, text in (("gft", "eigen indices must lie in 1..400"), ("graphon", "coordinate indices must lie in 1..4")):
+        capsys.readouterr()
+        assert main([*argv, "--method", method, "--graph", str(tmp_path / "graph.edges")]) == 2
+        message = capsys.readouterr().err
+        assert text in message and "450" in message and len(message) < 200, message
+    assert not (tmp_path / "emb.csv").exists()
 
 
 def test_manifest_lists_and_verifies_every_file(tmp_path):

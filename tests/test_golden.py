@@ -28,7 +28,7 @@ def _file_digests(out: Path) -> dict:
 DEFAULT_CONFIG = "5dc22e006fdc3a306b5bb21b25ab0093e15d89fa382a2cf5ba84fd26c07abd31"
 
 RUN_SMALL = {
-    "eigenvalues.csv": "1797e24065d49b25b39961d288fc94c58b09f47726ae77fbdab3fc8595b4868a",
+    "eigenvalues.csv": "b145449997bace09e1d5a0572796de4687f55d5f3fe7cf20cadbbb79e28feb48",
     "eigenvectors.csv": "6630200ec981997312d63dcc4a2c99020f48c1b31f59f9ec9806444a6ee0588e",
     "embeddings_gft.csv": "d17cb41b847b77f06627ba8d56282d0bb36cc92f94bcc2a89bcc5ca47e072829",
     "embeddings_graphon.csv": "e6f9c2ef5ef648df6047026e23326f6a5ecc3f6dd39ca46fce37a6173f12107a",
@@ -37,7 +37,7 @@ RUN_SMALL = {
     "report_gft.csv": "81d43c121abcb2a849e642449242e3e5c857100b705f76fcea676840a445c2fb",
     "report_graphon.csv": "0a6133592713f6826d8640000ffcc1068568c93cee5b16ea9159e23bed73fa4b",
     "report_pca.csv": "3f1879869a4a95982a41ad8b28902d0b37e1ed04151821dc3a256c3b3236f587",
-    "responses.csv": "069474ffb828b9ad7f6ebc1622175dac9373a5215ff83e9221925dcbd0e4c162",
+    "responses.csv": "6fe717ccf05a57bac3074850fa0f3bd10ea9727e4d538f929c4eca6de11dd115",
 }
 
 # RUN_SMALL with each fold's penalty chosen by inner cross-validation over a
@@ -97,7 +97,7 @@ RUN_NOISE_FREE = {
     "rasters/trial_0007.csv": "58f6168f2c29065956baa9f3c9cff74e42447e68d90eac9f9db9fd2f725a18d1",
     "rasters/trial_0008.csv": "1ccc8378519c0d7aca244294821d29d19533450f6879f278c93a51f5c5f512bd",
     "rasters/trial_0009.csv": "9db44ecfb858175c18c514966c7c2f1e92773fdcaf1ad19dee549b1bcd563a25",
-    "responses.csv": "7805c670fc5195a0ba43ab356dd95084e1cb6bcc3e7a9c38305dbe52936cd5ff",
+    "responses.csv": "bdfd8d2d69ea0e8ec5a8a1731fe30feaebbc6c06b43a9197d9c66e5db31a5b38",
 }
 
 TABLE_MEASURED = {

@@ -102,14 +102,16 @@ def test_protocol_rejects_labels_that_break_a_csv_row(label):
 
 def test_single_active_neuron_gives_unit_coordinate():
     raster = raster_from([[], [10.0, 20.0, 30.0], []])
-    r = extract_response(raster, onset=0.0, window=100.0, trial_id=1)
-    assert np.array_equal(r, [0.0, 1.0, 0.0])
+    counts = extract_response(raster, onset=0.0, window=100.0, trial_id=1)
+    assert counts.dtype == np.int64 and counts.tolist() == [0, 3, 0]
+    assert np.array_equal(normalize_response(counts), [0.0, 1.0, 0.0])
 
 
 def test_three_four_five_normalization():
     raster = raster_from([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]])
-    r = extract_response(raster, onset=0.0, window=100.0)
-    assert np.allclose(r, [0.6, 0.8])
+    counts = extract_response(raster, onset=0.0, window=100.0)
+    assert counts.tolist() == [3, 4]
+    assert np.allclose(normalize_response(counts), [0.6, 0.8])
 
 
 def test_window_is_half_open():
@@ -138,11 +140,36 @@ def test_normalization_is_idempotent():
         assert np.array_equal(once, twice), counts
 
 
+@st.composite
+def spike_counts(draw):
+    """Nonnegative integer count vectors, not all zero; a third of them hold
+    a single spike, the one integer row whose norm is exactly 1."""
+    m = draw(st.integers(1, 50))
+    if draw(st.integers(0, 2)) == 0:
+        counts = np.zeros(m, dtype=np.int64)
+        counts[draw(st.integers(0, m - 1))] = 1
+        return counts
+    counts = np.array(draw(st.lists(st.integers(0, 30), min_size=m, max_size=m)), dtype=np.int64)
+    if not counts.any():
+        counts[draw(st.integers(0, m - 1))] = draw(st.integers(1, 30))
+    return counts
+
+
+@given(spike_counts())
+@settings(max_examples=200, deadline=None)
+def test_normalizing_counts_divides_by_their_norm_bit_for_bit(counts):
+    # a run writes counts and every consumer normalizes them, so the unit
+    # rows must be exactly the counts divided by their norm
+    floats = counts.astype(float)
+    expected = floats / np.linalg.norm(floats)
+    assert normalize_response(counts).tobytes() == expected.tobytes()
+
+
 def test_response_round_trip_keeps_label():
     adj = sample_adjacency(SbmConfig(alpha=0.05, n=5, seed=1))
     for label, targets in two_cluster_protocol(5).stimuli:
         raster = run_trial(adj, targets, 3, SimParams(onset=15.0, duration=130.0))
-        r = extract_response(raster, onset=15.0, trial_id=0)
+        r = normalize_response(extract_response(raster, onset=15.0, trial_id=0))
         responses = Responses(values=[r], labels=[label], trial_ids=[0])
         assert responses.labels == (label,)
         assert abs(np.linalg.norm(responses.values[0]) - 1.0) < 1e-10
@@ -380,16 +407,31 @@ def test_repeated_trial_id_rejected(tmp_path):
 
 
 def test_responses_csv_round_trip(tmp_path):
-    rs = Responses(
-        values=[normalize_response(np.array([1.0, 2.0, 2.0])), [0.0, 0.0, 1.0]],
-        labels=("s1", "s2"),
-        trial_ids=(0, 7),
-    )
+    counts = np.array([[1, 2, 2], [0, 0, 3]])
     path = tmp_path / "responses.csv"
-    write_responses_csv(rs, path)
+    write_responses_csv(counts, ("s1", "s2"), (0, 7), path)
+    assert path.read_text().splitlines() == ["trial_id,label,roi_0,roi_1,roi_2", "0,s1,1,2,2", "7,s2,0,0,3"]
     back = read_responses_csv(path)
     assert back.labels == ("s1", "s2") and back.trial_ids == (0, 7)
-    assert np.allclose(back.values, rs.values)
+    expected = np.vstack([normalize_response(row) for row in counts])
+    assert back.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        ([[0.6, 0.8]], "nonnegative integers"),
+        ([[3, -4]], "nonnegative integers"),
+        ([3, 4], "nonnegative integers"),
+        (np.array([[True, False]]), "nonnegative integers"),
+        ([[3, 4], [1, 0]], "one label and one trial id per response row"),
+    ],
+    ids=["floats", "negative", "one-dimensional", "booleans", "two-rows-one-label"],
+)
+def test_responses_are_written_as_nonnegative_integer_counts(tmp_path, counts, match):
+    with pytest.raises(ContractError, match=match):
+        write_responses_csv(counts, ("s1",), (0,), tmp_path / "responses.csv")
+    assert not (tmp_path / "responses.csv").exists()
 
 
 def test_block_map_round_trip(tmp_path):

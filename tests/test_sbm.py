@@ -302,7 +302,8 @@ def test_spectra_export(tmp_path):
     lines = vals.read_text().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert lines[1].startswith("0,")
-    assert len(lines) == 1 + 6
+    assert len(lines) == 1 + 4  # the four block modes, as in eigenvectors.csv
+    assert lines[1:] == [f"{k},{float(dec.eigenvalues[k])!r}" for k in range(4)]
     mat = np.array(
         [[float(tok) for tok in ln.split(",")] for ln in vecs.read_text().splitlines()]
     )
