@@ -396,5 +396,5 @@ def read_correctness_csv(path) -> dict[int, float]:
     Every rejected row is named by its line number, and a trial id may
     appear only once.
     """
-    rows = _read_keyed_rows(path, ("trial_id", "correct"), _correct, name_key=True)
+    rows = _read_keyed_rows(path, ("trial_id", "correct"), _correct)
     return {t: rows[t] for t in sorted(rows)}

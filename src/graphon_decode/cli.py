@@ -40,7 +40,7 @@ from .experiment import (
     write_graph,
 )
 from .protocols import read_block_map, read_responses_csv
-from .sbm import SbmConfig, block_membership, eigendecompose, read_edge_list, _write_csv
+from .sbm import SbmConfig, eigendecompose, read_edge_list, _write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,13 +85,8 @@ def _cmd_embed(args) -> int:
     responses = read_responses_csv(args.responses)
     length = responses.values.shape[1]
     block_map = decomposition = None
-    if args.method == "graphon":  # the only method that reads a block map
-        if args.block_map:
-            block_map = read_block_map(args.block_map, expected_size=length)
-        elif length % 4 == 0:
-            block_map = block_membership(length // 4)
-        else:
-            raise ConfigError("response length not divisible by 4; pass --block-map")
+    if args.method == "graphon" and args.block_map:  # the only method that reads a block map
+        block_map = read_block_map(args.block_map, expected_size=length)
     if args.method == "gft":
         if not args.graph:
             raise ConfigError("--graph EDGELIST is required for the gft method")

@@ -174,6 +174,9 @@ class ExperimentConfig:
         dims = self.classify.dimensions
         if dims > BLOCK_COUNT and "graphon" in self.embedding.methods:
             raise ParameterError(f"classify.dimensions must lie in 1..4 with the graphon method, got {dims}")
+        # gft and pca have at most one coordinate per node
+        if dims > self.sbm.size and {"gft", "pca"} & set(self.embedding.methods):
+            raise ParameterError(f"classify.dimensions must lie in 1..{self.sbm.size} with gft or pca, got {dims}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -323,12 +326,10 @@ def run_protocol_trials(
         for stim_idx in range(n_stimuli)
         for t in range(per_stimulus)
     ]
-    parts = max(min(jobs, len(specs)), 1)
+    parts = min(jobs, len(specs))
     bounds = [len(specs) * i // parts for i in range(parts + 1)]
     payloads = [
-        (adjacency, config.sim, protocol, specs[lo:hi], raster_dir)
-        for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
+        (adjacency, config.sim, protocol, specs[lo:hi], raster_dir) for lo, hi in zip(bounds, bounds[1:])
     ]
     if parts > 1:
         with ProcessPoolExecutor(max_workers=parts) as pool:
@@ -367,17 +368,6 @@ def write_graph(adjacency: AdjacencyMatrix, out_dir: Path) -> SpectralDecomposit
     write_edge_list(adjacency, edges)
     write_spectra(decomposition, values, vectors)
     return decomposition
-
-
-def _simulate(
-    config: ExperimentConfig, jobs: int = 1, realization: int | None = None
-) -> tuple[AdjacencyMatrix, Responses]:
-    """Sample the graph (see :func:`sample_graph`) and run the configured
-    protocol's trials on it; returns the adjacency and the responses.  Trial
-    seeds derive from (sbm.seed, realization or 0, stimulus, trial)."""
-    adjacency = sample_graph(config.sbm, realization)
-    responses, _, _ = run_protocol_trials(adjacency, config, realization or 0, jobs)
-    return adjacency, responses
 
 
 def _build_protocol(config: ExperimentConfig) -> Protocol:
@@ -422,21 +412,12 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
 class Bases:
     """What the projections read besides the responses: the unit-to-block map
     and the coordinate convention (graphon), and the sampled graph's
-    eigendecomposition (gft)."""
+    eigendecomposition (gft).  No block map means four equal blocks in unit
+    order, the layout of every simulated response."""
 
     block_map: np.ndarray | None = None
     convention: str = "blocksum"
     decomposition: SpectralDecomposition | None = None
-
-
-def _bases(config: ExperimentConfig, decomposition=None, block_map=None) -> Bases:
-    """The bases of a config's graph: unless given, the block map of four
-    blocks of sbm.n units."""
-    return Bases(
-        block_map=block_membership(config.sbm.n) if block_map is None else block_map,
-        convention=config.embedding.convention,
-        decomposition=decomposition,
-    )
 
 
 def map_indices(dimensions: int) -> tuple[int, ...]:
@@ -454,7 +435,12 @@ def project(method: str, responses: Responses, indices, bases: Bases) -> Embeddi
     ``indices``, or for PCA the top len(indices) principal components of
     these rows, each row under its trial's label and id."""
     if method == "graphon":
-        coords = graphon_project(responses.values, bases.block_map, bases.convention, indices)
+        block_map, width = bases.block_map, responses.values.shape[1]
+        if block_map is None:
+            if width % BLOCK_COUNT:
+                raise ConfigError(f"{width} units do not split into four equal blocks; pass --block-map")
+            block_map = block_membership(width // BLOCK_COUNT)
+        coords = graphon_project(responses.values, block_map, bases.convention, indices)
     elif method == "gft":
         coords = gft_project(responses.values, bases.decomposition, indices)
     elif method == "pca":
@@ -563,7 +549,7 @@ def run_experiment(
 
     adjacency = sample_graph(config.sbm)
     responses, counts, skipped = run_protocol_trials(adjacency, config, jobs=jobs, raster_dir=raster_dir)
-    bases = _bases(config, decomposition=write_graph(adjacency, out))
+    bases = Bases(convention=config.embedding.convention, decomposition=write_graph(adjacency, out))
     write_responses_csv(counts, responses.labels, responses.trial_ids, out / "responses.csv")
     files = [*_GRAPH_FILES, "responses.csv"]
     if raster_dir is not None:
@@ -619,11 +605,12 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
-    bases, indices = _bases(config), map_indices(3)
+    bases, indices = Bases(convention=config.embedding.convention), map_indices(3)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
     for r in range(realizations):
-        adjacency, responses = _simulate(config, jobs, realization=r)
+        adjacency = sample_graph(config.sbm, r)
+        responses, _, _ = run_protocol_trials(adjacency, config, r, jobs)
         coords = aligned_gft_project(responses.values, eigendecompose(adjacency), indices)
         gft_sets.append(EmbeddingSet("gft", coords, responses.labels, responses.trial_ids))
         graphon_sets.append(project("graphon", responses, indices, bases))
@@ -641,8 +628,8 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
 def mixed_cluster_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     """The config's experiment on realization 0, embedded with the kernel
     basis and with PCA, plus separability metrics for both maps."""
-    _, responses = _simulate(config, jobs, realization=0)
-    bases = _bases(config)
+    responses, _, _ = run_protocol_trials(sample_graph(config.sbm, 0), config, 0, jobs)
+    bases = Bases(convention=config.embedding.convention)
     result = {"metrics": {}}
     for method in ("graphon", "pca"):
         es = result[method] = project(method, responses, map_indices(3), bases)
@@ -662,7 +649,9 @@ def mixed_cluster_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
 
 def _reproduce_fig5(out: Path, seed: int, jobs: int, measured) -> tuple[list[str], bool]:
     # the documented default experiment, its graph drawn from the seed itself
-    adjacency, responses = _simulate(ExperimentConfig(sbm=SbmConfig(seed=seed)), jobs)
+    config = ExperimentConfig(sbm=SbmConfig(seed=seed))
+    adjacency = sample_graph(config.sbm)
+    responses, _, _ = run_protocol_trials(adjacency, config, jobs=jobs)
     bases = Bases(decomposition=eigendecompose(adjacency))
     es = project("gft", responses, map_indices(3), bases)
     files = {"fig5_gft_modes_2_3.csv": [0, 1], "fig5_gft_modes_2_4.csv": [0, 2]}
@@ -729,12 +718,12 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     degraded = measured is None
     if degraded:
         source = "simulated_surrogate"
-        _, responses = _simulate(config, jobs, realization=0)
+        responses, _, _ = run_protocol_trials(sample_graph(config.sbm, 0), config, 0, jobs)
         block_map = rc = None
     else:
         source = "experimental"
         responses, block_map, rc = measured
-    bases = _bases(config, block_map=block_map)
+    bases = Bases(block_map, config.embedding.convention)
     classes = sorted(set(responses.labels))
     predicted = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
     labels = np.asarray(responses.labels)

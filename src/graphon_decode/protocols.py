@@ -268,12 +268,12 @@ def read_responses_csv(path, allowed_labels=None) -> Responses:
     return Responses(values=values, labels=labels, trial_ids=trial_ids)
 
 
-def _read_keyed_rows(path, header: tuple[str, str], value, name_key: bool = False) -> dict:
+def _read_keyed_rows(path, header: tuple[str, str], value) -> dict:
     """A two-column CSV headed ``header`` as {integer first cell: ``value`` of
     the second}, in file order, skipping blank rows.  A rejected row is a
-    ParseError naming it: a bad row (not two cells, a ValueError from
-    ``value``, or a non-integer key, which ``name_key`` names by its column),
-    a duplicate key, or the ParseError that ``value`` raised."""
+    ParseError naming it: a bad row (not two cells, or a ValueError from
+    ``value``), a non-integer key named by its column, a duplicate key, or
+    the ParseError that ``value`` raised."""
     entries = {}
     with _open_utf8(path) as fh:
         reader = csv.reader(fh)
@@ -289,8 +289,7 @@ def _read_keyed_rows(path, header: tuple[str, str], value, name_key: bool = Fals
             try:
                 key = _int(row[0])
             except ValueError:
-                bad = f"{header[0]} {row[0]!r}" if name_key else f"row {row!r}"
-                raise ParseError(f"{where}: bad {bad}") from None
+                raise ParseError(f"{where}: bad {header[0]} {row[0]!r}") from None
             try:
                 entry = value(row[1])
             except ParseError as exc:

@@ -23,7 +23,8 @@ from graphon_decode.experiment import (
     save_config,
     verify_manifest,
 )
-from graphon_decode.protocols import load_experimental_responses, read_responses_csv
+from graphon_decode.protocols import Responses, load_experimental_responses, read_responses_csv
+from graphon_decode.sbm import block_membership
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -596,6 +597,22 @@ def test_cli_run_with_fewer_trials_than_folds_exits_2_before_writing(tmp_path, c
     assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("method", ["gft", "pca"])
+def test_cli_run_classifying_in_more_dimensions_than_nodes_exits_2_before_writing(tmp_path, capsys, method):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "sbm": {"n": 2, "seed": 3},
+        "trials_per_stimulus": 7,
+        "embedding": {"methods": [method]},
+        "classify": {"dimensions": 9},
+    }))
+    out = tmp_path / "never"
+    for command in ("run", "simulate"):
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert "classify.dimensions must lie in 1..8 with gft or pca, got 9" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_nan_dt_exits_2(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text('{"sim": {"dt": NaN}}')
@@ -864,6 +881,24 @@ def test_cli_reproduce_rejects_misused_measured_inputs(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("convention", ["blocksum", "orthonormal"])
+def test_graphon_projection_defaults_to_four_equal_blocks(convention):
+    rng = np.random.default_rng(5)
+
+    def unit_rows(shape):
+        rows = rng.random(shape)
+        return Responses(rows / np.linalg.norm(rows, axis=1, keepdims=True), ("s1",) * shape[0], range(shape[0]))
+
+    n = 3
+    responses = unit_rows((6, 4 * n))
+    default = project("graphon", responses, (1, 2, 3, 4), Bases(convention=convention))
+    explicit = project("graphon", responses, (1, 2, 3, 4), Bases(block_membership(n), convention))
+    assert default.coords.tobytes() == explicit.coords.tobytes()
+    five = unit_rows((2, 5))
+    with pytest.raises(ConfigError, match="5 units .* pass --block-map"):
+        project("graphon", five, (1, 2, 3, 4), Bases(convention=convention))
+
+
 def _table_argv(out, csv_path, map_path, rc_path):
     argv = ["reproduce", "table", "--out", str(out), "--experimental-csv", str(csv_path)]
     return argv + ["--block-map", str(map_path), "--rc-correct", str(rc_path)]
@@ -1025,7 +1060,8 @@ def _int_field_argv(tmp_path, field, text):
         rows = [[str(i), str(1 + i // 2)] for i in range(8)]
         rows[1][field == "block"] = text
         path.write_text("roi_index,block\n" + "".join(",".join(r) + "\n" for r in rows))
-        return embed + ["--method", "graphon", "--block-map", str(path)], "row 3: bad row"
+        where = "row 3: bad row" if field == "block" else "row 3: bad roi_index"
+        return embed + ["--method", "graphon", "--block-map", str(path)], where
     if field == "correct-trial-id":
         good = tmp_path / "good.csv"
         good.write_text("trial_id,correct\n0,1\n1,0\n")
