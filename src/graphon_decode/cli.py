@@ -174,6 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stimulus decoding on stochastic block spiking networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of the commands that run a config: simulate and run
+    config_run = argparse.ArgumentParser(add_help=False)
+    config_run.add_argument("--config", default=None)
+    config_run.add_argument("--seed", type=int, default=None)
+    config_run.add_argument("--out", default=None)
+    config_run.add_argument("--jobs", type=int, default=1)
+    config_run.add_argument("--dump-rasters", action="store_true")
 
     p = sub.add_parser("gen-graph", help="sample a block graph and write its spectra")
     p.add_argument("--alpha", type=float, default=0.05)
@@ -182,12 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_gen_graph)
 
-    p = sub.add_parser("simulate", help="run stimulated trials and write responses")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--dump-rasters", action="store_true")
+    p = sub.add_parser("simulate", parents=[config_run], help="run stimulated trials and write responses")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("embed", help="project a response CSV into coordinates")
@@ -217,12 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resamples", type=int, default=10_000)
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("run", help="full pipeline from a config file")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--dump-rasters", action="store_true")
+    p = sub.add_parser("run", parents=[config_run], help="full pipeline from a config file")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("default-config", help="write the documented default config")

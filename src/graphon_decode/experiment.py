@@ -59,7 +59,6 @@ from .protocols import (
     extract_response,
     load_experimental_responses,
     mixed_cluster_protocol,
-    normalize_response,
     two_cluster_protocol,
     write_responses_csv,
 )
@@ -304,7 +303,7 @@ def run_protocol_trials(
     ``adjacency`` and return the responses, the window counts they are
     normalized from (one int64 row per response) and the skipped trial ids.
 
-    Trial seeds derive from (sbm.seed, realization, stimulus, trial), and a
+    Trial seeds derive from (sbm.seed, 1, realization, stimulus, trial), and a
     trial's raster does not depend on the batch it is simulated in, so any
     execution order, worker count, or subset of stimuli reproduces the same
     per-trial dynamics.  The trials are split into min(``jobs``, trials)
@@ -345,8 +344,8 @@ def run_protocol_trials(
             "nothing to embed"
         )
     trial_ids, labels, counts = zip(*rows)
-    values = np.vstack([normalize_response(row) for row in counts])
-    return Responses(values=values, labels=labels, trial_ids=trial_ids), np.vstack(counts), skipped
+    counts = np.vstack(counts)
+    return Responses(values=counts, labels=labels, trial_ids=trial_ids), counts, skipped
 
 
 def sample_graph(sbm: SbmConfig, realization: int | None = None) -> AdjacencyMatrix:
@@ -579,18 +578,9 @@ def run_experiment(
             files.append(name)
             summary["accuracy"][method] = report.accuracy
 
-    write_manifest(
-        out,
-        asdict(config),
-        files,
-        extra={
-            "seeds": {
-                "graph": config.sbm.seed,
-                "classify": config.classify.seed,
-                "trial_stream": "seed_sequence(sbm.seed, 1, realization, stimulus, trial)",
-            }
-        },
-    )
+    # the settings only: where a run is written is not part of what it ran
+    settings = {key: value for key, value in asdict(config).items() if key != "io"}
+    write_manifest(out, settings, files, extra={})
     summary["files"] = files
     return summary
 

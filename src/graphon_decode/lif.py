@@ -199,10 +199,10 @@ class SpikeRaster:
         return tuple(self.times[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:]))
 
     def counts(self, start: float, stop: float) -> np.ndarray:
-        """Spike counts per neuron in the half-open window [start, stop)."""
+        """Integer spike counts per neuron in the half-open window [start, stop)."""
         neuron = np.repeat(np.arange(self.size), np.diff(self.offsets))
         inside = (self.times >= start) & (self.times < stop)
-        return np.bincount(neuron[inside], minlength=self.size).astype(float)
+        return np.bincount(neuron[inside], minlength=self.size)
 
     @property
     def total_spikes(self) -> int:

@@ -2,8 +2,8 @@
 
 Responses are per-unit spike counts (or fluorescence intensities) inside a
 100-ms window starting at stimulus onset, written as counts and normalized to
-unit L2 norm on use.  The window is half-open, [onset, onset + window), so an
-event exactly at the right endpoint is excluded.
+unit L2 norm by :class:`Responses`.  The window is half-open, [onset,
+onset + window), so an event exactly at the right endpoint is excluded.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class Protocol:
 @dataclass(frozen=True)
 class Responses:
     """Unit-L2, nonnegative responses of every unit: one row per trial, with
-    that trial's stimulus label and id."""
+    that trial's stimulus label and id.  Each given row, counts or otherwise,
+    is normalized by :func:`normalize_response` (a no-op for unit rows)."""
 
     values: np.ndarray  # (trials, units), read-only
     labels: tuple[str, ...]
@@ -68,14 +69,13 @@ class Responses:
         trial_ids = tuple(int(t) for t in self.trial_ids)
         if len(labels) != v.shape[0] or len(trial_ids) != v.shape[0]:
             raise ContractError("one label and one trial id per response row required")
-        if not (v >= 0).all():  # also rejects NaN
-            raise ContractError("response values must be nonnegative")
-        norms = np.linalg.norm(v, axis=1)
-        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))
-        if off.size:
-            raise ContractError(
-                f"responses must have unit L2 norm, row {off[0]} has {norms[off[0]]}"
-            )
+        for i, row in enumerate(v):  # in place, so no second matrix is made
+            if not (row >= 0).all():  # also rejects NaN
+                raise ContractError(f"response row {i}: values must be nonnegative")
+            try:
+                v[i] = normalize_response(row)
+            except (ContractError, ZeroResponseError) as exc:
+                raise ContractError(f"response row {i}: {exc}") from None
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "trial_ids", trial_ids)
@@ -117,7 +117,7 @@ def mixed_cluster_protocol(n: int) -> Protocol:
 def extract_response(
     raster: SpikeRaster, onset: float, window: float = 100.0, trial_id: int = 0
 ) -> np.ndarray:
-    """Spike counts per neuron in [onset, onset + window), as int64.
+    """Integer spike counts per neuron in [onset, onset + window).
 
     Raises ZeroResponseError when no neuron spiked in the window; such trials
     carry no information and normalization would be undefined.
@@ -128,7 +128,7 @@ def extract_response(
         raise ParameterError(
             f"window [{onset}, {onset + window}) outside trial of {raster.duration} ms"
         )
-    counts = raster.counts(onset, onset + window).astype(np.int64)
+    counts = raster.counts(onset, onset + window)
     if not counts.any():
         raise ZeroResponseError(f"trial {trial_id}: no spikes in [{onset}, {onset + window})")
     return counts
@@ -138,11 +138,14 @@ def normalize_response(values: np.ndarray) -> np.ndarray:
     """L2 normalization, the one rule that turns a row of counts into a unit
     response.  Bit-idempotent: a row whose norm is within 1e-12 of 1 comes
     back unchanged, so a file of unit rows reads back as written; an integer
-    row has norm 1 only as a single spike, which division leaves unchanged."""
+    row has norm 1 only as a single spike, which division leaves unchanged.
+    A row of zero or non-finite norm has no unit response and raises."""
     values = np.asarray(values, dtype=float)
     norm = np.linalg.norm(values)
     if norm == 0.0:
         raise ZeroResponseError("cannot normalize an all-zero response")
+    if not np.isfinite(norm):
+        raise ContractError(f"cannot normalize a response of norm {norm}")
     return values if abs(norm - 1.0) <= 1e-12 else values / norm
 
 
@@ -250,21 +253,19 @@ def write_responses_csv(counts, labels, trial_ids, path) -> None:
 
 
 def read_responses_csv(path, allowed_labels=None) -> Responses:
-    """Read a response CSV of nonnegative rows, counts or otherwise, each
-    normalized by :func:`normalize_response` (a no-op for unit rows), and,
-    given ``allowed_labels``, restrict the stimulus labels; a rejected row is
-    named by its line number."""
+    """Read a response CSV of nonnegative rows, counts or otherwise, as
+    :class:`Responses` and, given ``allowed_labels``, restrict the stimulus
+    labels; a rejected row is named by its line number."""
     trial_ids, labels, values, lines, _ = _read_trial_table(path, "roi_", 0)
     negative = (values < 0).any(axis=1)
+    zero = ~values.any(axis=1)
     for i, (label, row_no) in enumerate(zip(labels, lines)):
         if allowed_labels is not None and label not in allowed_labels:
             raise ParseError(f"{path}: row {row_no}: label {label!r} not in {sorted(allowed_labels)}")
         if negative[i]:
             raise ParseError(f"{path}: row {row_no}: negative response value")
-        try:
-            values[i] = normalize_response(values[i])
-        except ZeroResponseError:
-            raise ParseError(f"{path}: row {row_no}: all-zero response") from None
+        if zero[i]:
+            raise ParseError(f"{path}: row {row_no}: all-zero response")
     return Responses(values=values, labels=labels, trial_ids=trial_ids)
 
 

@@ -254,7 +254,7 @@ def test_rerun_is_byte_identical(tmp_path):
     cfg2 = small_config(tmp_path, "b")
     s1 = run_experiment(cfg1)
     s2 = run_experiment(cfg2)
-    for name in s1["files"]:
+    for name in [*s1["files"], "manifest.json"]:
         b1 = (Path(s1["out_dir"]) / name).read_bytes()
         b2 = (Path(s2["out_dir"]) / name).read_bytes()
         assert b1 == b2, name
@@ -263,7 +263,7 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_worker_pool_does_not_change_bytes(tmp_path):
     serial = run_experiment(small_config(tmp_path, "serial"), jobs=1)
     pooled = run_experiment(small_config(tmp_path, "pooled"), jobs=2)
-    for name in serial["files"]:
+    for name in [*serial["files"], "manifest.json"]:
         assert (Path(serial["out_dir"]) / name).read_bytes() == (
             Path(pooled["out_dir"]) / name
         ).read_bytes(), name

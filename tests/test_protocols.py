@@ -163,6 +163,8 @@ def test_normalizing_counts_divides_by_their_norm_bit_for_bit(counts):
     floats = counts.astype(float)
     expected = floats / np.linalg.norm(floats)
     assert normalize_response(counts).tobytes() == expected.tobytes()
+    stored = Responses(values=[counts], labels=("s1",), trial_ids=(0,)).values[0]
+    assert stored.tobytes() == expected.tobytes()
 
 
 def test_response_round_trip_keeps_label():
@@ -199,14 +201,19 @@ def test_dataset_validation():
 
 
 def test_responses_row_validation():
-    with pytest.raises(ContractError, match="row 1"):
-        Responses(values=[[1.0, 0.0], [0.6, 0.9]], labels=("s1", "s2"), trial_ids=(0, 1))
+    # a row not at unit norm is normalized on construction, not rejected
+    ds = Responses(values=[[1.0, 0.0], [0.6, 0.9]], labels=("s1", "s2"), trial_ids=(0, 1))
+    assert ds.values[1].tobytes() == normalize_response([0.6, 0.9]).tobytes()
+    with pytest.raises(ContractError, match="row 1: cannot normalize an all-zero response"):
+        Responses(values=[[1.0, 0.0], [0.0, 0.0]], labels=("s1", "s2"), trial_ids=(0, 1))
     with pytest.raises(ContractError, match="nonnegative"):
         Responses(values=[[-1.0, 0.0]], labels=("s1",), trial_ids=(0,))
     with pytest.raises(ContractError, match="nonnegative"):
         Responses(values=[[np.nan, 1.0]], labels=("s1",), trial_ids=(0,))
     with pytest.raises(ContractError, match="row 0"):
         Responses(values=[[np.inf, 0.0]], labels=("s1",), trial_ids=(0,))
+    with np.errstate(over="ignore"), pytest.raises(ContractError, match="row 0: .* of norm inf"):
+        Responses(values=[[1e200, 1e200]], labels=("s1",), trial_ids=(0,))  # the norm overflows
 
 
 def test_responses_compare_by_value():
