@@ -78,7 +78,8 @@ def _basis_project(mat, basis: np.ndarray, indices) -> np.ndarray:
 
 
 def gft_project(mat, decomposition: SpectralDecomposition, indices=(2, 3, 4)) -> np.ndarray:
-    """Inner products of each row with selected eigenvectors (1-based, descending order)."""
+    """Inner products of each row with selected eigenvectors (1-based, in the
+    decomposition's order: the four block modes first)."""
     return _basis_project(mat, decomposition.eigenvectors, indices)
 
 
@@ -195,8 +196,10 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     # the upper triangle of C Cᵀ (wide) or Cᵀ C; centered.T is Fortran-ordered
     gram = blas.dsyrk(1.0, centered.T, trans=int(wide))
     k = gram.shape[0]
-    total = float(np.sum(centered * centered))
-    # equal rows leave only their mean's rounding: sum(C²) <~ (n·eps)²·(sum(C²) + n·|mean|²)
+    # sum(C²) is the Gram's trace: its diagonal holds each row's or column's
+    # sum of squares.  Equal rows leave only their mean's rounding there:
+    # tr <~ (n·eps)²·(tr + n·|mean|²)
+    total = float(np.trace(gram))
     n = mat.shape[0]
     varied = total > (n * np.finfo(float).eps) ** 2 * (total + n * float(np.sum(mean * mean)))
     if varied:

@@ -41,6 +41,15 @@ bit of any raster; :func:`run_trial` is the batch of one.  On request the
 loop stops at the first step whose end reaches onset + window, past which no
 spike is counted; such a truncated raster carries the span it covers as its
 ``duration``, so it cannot pass for a full trial.
+
+A batch's memory follows its events.  Its noise schedule keeps each event
+as its flat cell trial * neurons + neuron, in the narrowest unsigned dtype
+that holds them all (2 bytes up to 65,536 cells, else 4), plus 8 bytes per
+step; building it peaks near 16 bytes per event, for the stable sort's order.
+The spike log keeps 8 bytes per spike through the loop, the int64 flat cell
+of each spike.  Turning it into rasters narrows the cells to the schedule's
+dtype beside a 4-byte step per spike, and the rasters keep 8 bytes per spike
+time.
 """
 
 from __future__ import annotations
@@ -238,7 +247,8 @@ def noise_events(seed: int, noise_lam: np.ndarray, steps: int) -> tuple[np.ndarr
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.poisson(steps * noise_lam)
-    return rng.integers(steps, size=counts.sum()), np.repeat(np.arange(noise_lam.size), counts)
+    at = rng.integers(steps, size=counts.sum(), dtype=np.int32)
+    return at, np.repeat(np.arange(noise_lam.size, dtype=np.int32), counts)
 
 
 def run_trial(
@@ -259,6 +269,28 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     keys of 16 bits or fewer, and a stable order does not depend on the dtype."""
     dtype = np.min_scalar_type(max(bound - 1, 0))
     return np.argsort(keys.astype(dtype, copy=False), kind="stable")
+
+
+def _noise_schedule(
+    seeds: Sequence[int], noise_lam: np.ndarray, steps: int, run_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's noise events as flat cells trial * size + neuron, ordered
+    by step: step k's are ``cells[bounds[k] : bounds[k + 1]]``, k < run_steps.
+    The cells take the narrowest dtype that holds them, and the per-trial
+    draws die here, before the step loop."""
+    size = noise_lam.size
+    key_type = np.min_scalar_type(max(steps - 1, 0))
+    cell_type = np.min_scalar_type(len(seeds) * size - 1)
+    keys, cells = [], []
+    for b, seed in enumerate(seeds):
+        at, source = noise_events(seed, noise_lam, steps)
+        keys.append(at.astype(key_type))
+        cells.append(source.astype(cell_type) + b * size)
+    keys = np.concatenate(keys)
+    cells = np.concatenate(cells)[_stable_argsort(keys, steps)]
+    bounds = np.zeros(run_steps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=steps)[:run_steps], out=bounds[1:])
+    return cells, bounds
 
 
 def run_trials(
@@ -316,16 +348,10 @@ def run_trials(
     s = scaling_factors(adjacency, sim.zero_degree)
     has_input = s > 0
     unit_inc = np.where(has_input, sim.g_max / np.where(has_input, s, 1.0), 0.0)
-    # the batch's noise events as flat cells trial * size + neuron, ordered by
-    # step: step k's are noise_cells[noise_bounds[k] : noise_bounds[k + 1]].
-    # They are drawn over all steps, run or not, so the stream is the same
-    # whether or not the loop stops early.
+    # the noise events are drawn over all steps, run or not, so the stream is
+    # the same whether or not the loop stops early
     noise_lam = sim.poisson_rate * s * dt * 1e-3
-    events = [noise_events(seed, noise_lam, steps) for seed in seeds]
-    event_steps = np.concatenate([at for at, _ in events])
-    order = _stable_argsort(event_steps, steps)
-    noise_cells = np.concatenate([b * size + source for b, (_, source) in enumerate(events)])[order]
-    noise_bounds = np.searchsorted(event_steps[order], np.arange(run_steps + 1))
+    noise_cells, noise_bounds = _noise_schedule(seeds, noise_lam, steps, run_steps)
     flat_inc = np.tile(unit_inc, batch)
 
     shape = (batch, size)
@@ -436,10 +462,14 @@ def run_trials(
         )
 
     # order the log by (trial, neuron); the stable sort keeps each neuron's steps in order
-    cells = np.concatenate(log_cells) if log_cells else np.empty(0, dtype=np.int64)
-    spike_steps = np.repeat(np.array(log_steps, dtype=np.int64), [c.size for c in log_cells])
+    cell_type = np.min_scalar_type(batch * size - 1)
+    cells = np.concatenate([np.empty(0, cell_type), *log_cells], dtype=cell_type, casting="unsafe")
+    spike_steps = np.repeat(np.array(log_steps, dtype=np.int32), [c.size for c in log_cells])
+    log_cells.clear()
     spike_times = (spike_steps[_stable_argsort(cells, batch * size)] + 1) * dt
+    del spike_steps
     per_neuron = np.bincount(cells, minlength=batch * size).reshape(batch, size)
+    del cells
     trial_bounds = np.concatenate(([0], np.cumsum(per_neuron.sum(axis=1))))
     return [
         SpikeRaster(

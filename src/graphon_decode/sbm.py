@@ -127,7 +127,8 @@ class AdjacencyMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full eigensystem of a symmetric matrix, eigenvalues sorted descending.
+    """Full eigensystem of a symmetric matrix: the four eigenvalues of largest
+    magnitude first, then the rest, each part sorted descending.
 
     Column k of ``eigenvectors`` belongs to ``eigenvalues[k]``; columns are
     orthonormal and sign-fixed so the largest-magnitude entry is positive.
@@ -226,8 +227,10 @@ def _one_blas_thread():
 
 
 def eigendecompose(adjacency: AdjacencyMatrix) -> SpectralDecomposition:
-    """Dense eigendecomposition of a graph's adjacency matrix, eigenvalues
-    descending.
+    """Dense eigendecomposition of a graph's adjacency matrix: the four block
+    modes, the eigenpairs of largest magnitude, in descending value, then the
+    rest in descending value.  Above alpha = 1/4 the fourth block mode's
+    eigenvalue is negative, so it does not sit among the four largest values.
 
     Eigenvector signs are fixed so each column's largest-magnitude entry is
     positive, making the output deterministic up to degenerate subspaces;
@@ -236,8 +239,13 @@ def eigendecompose(adjacency: AdjacencyMatrix) -> SpectralDecomposition:
     """
     with _one_blas_thread():
         w, v = np.linalg.eigh(adjacency.entries.astype(float))
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    # eigh sorts ascending, so a descending index order is a descending value order
+    modes = np.sort(np.lexsort((w, np.abs(w)))[-BLOCK_COUNT:])[::-1]
+    order = np.concatenate((modes, np.setdiff1d(np.arange(w.size), modes)[::-1]))
+    w = w[order]
+    # take returns C order, as a fancy index would not: the last bits of the
+    # products that read these columns depend on their layout
+    v = v.take(order, axis=1)
     lead = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[lead, np.arange(v.shape[1])])
     signs[signs == 0] = 1.0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from graphon_decode.sbm import (
     edge_probability_matrix,
     eigendecompose,
     sample_adjacency,
+    write_spectra,
 )
 
 PHIS = [phi for _, phi in analytic_graphon_eigenpairs(0.05)]
@@ -326,6 +328,21 @@ def test_pca_of_equal_rows_with_an_inexact_mean_has_zero_axes(shape):
     assert np.all(model.explained_variance_ratio == 0.0)
 
 
+def test_pca_fit_holds_no_second_training_sized_matrix():
+    # numpy reports its buffers to tracemalloc.  A wide fit needs the centred
+    # copy C and the Gram C Cᵀ; summing C * C for the total variance made a
+    # second copy of C and peaked at 10.6 MB here
+    mat = np.random.default_rng(0).poisson(3.0, size=(600, 800)).astype(float)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        pca_fit(mat, dims=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * 8 * (600 * 800 + 600**2), peak
+
+
 # ---------------------------------------------------------------------------
 # degenerate-pair alignment
 
@@ -402,6 +419,19 @@ def test_aligned_basis_close_to_analytic_on_samples():
         for col in range(4):
             overlap = abs(basis[:, col] @ target[:, col])
             assert overlap > 0.9
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.45])
+def test_block_modes_are_the_four_largest_in_magnitude(alpha, tmp_path):
+    # above alpha = 1/4 the fourth block mode's eigenvalue, (1 - 4 alpha) N / 4,
+    # is negative, and the fourth largest value belongs to the noise bulk
+    n = 400
+    dec = eigendecompose(sample_adjacency(SbmConfig(alpha=alpha, n=n, seed=0)))
+    basis, _ = aligned_eigenvector_basis(dec)
+    assert abs(basis[:, 3] @ analytic_targets(n)[:, 3]) > 0.9
+    write_spectra(dec, tmp_path / "eigenvalues.csv", tmp_path / "eigenvectors.csv")
+    index, value = (tmp_path / "eigenvalues.csv").read_text().splitlines()[4].split(",")
+    assert index == "3" and float(value) < 0
 
 
 def test_aligned_projection_is_the_product_with_the_aligned_basis():

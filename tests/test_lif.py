@@ -1,12 +1,17 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_decode.errors import ContractError, ParameterError, ZeroResponseError
+from graphon_decode.experiment import ExperimentConfig, run_protocol_trials, sample_graph
 from graphon_decode.lif import (
     SimParams,
     SpikeRaster,
+    _noise_schedule,
     _stable_argsort,
     noise_events,
     run_trial,
@@ -439,6 +444,65 @@ def test_noise_events_follow_the_per_step_poisson_law():
     assert abs(counts.var() - 0.3) <= 5 * np.sqrt((0.3 + 2 * 0.3**2) / counts.size)
     zero = np.exp(-0.3)
     assert abs((counts == 0).mean() - zero) <= 5 * np.sqrt(zero * (1 - zero) / counts.size)
+
+
+@pytest.mark.parametrize("steps", [37, 1_200, 1_500, 65_536, 100_000])
+def test_noise_events_are_the_int64_draws_held_as_int32(steps):
+    lam = np.array([0.0, 0.5, 4.0, 20.0]) / steps
+    for seed in range(20):
+        at, source = noise_events(seed, lam, steps)
+        assert at.dtype == source.dtype == np.int32
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        counts = rng.poisson(steps * lam)
+        assert np.array_equal(at, rng.integers(steps, size=counts.sum(), dtype=np.int64))
+        assert np.array_equal(source, np.repeat(np.arange(lam.size, dtype=np.int64), counts))
+
+
+def searchsorted_schedule(seeds, noise_lam, steps, run_steps):
+    """The noise schedule built from int64 arrays: a stable argsort of the
+    event steps, and bounds found by searching the sorted steps."""
+    events = [noise_events(seed, noise_lam, steps) for seed in seeds]
+    event_steps = np.concatenate([at.astype(np.int64) for at, _ in events])
+    order = np.argsort(event_steps, kind="stable")
+    cells = np.concatenate([b * noise_lam.size + source.astype(np.int64) for b, (_, source) in enumerate(events)])
+    return cells[order], np.searchsorted(event_steps[order], np.arange(run_steps + 1))
+
+
+@given(
+    batch=st.integers(min_value=1, max_value=4),
+    size=st.sampled_from([1, 2, 7, 64, 255, 256, 257, 20_000]),
+    steps=st.sampled_from([1, 2, 37, 255, 256, 257, 1_500, 65_536, 65_537, 100_000]),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+    rate=st.floats(min_value=0.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_noise_schedule_equals_the_searchsorted_schedule(batch, size, steps, cut, rate, seed):
+    # up to 3 events per neuron whatever the steps; 4 x 20,000 cells need 32-bit ones
+    noise_lam = rate * np.random.default_rng(seed).random(size) / steps
+    seeds = [seed + b for b in range(batch)]
+    run_steps = max(1, round(cut * steps))
+    cells, bounds = _noise_schedule(seeds, noise_lam, steps, run_steps)
+    expected_cells, expected_bounds = searchsorted_schedule(seeds, noise_lam, steps, run_steps)
+    assert cells.dtype == np.min_scalar_type(batch * size - 1)
+    assert np.array_equal(cells, expected_cells)
+    assert np.array_equal(bounds, expected_bounds)
+
+
+def test_default_protocol_batch_stays_within_its_memory_budget():
+    # numpy reports its buffers to tracemalloc.  The default protocol runs its
+    # 40 trials as one batch of ~240k noise events and ~300k spikes, which
+    # peaked at 24.3 MB while the int64 schedule and spike log lived on
+    config = ExperimentConfig()
+    adjacency = sample_graph(config.sbm)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run_protocol_trials(adjacency, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6, peak
 
 
 def test_batch_arguments_validated():
