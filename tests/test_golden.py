@@ -1,5 +1,6 @@
-"""Golden hashes: the SHA-256 of every artifact of ten canned runs, and of
-the default config file.
+"""Golden hashes: the SHA-256 of every artifact of ten canned runs, of the
+stage commands (gen-graph, embed, classify, stats), and of the default
+config file.
 
 Determinism tests compare a run against a second run of the same code, so a
 change that reorders a float sum would pass them.  These digests were taken
@@ -14,6 +15,8 @@ output bytes re-pins them and says why in CHANGES.md.
 import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from graphon_decode.cli import main
 from graphon_decode.experiment import save_config
@@ -113,6 +116,39 @@ TABLE_MEASURED_LARGE = {
     "table_report_graphon.csv": "82c10dc7480dd8a1a7e321e345fd2ca8ea250f58b23d141519913cb6e410220e",
     "table_report_pca.csv": "fb03a562f9a15ddbbff158f1442275e2c660957752c2953f085984b993a49c84",
 }
+
+
+# the stage commands: gen-graph on its own, and embed and classify on the
+# small run's files, as the CLI's stage-by-stage path runs them
+GEN_GRAPH = {
+    "eigenvalues.csv": "7101a0d0abffe1f0f66691ddab43434f1374c6573df0e0532c83a6015b03bf0b",
+    "eigenvectors.csv": "73842f67a0e2a7edeadfc4a81d8b9b1877ad621aefa86ab683ed138bdf07f396",
+    "graph.edges": "d1049f9ebf42ac4573e94c40746bdaa3eeb02c3be589e309080cbb858aeda05d",
+}
+
+# embed writes the same bytes as the run's own embeddings
+EMBED_SMALL = {method: RUN_SMALL[f"embeddings_{method}.csv"] for method in ("gft", "graphon", "pca")}
+
+CLASSIFY_SMALL = {
+    "graphon": "972125cdb857737ea88c46242f49274dd78759f9cffba7d7c5799f0aa3a637c8",
+    "pca": "e51e9993caf24d055303cff6e26b07051af3582903f0feeb60894dde1155ad4f",
+}
+
+STATS = "15e2f2a9770687c1738da7d25ff130ff8ece35f92256ec25fda0acdb5b74cade"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory) -> Path:
+    """The output directory of the small config's run."""
+    tmp_path = tmp_path_factory.mktemp("small")
+    config_path = tmp_path / "config.json"
+    save_config(small_config(tmp_path, "run"), config_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    return tmp_path / "run"
 
 
 def write_large_measured(tmp_path) -> tuple[Path, Path]:
@@ -222,3 +258,45 @@ def test_reproduce_table_measured_large_hashes(tmp_path):
     argv += ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]
     assert main(argv) == 0
     assert _file_digests(out) == TABLE_MEASURED_LARGE
+
+
+def test_gen_graph_hashes(tmp_path):
+    out = tmp_path / "graph"
+    assert main(["gen-graph", "--alpha", "0.2", "--n", "20", "--seed", "4", "--out", str(out)]) == 0
+    assert {p.name: _sha256(p) for p in sorted(out.iterdir())} == GEN_GRAPH
+
+
+def test_embed_command_hashes(small_run, tmp_path):
+    digests = {}
+    for method in EMBED_SMALL:
+        out = tmp_path / f"{method}.csv"
+        argv = ["embed", "--responses", str(small_run / "responses.csv"), "--method", method]
+        if method == "gft":
+            argv += ["--graph", str(small_run / "graph.edges")]
+        assert main([*argv, "--out", str(out)]) == 0
+        digests[method] = _sha256(out)
+    assert digests == EMBED_SMALL
+
+
+def test_classify_command_hashes(small_run, tmp_path, monkeypatch):
+    # the report records the --embeddings path, so it is given relative
+    monkeypatch.chdir(small_run)
+    digests = {}
+    for method in CLASSIFY_SMALL:
+        out = tmp_path / f"report_{method}.csv"
+        argv = ["classify", "--embeddings", f"embeddings_{method}.csv", "--out", str(out)]
+        assert main([*argv, "--folds", "5", "--resamples", "200"]) == 0
+        digests[method] = _sha256(out)
+    assert digests == CLASSIFY_SMALL
+
+
+def test_stats_command_hashes(tmp_path):
+    # 24 paired trials with a nonzero, non-constant difference, written in
+    # different trial orders so the pairing by trial id is exercised
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("trial_id,correct\n" + "".join(f"{t},{int(t % 3 != 0)}\n" for t in range(24)))
+    b.write_text("trial_id,correct\n" + "".join(f"{t},{int(t % 4 == 1)}\n" for t in reversed(range(24))))
+    out = tmp_path / "stats.csv"
+    assert main(["stats", "--correct-a", str(a), "--correct-b", str(b), "--out", str(out)]) == 0
+    assert _sha256(out) == STATS
