@@ -35,21 +35,34 @@ class EvalReport:
     """Cross-validated accuracy with its bootstrap CI and confusion matrix.
 
     ``correct`` holds the pooled out-of-fold correctness per trial in dataset
-    order, which is what paired method comparisons consume.
+    order, which is what paired method comparisons consume.  The report
+    stores what the folds observed; the trial count and the accuracies are
+    derived from it.
     """
 
-    accuracy: float
-    per_class_accuracy: dict[str, float]
+    correct: np.ndarray = field(repr=False)
     confusion: np.ndarray  # rows true class, columns predicted
-    ci95: tuple[float, float]
-    n: int
     class_order: tuple[str, ...]
-    correct: np.ndarray = field(repr=False, default=None)
+    ci95: tuple[float, float]
 
     def __post_init__(self):
         # a percentile interval need not contain the accuracy, so it is not checked
         if self.confusion.sum() != self.n:
             raise ParameterError("confusion matrix total must equal the trial count")
+
+    @property
+    def n(self) -> int:
+        return self.correct.size
+
+    @property
+    def accuracy(self) -> float:
+        return float(self.correct.mean())
+
+    @property
+    def per_class_accuracy(self) -> dict[str, float]:
+        # exact integer counts, so each equals the mean of its class's correctness
+        c = self.confusion
+        return {lab: float(c[i, i] / c[i].sum()) for i, lab in enumerate(self.class_order)}
 
 
 def ridge_fit(coords, labels, lam: float = 1.0) -> RidgeModel:
@@ -184,33 +197,6 @@ def bootstrap_mean_ci(
     return pairs[0] if values.ndim == 1 else pairs
 
 
-def _evaluate_predictions(labels, predicted, ci) -> EvalReport:
-    """The report of out-of-fold ``predicted`` labels, with ``ci`` the
-    bootstrap CI of their correctness."""
-    labels = np.asarray(labels)
-    predicted = np.asarray(predicted)
-    correct = (labels == predicted).astype(float)
-    class_order = tuple(sorted(set(labels.tolist())))
-    k = len(class_order)
-    col = {lab: i for i, lab in enumerate(class_order)}
-    confusion = np.zeros((k, k), dtype=int)
-    for true, pred in zip(labels, predicted):
-        confusion[col[true], col[pred]] += 1
-    per_class = {}
-    for lab in class_order:
-        sel = labels == lab
-        per_class[lab] = float(correct[sel].mean()) if sel.any() else float("nan")
-    return EvalReport(
-        accuracy=float(correct.mean()),
-        per_class_accuracy=per_class,
-        confusion=confusion,
-        ci95=ci,
-        n=int(labels.size),
-        class_order=class_order,
-        correct=correct,
-    )
-
-
 def select_lambda(coords, labels, grid, seed: int = 0, pca_dims: int | None = None) -> float:
     """Inner 3-fold cross-validation over a penalty grid; ties go to the
     larger penalty.  Each penalty is scored by the decoder of
@@ -222,10 +208,11 @@ def select_lambda(coords, labels, grid, seed: int = 0, pca_dims: int | None = No
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ParameterError("the penalty grid is empty")
-    counts = Counter(labels.tolist()).values()
-    inner = min(3, *counts)
-    largest_fold = sum(-(-c // inner) for c in counts)  # stratified_folds deals each class round-robin
-    if inner < 2 or (pca_dims is not None and labels.size - largest_fold < pca_dims + 1):
+    inner = min(3, *Counter(labels.tolist()).values())
+    if inner < 2 or (
+        pca_dims is not None
+        and labels.size - max(map(len, stratified_folds(labels, inner, seed))) < pca_dims + 1
+    ):
         return grid[len(grid) // 2]
     coords = np.asarray(coords, dtype=float)
     best_lam, best_hits = grid[0], -1
@@ -246,11 +233,29 @@ def cross_validated_accuracy(
     ``labels`` holds one stimulus label per trial and ``coords`` one row of
     coordinates per trial.  The report pools out-of-fold predictions.
     """
+    predicted = _out_of_fold_predictions(labels, np.asarray(coords, dtype=float), folds, lam, seed)
+    return evaluate(labels, {"cv": predicted}, resamples, seed)[0]["cv"]
+
+
+def evaluate(
+    labels, predicted: dict, resamples: int, seed: int, differences=()
+) -> tuple[dict[str, EvalReport], list[PairedStats]]:
+    """The report of each method's out-of-fold ``predicted`` labels, and the
+    paired statistics of each vector of ``differences``.  Every interval
+    comes from one bootstrap draw, and each equals the interval of its own
+    draw."""
     labels = np.asarray(labels)
-    coords = np.asarray(coords, dtype=float)
-    predicted = _out_of_fold_predictions(labels, coords, folds, lam, seed)
-    ci = bootstrap_mean_ci(labels == predicted, resamples=resamples, seed=seed)
-    return _evaluate_predictions(labels, predicted, ci)
+    correct = [(labels == p).astype(float) for p in predicted.values()]
+    cis = bootstrap_mean_ci(np.vstack([*correct, *differences]), resamples=resamples, seed=seed)
+    class_order, true = np.unique(labels, return_inverse=True)
+    k = class_order.size
+    reports = {}
+    for (method, p), c, ci in zip(predicted.items(), correct, cis):
+        # one bin per (true, predicted) class pair; every prediction is a label present
+        confusion = np.bincount(true * k + np.searchsorted(class_order, p), minlength=k * k)
+        reports[method] = EvalReport(c, confusion.reshape(k, k), tuple(class_order.tolist()), ci)
+    paired = [_paired_stats(d, ci) for d, ci in zip(differences, cis[len(reports):])]
+    return reports, paired
 
 
 def _fit_decoder(rows, labels, lam: float, pca_dims: int | None = None, lam_grid=None, seed: int = 0):
@@ -293,7 +298,11 @@ class PairedStats:
     mean_difference: float
     diff_ci95: tuple[float, float]
     effect_size: float
-    required_n: float  # trials per paired sample for 80 percent power
+
+    @property
+    def required_n(self) -> float:
+        """Trials per paired sample for 80 percent power."""
+        return required_n_for_power(self.effect_size)
 
 
 def required_n_for_power(effect_size: float) -> float:
@@ -333,23 +342,12 @@ def _paired_stats(diff, ci) -> PairedStats:
     sd = float(diff.std(ddof=1))
     if sd == 0.0:
         if mean == 0.0:
-            return PairedStats(
-                mean_difference=0.0,
-                diff_ci95=(0.0, 0.0),
-                effect_size=0.0,
-                required_n=math.inf,
-            )
+            return PairedStats(mean_difference=0.0, diff_ci95=(0.0, 0.0), effect_size=0.0)
         raise ParameterError(
             "paired differences have zero variance with nonzero mean; "
             "effect size is undefined"
         )
-    effect = mean / sd
-    return PairedStats(
-        mean_difference=mean,
-        diff_ci95=ci,
-        effect_size=effect,
-        required_n=required_n_for_power(effect),
-    )
+    return PairedStats(mean_difference=mean, diff_ci95=ci, effect_size=mean / sd)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,9 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    EvalReport,
-    PairedStats,
     _check_class_sizes,
-    _evaluate_predictions,
     _out_of_fold_predictions,
-    _paired_stats,
-    bootstrap_mean_ci,
+    evaluate,
     pair_by_trial_id,
     read_correctness_csv,
     write_report,
@@ -469,22 +465,6 @@ def _cross_validate(
     return predicted
 
 
-def _evaluate(
-    labels, predicted: dict, classify: ClassifySection, differences=()
-) -> tuple[dict[str, EvalReport], list[PairedStats]]:
-    """The report of each method's ``predicted`` labels, and the paired
-    statistics of each vector of ``differences``.  Every interval comes from
-    one bootstrap draw, and each equals the interval of its own draw."""
-    labels = np.asarray(labels)
-    correct = [labels == p for p in predicted.values()]
-    cis = bootstrap_mean_ci(
-        np.vstack([*correct, *differences]), resamples=classify.resamples, seed=classify.seed
-    )
-    reports = {m: _evaluate_predictions(labels, p, ci) for (m, p), ci in zip(predicted.items(), cis)}
-    paired = [_paired_stats(d, ci) for d, ci in zip(differences, cis[len(reports):])]
-    return reports, paired
-
-
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -571,7 +551,7 @@ def run_experiment(
         # the protocol's labels, so a class that lost every trial is named too
         methods = config.embedding.methods
         predicted = _cross_validate(responses, protocol.labels, methods, bases, config.classify)
-        reports, _ = _evaluate(responses.labels, predicted, config.classify)
+        reports, _ = evaluate(responses.labels, predicted, config.classify.resamples, config.classify.seed)
         for method, report in reports.items():
             name = f"report_{method}.csv"
             write_report(out / name, report, extra={"method": method})
@@ -721,7 +701,9 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     differences = [graphon - pca]
     if rc is not None:
         differences.append(graphon - rc)
-    reports, (paired, *vs_rc) = _evaluate(labels, predicted, config.classify, differences)
+    reports, (paired, *vs_rc) = evaluate(
+        labels, predicted, config.classify.resamples, config.classify.seed, differences
+    )
 
     rows = [("key", "value"), ("source", source), ("n", reports["graphon"].n)]
     for method, report in reports.items():

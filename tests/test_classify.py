@@ -4,6 +4,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphon_decode import classify
 from graphon_decode.classify import (
@@ -13,6 +15,7 @@ from graphon_decode.classify import (
     EvalReport,
     bootstrap_mean_ci,
     cross_validated_accuracy,
+    evaluate,
     pair_by_trial_id,
     paired_difference_stats,
     predict,
@@ -395,13 +398,10 @@ def test_paired_stats_on_correlated_vectors():
 
 def test_report_round_trip(tmp_path):
     report = EvalReport(
-        accuracy=0.75,
-        per_class_accuracy={"s1": 0.8, "s2": 0.7},
+        correct=np.repeat([1.0, 0.0], [15, 5]),
         confusion=np.array([[8, 2], [3, 7]]),
-        ci95=(0.6, 0.9),
-        n=20,
         class_order=("s1", "s2"),
-        correct=np.ones(20),
+        ci95=(0.6, 0.9),
     )
     path = tmp_path / "report.csv"
     write_report(path, report, extra={"method": "graphon"})
@@ -414,13 +414,48 @@ def test_report_round_trip(tmp_path):
 def test_report_validates_consistency():
     with pytest.raises(ParameterError, match="confusion matrix total"):
         EvalReport(
-            accuracy=0.5,
-            per_class_accuracy={},
+            correct=np.array([1.0, 0.0]),
             confusion=np.array([[1]]),
-            ci95=(0.5, 0.5),
-            n=2,
             class_order=("s1",),
+            ci95=(0.5, 0.5),
         )
+
+
+@st.composite
+def labelled_predictions(draw):
+    """2-60 trial labels from 2-5 classes, and two methods' predictions of
+    them, each taken from the labels present."""
+    classes = [f"s{i}" for i in range(draw(st.integers(2, 5)))]
+    n = draw(st.integers(2, 60))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    present = st.sampled_from(sorted(set(labels)))
+    a, b = (draw(st.lists(present, min_size=n, max_size=n)) for _ in range(2))
+    return labels, np.array(a), np.array(b)
+
+
+@given(labelled_predictions())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_report_matches_a_per_trial_reference(case):
+    labels, a, b = case
+    correct_a = (np.array(labels) == a).astype(float)
+    diff = correct_a - (np.array(labels) == b)
+    assume(diff.std() > 0 or not diff.any())  # a constant nonzero difference has no effect size
+    reports, paired = evaluate(labels, {"a": a}, resamples=20, seed=0, differences=[diff, 0 * diff])
+
+    order = sorted(set(labels))
+    confusion = np.zeros((len(order), len(order)), dtype=int)
+    for true, pred in zip(labels, a):
+        confusion[order.index(true), order.index(pred)] += 1
+    report = reports["a"]
+    assert report.class_order == tuple(order)
+    np.testing.assert_array_equal(report.confusion, confusion)
+    assert report.n == len(labels)
+    assert report.accuracy == float(correct_a.mean())
+    labels = np.array(labels)
+    assert report.per_class_accuracy == {c: float(correct_a[labels == c].mean()) for c in order}
+    for ps in paired:
+        assert ps.required_n == required_n_for_power(ps.effect_size)
+    assert paired[1].effect_size == 0.0 and math.isinf(paired[1].required_n)
 
 
 def test_single_resample_report_need_not_contain_its_accuracy():
