@@ -440,7 +440,8 @@ def test_evaluate_report_matches_a_per_trial_reference(case):
     correct_a = (np.array(labels) == a).astype(float)
     diff = correct_a - (np.array(labels) == b)
     assume(diff.std() > 0 or not diff.any())  # a constant nonzero difference has no effect size
-    reports, paired = evaluate(labels, {"a": a}, resamples=20, seed=0, differences=[diff, 0 * diff])
+    differences = [diff, np.zeros_like(diff)]
+    reports, paired = evaluate(labels, {"a": a}, resamples=20, seed=0, differences=differences)
 
     order = sorted(set(labels))
     confusion = np.zeros((len(order), len(order)), dtype=int)
@@ -451,8 +452,8 @@ def test_evaluate_report_matches_a_per_trial_reference(case):
     np.testing.assert_array_equal(report.confusion, confusion)
     assert report.n == len(labels)
     assert report.accuracy == float(correct_a.mean())
-    labels = np.array(labels)
-    assert report.per_class_accuracy == {c: float(correct_a[labels == c].mean()) for c in order}
+    per_class = {c: float(correct_a[np.array(labels) == c].mean()) for c in order}
+    assert report.per_class_accuracy == per_class
     for ps in paired:
         assert ps.required_n == required_n_for_power(ps.effect_size)
     assert paired[1].effect_size == 0.0 and math.isinf(paired[1].required_n)
