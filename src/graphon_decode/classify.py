@@ -23,14 +23,14 @@ from .protocols import _read_keyed_rows
 from .sbm import _readonly, _write_csv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RidgeModel:
     weights: np.ndarray  # (dims, classes)
     intercepts: np.ndarray  # (classes,)
     class_order: tuple[str, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
     """Cross-validated accuracy with its bootstrap CI and confusion matrix.
 

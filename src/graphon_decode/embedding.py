@@ -32,7 +32,7 @@ from .sbm import BLOCK_COUNT, SpectralDecomposition, _readonly
 CONVENTIONS = ("blocksum", "orthonormal")
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingSet:
     """Per-trial coordinates with their labels."""
 
@@ -125,7 +125,7 @@ def graphon_project(
     return sums @ weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Mean and sign-fixed principal axes fitted on a training matrix."""
 

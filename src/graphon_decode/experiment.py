@@ -403,7 +403,7 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
 # embedding and classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bases:
     """What the projections read besides the responses: the unit-to-block map
     and the coordinate convention (graphon), and the sampled graph's

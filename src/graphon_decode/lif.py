@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -138,7 +138,7 @@ class SimParams:
             raise ParameterError(f"sim.duration must be at least onset + window = {needed:g} ms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialTrace:
     """Per-step state history for diagnostics; index 0 is the initial state."""
 
@@ -148,7 +148,7 @@ class TrialTrace:
     resource: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpikeRaster:
     """Spike times (ms) of one trial, stored CSR-style: neuron i's strictly
     increasing times are ``times[offsets[i]:offsets[i + 1]]``."""
@@ -158,7 +158,7 @@ class SpikeRaster:
     duration: float
     seed: int
     refractory_ms: float = 0.0
-    trace: TrialTrace | None = field(default=None, compare=False)
+    trace: TrialTrace | None = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float).reshape(-1)
@@ -185,17 +185,6 @@ class SpikeRaster:
             bad = np.flatnonzero(within & (gaps < self.refractory_ms - 1e-9))
             if bad.size:
                 raise ContractError(f"neuron {neuron_of(bad[0])}: spikes closer than the refractory period")
-
-    def __eq__(self, other):
-        """Value equality of the spikes and trial parameters; ``trace`` is ignored."""
-        if not isinstance(other, SpikeRaster):
-            return NotImplemented
-        params = (self.duration, self.seed, self.refractory_ms)
-        return (
-            params == (other.duration, other.seed, other.refractory_ms)
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.times, other.times)
-        )
 
     @property
     def size(self) -> int:

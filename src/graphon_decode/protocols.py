@@ -51,7 +51,7 @@ class Protocol:
         return tuple(label for label, _ in self.stimuli)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Responses:
     """Unit-L2, nonnegative responses of every unit: one row per trial, with
     that trial's stimulus label and id.  Each given row, counts or otherwise,
@@ -79,14 +79,6 @@ class Responses:
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "trial_ids", trial_ids)
-
-    def __eq__(self, other):
-        if not isinstance(other, Responses):
-            return NotImplemented
-        return (
-            (self.labels, self.trial_ids) == (other.labels, other.trial_ids)
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def two_cluster_protocol(n: int) -> Protocol:

@@ -97,12 +97,14 @@ class SbmConfig:
         return BLOCK_COUNT * self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Symmetric 0/1 adjacency matrix with zero diagonal.
 
-    ``alpha`` and ``seed`` record how the graph was sampled and may be None
-    for graphs built directly from entries.
+    ``entries`` may be any square array-like; it is checked as given, and the
+    graph keeps its own read-only int8 copy.  ``alpha`` and ``seed`` record
+    how the graph was sampled and may be None for graphs built directly from
+    entries.
     """
 
     entries: np.ndarray
@@ -110,7 +112,7 @@ class AdjacencyMatrix:
     seed: int | None = None
 
     def __post_init__(self):
-        a = self.entries
+        a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ContractError(f"adjacency must be square, got shape {a.shape}")
         if not np.array_equal(a, a.T):
@@ -119,13 +121,14 @@ class AdjacencyMatrix:
             raise ContractError("adjacency diagonal must be zero")
         if not np.isin(a, (0, 1)).all():
             raise ContractError("adjacency entries must be 0 or 1")
+        object.__setattr__(self, "entries", _readonly(a.astype(np.int8)))
 
     @property
     def size(self) -> int:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Full eigensystem of a symmetric matrix: the four eigenvalues of largest
     magnitude first, then the rest, each part sorted descending.
@@ -136,12 +139,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def adjacency_from_entries(entries) -> AdjacencyMatrix:
-    """Wrap a raw 0/1 symmetric matrix, validating the structural invariants."""
-    arr = np.asarray(entries, dtype=np.int8)
-    return AdjacencyMatrix(entries=_readonly(arr.copy()))
 
 
 def build_block_probability_matrix(alpha: float) -> np.ndarray:
@@ -191,7 +188,7 @@ def sample_adjacency(config: SbmConfig) -> AdjacencyMatrix:
     entries = np.zeros((size, size), dtype=np.int8)
     entries[iu] = edges
     entries += entries.T
-    return AdjacencyMatrix(entries=_readonly(entries), alpha=config.alpha, seed=config.seed)
+    return AdjacencyMatrix(entries, alpha=config.alpha, seed=config.seed)
 
 
 @functools.cache
@@ -292,7 +289,7 @@ def read_edge_list(path) -> AdjacencyMatrix:
         if a == b:
             raise ParseError(f"{path}: line {ln}: self-loop {a} {b}")
         entries[a, b] = entries[b, a] = 1
-    return AdjacencyMatrix(entries=_readonly(entries), alpha=alpha, seed=seed)
+    return AdjacencyMatrix(entries, alpha=alpha, seed=seed)
 
 
 def write_spectra(decomposition: SpectralDecomposition, values_path, vectors_path) -> None:

@@ -30,7 +30,7 @@ from graphon_decode.experiment import (
 )
 from graphon_decode.graphon import analytic_graphon_eigenpairs, top_eigenvalue_deviation
 from graphon_decode.lif import SimParams, run_trial
-from graphon_decode.sbm import adjacency_from_entries, block_membership, build_block_probability_matrix
+from graphon_decode.sbm import AdjacencyMatrix, block_membership, build_block_probability_matrix
 
 ALPHAS = (0.05, 0.20, 0.45)
 
@@ -93,7 +93,7 @@ def test_criterion_3_lif_correctness():
     dt = 0.1
     # a noise-free 110 ms trial with the pulse on throughout
     held = SimParams(poisson_rate=0.0, onset=0.0, pulse_ms=110.0, duration=110.0, dt=dt)
-    single = adjacency_from_entries(np.zeros((1, 1), dtype=int))
+    single = AdjacencyMatrix(np.zeros((1, 1), dtype=int))
 
     # closed-form first spike under a constant 30 mV drive
     amp_na = 30.0 / (SimParams().r_in * 1e-3)
@@ -108,7 +108,7 @@ def test_criterion_3_lif_correctness():
     ok_beta = raster.trace.resource[k, 0] == 0.8
 
     # conduction delay lands in (t_spike + 2.8, t_spike + 2.8 + dt]
-    two = adjacency_from_entries(np.array([[0, 1], [1, 0]]))
+    two = AdjacencyMatrix(np.array([[0, 1], [1, 0]]))
     raster2 = run_trial(two, (0,), sim=held, record_trace=True)
     t0 = raster2.spikes[0][0]
     g1 = raster2.trace.g_syn[:, 1]

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_decode.lif import SimParams, noise_events, run_trials
-from graphon_decode.sbm import adjacency_from_entries
+from graphon_decode.sbm import AdjacencyMatrix
 
 
 def reference_trial(entries, targets, seed, sim, stop_at_window):
@@ -133,7 +133,7 @@ def cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_run_trials_matches_the_scalar_reference_bit_for_bit(case):
     entries, targets, seeds, sim, stop_at_window = case
-    adjacency = adjacency_from_entries(entries)
+    adjacency = AdjacencyMatrix(entries)
     rasters = run_trials(adjacency, targets, seeds, sim, stop_at_window=stop_at_window)
     for raster, trial_targets, seed in zip(rasters, targets, seeds):
         spikes, duration, _ = reference_trial(entries.tolist(), trial_targets, seed, sim, stop_at_window)

@@ -216,16 +216,6 @@ def test_responses_row_validation():
         Responses(values=[[1e200, 1e200]], labels=("s1",), trial_ids=(0,))  # the norm overflows
 
 
-def test_responses_compare_by_value():
-    unit = np.array([[1.0, 0.0], [0.6, 0.8]])
-    ds = Responses(values=unit, labels=("s1", "s2"), trial_ids=(0, 1))
-    assert ds == Responses(values=unit.copy(), labels=["s1", "s2"], trial_ids=[0, 1])
-    assert ds != Responses(values=unit[::-1], labels=("s1", "s2"), trial_ids=(0, 1))
-    assert ds != Responses(values=unit, labels=("s1", "s1"), trial_ids=(0, 1))
-    assert ds != Responses(values=unit, labels=("s1", "s2"), trial_ids=(0, 2))
-    assert ds != Responses(values=unit[:1], labels=("s1",), trial_ids=(0,))
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -14,7 +14,6 @@ from graphon_decode.graphon import top_eigenvalue_deviation
 from graphon_decode.sbm import (
     AdjacencyMatrix,
     SbmConfig,
-    adjacency_from_entries,
     block_membership,
     build_block_probability_matrix,
     edge_probability_matrix,
@@ -153,13 +152,13 @@ def test_block_membership_layout():
 
 
 def test_complete_graph_spectrum():
-    k4 = adjacency_from_entries(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
+    k4 = AdjacencyMatrix(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
     dec = eigendecompose(k4)
     assert np.allclose(dec.eigenvalues, [3.0, -1.0, -1.0, -1.0], atol=1e-10)
 
 
 def test_two_node_path_spectrum():
-    dec = eigendecompose(adjacency_from_entries([[0, 1], [1, 0]]))
+    dec = eigendecompose(AdjacencyMatrix([[0, 1], [1, 0]]))
     assert np.allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-12)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(np.abs(dec.eigenvectors[:, 0]), [s, s], atol=1e-12)
@@ -181,7 +180,7 @@ def test_decomposition_invariants_on_sample():
 def test_eigendecompose_rejects_asymmetric_input():
     # eigendecompose takes a graph, and an asymmetric matrix is no graph
     with pytest.raises(ContractError, match="symmetric"):
-        eigendecompose(adjacency_from_entries([[0, 1], [0, 0]]))
+        eigendecompose(AdjacencyMatrix([[0, 1], [0, 0]]))
 
 
 def test_sign_convention_makes_leading_entry_positive():
@@ -295,7 +294,7 @@ def test_edge_list_rejects_bad_headers(tmp_path, header):
 
 
 def test_spectra_export(tmp_path):
-    dec = eigendecompose(adjacency_from_entries(np.eye(6, k=1) + np.eye(6, k=-1)))  # path graph on 6 nodes
+    dec = eigendecompose(AdjacencyMatrix(np.eye(6, k=1) + np.eye(6, k=-1)))  # path graph on 6 nodes
     vals = tmp_path / "eigenvalues.csv"
     vecs = tmp_path / "eigenvectors.csv"
     write_spectra(dec, vals, vecs)
@@ -313,11 +312,26 @@ def test_spectra_export(tmp_path):
 
 def test_adjacency_wrapper_validation():
     with pytest.raises(ContractError):
-        adjacency_from_entries(np.array([[0, 1], [1, 1]]))  # nonzero diagonal
+        AdjacencyMatrix(np.array([[0, 1], [1, 1]]))  # nonzero diagonal
     with pytest.raises(ContractError):
-        adjacency_from_entries(np.array([[0, 2], [2, 0]]))  # non-binary
+        AdjacencyMatrix(np.array([[0, 2], [2, 0]]))  # non-binary
     with pytest.raises(ContractError):
         AdjacencyMatrix(entries=np.array([[0, 1], [0, 0]], dtype=np.int8))
+
+
+def test_adjacency_checks_entries_as_given_and_keeps_a_readonly_int8_copy():
+    pair = [[0, 1], [1, 0]]
+    for entries in (pair, np.array(pair), np.array(pair, dtype=bool), np.array(pair, dtype=float)):
+        adj = AdjacencyMatrix(entries)
+        assert adj.entries.dtype == np.int8 and not adj.entries.flags.writeable
+        assert np.array_equal(adj.entries, pair)
+    for bad in (0.5, 1.9, 257):  # int8 would read these as 0, 1 and 1
+        with pytest.raises(ContractError, match="0 or 1"):
+            AdjacencyMatrix(np.array([[0, bad], [bad, 0]]))
+    given = np.array(pair, dtype=np.int8)
+    adj = AdjacencyMatrix(given)
+    given[:] = 0
+    assert np.array_equal(adj.entries, pair)
 
 
 def test_int_reads_an_optional_minus_and_ascii_digits_only():
