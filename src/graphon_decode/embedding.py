@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, eigh
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, DataError, ParameterError
 from .protocols import _read_trial_table, _write_trial_table
 from .graphon import EIGENFUNCTIONS
-from .sbm import BLOCK_COUNT, SpectralDecomposition, _readonly
+from .sbm import BLOCK_COUNT, SpectralDecomposition, _integers, _readonly
 
 CONVENTIONS = ("blocksum", "orthonormal")
 
@@ -59,7 +59,7 @@ def _matrix(mat) -> np.ndarray:
 
 def _check_indices(indices, top: int, kind: str) -> np.ndarray:
     """``indices`` as an int array; the error names the first outside 1..``top``, not all."""
-    idx = np.asarray(indices, dtype=int)
+    idx = _integers(indices, f"{kind} indices", ParameterError)
     out = idx[(idx < 1) | (idx > top)]
     if idx.size == 0 or out.size:
         first = f", the first out of range is {out[0]}" if out.size else ""
@@ -106,7 +106,7 @@ def graphon_project(
     if convention not in CONVENTIONS:
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     mat = _matrix(mat)
-    block_map = np.asarray(block_map, dtype=int)
+    block_map = _integers(block_map, "block map entries", ParameterError)
     if block_map.shape != (mat.shape[1],):
         raise ParameterError(
             f"block map covers {block_map.size} units, responses have {mat.shape[1]}"
@@ -336,11 +336,19 @@ def cross_realization_dispersion(embeddings: list[EmbeddingSet]) -> float:
     the dispersion is the mean distance of these centroids from their overall
     mean, averaged over stimuli, divided by the mean distance between the
     overall centroids of different stimuli.  The normalization makes methods
-    with different coordinate scales comparable.
+    with different coordinate scales comparable.  Every realization must hold
+    the same stimuli; a DataError names the first that does not.
     """
     if len(embeddings) < 2:
         raise ParameterError("need at least two realizations")
     labels = list(dict.fromkeys(embeddings[0].labels))
+    for i, e in enumerate(embeddings[1:], start=1):
+        held = dict.fromkeys(e.labels)
+        lacks = [lab for lab in labels if lab not in held]
+        adds = [lab for lab in held if lab not in labels]
+        if lacks or adds:
+            what = f"lacks stimulus {lacks[0]!r}" if lacks else f"adds stimulus {adds[0]!r}"
+            raise DataError(f"realization {i} {what}; every realization must hold the stimuli of realization 0")
     per_real = {
         lab: np.array([centroids_by_label(e.coords, e.labels)[lab] for e in embeddings])
         for lab in labels

@@ -63,7 +63,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ContractError, ParameterError
-from .sbm import AdjacencyMatrix, _cell, _readonly, _write_csv
+from .sbm import AdjacencyMatrix, _cell, _integers, _readonly, _write_csv
 
 
 def _check_zero_degree(zero_degree: str) -> None:
@@ -162,7 +162,7 @@ class SpikeRaster:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float).reshape(-1)
-        offsets = np.array(self.offsets, dtype=np.int64).reshape(-1)
+        offsets = _integers(self.offsets, "offsets").reshape(-1)
         if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != times.size or (np.diff(offsets) < 0).any():
             raise ContractError("offsets must rise from 0 to the number of spike times")
         object.__setattr__(self, "times", _readonly(times))

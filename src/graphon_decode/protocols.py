@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from .lif import SpikeRaster
-from .sbm import BLOCK_COUNT, _int, _open_utf8, _readonly, _write_csv
+from .sbm import BLOCK_COUNT, _int, _integers, _open_utf8, _readonly, _write_csv
 
 EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 
@@ -41,7 +41,7 @@ class Protocol:
             if _BAD_LABEL.search(label):
                 raise ContractError(f"stimulus label {label!r} {_BAD_LABEL_TEXT}")
         clean = tuple(
-            (str(label), tuple(sorted(int(t) for t in targets)))
+            (str(label), tuple(sorted(_integers(targets, f"stimulus {label!r} targets").tolist())))
             for label, targets in self.stimuli
         )
         object.__setattr__(self, "stimuli", clean)

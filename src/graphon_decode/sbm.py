@@ -60,6 +60,17 @@ def _int(text: str) -> int:
     return int(text)
 
 
+def _integers(values, what: str, error: type[ValueError] = ContractError) -> np.ndarray:
+    """``values`` as an int64 array; a value the conversion would change, as
+    it would 2.9, NaN or "3", is an ``error`` that names ``what``."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ints = arr.astype(np.int64)
+    if not np.array_equal(ints, arr):
+        raise error(f"{what} must be integers")
+    return ints
+
+
 @contextmanager
 def _open_utf8(path):
     """The file as UTF-8 text for ``csv``; a byte that does not decode is a ParseError."""

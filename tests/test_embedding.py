@@ -9,6 +9,7 @@ import pytest
 
 from graphon_decode import embedding
 from graphon_decode.embedding import (
+    EmbeddingSet,
     aligned_eigenvector_basis,
     aligned_gft_project,
     centroid_betweenness,
@@ -22,7 +23,7 @@ from graphon_decode.embedding import (
     silhouette_score,
     write_embeddings_csv,
 )
-from graphon_decode.errors import ParameterError, ParseError
+from graphon_decode.errors import DataError, ParameterError, ParseError
 from graphon_decode.graphon import EIGENFUNCTIONS, analytic_graphon_eigenpairs
 from graphon_decode.sbm import (
     SbmConfig,
@@ -166,6 +167,23 @@ def test_blocksum_matches_projection_onto_expectation_graph_eigenvectors():
 def test_graphon_project_requires_matching_block_map():
     with pytest.raises(ParameterError):
         graphon_project([unit(np.ones(8))], block_membership(3))
+
+
+def test_graphon_project_block_map_must_be_integers():
+    block_map = block_membership(2).astype(float)
+    block_map[1] = 1.5  # int would read block 1
+    with pytest.raises(ParameterError, match="block map entries must be integers"):
+        graphon_project([unit(np.ones(8))], block_map)
+
+
+def test_projection_indices_must_be_integers():
+    mat = [unit(np.ones(8))]
+    with pytest.raises(ParameterError, match="coordinate indices must be integers"):
+        graphon_project(mat, block_membership(2), indices=(1.9,))
+    dec = eigendecompose(sample_adjacency(SbmConfig(alpha=0.05, n=2, seed=0)))
+    with pytest.raises(ParameterError, match="eigen indices must be integers"):
+        gft_project(mat, dec, indices=(2.7,))
+    assert np.array_equal(gft_project(mat, dec, indices=(2.0,)), gft_project(mat, dec, indices=(2,)))
 
 
 def _project_with(name, mat):
@@ -492,6 +510,18 @@ def test_dispersion_prefers_stable_embeddings():
     stable = cross_realization_dispersion(fake(0.01))
     drifting = cross_realization_dispersion(fake(0.8))
     assert stable < drifting
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [(("s1", "s1"), "realization 1 lacks stimulus 's2'"), (("s1", "s2", "s3"), "realization 1 adds stimulus 's3'")],
+    ids=["lacks", "adds"],
+)
+def test_dispersion_needs_the_same_stimuli_in_every_realization(later, message):
+    first = EmbeddingSet("x", [[0.0, 0.0], [1.0, 0.0]], ("s1", "s2"), (0, 1))
+    other = EmbeddingSet("x", np.ones((len(later), 2)), later, tuple(range(len(later))))
+    with pytest.raises(DataError, match=message):
+        cross_realization_dispersion([first, other])
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,14 @@ def test_raster_offsets_validated():
             SpikeRaster(times=[1.0, 4.0], offsets=offsets, duration=10.0, seed=0)
 
 
+def test_raster_offsets_must_be_integers():
+    # int64 would read 2.9 as 2, a valid end offset for two spike times
+    with pytest.raises(ContractError, match="offsets must be integers"):
+        SpikeRaster(times=[1.0, 4.0], offsets=[0, 2.9], duration=10.0, seed=0)
+    raster = SpikeRaster(times=[1.0, 4.0], offsets=[0.0, 2.0], duration=10.0, seed=0)
+    assert raster.offsets.dtype == np.int64 and raster.offsets.tolist() == [0, 2]
+
+
 def test_raster_views_and_half_open_counts():
     raster = SpikeRaster(times=[10.0, 20.0, 9.9, 19.9, 30.0], offsets=[0, 2, 2, 5], duration=40.0, seed=0)
     assert raster.size == 3 and raster.total_spikes == 5

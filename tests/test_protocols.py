@@ -90,6 +90,12 @@ def test_protocol_rejects_duplicate_labels():
         Protocol(stimuli=(("a", (0,)), ("a", (1,))))
 
 
+def test_protocol_targets_must_be_integers():
+    with pytest.raises(ContractError, match="stimulus 'a' targets must be integers"):
+        Protocol(stimuli=(("a", (0.5, 1.7)),))
+    assert Protocol(stimuli=(("a", (3.0, np.int8(1))),)).stimuli == (("a", (1, 3)),)
+
+
 @pytest.mark.parametrize("label", ["a,b", 'a"b', "a|b", "a\nb", "a\rb"])
 def test_protocol_rejects_labels_that_break_a_csv_row(label):
     with pytest.raises(ContractError, match="comma, quote"):
