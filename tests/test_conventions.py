@@ -1,4 +1,9 @@
-"""Rules every module keeps: types that hold arrays compare by identity."""
+"""Rules the whole package keeps: types that hold arrays compare by
+identity, and the test settings let a failing property test report itself."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,3 +37,31 @@ def test_array_holding_types_compare_by_identity(build):
     assert "__eq__" not in vars(type(a))
     assert a == a
     assert (a == b) is False and (a != b) is True
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_always_fails(x):
+    assert x != x
+"""
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # on a failure hypothesis imports libcst to write a patch; under the
+    # settings' "error" filter a warning on that import once ended the run in
+    # an INTERNALERROR that printed neither the assertion nor the example
+    test_file = tmp_path / "test_failing_property.py"
+    test_file.write_text(FAILING_PROPERTY)
+    settings = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(settings)]
+    run = subprocess.run(
+        [*command, "--rootdir", str(tmp_path), str(test_file)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    output = run.stdout + run.stderr
+    assert run.returncode == 1, output
+    assert "Falsifying example" in output and "INTERNALERROR" not in output
