@@ -1,6 +1,8 @@
-"""Rules the whole package keeps: types that hold arrays compare by
-identity, and the test settings let a failing property test report itself."""
+"""Rules the whole package keeps: its API is its modules, types that hold
+arrays compare by identity, and the test settings let a failing property test
+report itself."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +10,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphon_decode
 from graphon_decode.classify import EvalReport, RidgeModel
 from graphon_decode.embedding import EmbeddingSet, PcaModel
 from graphon_decode.experiment import Bases
 from graphon_decode.lif import SpikeRaster, TrialTrace
 from graphon_decode.protocols import Responses
 from graphon_decode.sbm import AdjacencyMatrix, SpectralDecomposition
+
+MODULES = ["classify", "embedding", "errors", "experiment", "graphon", "lif", "protocols", "sbm"]
+
+
+def test_package_namespace_holds_only_its_modules():
+    # a fresh interpreter, because other tests in this run import cli, which
+    # would add itself to the package namespace
+    src = str(Path(graphon_decode.__file__).resolve().parents[1])
+    code = "import graphon_decode as g; print(' '.join(sorted(n for n in vars(g) if not n.startswith('_'))))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.split() == MODULES
+
 
 # each builds a fresh instance with equal arrays, each of two or more entries,
 # which a value comparison could not turn into one truth value

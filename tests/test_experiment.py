@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import graphon_decode
 from graphon_decode import classify, experiment
 from graphon_decode.classify import cross_validated_accuracy
 from graphon_decode.cli import main
@@ -188,6 +187,8 @@ def test_replace_reruns_the_section_checks():
         ({"sim": {"dt": float("nan")}}, "sim.dt must be finite"),
         ({"sim": {"v0": float("-inf")}}, "sim.v0 must be finite"),
         ({"classify": {"lam_grid": [0.1, float("inf")]}}, "classify.lam_grid must be finite"),
+        ([{"sbm": {"n": 8}}], "config must be a mapping, got list"),
+        ({"sbm": [8]}, "section 'sbm' must be a mapping"),
     ],
 )
 def test_booleans_and_non_finite_numbers_rejected(data, match):
@@ -512,6 +513,8 @@ _BAD_LABEL_IDS = ["comma", "quote", "bar", "newline", "return"]
         ([{"label": "a", "targets": [1.7]}], "targets must be a list of integers"),
         ([{"label": "a", "targets": [True]}], "targets must be a list of integers"),
         ([], "has no stimuli"),
+        (None, "custom protocol must be"),
+        ([{"label": "a"}], "custom protocol must be"),
         ([{"label": "a", "targets": [0]}, {"label": "a", "targets": [1]}], "labels must be unique"),
         ([{"label": 1, "targets": [0]}, {"label": "1", "targets": [1]}], "labels must be unique"),
         *(
@@ -520,7 +523,8 @@ _BAD_LABEL_IDS = ["comma", "quote", "bar", "newline", "return"]
         ),
     ],
     ids=[
-        "string-targets", "float-target", "boolean-target", "no-stimuli", "duplicate-labels",
+        "string-targets", "float-target", "boolean-target", "no-stimuli", "null-stimuli", "no-targets",
+        "duplicate-labels",
         "labels-equal-as-text", *_BAD_LABEL_IDS,
     ],
 )
@@ -1037,6 +1041,25 @@ def test_cli_embed_label_that_breaks_a_row_exits_3(tmp_path, capsys, cell):
     assert not (tmp_path / "e.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        ("1,s1,1,-1,1,1,1,1,1,1", "row 3: negative response value"),
+        ("1,s1,0,0,0,0,0,0,0,0", "row 3: all-zero response"),
+    ],
+    ids=["negative", "all-zero"],
+)
+def test_cli_embed_bad_response_row_exits_3(tmp_path, capsys, row, match):
+    csv_path = _write_responses(tmp_path / "responses.csv", ["s1"] * 4 + ["s2"] * 4)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    lines[2] = row + "\n"
+    csv_path.write_text("".join(lines))
+    argv = ["embed", "--responses", str(csv_path), "--method", "pca", "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 3
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def _int_field_argv(tmp_path, field, text):
     """The argv of a command whose input holds ``text`` in one integer
     field, at row 3 of a CSV or line 3 (line 1 for a header field) of an
@@ -1172,14 +1195,6 @@ def test_every_csv_artifact_has_full_rows_and_repr_floats(tmp_path):
     assert len(paths) == 37  # rasters, graph, tables, reports and summaries
     for path in paths:
         _check_csv_cells(path)
-
-
-def test_package_all_names_resolve():
-    missing = [name for name in graphon_decode.__all__ if not hasattr(graphon_decode, name)]
-    assert missing == []
-    namespace = {}
-    exec("from graphon_decode import *", namespace)  # a star-import is only legal at module level
-    assert set(graphon_decode.__all__) <= set(namespace)
 
 
 def test_readme_library_example_runs():
