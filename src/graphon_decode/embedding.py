@@ -43,10 +43,12 @@ class EmbeddingSet:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
+        trial_ids = _integers(self.trial_ids, "trial ids")
         if self.coords.ndim != 2:
             raise ContractError("coords must be a 2-D (trials x dims) array")
-        if len(self.labels) != self.coords.shape[0] or len(self.trial_ids) != self.coords.shape[0]:
+        if len(self.labels) != self.coords.shape[0] or trial_ids.shape != (self.coords.shape[0],):
             raise ContractError("one label and trial id per coordinate row required")
+        self.trial_ids = tuple(trial_ids.tolist())
 
 
 def _matrix(mat) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from .lif import SpikeRaster
-from .sbm import BLOCK_COUNT, _int, _integers, _open_utf8, _readonly, _write_csv
+from .sbm import BLOCK_COUNT, _cell, _int, _integers, _open_utf8, _readonly, _write_csv
 
 EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 
@@ -66,8 +66,8 @@ class Responses:
         if v.ndim != 2 or v.size == 0:
             raise ContractError("response values must be a nonempty (trials x units) matrix")
         labels = tuple(str(lab) for lab in self.labels)
-        trial_ids = tuple(int(t) for t in self.trial_ids)
-        if len(labels) != v.shape[0] or len(trial_ids) != v.shape[0]:
+        trial_ids = _integers(self.trial_ids, "trial ids")
+        if len(labels) != v.shape[0] or trial_ids.shape != (v.shape[0],):
             raise ContractError("one label and one trial id per response row required")
         for i, row in enumerate(v):  # in place, so no second matrix is made
             if not (row >= 0).all():  # also rejects NaN
@@ -78,7 +78,7 @@ class Responses:
                 raise ContractError(f"response row {i}: {exc}") from None
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "trial_ids", trial_ids)
+        object.__setattr__(self, "trial_ids", tuple(trial_ids.tolist()))
 
 
 def two_cluster_protocol(n: int) -> Protocol:
@@ -142,7 +142,12 @@ def normalize_response(values: np.ndarray) -> np.ndarray:
 
 
 def _write_trial_table(path, columns, trial_ids, labels, values, method=None) -> None:
-    """trial_id,label,<columns>[,method] with one row per trial."""
+    """trial_id,label,<columns>[,method] with one row per trial; a label that
+    would break its row, or the report's "|"-joined header, is refused before
+    the file is opened."""
+    for label in map(_cell, labels):
+        if _BAD_LABEL.search(label):
+            raise ContractError(f"label {label!r} {_BAD_LABEL_TEXT}")
     tail = () if method is None else (method,)
     rows = [("trial_id", "label", *columns, *(("method",) if tail else ()))]
     rows.extend((t, lab, *row, *tail) for t, lab, row in zip(trial_ids, labels, values.tolist()))

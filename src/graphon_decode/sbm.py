@@ -61,12 +61,16 @@ def _int(text: str) -> int:
 
 
 def _integers(values, what: str, error: type[ValueError] = ContractError) -> np.ndarray:
-    """``values`` as an int64 array; a value the conversion would change, as
-    it would 2.9, NaN or "3", is an ``error`` that names ``what``."""
-    arr = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        ints = arr.astype(np.int64)
-    if not np.array_equal(ints, arr):
+    """``values`` as an int64 array; a value the conversion would change or
+    refuse, as it would 2.9, NaN, "3", "a" or None, is an ``error`` that names
+    ``what``."""
+    try:
+        arr = np.asarray(values)
+        with np.errstate(invalid="ignore"):
+            ints = arr.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or not np.array_equal(ints, arr):
         raise error(f"{what} must be integers")
     return ints
 

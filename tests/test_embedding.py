@@ -23,7 +23,7 @@ from graphon_decode.embedding import (
     silhouette_score,
     write_embeddings_csv,
 )
-from graphon_decode.errors import DataError, ParameterError, ParseError
+from graphon_decode.errors import ContractError, DataError, ParameterError, ParseError
 from graphon_decode.graphon import EIGENFUNCTIONS, analytic_graphon_eigenpairs
 from graphon_decode.sbm import (
     SbmConfig,
@@ -548,6 +548,17 @@ def test_embeddings_csv_round_trip(tmp_path):
     assert np.array_equal(back.coords, es.coords)
 
 
+def test_embedding_trial_ids_are_exact_integers():
+    for bad in [(0.5,), (1.9,), ("3",), ("a",), (None,)]:
+        with pytest.raises(ContractError, match="trial ids must be integers"):
+            EmbeddingSet("pca", [[0.5]], ("s1",), bad)
+    with pytest.raises(ContractError, match="one label and trial id per coordinate row"):
+        EmbeddingSet("pca", [[0.5]], ("s1",), ((3,),))
+    for good in (3.0, np.int64(3)):
+        trial_ids = EmbeddingSet("pca", [[0.5]], ("s1",), (good,)).trial_ids
+        assert trial_ids == (3,) and type(trial_ids[0]) is int
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_embeddings_csv_rejects_non_finite_cells(tmp_path, cell):
     path = tmp_path / "embedding.csv"
@@ -565,8 +576,9 @@ def test_embeddings_csv_rejects_non_finite_cells(tmp_path, cell):
         ("trial_id,label,foo,method\n0,s1,0.5,pca\n1,s2,1.0,pca\n", "header must be"),
         ("trial_id,label,c2,c3,method\n0,s1,0.5,1.0,pca\n", "header must be"),
         ("trial_id,label,c1,method\n0,s1,0.5,pca\n1,s2,1.0,pca\n0,s2,2.0,pca\n", "row 4: duplicate trial_id 0"),
+        ("trial_id,label,c1,method\n0,s1,0.5,pca\n1,s2,1.0,0.5,pca\n", "row 3: expected 4 cells, got 5"),
     ],
-    ids=["no-value-columns", "misnamed-column", "not-from-c1", "repeated-trial-id"],
+    ids=["no-value-columns", "misnamed-column", "not-from-c1", "repeated-trial-id", "extra-cell"],
 )
 def test_embeddings_csv_rejects_malformed_tables(tmp_path, text, match):
     path = tmp_path / "embedding.csv"

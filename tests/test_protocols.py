@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_decode import protocols
+from graphon_decode.embedding import EmbeddingSet, write_embeddings_csv
 from graphon_decode.errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from graphon_decode.lif import SimParams, SpikeRaster, run_trial
 from graphon_decode.protocols import (
@@ -100,6 +102,18 @@ def test_protocol_targets_must_be_integers():
 def test_protocol_rejects_labels_that_break_a_csv_row(label):
     with pytest.raises(ContractError, match="comma, quote"):
         Protocol(stimuli=((label, (0,)), ("c", (1,))))
+
+
+@pytest.mark.parametrize("label", ["a,b", 'a"b', "a|b", "a\nb", "a\rb"])
+def test_writers_refuse_labels_that_break_a_csv_row(tmp_path, label):
+    # the writers put a label in one unquoted cell, where the package's own
+    # readers would reject it; nothing is written
+    path = tmp_path / "table.csv"
+    with pytest.raises(ContractError, match=re.escape(f"label {label!r}")):
+        write_responses_csv(np.array([[1, 2], [3, 4]]), ("s1", label), (0, 1), path)
+    with pytest.raises(ContractError, match=re.escape(f"label {label!r}")):
+        write_embeddings_csv(EmbeddingSet("pca", [[0.5], [1.5]], ("s1", label), (0, 1)), path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +218,19 @@ def test_dataset_validation():
     assert not ds.values.flags.writeable
     source[0, 0] = 0.0  # the container holds its own copy
     assert ds.values[0, 0] == 1.0
+
+
+def test_responses_trial_ids_are_exact_integers():
+    for bad in [(0.5,), (1.9,), ("3",), ("a",), (None,)]:
+        with pytest.raises(ContractError, match="trial ids must be integers"):
+            Responses(values=[[1.0]], labels=("s1",), trial_ids=bad)
+    with pytest.raises(ContractError, match="trial ids must be integers"):
+        Responses(values=[[1.0], [1.0]], labels=("s1", "s2"), trial_ids=(1.2, 1.7))
+    with pytest.raises(ContractError, match="one trial id per response row"):
+        Responses(values=[[1.0]], labels=("s1",), trial_ids=((3,),))
+    for good in (3.0, np.int64(3)):
+        trial_ids = Responses(values=[[1.0]], labels=("s1",), trial_ids=(good,)).trial_ids
+        assert trial_ids == (3,) and type(trial_ids[0]) is int
 
 
 def test_responses_row_validation():
@@ -383,6 +410,7 @@ def test_block_map_rows_need_two_cells(tmp_path):
         ("roi_index,block\n0,1\n1,5\n", "row 3: block 5 outside 1..4"),
         ("roi_index,block\n0,1\n0,2\n", "row 3: duplicate roi_index 0"),
         ("roi_index,block\n0,1\n\n1\n", "row 4: bad row"),
+        ("roi_index,block\n", "no data rows"),
     ],
 )
 def test_block_map_rows_are_checked_one_by_one(tmp_path, body, match):

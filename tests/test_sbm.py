@@ -282,6 +282,20 @@ def test_edge_list_rejects_self_loops(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("text", ["", "nodes=4\n0 1\n", "0 1\n# nodes=4\n"], ids=["empty", "no-hash", "not-first"])
+def test_edge_list_needs_its_header_line_first(tmp_path, text):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="missing header line"):
+        read_edge_list(path)
+
+
+def test_edge_list_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.edges"
+    path.write_text("# nodes=4 alpha=none seed=none\n0 1\n\n  \n2 3\n\n")
+    assert read_edge_list(path).entries.tolist() == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+
+
 @pytest.mark.parametrize(
     "header",
     ["# nodes=8 garbage", "# nodes=8 alpha=high seed=0", "# nodes=8 alpha=0.05 seed=x", "# nodes=-4"],
