@@ -80,13 +80,10 @@ def ridge_fit(coords, labels, lam: float = 1.0) -> RidgeModel:
         raise ParameterError("one label per coordinate row required")
     if lam < 0:
         raise ParameterError("lam must be nonnegative")
-    class_order = tuple(sorted(set(labels)))
-    if len(class_order) < 2:
+    class_order, index = np.unique(labels, return_inverse=True)
+    if class_order.size < 2:
         raise ParameterError("need at least two distinct classes")
-    y = np.zeros((x.shape[0], len(class_order)))
-    col = {lab: k for k, lab in enumerate(class_order)}
-    for row, lab in enumerate(labels):
-        y[row, col[lab]] = 1.0
+    y = np.eye(class_order.size)[index]
 
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
@@ -104,7 +101,7 @@ def ridge_fit(coords, labels, lam: float = 1.0) -> RidgeModel:
     return RidgeModel(
         weights=_readonly(weights),
         intercepts=_readonly(intercepts),
-        class_order=class_order,
+        class_order=tuple(class_order.tolist()),
     )
 
 

@@ -123,7 +123,7 @@ def graphon_project(
     if convention == "blocksum":
         weights = phi / np.max(np.abs(phi), axis=0)
     else:
-        weights = phi / (BLOCK_COUNT * np.where(block_counts > 0, block_counts, 1))[:, None]
+        weights = phi / (BLOCK_COUNT * block_counts)[:, None]
     return sums @ weights
 
 

@@ -252,14 +252,6 @@ def run_trial(
     return run_trials(adjacency, [targets], [seed], sim, record_trace)[0]
 
 
-def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` of integer keys in [0, bound),
-    sorted on the narrowest unsigned dtype that holds them: numpy radix-sorts
-    keys of 16 bits or fewer, and a stable order does not depend on the dtype."""
-    dtype = np.min_scalar_type(max(bound - 1, 0))
-    return np.argsort(keys.astype(dtype, copy=False), kind="stable")
-
-
 def _noise_schedule(
     seeds: Sequence[int], noise_lam: np.ndarray, steps: int, run_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -268,6 +260,8 @@ def _noise_schedule(
     The cells take the narrowest dtype that holds them, and the per-trial
     draws die here, before the step loop."""
     size = noise_lam.size
+    # numpy radix-sorts keys of 16 bits or fewer, and a stable order does not
+    # depend on the dtype, so the keys and cells are sorted at their narrowest
     key_type = np.min_scalar_type(max(steps - 1, 0))
     cell_type = np.min_scalar_type(len(seeds) * size - 1)
     keys, cells = [], []
@@ -276,7 +270,7 @@ def _noise_schedule(
         keys.append(at.astype(key_type))
         cells.append(source.astype(cell_type) + b * size)
     keys = np.concatenate(keys)
-    cells = np.concatenate(cells)[_stable_argsort(keys, steps)]
+    cells = np.concatenate(cells)[np.argsort(keys, kind="stable")]
     bounds = np.zeros(run_steps + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=steps)[:run_steps], out=bounds[1:])
     return cells, bounds
@@ -371,12 +365,8 @@ def run_trials(
     # trial * size + neuron of the spiking cells
     log_steps: list[int] = []
     log_cells: list[np.ndarray] = []
-    if record_trace:
-        times = np.arange(steps + 1) * dt
-        trace_v = np.empty((steps + 1, size))
-        trace_g = np.empty((steps + 1, size))
-        trace_r = np.empty((steps + 1, size))
-        trace_v[0], trace_g[0], trace_r[0] = v[0], g[0], resource[0]
+    # the traced trial's (v, g, resource) after each step, the initial state first
+    trace_rows = [(v[0].copy(), g[0].copy(), resource[0].copy())] if record_trace else None
 
     inv_tau_mem = dt / sim.tau_mem
     g_keep = 1.0 - dt / sim.tau_g
@@ -438,24 +428,20 @@ def run_trials(
                 kca_flat[cells] += sim.kca_increment
             refractory.append(((k + 1) * dt + sim.refractory_ms, cells))
 
-        if record_trace:
-            trace_v[k + 1], trace_g[k + 1], trace_r[k + 1] = v[0], g[0], resource[0]
+        if trace_rows is not None:
+            trace_rows.append((v[0].copy(), g[0].copy(), resource[0].copy()))
 
     trace = None
-    if record_trace:
-        trace = TrialTrace(
-            times=_readonly(times),
-            v=_readonly(trace_v),
-            g_syn=_readonly(trace_g),
-            resource=_readonly(trace_r),
-        )
+    if trace_rows is not None:
+        v_rows, g_rows, r_rows = (_readonly(np.stack(rows)) for rows in zip(*trace_rows))
+        trace = TrialTrace(_readonly(np.arange(steps + 1) * dt), v_rows, g_rows, r_rows)
 
     # order the log by (trial, neuron); the stable sort keeps each neuron's steps in order
     cell_type = np.min_scalar_type(batch * size - 1)
     cells = np.concatenate([np.empty(0, cell_type), *log_cells], dtype=cell_type, casting="unsafe")
     spike_steps = np.repeat(np.array(log_steps, dtype=np.int32), [c.size for c in log_cells])
     log_cells.clear()
-    spike_times = (spike_steps[_stable_argsort(cells, batch * size)] + 1) * dt
+    spike_times = (spike_steps[np.argsort(cells, kind="stable")] + 1) * dt
     del spike_steps
     per_neuron = np.bincount(cells, minlength=batch * size).reshape(batch, size)
     del cells

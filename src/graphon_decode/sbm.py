@@ -259,9 +259,7 @@ def eigendecompose(adjacency: AdjacencyMatrix) -> SpectralDecomposition:
     # products that read these columns depend on their layout
     v = v.take(order, axis=1)
     lead = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[lead, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    v *= signs
+    v *= np.sign(v[lead, np.arange(v.shape[1])])
     return SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
 
 

@@ -12,7 +12,6 @@ from graphon_decode.lif import (
     SimParams,
     SpikeRaster,
     _noise_schedule,
-    _stable_argsort,
     noise_events,
     run_trial,
     run_trials,
@@ -405,22 +404,6 @@ def test_stopping_at_the_window_changes_no_response(sim):
             except ZeroResponseError:
                 rows.append(None)
         assert (rows[0] is None and rows[1] is None) or rows[0].tobytes() == rows[1].tobytes()
-
-
-@pytest.mark.parametrize(
-    "bound", [0, 1, 2**8 - 1, 2**8, 2**8 + 1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**32 + 1]
-)
-def test_narrowed_sort_keys_keep_the_stable_order(bound):
-    assert _stable_argsort(np.empty(0, dtype=np.int64), bound).size == 0
-    if bound == 0:
-        return
-    rng = np.random.default_rng(bound)
-    # heavy ties at both ends of the range, so stability shows
-    keys = np.concatenate(
-        [rng.integers(bound, size=300), rng.choice([0, bound // 2, bound - 1], size=300)]
-    )
-    rng.shuffle(keys)
-    assert np.array_equal(_stable_argsort(keys, bound), np.argsort(keys, kind="stable"))
 
 
 def test_noise_events_follow_the_per_step_poisson_law():
