@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import blas, eigh
 
 from .errors import ContractError, DataError, ParameterError
-from .protocols import _read_trial_table, _write_trial_table
+from .protocols import _read_trial_table, _trial_rows, _write_trial_table
 from .graphon import EIGENFUNCTIONS
 from .sbm import BLOCK_COUNT, SpectralDecomposition, _integers, _readonly
 
@@ -43,12 +43,11 @@ class EmbeddingSet:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
-        trial_ids = _integers(self.trial_ids, "trial ids")
-        if self.coords.ndim != 2:
-            raise ContractError("coords must be a 2-D (trials x dims) array")
-        if len(self.labels) != self.coords.shape[0] or trial_ids.shape != (self.coords.shape[0],):
-            raise ContractError("one label and trial id per coordinate row required")
-        self.trial_ids = tuple(trial_ids.tolist())
+        if self.coords.ndim != 2 or self.coords.size == 0:
+            raise ContractError("coords must be a nonempty 2-D (trials x dims) array")
+        self.labels, self.trial_ids = _trial_rows(
+            self.labels, self.trial_ids, self.coords.shape[0], "coordinate"
+        )
 
 
 def _matrix(mat) -> np.ndarray:

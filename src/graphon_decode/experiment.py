@@ -63,6 +63,7 @@ from .sbm import (
     AdjacencyMatrix,
     SbmConfig,
     SpectralDecomposition,
+    _check_integer,
     block_membership,
     eigendecompose,
     sample_adjacency,
@@ -120,6 +121,7 @@ class EmbeddingSection:
             raise ParameterError(f"embedding.methods must not repeat a method, got {list(self.methods)}")
         if self.convention not in CONVENTIONS:
             raise ParameterError(f"embedding.convention must be in {CONVENTIONS}, got {self.convention!r}")
+        _check_integer(self.dimensions, "embedding.dimensions")
         if not 1 <= self.dimensions <= BLOCK_COUNT:
             raise ParameterError(f"embedding.dimensions must lie in 1..4, got {self.dimensions}")
 
@@ -141,6 +143,8 @@ class ClassifySection:
                 raise ParameterError(f"classify.lam_grid must be nonempty, all >= 0, got {self.lam_grid}")
         for name, least in (("lam", 0), ("folds", 2), ("resamples", 1), ("seed", 0), ("dimensions", 1)):
             value = getattr(self, name)
+            if name != "lam":
+                _check_integer(value, f"classify.{name}")
             if value < least:
                 raise ParameterError(f"classify.{name} must be at least {least}, got {value}")
 
@@ -161,6 +165,7 @@ class ExperimentConfig:
     io: IoSection = field(default_factory=IoSection)
 
     def __post_init__(self):
+        _check_integer(self.trials_per_stimulus, "trials_per_stimulus")
         if self.trials_per_stimulus < 1:
             raise ParameterError(f"trials_per_stimulus must be at least 1, got {self.trials_per_stimulus}")
         if self.classify.enabled and not self.embedding.methods:

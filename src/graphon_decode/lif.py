@@ -162,7 +162,7 @@ class SpikeRaster:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float).reshape(-1)
-        offsets = _integers(self.offsets, "offsets").reshape(-1)
+        offsets = _integers(self.offsets, "offsets")
         if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != times.size or (np.diff(offsets) < 0).any():
             raise ContractError("offsets must rise from 0 to the number of spike times")
         object.__setattr__(self, "times", _readonly(times))

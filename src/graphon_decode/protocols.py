@@ -65,10 +65,7 @@ class Responses:
         v = np.array(self.values, dtype=float)
         if v.ndim != 2 or v.size == 0:
             raise ContractError("response values must be a nonempty (trials x units) matrix")
-        labels = tuple(str(lab) for lab in self.labels)
-        trial_ids = _integers(self.trial_ids, "trial ids")
-        if len(labels) != v.shape[0] or trial_ids.shape != (v.shape[0],):
-            raise ContractError("one label and one trial id per response row required")
+        labels, trial_ids = _trial_rows(self.labels, self.trial_ids, v.shape[0], "response")
         for i, row in enumerate(v):  # in place, so no second matrix is made
             if not (row >= 0).all():  # also rejects NaN
                 raise ContractError(f"response row {i}: values must be nonnegative")
@@ -78,7 +75,21 @@ class Responses:
                 raise ContractError(f"response row {i}: {exc}") from None
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "trial_ids", tuple(trial_ids.tolist()))
+        object.__setattr__(self, "trial_ids", trial_ids)
+
+
+def _trial_rows(labels, trial_ids, rows: int, what: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The labels as strings and the trial ids as Python ints of a per-trial
+    record of ``rows`` ``what`` rows, one of each per row; a duplicate id,
+    which the record's file would refuse, is a ContractError."""
+    labels = tuple(str(lab) for lab in labels)
+    ids = _integers(trial_ids, "trial ids")
+    if len(labels) != rows or ids.size != rows:
+        raise ContractError(f"one label and one trial id per {what} row required")
+    unique, counts = np.unique(ids, return_counts=True)
+    if unique.size != rows:
+        raise ContractError(f"duplicate trial id {unique[counts > 1][0]}")
+    return labels, tuple(ids.tolist())
 
 
 def two_cluster_protocol(n: int) -> Protocol:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,8 +62,9 @@ def _int(text: str) -> int:
 
 
 def _integers(values, what: str, error: type[ValueError] = ContractError) -> np.ndarray:
-    """``values`` as an int64 array; a value the conversion would change or
-    refuse, as it would 2.9, NaN, "3", "a" or None, is an ``error`` that names
+    """``values``, one flat sequence, as an int64 array.  A scalar or nested
+    ``values``, a boolean, or a value the conversion would change or refuse,
+    as it would 2.9, NaN, "3", "a" or None, is an ``error`` that names
     ``what``."""
     try:
         arr = np.asarray(values)
@@ -70,9 +72,24 @@ def _integers(values, what: str, error: type[ValueError] = ContractError) -> np.
             ints = arr.astype(np.int64)
     except (TypeError, ValueError, OverflowError):
         ints = None
-    if ints is None or not np.array_equal(ints, arr):
+    # numpy turns (True, 0) into int64, so the items are checked as well as the dtype
+    items = () if isinstance(values, np.ndarray) and arr.dtype != object else values
+    if (
+        ints is None
+        or arr.ndim != 1
+        or arr.dtype == bool
+        or any(isinstance(x, (bool, np.bool_)) for x in items)
+        or not np.array_equal(ints, arr)
+    ):
         raise error(f"{what} must be integers")
     return ints
+
+
+def _check_integer(value, name: str) -> None:
+    """A ParameterError naming ``name`` unless ``value`` is an integer, as
+    the config reader requires: ``True`` and 2.0 are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 @contextmanager
@@ -102,9 +119,11 @@ class SbmConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if int(self.n) != self.n or self.n < 1:
+        _check_integer(self.n, "n")
+        _check_integer(self.seed, "seed")
+        if self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if self.seed < 0:
             raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property

@@ -549,14 +549,27 @@ def test_embeddings_csv_round_trip(tmp_path):
 
 
 def test_embedding_trial_ids_are_exact_integers():
-    for bad in [(0.5,), (1.9,), ("3",), ("a",), (None,)]:
+    for bad in [(0.5,), (1.9,), ("3",), ("a",), (None,), ((3,),)]:
         with pytest.raises(ContractError, match="trial ids must be integers"):
             EmbeddingSet("pca", [[0.5]], ("s1",), bad)
-    with pytest.raises(ContractError, match="one label and trial id per coordinate row"):
-        EmbeddingSet("pca", [[0.5]], ("s1",), ((3,),))
+    with pytest.raises(ContractError, match="one label and one trial id per coordinate row"):
+        EmbeddingSet("pca", [[0.5]], ("s1",), (3, 4))
     for good in (3.0, np.int64(3)):
         trial_ids = EmbeddingSet("pca", [[0.5]], ("s1",), (good,)).trial_ids
         assert trial_ids == (3,) and type(trial_ids[0]) is int
+
+
+def test_embedding_set_refuses_what_its_file_refuses(tmp_path):
+    # a label is kept as the text its file holds, so it reads back equal
+    es = EmbeddingSet("pca", [[0.0], [1.0]], (1, "s2"), (0, 1))
+    assert es.labels == ("1", "s2")
+    write_embeddings_csv(es, tmp_path / "e.csv")
+    assert read_embeddings_csv(tmp_path / "e.csv").labels == es.labels
+    # the reader refuses a repeated trial_id and a table without rows
+    with pytest.raises(ContractError, match="duplicate trial id 0"):
+        EmbeddingSet("pca", [[0.0], [1.0], [2.0]], ("s1", "s2", "s1"), (1, 0, 0))
+    with pytest.raises(ContractError, match="nonempty 2-D"):
+        EmbeddingSet("pca", np.empty((0, 2)), (), ())
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import pickle
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,9 @@ from graphon_decode.cli import main
 from graphon_decode.errors import ConfigError, DataError, ParameterError
 from graphon_decode.experiment import (
     Bases,
+    ClassifySection,
+    EmbeddingSection,
+    ExperimentConfig,
     config_from_dict,
     derive_seed,
     load_config,
@@ -23,7 +27,7 @@ from graphon_decode.experiment import (
     verify_manifest,
 )
 from graphon_decode.protocols import Responses, load_experimental_responses, read_responses_csv
-from graphon_decode.sbm import block_membership
+from graphon_decode.sbm import SbmConfig, block_membership
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -195,6 +199,27 @@ def test_booleans_and_non_finite_numbers_rejected(data, match):
     with pytest.raises(ConfigError, match=match):
         config_from_dict(data)
     config_from_dict({"classify": {"enabled": False}, "sim": {"dt": 0.1, "v0": None}})
+
+
+# each integer field of the config, as its own record names it, and how to set it
+INTEGER_FIELDS = {
+    "n": lambda v: SbmConfig(n=v),
+    "seed": lambda v: SbmConfig(seed=v),
+    "trials_per_stimulus": lambda v: ExperimentConfig(trials_per_stimulus=v),
+    "embedding.dimensions": lambda v: EmbeddingSection(dimensions=v),
+    "classify.folds": lambda v: ClassifySection(folds=v),
+    "classify.resamples": lambda v: ClassifySection(resamples=v),
+    "classify.seed": lambda v: ClassifySection(seed=v),
+    "classify.dimensions": lambda v: ClassifySection(dimensions=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_refuse_booleans_and_fractions_through_the_api(field, value):
+    # the Python API keeps the config reader's rule: True is not 1 and 2.5 is no count
+    with pytest.raises(ParameterError, match=f"^{re.escape(field)} must be an integer, got {value!r}$"):
+        INTEGER_FIELDS[field](value)
 
 
 def test_duration_must_cover_the_configured_window(tmp_path):

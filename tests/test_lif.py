@@ -406,6 +406,24 @@ def test_stopping_at_the_window_changes_no_response(sim):
         assert (rows[0] is None and rows[1] is None) or rows[0].tobytes() == rows[1].tobytes()
 
 
+def test_rasters_from_32_bit_cells_equal_those_from_16_bit_cells():
+    # 164 trials of 400 neurons are 65,600 cells, so one batch logs its spikes
+    # as uint32 cells; two batches of 82 log them as uint16
+    adj = sample_graph(SbmConfig())
+    sim = SimParams(onset=5.0, pulse_ms=5.0, window=10.0, duration=20.0)
+    trials = 164
+    assert trials * adj.size > 2**16 > trials // 2 * adj.size
+    # trial b stimulates block b % 4, so the last trial's spikes reach cells above 65,535
+    targets = [tuple(range(b % 4 * 100, b % 4 * 100 + 100)) for b in range(trials)]
+    seeds = list(range(trials))
+    whole = run_trials(adj, targets, seeds, sim)
+    halves = [*run_trials(adj, targets[:82], seeds[:82], sim), *run_trials(adj, targets[82:], seeds[82:], sim)]
+    assert whole[-1].counts(0.0, sim.duration)[2**16 - (trials - 1) * adj.size :].sum() > 0
+    for one, other in zip(whole, halves, strict=True):
+        assert one.times.tobytes() == other.times.tobytes()
+        assert np.array_equal(one.offsets, other.offsets)
+
+
 def test_noise_events_follow_the_per_step_poisson_law():
     # a neuron's count over the trial is Poisson(steps * lam) and its events
     # spread uniformly over the steps, so each step's count is Poisson(lam):

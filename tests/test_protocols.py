@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphon_decode import protocols
-from graphon_decode.embedding import EmbeddingSet, write_embeddings_csv
+from graphon_decode.embedding import EmbeddingSet, graphon_project, write_embeddings_csv
 from graphon_decode.errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from graphon_decode.lif import SimParams, SpikeRaster, run_trial
 from graphon_decode.protocols import (
@@ -221,16 +221,47 @@ def test_dataset_validation():
 
 
 def test_responses_trial_ids_are_exact_integers():
-    for bad in [(0.5,), (1.9,), ("3",), ("a",), (None,)]:
+    for bad in [(0.5,), (1.9,), ("3",), ("a",), (None,), ((3,),)]:
         with pytest.raises(ContractError, match="trial ids must be integers"):
             Responses(values=[[1.0]], labels=("s1",), trial_ids=bad)
     with pytest.raises(ContractError, match="trial ids must be integers"):
         Responses(values=[[1.0], [1.0]], labels=("s1", "s2"), trial_ids=(1.2, 1.7))
     with pytest.raises(ContractError, match="one trial id per response row"):
-        Responses(values=[[1.0]], labels=("s1",), trial_ids=((3,),))
+        Responses(values=[[1.0]], labels=("s1",), trial_ids=(3, 4))
     for good in (3.0, np.int64(3)):
         trial_ids = Responses(values=[[1.0]], labels=("s1",), trial_ids=(good,)).trial_ids
         assert trial_ids == (3,) and type(trial_ids[0]) is int
+
+
+def test_responses_refuse_duplicate_trial_ids():
+    # as the response file's reader does
+    with pytest.raises(ContractError, match="duplicate trial id 0"):
+        Responses(values=[[1.0], [2.0]], labels=("s1", "s2"), trial_ids=(0, 0))
+
+
+# one case per caller of sbm._integers; numpy reads (True, 0) as int64 and
+# keeps a nested value's shape, so each of these used to pass
+@pytest.mark.parametrize(
+    "build, error, what",
+    [
+        (lambda: Protocol(stimuli=(("a", (True, 0)),)), ContractError, "stimulus 'a' targets"),
+        (lambda: Protocol(stimuli=(("a", ((2, 1),)),)), ContractError, "stimulus 'a' targets"),
+        (lambda: Protocol(stimuli=(("a", 5),)), ContractError, "stimulus 'a' targets"),
+        (lambda: Responses(values=[[1.0], [1.0]], labels=("s1", "s2"), trial_ids=(True, False)), ContractError, "trial ids"),
+        (lambda: EmbeddingSet("pca", [[0.5]], ("s1",), (np.True_,)), ContractError, "trial ids"),
+        (lambda: SpikeRaster(times=[1.0, 2.0], offsets=[[0], [2]], duration=10.0, seed=0), ContractError, "offsets"),
+        (lambda: SpikeRaster(times=[1.0], offsets=np.array([False, True]), duration=10.0, seed=0), ContractError, "offsets"),
+        (lambda: graphon_project(np.ones((1, 4)), np.array([True] * 4)), ParameterError, "block map entries"),
+        (lambda: graphon_project(np.ones((1, 4)), block_membership(1), indices=(True,)), ParameterError, "coordinate indices"),
+    ],
+    ids=[
+        "targets_bool", "targets_nested", "targets_scalar", "responses_ids_bool", "embedding_ids_bool",
+        "offsets_nested", "offsets_bool", "block_map_bool", "indices_bool",
+    ],
+)
+def test_integer_arrays_refuse_booleans_and_nesting(build, error, what):
+    with pytest.raises(error, match=f"^{what} must be integers$"):
+        build()
 
 
 def test_responses_row_validation():
