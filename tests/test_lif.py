@@ -417,7 +417,7 @@ def test_rasters_from_32_bit_cells_equal_those_from_16_bit_cells():
     targets = [tuple(range(b % 4 * 100, b % 4 * 100 + 100)) for b in range(trials)]
     seeds = list(range(trials))
     whole = run_trials(adj, targets, seeds, sim)
-    halves = [*run_trials(adj, targets[:82], seeds[:82], sim), *run_trials(adj, targets[82:], seeds[82:], sim)]
+    halves = run_trials(adj, targets[:82], seeds[:82], sim) + run_trials(adj, targets[82:], seeds[82:], sim)
     assert whole[-1].counts(0.0, sim.duration)[2**16 - (trials - 1) * adj.size :].sum() > 0
     for one, other in zip(whole, halves, strict=True):
         assert one.times.tobytes() == other.times.tobytes()

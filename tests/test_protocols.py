@@ -247,12 +247,16 @@ def test_responses_refuse_duplicate_trial_ids():
         (lambda: Protocol(stimuli=(("a", (True, 0)),)), ContractError, "stimulus 'a' targets"),
         (lambda: Protocol(stimuli=(("a", ((2, 1),)),)), ContractError, "stimulus 'a' targets"),
         (lambda: Protocol(stimuli=(("a", 5),)), ContractError, "stimulus 'a' targets"),
-        (lambda: Responses(values=[[1.0], [1.0]], labels=("s1", "s2"), trial_ids=(True, False)), ContractError, "trial ids"),
+        (lambda: Responses([[1.0], [1.0]], ("s1", "s2"), (True, False)), ContractError, "trial ids"),
         (lambda: EmbeddingSet("pca", [[0.5]], ("s1",), (np.True_,)), ContractError, "trial ids"),
-        (lambda: SpikeRaster(times=[1.0, 2.0], offsets=[[0], [2]], duration=10.0, seed=0), ContractError, "offsets"),
-        (lambda: SpikeRaster(times=[1.0], offsets=np.array([False, True]), duration=10.0, seed=0), ContractError, "offsets"),
+        (lambda: SpikeRaster([1.0, 2.0], [[0], [2]], 10.0, 0), ContractError, "offsets"),
+        (lambda: SpikeRaster([1.0], np.array([False, True]), 10.0, 0), ContractError, "offsets"),
         (lambda: graphon_project(np.ones((1, 4)), np.array([True] * 4)), ParameterError, "block map entries"),
-        (lambda: graphon_project(np.ones((1, 4)), block_membership(1), indices=(True,)), ParameterError, "coordinate indices"),
+        (
+            lambda: graphon_project(np.ones((1, 4)), [1, 2, 3, 4], indices=(True,)),
+            ParameterError,
+            "coordinate indices",
+        ),
     ],
     ids=[
         "targets_bool", "targets_nested", "targets_scalar", "responses_ids_bool", "embedding_ids_bool",
