@@ -10,15 +10,15 @@ pool never changes output bytes.
 
 The config is an :class:`ExperimentConfig` of frozen sections (``sbm`` is
 ``sbm.SbmConfig``, ``sim`` is ``lif.SimParams``).  Each section checks its own
-fields in ``__post_init__``, so ``dataclasses.replace`` re-runs the checks, and
-ExperimentConfig checks what reads more than one section.
+fields in ``__post_init__``, first their kinds by ``sbm._check_fields`` and then
+their ranges, so the Python API, ``dataclasses.replace`` and a config file
+meet the same checks; ExperimentConfig checks what reads more than one section.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -63,7 +63,7 @@ from .sbm import (
     AdjacencyMatrix,
     SbmConfig,
     SpectralDecomposition,
-    _check_integer,
+    _check_fields,
     block_membership,
     eigendecompose,
     sample_adjacency,
@@ -100,6 +100,7 @@ class ProtocolSection:
     custom_path: str | None = None
 
     def __post_init__(self):
+        _check_fields(self, "protocol.")
         if self.name not in PROTOCOLS:
             raise ParameterError(f"protocol.name must be one of {PROTOCOLS}, got {self.name!r}")
         if self.name == "custom" and not self.custom_path:
@@ -113,7 +114,7 @@ class EmbeddingSection:
     convention: str = "blocksum"
 
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
+        _check_fields(self, "embedding.")
         for method in self.methods:
             if method not in METHODS:
                 raise ParameterError(f"embedding.methods must be among {METHODS}, got {method!r}")
@@ -121,7 +122,6 @@ class EmbeddingSection:
             raise ParameterError(f"embedding.methods must not repeat a method, got {list(self.methods)}")
         if self.convention not in CONVENTIONS:
             raise ParameterError(f"embedding.convention must be in {CONVENTIONS}, got {self.convention!r}")
-        _check_integer(self.dimensions, "embedding.dimensions")
         if not 1 <= self.dimensions <= BLOCK_COUNT:
             raise ParameterError(f"embedding.dimensions must lie in 1..4, got {self.dimensions}")
 
@@ -137,14 +137,11 @@ class ClassifySection:
     dimensions: int = 4
 
     def __post_init__(self):
-        if self.lam_grid is not None:
-            object.__setattr__(self, "lam_grid", tuple(self.lam_grid))
-            if not self.lam_grid or min(self.lam_grid) < 0:
-                raise ParameterError(f"classify.lam_grid must be nonempty, all >= 0, got {self.lam_grid}")
+        _check_fields(self, "classify.")
+        if self.lam_grid is not None and (not self.lam_grid or min(self.lam_grid) < 0):
+            raise ParameterError(f"classify.lam_grid must be nonempty, all >= 0, got {self.lam_grid}")
         for name, least in (("lam", 0), ("folds", 2), ("resamples", 1), ("seed", 0), ("dimensions", 1)):
             value = getattr(self, name)
-            if name != "lam":
-                _check_integer(value, f"classify.{name}")
             if value < least:
                 raise ParameterError(f"classify.{name} must be at least {least}, got {value}")
 
@@ -152,6 +149,9 @@ class ClassifySection:
 @dataclass(frozen=True)
 class IoSection:
     out_dir: str = "results"
+
+    def __post_init__(self):
+        _check_fields(self, "io.")
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class ExperimentConfig:
     io: IoSection = field(default_factory=IoSection)
 
     def __post_init__(self):
-        _check_integer(self.trials_per_stimulus, "trials_per_stimulus")
+        _check_fields(self, "")
         if self.trials_per_stimulus < 1:
             raise ParameterError(f"trials_per_stimulus must be at least 1, got {self.trials_per_stimulus}")
         if self.classify.enabled and not self.embedding.methods:
@@ -190,60 +190,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key not in top:
             raise ConfigError(f"unknown config section {key!r}")
         cls = top[key].default_factory  # MISSING for trials_per_stimulus, the one scalar
-        if not is_dataclass(cls):
-            _check_scalars(key, top[key].type, value)
-            kwargs[key] = value
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"section {key!r} must be a mapping")
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = set(value) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
-        for name, item in value.items():
-            _check_scalars(f"{key}.{name}", known[name], item)
-        try:
-            kwargs[key] = cls(**value)
-        except (TypeError, ParameterError) as exc:
-            raise ConfigError(f"bad section {key!r}: {exc}") from exc
+        if is_dataclass(cls):
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {key!r} must be a mapping")
+            unknown = set(value) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
+            try:
+                value = cls(**value)
+            except ParameterError as exc:
+                raise ConfigError(f"bad section {key!r}: {exc}") from exc
+        kwargs[key] = value
     try:
         return ExperimentConfig(**kwargs)
-    except (TypeError, ParameterError) as exc:
+    except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-# what each field annotation's base kind takes from JSON, and how to name it
-_KINDS = {
-    "bool": (bool, "a boolean"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "str": (str, "a string"),
-}
-
-
-def _check_scalars(where: str, annotation: str, value) -> None:
-    """Reject a value of a kind its field's annotation does not take, so a
-    section's own checks see only values of the right kind: a string field
-    takes a string, a tuple field a list, a numeric field a finite number
-    (``true`` is not a count), and only an optional field takes null."""
-    kind = annotation.removesuffix(" | None")
-    if value is None:
-        if kind == annotation:
-            raise ConfigError(f"{where} must not be null")
-        return
-    items = (value,)
-    if kind.startswith("tuple["):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        kind, items = kind[len("tuple[") : -len(", ...]")], value
-    types, noun = _KINDS[kind]
-    for item in items:
-        if isinstance(item, bool) and kind != "bool":
-            raise ConfigError(f"{where} must not be a boolean, got {item!r}")
-        if not isinstance(item, types):
-            raise ConfigError(f"{where} must be {noun}, got {item!r}")
-        if isinstance(item, float) and not math.isfinite(item):
-            raise ConfigError(f"{where} must be finite, got {item!r}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -63,7 +63,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ContractError, ParameterError
-from .sbm import AdjacencyMatrix, _cell, _integers, _readonly, _write_csv
+from .sbm import AdjacencyMatrix, _cell, _check_fields, _integers, _readonly, _write_csv
 
 
 def _check_zero_degree(zero_degree: str) -> None:
@@ -115,6 +115,8 @@ class SimParams:
     zero_degree: str = "error"
 
     def __post_init__(self):
+        _check_fields(self, "sim.")
+
         def check(names, ok, wording):
             for name in names:
                 value = getattr(self, name)

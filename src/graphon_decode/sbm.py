@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import numbers
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +86,58 @@ def _integers(values, what: str, error: type[ValueError] = ContractError) -> np.
     return ints
 
 
-def _check_integer(value, name: str) -> None:
-    """A ParameterError naming ``name`` unless ``value`` is an integer, as
-    the config reader requires: ``True`` and 2.0 are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+# what each annotation's base kind takes, how it is stored, and how to name it
+_KINDS = {
+    "bool": ((bool, np.bool_), bool, "a boolean"),
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+    "str": (str, str, "a string"),
+}
+
+
+def _field_value(where: str, kind: str, value):
+    """``value`` as the Python bool, int, float or str its field's ``kind``
+    stores; a value of another kind is a ParameterError naming ``where``."""
+    types, store, noun = _KINDS[kind]
+    if isinstance(value, (bool, np.bool_)) and kind != "bool":
+        raise ParameterError(f"{where} must not be a boolean, got {value!r}")
+    if not isinstance(value, types):
+        raise ParameterError(f"{where} must be {noun}, got {value!r}")
+    if kind in ("int", "float"):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ParameterError(f"{where} must be finite, got {value!r}")
+    return store(value)
+
+
+def _check_fields(section, prefix: str) -> None:
+    """Hold each scalar or tuple field of the frozen dataclass ``section`` to
+    its annotation, wherever the section is built: a bool is not a number, a
+    number is finite, a tuple field takes a list or a tuple, and only an
+    optional field takes None.  Values are stored as Python scalars and
+    tuples; a ParameterError names the field as ``prefix`` + its name."""
+    for f in fields(section):
+        kind = f.type.removesuffix(" | None")
+        sequence = kind.startswith("tuple[")
+        if sequence:
+            kind = kind[len("tuple[") : -len(", ...]")]
+        if kind not in _KINDS:  # a nested section checks itself
+            continue
+        where, value = prefix + f.name, getattr(section, f.name)
+        if value is None:
+            if not f.type.endswith(" | None"):
+                raise ParameterError(f"{where} must not be null")
+            continue
+        if not sequence:
+            value = _field_value(where, kind, value)
+        elif isinstance(value, (list, tuple)):
+            value = tuple(_field_value(where, kind, item) for item in value)
+        else:
+            raise ParameterError(f"{where} must be a list, got {value!r}")
+        object.__setattr__(section, f.name, value)
 
 
 @contextmanager
@@ -118,13 +166,12 @@ class SbmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self, "sbm.")
         _check_alpha(self.alpha)
-        _check_integer(self.n, "n")
-        _check_integer(self.seed, "seed")
         if self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+            raise ParameterError(f"sbm.n must be a positive integer, got {self.n!r}")
         if self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            raise ParameterError(f"sbm.seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def size(self) -> int:

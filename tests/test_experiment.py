@@ -203,8 +203,8 @@ def test_booleans_and_non_finite_numbers_rejected(data, match):
 
 # each integer field of the config, as its own record names it, and how to set it
 INTEGER_FIELDS = {
-    "n": lambda v: SbmConfig(n=v),
-    "seed": lambda v: SbmConfig(seed=v),
+    "sbm.n": lambda v: SbmConfig(n=v),
+    "sbm.seed": lambda v: SbmConfig(seed=v),
     "trials_per_stimulus": lambda v: ExperimentConfig(trials_per_stimulus=v),
     "embedding.dimensions": lambda v: EmbeddingSection(dimensions=v),
     "classify.folds": lambda v: ClassifySection(folds=v),
@@ -218,7 +218,8 @@ INTEGER_FIELDS = {
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 def test_integer_fields_refuse_booleans_and_fractions_through_the_api(field, value):
     # the Python API keeps the config reader's rule: True is not 1 and 2.5 is no count
-    with pytest.raises(ParameterError, match=f"^{re.escape(field)} must be an integer, got {value!r}$"):
+    wording = "must not be a boolean" if value is True else "must be an integer"
+    with pytest.raises(ParameterError, match=f"^{re.escape(field)} {wording}, got {value!r}$"):
         INTEGER_FIELDS[field](value)
 
 
