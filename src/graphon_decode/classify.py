@@ -78,8 +78,8 @@ def ridge_fit(coords, labels, lam: float = 1.0) -> RidgeModel:
     labels = list(labels)
     if len(labels) != x.shape[0]:
         raise ParameterError("one label per coordinate row required")
-    if lam < 0:
-        raise ParameterError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ParameterError(f"lam must be finite and nonnegative, got {lam}")
     class_order, index = np.unique(labels, return_inverse=True)
     if class_order.size < 2:
         raise ParameterError("need at least two distinct classes")

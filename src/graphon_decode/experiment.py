@@ -207,12 +207,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path):
+    """The JSON of a UTF-8 file.  A file that cannot be read, decoded or
+    parsed, or that spells an integer of more digits than Python converts,
+    is a ConfigError that names it."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_dict(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path))
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -340,10 +346,7 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
     if name == "mixed_cluster":
         return mixed_cluster_protocol(config.sbm.n)
     path = config.protocol.custom_path
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    data = _read_json(path)
     try:
         stimuli = tuple((s["label"], s["targets"]) for s in data["stimuli"])
     except (KeyError, TypeError) as exc:

@@ -3,21 +3,28 @@ import importlib
 import json
 import pickle
 import re
-from dataclasses import replace
+import tempfile
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_decode import classify, experiment
 from graphon_decode.classify import cross_validated_accuracy
 from graphon_decode.cli import main
+from graphon_decode.embedding import CONVENTIONS
 from graphon_decode.errors import ConfigError, DataError, ParameterError
 from graphon_decode.experiment import (
+    METHODS,
     Bases,
     ClassifySection,
     EmbeddingSection,
     ExperimentConfig,
+    IoSection,
+    ProtocolSection,
     config_from_dict,
     derive_seed,
     load_config,
@@ -25,7 +32,9 @@ from graphon_decode.experiment import (
     run_experiment,
     save_config,
     verify_manifest,
+    write_manifest,
 )
+from graphon_decode.lif import SimParams
 from graphon_decode.protocols import Responses, load_experimental_responses, read_responses_csv
 from graphon_decode.sbm import SbmConfig, block_membership
 
@@ -221,6 +230,116 @@ def test_integer_fields_refuse_booleans_and_fractions_through_the_api(field, val
     wording = "must not be a boolean" if value is True else "must be an integer"
     with pytest.raises(ParameterError, match=f"^{re.escape(field)} {wording}, got {value!r}$"):
         INTEGER_FIELDS[field](value)
+
+
+# every config class, and the prefix its fields' messages carry
+CONFIG_CLASSES = {
+    SbmConfig: "sbm.",
+    SimParams: "sim.",
+    ProtocolSection: "protocol.",
+    EmbeddingSection: "embedding.",
+    ClassifySection: "classify.",
+    IoSection: "io.",
+    ExperimentConfig: "",
+}
+
+BOOLEAN, NON_FINITE = "must not be a boolean", "must be finite"
+
+# values of a kind each annotation refuses, None aside, and the words that refuse them
+WRONG_KINDS = {
+    "bool": [(0, "must be a boolean")],
+    "int": [(True, BOOLEAN), (np.True_, BOOLEAN), ("3", "must be an integer"), (2.5, "must be an integer")],
+    "float": [(True, BOOLEAN), ("3", "must be a number"), (np.nan, NON_FINITE), (np.inf, NON_FINITE)],
+    "str": [(3, "must be a string")],
+    "tuple[str, ...]": [("pca", "must be a list"), ([3], "must be a string")],
+    "tuple[float, ...]": [("0.1", "must be a list"), ([True], BOOLEAN), ([np.nan], NON_FINITE)],
+}
+
+
+def _wrong_kinds():
+    for cls, prefix in CONFIG_CLASSES.items():
+        for f in fields(cls):
+            kind = f.type.removesuffix(" | None")
+            if kind not in WRONG_KINDS:  # a nested section
+                continue
+            cases = WRONG_KINDS[kind] + ([(None, "must not be null")] if kind == f.type else [])
+            for value, words in cases:
+                where = prefix + f.name
+                yield pytest.param(cls, f.name, f"{where} {words}", value, id=f"{where}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, message, value", _wrong_kinds())
+def test_every_config_field_refuses_a_value_of_the_wrong_kind_through_the_api(cls, name, message, value):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}(, got |$)"):
+        cls(**{name: value})
+
+
+def _numpy_or_not(strategy, *numpy_types):
+    """Values of ``strategy``, some passed as numpy scalars."""
+    return strategy.flatmap(lambda v: st.sampled_from([v, *(t(v) for t in numpy_types)]))
+
+
+def _ints(lo, hi):
+    return _numpy_or_not(st.integers(lo, hi), np.int64, np.uint32)
+
+
+def _floats(lo, hi):
+    return _numpy_or_not(st.floats(lo, hi), np.float64, np.float32)
+
+
+@st.composite
+def _valid_configs(draw):
+    name = draw(st.sampled_from(["two_cluster", "mixed_cluster", "custom"]))
+    custom_path = draw(st.text(min_size=1)) if name == "custom" else None
+    return ExperimentConfig(
+        sbm=SbmConfig(alpha=draw(_floats(0.01, 0.49)), n=draw(_ints(1, 50)), seed=draw(_ints(0, 2**32 - 1))),
+        sim=SimParams(
+            dt=draw(st.sampled_from([0.1, 0.2, np.float64(0.4), np.float64(1.4)])),
+            duration=draw(_floats(120.0, 500.0)),
+            beta=draw(_floats(0.01, 1.0)),
+            v0=draw(st.none() | _floats(-80.0, -55.0)),
+        ),
+        protocol=ProtocolSection(name=name, custom_path=custom_path),
+        trials_per_stimulus=draw(_ints(1, 100)),
+        embedding=EmbeddingSection(
+            methods=draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)),
+            dimensions=draw(_ints(1, 4)),
+            convention=draw(st.sampled_from(CONVENTIONS)),
+        ),
+        classify=ClassifySection(
+            enabled=draw(st.sampled_from([True, False, np.False_])),
+            lam=draw(_floats(0.0, 1e6)),
+            lam_grid=draw(st.none() | st.lists(_floats(0.0, 1e3), min_size=1)),
+            folds=draw(_ints(2, 10)),
+            resamples=draw(_ints(1, 100_000)),
+            seed=draw(_ints(0, 2**32 - 1)),
+            dimensions=draw(_ints(1, 4)),
+        ),
+        io=IoSection(out_dir=draw(st.text())),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_valid_configs())
+def test_saved_configs_load_equal_and_save_to_the_same_bytes(config):
+    # numpy scalars are stored as Python numbers, so save_config writes them
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        save_config(config, first)
+        loaded = load_config(first)
+        assert loaded == config
+        save_config(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_integral_numbers_hash_as_the_floats_they_equal(tmp_path):
+    # lam 1 and duration 150 are the defaults 1.0 and 150.0, so the manifests name one experiment
+    digests = []
+    for name, data in [("given", {"classify": {"lam": 1}, "sim": {"duration": 150}}), ("default", {})]:
+        (tmp_path / name).mkdir()
+        write_manifest(tmp_path / name, asdict(config_from_dict(data)), [], extra={})
+        digests.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_sha256"])
+    assert digests[0] == digests[1]
 
 
 def test_duration_must_cover_the_configured_window(tmp_path):
@@ -651,6 +770,22 @@ def test_cli_nan_dt_exits_2(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+def test_cli_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"sim": {"dt": 1' + "0" * 399 + "}}")  # a 400-digit integer
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "never")]) == 2
+    assert "sim.dt must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_cli_integer_of_more_digits_than_python_converts_exits_2(tmp_path, capsys):
+    bad = tmp_path / "longer.json"
+    bad.write_text('{"sim": {"dt": 1' + "0" * 4999 + "}}")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "never")]) == 2
+    assert f"{bad}: Exceeds the limit" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_wrong_kind_of_value_exits_2(tmp_path, capsys):
     bad = tmp_path / "out_dir.json"
     bad.write_text('{"io": {"out_dir": 7}}')
@@ -809,6 +944,16 @@ def test_cli_classify_singular_system_exits_2(tmp_path, capsys):
     argv = _write_embeddings(path, ["s1"] * 4 + ["s2"] * 4, [[i, 2.0 * i] for i in range(8)])
     assert main(argv + ["--folds", "2", "--lam", "0"]) == 2
     assert "lam > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_cli_classify_non_finite_penalty_exits_2_without_a_report(tmp_path, capsys, lam):
+    # such a penalty fits no model, and every trial would be given the first class
+    path = tmp_path / "e.csv"
+    argv = _write_embeddings(path, ["s1"] * 4 + ["s2"] * 4, [[i, i % 3] for i in range(8)])
+    assert main(argv + ["--folds", "2", "--lam", lam]) == 2
+    assert f"lam must be finite and nonnegative, got {lam}" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_cli_stats_on_one_paired_trial_exits_3(tmp_path, capsys):
