@@ -9,6 +9,7 @@ onset + window), so an event exactly at the right endpoint is excluded.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -165,19 +166,20 @@ def _write_trial_table(path, columns, trial_ids, labels, values, method=None) ->
     _write_csv(path, rows)
 
 
-def _trial_id(row, width: int, seen: set) -> int:
-    """The trial id of a data row; a ValueError names the row's first fault
-    among its cell count, trial id and label."""
-    if len(row) != width:
-        raise ValueError(f"expected {width} cells, got {len(row)}")
+def _trial_id(cells, count: int, width: int, seen: set) -> int:
+    """The trial id of a data row of ``count`` cells, ``cells`` starting with
+    its id and label; a ValueError names the row's first fault among its cell
+    count, trial id and label."""
+    if count != width:
+        raise ValueError(f"expected {width} cells, got {count}")
     try:
-        trial_id = _int(row[0])
+        trial_id = _int(cells[0])
     except ValueError:
-        raise ValueError(f"bad trial_id {row[0]!r}") from None
+        raise ValueError(f"bad trial_id {cells[0]!r}") from None
     if trial_id in seen:
         raise ValueError(f"duplicate trial_id {trial_id}")
-    if _BAD_LABEL.search(row[1]):
-        raise ValueError(f"label {row[1]!r} {_BAD_LABEL_TEXT}")
+    if _BAD_LABEL.search(cells[1]):
+        raise ValueError(f"label {cells[1]!r} {_BAD_LABEL_TEXT}")
     return trial_id
 
 
@@ -215,37 +217,57 @@ def _convert_rows(path, texts, row_nos, m: int) -> np.ndarray:
 def _read_trial_table(path, prefix: str, first: int, method: bool = False):
     """Parse trial_id,label,<prefix><first>..<prefix><first+m-1>[,method], m >= 1.
 
-    Returns the trial ids, labels, (rows x m) value matrix, line number of
+    Returns the trial ids, labels, (rows x m) value matrix, record number of
     each row and the method column (None without one).  Trial ids are unique
     integers and values finite numbers; the first rejected row is named by
-    its line.  The value cells of all rows are converted in one call.
+    its record.  A line without a quote is one record whose cells are its
+    comma-separated text, so it is split only at its id, label and method
+    cells; from the first line with a quote on, ``csv`` reads the records.
+    The value cells of all rows are converted in one call.
     """
     tail = ["method"] if method else []
+    trial_ids, labels, row_nos, methods, texts, seen = [], [], [], [], [], set()
+
+    def add(row_no, cells, count, values, method_cell):
+        try:
+            trial_id = _trial_id(cells, count, width, seen)
+        except ValueError as exc:
+            _convert_rows(path, texts, row_nos, m)  # a bad value in an earlier row is named first
+            raise ParseError(f"{path}: row {row_no}: {exc}") from None
+        seen.add(trial_id)
+        trial_ids.append(trial_id)
+        labels.append(cells[1])
+        row_nos.append(row_no)
+        methods.append(method_cell)
+        texts.append(values)
+
     with _open_utf8(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        m = len(header) - 2 - len(tail)
+        header = next(csv.reader(fh), [])
+        width = len(header)
+        m = width - 2 - len(tail)
         if m < 1 or header != ["trial_id", "label", *(f"{prefix}{first + i}" for i in range(m)), *tail]:
             layout = ",".join(["trial_id", "label", f"{prefix}{first}..{prefix}<k>", *tail])
             raise ParseError(f"{path}: header must be {layout}, got {','.join(header)[:80]!r}")
-        trial_ids, labels, lines, methods, texts, seen = [], [], [], [], [], set()
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
+        row_no, rest = 1, ()
+        for line in fh:
+            if '"' in line:
+                rest = itertools.chain([line], fh)
+                break
+            row_no += 1
+            text = line.rstrip("\r\n")
+            if not text:
                 continue
-            try:
-                trial_id = _trial_id(row, len(header), seen)
-            except ValueError as exc:
-                _convert_rows(path, texts, lines, m)  # a bad value in an earlier row is named first
-                raise ParseError(f"{path}: row {row_no}: {exc}") from None
-            seen.add(trial_id)
-            trial_ids.append(trial_id)
-            labels.append(row[1])
-            lines.append(row_no)
-            methods.append(row[-1])
-            texts.append(",".join(row[2 : 2 + m]))
+            cells = text.split(",", 2)
+            values, method_cell = cells[-1], None
+            if method:
+                values, _, method_cell = values.rpartition(",")
+            add(row_no, cells, text.count(",") + 1, values, method_cell)
+        for row_no, row in enumerate(csv.reader(rest), start=row_no + 1):
+            if row:
+                add(row_no, row, len(row), ",".join(row[2 : 2 + m]), row[-1])
     if not labels:
         raise ParseError(f"{path}: no data rows")
-    return trial_ids, labels, _convert_rows(path, texts, lines, m), lines, methods if method else None
+    return trial_ids, labels, _convert_rows(path, texts, row_nos, m), row_nos, methods if method else None
 
 
 def write_responses_csv(counts, labels, trial_ids, path) -> None:

@@ -142,9 +142,11 @@ def _check_fields(section, prefix: str) -> None:
 
 @contextmanager
 def _open_utf8(path):
-    """The file as UTF-8 text for ``csv``; a byte that does not decode is a ParseError."""
+    """The file as UTF-8 text for ``csv``, less a leading byte order mark
+    (as spreadsheets save "CSV UTF-8"); a byte that does not decode is a
+    ParseError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

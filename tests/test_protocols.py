@@ -416,6 +416,148 @@ def test_value_cells_read_as_float_reads_them(tmp_path, count):
     assert values[0, 8] == 1.5  # the quoted cell
 
 
+def _csv_reader_table(path, prefix, first, method=False):
+    """_read_trial_table as it read every record with csv.reader: the reading
+    that splitting quote-free lines by hand must reproduce (the header is
+    taken as valid)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        m = width - 2 - int(method)
+        trial_ids, labels, lines, methods, texts, seen = [], [], [], [], [], set()
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                trial_id = protocols._trial_id(row, len(row), width, seen)
+            except ValueError as exc:
+                protocols._convert_rows(path, texts, lines, m)
+                raise ParseError(f"{path}: row {row_no}: {exc}") from None
+            seen.add(trial_id)
+            trial_ids.append(trial_id)
+            labels.append(row[1])
+            lines.append(row_no)
+            methods.append(row[-1])
+            texts.append(",".join(row[2 : 2 + m]))
+    values = protocols._convert_rows(path, texts, lines, m)
+    return trial_ids, labels, values, lines, methods if method else None
+
+
+def _assert_read_as_csv_reads(path, method):
+    """_read_trial_table gives the csv.reader loop's result, with the value
+    matrix compared as bytes, or the same ParseError text."""
+    prefix, first = ("c", 1) if method else ("roi_", 0)
+    readings = []
+    for read in (_read_trial_table, _csv_reader_table):
+        try:
+            trial_ids, labels, values, row_nos, methods = read(path, prefix, first, method=method)
+        except ParseError as exc:
+            readings.append(str(exc))
+        else:
+            readings.append((trial_ids, labels, values.shape, values.tobytes(), row_nos, methods))
+    assert readings[0] == readings[1]
+
+
+# the quote-free spellings of test_value_cells_read_as_float_reads_them
+_PLAIN_SPELLINGS = ["3", "+2", "-0.0", ".5", "5.", "1e-3", "2.5E+2", " 7.25 ", "0.1", "123456789.123456789012"]
+
+
+@st.composite
+def quote_free_tables(draw):
+    """The text of a quote-free trial table, with or without a method column,
+    and whether it has one."""
+    method = draw(st.booleans())
+    m = draw(st.integers(1, 4))
+    cell = st.one_of(st.sampled_from(_PLAIN_SPELLINGS), st.floats(-1e6, 1e6).map(repr))
+    columns = [f"c{i + 1}" for i in range(m)] if method else [f"roi_{i}" for i in range(m)]
+    lines = [",".join(["trial_id", "label", *columns, *(["method"] if method else [])])]
+    for trial_id in draw(st.permutations(range(draw(st.integers(1, 6))))):
+        lines += draw(st.lists(st.sampled_from(["", "", " ", "\t"]), max_size=2))
+        cells = [str(trial_id), draw(st.sampled_from(["s1", "s2", "s3"]))]
+        cells += draw(st.lists(cell, min_size=m, max_size=m))
+        lines.append(",".join(cells + ([draw(st.sampled_from(["pca", "graphon"]))] if method else [])))
+    lines += draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, ""])), method
+
+
+@given(quote_free_tables())
+@settings(max_examples=200, deadline=None)
+def test_quote_free_lines_read_as_csv_reader_reads_them(tmp_path_factory, table):
+    text, method = table
+    path = tmp_path_factory.mktemp("quote_free") / "table.csv"
+    path.write_bytes(text.encode())
+    _assert_read_as_csv_reads(path, method)
+
+
+# one quoted record of an embeddings table, each reading as "<id>,s2,0.5,2.0,pca"
+# except the multi-line label, whose line break the label rule refuses
+_QUOTED_ROWS = {
+    "value": '{},s2,"0.5",2.0,pca',
+    "label": '{},"s2",0.5,2.0,pca',
+    "every cell": '"{}","s2","0.5","2.0","pca"',
+    "multi-line label": '{},"s\n2",0.5,2.0,pca',
+    "multi-line method": '{},s2,0.5,2.0,"p\nca"',
+}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("quoted", _QUOTED_ROWS)
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_lines_from_the_first_quote_on_read_as_csv_reader_reads_them(tmp_path, at, quoted, ending):
+    rows = [_QUOTED_ROWS[quoted] if i == at else "{},s1,1.0,0.25,pca" for i in range(5)]
+    lines = ["trial_id,label,c1,c2,method", *(row.format(i) for i, row in enumerate(rows))]
+    path = tmp_path / "table.csv"
+    path.write_bytes((ending.join(lines) + ending).encode())
+    _assert_read_as_csv_reads(path, method=True)
+
+
+@pytest.mark.parametrize("quoted", ["value", "multi-line method"])
+def test_a_bad_row_after_a_quoted_one_is_named_by_its_record(tmp_path, quoted):
+    # the multi-line record takes two lines, so the short row is record 5 but line 6
+    lines = [
+        "trial_id,label,c1,c2,method",
+        "0,s1,1.0,0.25,pca",
+        _QUOTED_ROWS[quoted].format(1),
+        "2,s1,1.0,0.25,pca",
+        "3,s1,1.0",
+    ]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=r"row 5: expected 5 cells, got 3$"):
+        _read_trial_table(path, "c", 1, method=True)
+    _assert_read_as_csv_reads(path, method=True)
+
+
+def test_quote_free_rows_are_not_split_by_csv_reader(tmp_path, monkeypatch):
+    records = []
+    reader = csv.reader
+
+    def spy(*args, **kwargs):
+        for record in reader(*args, **kwargs):
+            records.append(record)
+            yield record
+
+    path = tmp_path / "responses.csv"
+    write_responses_csv(np.arange(1, 201).reshape(50, 4), ["s1", "s2"] * 25, range(50), path)
+    monkeypatch.setattr(protocols.csv, "reader", spy)
+    assert read_responses_csv(path).trial_ids == tuple(range(50))
+    assert records == [["trial_id", "label", "roi_0", "roi_1", "roi_2", "roi_3"]]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a leading byte order mark
+    rows = ["trial_id,label,roi_0,roi_1", "0,s1,1.0,0.0", "1,s2,3,4"]
+    blocks = ["roi_index,block", "0,1", "1,2"]
+    plain, plain_map = load_experimental_responses(*_write_dataset(tmp_path, rows, blocks))
+    marked_paths = _write_dataset(tmp_path, ["\ufeff" + rows[0], *rows[1:]], ["\ufeff" + blocks[0], *blocks[1:]])
+    assert all(path.read_bytes().startswith(b"\xef\xbb\xbf") for path in marked_paths)
+    marked, marked_map = load_experimental_responses(*marked_paths)
+    assert marked.values.tobytes() == plain.values.tobytes()
+    assert (marked.labels, marked.trial_ids) == (plain.labels, plain.trial_ids)
+    assert marked_map.tolist() == plain_map.tolist() == [1, 2]
+
+
 def test_block_map_mismatch_rejected(tmp_path):
     rows = ["trial_id,label,roi_0,roi_1", "0,s1,1.0,0.0"]
     blocks = ["roi_index,block", "0,1", "1,2", "2,3"]
