@@ -261,14 +261,12 @@ def _fit_decoder(rows, labels, lam: float, pca_dims: int | None = None, lam_grid
     from ``lam_grid`` by :func:`select_lambda` when that is set."""
     if lam_grid is not None:
         lam = select_lambda(rows, labels, lam_grid, seed, pca_dims)
-    pca = None if pca_dims is None else pca_fit(rows, dims=pca_dims)
-
-    def embed(mat):
-        return mat if pca is None else pca_transform(pca, mat)
-
-    coords = embed(rows)
-    model = ridge_fit(coords, labels, lam=lam)
-    return lambda mat: predict(model, embed(mat))
+    if pca_dims is None:
+        model = ridge_fit(rows, labels, lam=lam)
+        return lambda mat: predict(model, mat)
+    pca = pca_fit(rows, dims=pca_dims)
+    model = ridge_fit(pca.coords, labels, lam=lam)
+    return lambda mat: predict(model, pca_transform(pca, mat))
 
 
 def _out_of_fold_predictions(

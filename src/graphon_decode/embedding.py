@@ -128,11 +128,13 @@ def graphon_project(
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Mean and sign-fixed principal axes fitted on a training matrix."""
+    """Mean and sign-fixed principal axes fitted on a training matrix, and
+    the training rows' coordinates on them."""
 
     mean: np.ndarray
     components: np.ndarray  # (dims, features)
     explained_variance_ratio: np.ndarray
+    coords: np.ndarray  # (trials, dims), as pca_transform gives for the training rows
 
 
 # Gram orders from which pca_fit solves for its eigenpairs by Lanczos instead
@@ -222,8 +224,12 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     signs[signs == 0] = 1.0
     comps *= signs[:, None]
     evr = evals / total if varied else np.zeros(dims)
+    coords = blas.dgemm(1.0, comps, centered.T).T  # the product pca_transform runs
     return PcaModel(
-        mean=_readonly(mean), components=_readonly(comps), explained_variance_ratio=_readonly(evr)
+        mean=_readonly(mean),
+        components=_readonly(comps),
+        explained_variance_ratio=_readonly(evr),
+        coords=_readonly(coords),
     )
 
 
@@ -236,8 +242,7 @@ def pca_transform(model: PcaModel, mat: np.ndarray) -> np.ndarray:
 
 def pca_fit_transform(mat, dims: int = 3) -> np.ndarray:
     """Mean-centered projection of the rows of ``mat`` onto their own top principal axes."""
-    mat = _matrix(mat)
-    return pca_transform(pca_fit(mat, dims), mat)
+    return pca_fit(_matrix(mat), dims).coords
 
 
 def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.ndarray, bool]:

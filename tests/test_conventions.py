@@ -42,7 +42,7 @@ ARRAY_HOLDERS = {
     "SpikeRaster": lambda: SpikeRaster(times=[1.0, 2.0], offsets=[0, 2], duration=3.0, seed=0),
     "Responses": lambda: Responses(values=[[1.0, 0.0]], labels=("s1",), trial_ids=(0,)),
     "EmbeddingSet": lambda: EmbeddingSet("pca", [[0.0, 1.0]], ("s1",), (0,)),
-    "PcaModel": lambda: PcaModel(np.zeros(2), np.eye(2), np.ones(2)),
+    "PcaModel": lambda: PcaModel(np.zeros(2), np.eye(2), np.ones(2), np.zeros((3, 2))),
     "RidgeModel": lambda: RidgeModel(np.zeros((2, 2)), np.zeros(2), ("s1", "s2")),
     "EvalReport": lambda: EvalReport(np.array([True, False]), np.array([[1, 0], [1, 0]]), ("s1", "s2"), (0.0, 1.0)),
     "Bases": lambda: Bases(block_map=np.array([1, 2, 3, 4])),
