@@ -120,8 +120,9 @@ def predict(model: RidgeModel, coords) -> list[str]:
     return [model.class_order[k] for k in picks]
 
 
-# Bootstrap indices drawn per block: 2**17 int64 draws plus their float gather
-# is 2 MiB, and larger blocks were no faster (BENCH_10.json).
+# Bootstrap indices drawn per block: 2**17 int64 draws plus their gather, of
+# packed integer codes or of one row's floats, is 2 MiB, and larger blocks
+# were no faster (BENCH_10.json).
 _BOOTSTRAP_BLOCK = 2**17
 
 
@@ -160,6 +161,30 @@ def _check_class_sizes(labels, classes, folds: int, source: str = "") -> None:
         raise DataError(f"{source}need at least two classes, got {list(classes)}")
 
 
+def _pack(samples):
+    """The k x n stack ``samples`` as one int64 code per trial, the bits each
+    row takes and n times each row's minimum; None unless every value is an
+    integer, none is -0.0, and the rows fit.  Row s holds its values less
+    their minimum in bits [s * width, (s + 1) * width), wide enough for the
+    sum of n of them, and k * width <= 62 keeps the codes' sums in an int64.
+    With n * |value| < 2**53, every partial sum of n values is an integer a
+    double holds, so numpy's float sum of a resample is its exact sum too."""
+    k, n = samples.shape
+    if not (
+        n * np.abs(samples).max() < 2**53  # False for NaN and infinity too
+        and (samples == np.trunc(samples)).all()
+        and not (np.signbit(samples) & (samples == 0)).any()
+    ):
+        return None
+    low = samples.min(axis=1)
+    offsets = (samples - low[:, None]).astype(np.int64)
+    width = (int(offsets.max()) * n).bit_length()
+    if k * width > 62:
+        return None
+    code = (offsets << (width * np.arange(k, dtype=np.int64))[:, None]).sum(axis=0)
+    return code, width, n * low.astype(np.int64)
+
+
 def bootstrap_mean_ci(
     values, resamples: int = 10_000, seed: int = 0
 ) -> tuple[float, float] | list[tuple[float, float]]:
@@ -172,7 +197,10 @@ def bootstrap_mean_ci(
     The blocks continue one generator stream and each row's mean depends on
     that row alone, so the result equals one unblocked draw bit for bit.
     Every sample of a stack is averaged over the same drawn indices, so its
-    pair equals the pair of its own call.
+    pair equals the pair of its own call.  A stack that :func:`_pack` takes,
+    such as per-trial correctness and its paired differences, is gathered
+    once per block as packed integer codes; its sums are exact, so each
+    mean is the double the per-row float gather gives.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.size == 0:
@@ -184,11 +212,18 @@ def bootstrap_mean_ci(
     n = samples.shape[1]
     rows = max(1, _BOOTSTRAP_BLOCK // n)
     means = np.empty((len(samples), resamples))
+    packed = _pack(samples)
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
         draws = rng.integers(0, n, size=(stop - start, n))
-        for sample, out in zip(samples, means):
-            out[start:stop] = sample[draws].mean(axis=1)
+        if packed is None:
+            for sample, out in zip(samples, means):
+                out[start:stop] = sample[draws].mean(axis=1)
+        else:
+            code, width, low_sums = packed
+            sums = code[draws].sum(axis=1)
+            for s, (low_sum, out) in enumerate(zip(low_sums, means)):
+                out[start:stop] = (((sums >> (s * width)) & ((1 << width) - 1)) + low_sum) / n
     tail = 100.0 * (1.0 - 0.95) / 2.0  # 2.500000000000002; a literal 2.5 moves interval bits
     pairs = [tuple(float(x) for x in np.percentile(row, [tail, 100.0 - tail])) for row in means]
     return pairs[0] if values.ndim == 1 else pairs

@@ -208,11 +208,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def _read_json(path):
-    """The JSON of a UTF-8 file.  A file that cannot be read, decoded or
-    parsed, or that spells an integer of more digits than Python converts,
-    is a ConfigError that names it."""
+    """The JSON of a UTF-8 file, less a leading byte order mark.  A file that
+    cannot be read, decoded or parsed, or that spells an integer of more
+    digits than Python converts, is a ConfigError that names it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -214,6 +214,21 @@ def _convert_rows(path, texts, row_nos, m: int) -> np.ndarray:
     return values
 
 
+def _records(path, lines, start: int = 1):
+    """(record number, cells) of each ``csv`` record of ``lines``, numbered
+    from ``start``.  A record ``csv`` refuses, such as one with a cell longer
+    than ``csv.field_size_limit()``, is a ParseError naming it."""
+    reader = csv.reader(lines)
+    for row_no in itertools.count(start):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {row_no}: {exc}") from None
+        yield row_no, row
+
+
 def _read_trial_table(path, prefix: str, first: int, method: bool = False):
     """Parse trial_id,label,<prefix><first>..<prefix><first+m-1>[,method], m >= 1.
 
@@ -242,7 +257,7 @@ def _read_trial_table(path, prefix: str, first: int, method: bool = False):
         texts.append(values)
 
     with _open_utf8(path) as fh:
-        header = next(csv.reader(fh), [])
+        _, header = next(_records(path, fh), (1, []))
         width = len(header)
         m = width - 2 - len(tail)
         if m < 1 or header != ["trial_id", "label", *(f"{prefix}{first + i}" for i in range(m)), *tail]:
@@ -262,7 +277,7 @@ def _read_trial_table(path, prefix: str, first: int, method: bool = False):
             if method:
                 values, _, method_cell = values.rpartition(",")
             add(row_no, cells, text.count(",") + 1, values, method_cell)
-        for row_no, row in enumerate(csv.reader(rest), start=row_no + 1):
+        for row_no, row in _records(path, rest, row_no + 1):
             if row:
                 add(row_no, row, len(row), ",".join(row[2 : 2 + m]), row[-1])
     if not labels:
@@ -307,11 +322,11 @@ def _read_keyed_rows(path, header: tuple[str, str], value) -> dict:
     the ParseError that ``value`` raised."""
     entries = {}
     with _open_utf8(path) as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
+        records = _records(path, fh)
+        _, got = next(records, (1, None))
         if got != list(header):
             raise ParseError(f"{path}: header must be {','.join(header)}, got {got}")
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in records:
             if not row:
                 continue
             where = f"{path}: row {row_no}"

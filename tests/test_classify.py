@@ -322,14 +322,15 @@ def test_bootstrap_ci_deterministic_given_seed():
     assert bootstrap_mean_ci(v, seed=3) == bootstrap_mean_ci(v, seed=3)
 
 
-def _unblocked_means(values, resamples, seed):
-    # one (resamples x n) draw at once: the reference the blocks must match bit for bit
+def _unblocked_means(stack, resamples, seed):
+    # one (resamples x n) draw at once: the reference the blocks must match bit
+    # for bit, averaged row by row
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = rng.integers(0, values.size, size=(resamples, values.size))
-    return values[draws].mean(axis=1)
+    draws = rng.integers(0, stack.shape[1], size=(resamples, stack.shape[1]))
+    return np.stack([row[draws].mean(axis=1) for row in stack])
 
 
-@pytest.mark.parametrize("kind", ["binary", "ternary", "gaussian"])
+@pytest.mark.parametrize("kind", ["binary", "ternary", "gaussian", "counts"])
 @pytest.mark.parametrize("n", [1, 2, 7, 37, 900, _BOOTSTRAP_BLOCK + 1])
 def test_blocked_bootstrap_equals_one_unblocked_draw(n, kind, monkeypatch):
     # spy on the means handed to np.percentile, so every resample's mean is
@@ -347,22 +348,41 @@ def test_blocked_bootstrap_equals_one_unblocked_draw(n, kind, monkeypatch):
             "binary": (rng.random(n) < 0.6).astype(float),
             "ternary": rng.integers(-1, 2, n).astype(float),
             "gaussian": rng.standard_normal(n),
+            "counts": rng.integers(0, 6, n).astype(float),
         }[kind]
+        # each stack with whether its rows are summed as packed integer codes
+        stacks = [(np.vstack([values, 1.0 - values, rng.standard_normal(n)]), False)]
+        if kind == "counts":
+            bits = values % 2.0
+            wide = values + 2.0**40 * (np.arange(n) % 2)  # one value has no spread to pack
+            stacks += [
+                (np.vstack([bits, 1.0 - bits, bits - (1.0 - bits)]), True),
+                (np.vstack([values, 5.0 - values]), True),
+                (np.vstack([values, wide, 2.0**40 - wide]), n == 1),
+                (np.vstack([values, np.r_[-0.0, values[1:]]]), False),
+            ]
         for resamples in sorted(c for c in counts if c >= 1):
+            # one unblocked draw gives the reference means of the sample and of every stack row
+            expected, *stacked = np.split(
+                _unblocked_means(np.vstack([values, *(stack for stack, _ in stacks)]), resamples, seed),
+                np.cumsum([1, *(len(stack) for stack, _ in stacks[:-1])]),
+            )
             seen.clear()
             ci = bootstrap_mean_ci(values, resamples=resamples, seed=seed)
-            expected = _unblocked_means(values, resamples, seed)
             assert seen[0].tobytes() == expected.tobytes(), (seed, resamples)
             tail = 100.0 * (1.0 - 0.95) / 2.0  # the 95% level, computed as the function does
-            lo, hi = percentile(expected, [tail, 100.0 - tail])
+            lo, hi = percentile(expected[0], [tail, 100.0 - tail])
             assert ci == (float(lo), float(hi)), (seed, resamples)
-            # a stack shares the draw, and each row equals its own call bit for bit
-            stack = np.vstack([values, 1.0 - values, rng.standard_normal(n)])
-            seen.clear()
-            pairs = bootstrap_mean_ci(stack, resamples=resamples, seed=seed)
-            stacked_means = list(seen)
-            assert len(pairs) == len(stacked_means) == 3
-            for row, pair, means in zip(stack, pairs, stacked_means):
+            # a stack shares the draw, whichever path sums its rows
+            pairs = []
+            for (stack, packs), reference in zip(stacks, stacked):
+                assert (classify._pack(stack) is not None) == packs
+                seen.clear()
+                pairs.append(bootstrap_mean_ci(stack, resamples=resamples, seed=seed))
+                assert len(pairs[-1]) == len(seen) == len(stack)
+                assert np.stack(seen).tobytes() == reference.tobytes(), (seed, resamples)
+            # and each row of the first stack equals its own call bit for bit
+            for row, pair, means in zip(stacks[0][0], pairs[0], stacked[0]):
                 seen.clear()
                 assert bootstrap_mean_ci(row, resamples=resamples, seed=seed) == pair, (seed, resamples)
                 assert seen[0].tobytes() == means.tobytes(), (seed, resamples)

@@ -116,6 +116,13 @@ def test_config_round_trips_losslessly(tmp_path):
     assert back == cfg
 
 
+def test_config_behind_a_byte_order_mark_loads_as_without_it(tmp_path):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_bytes(b'{"sim": {"dt": 0.1}}')
+    marked.write_bytes(b'\xef\xbb\xbf{"sim": {"dt": 0.1}}')
+    assert load_config(marked) == load_config(plain)
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config section"):
         config_from_dict({"sbm2": {}})
@@ -1112,6 +1119,28 @@ def test_cli_table_repeated_measured_trial_id_exits_3(tmp_path, capsys):
     argv = ["reproduce", "table", "--out", str(tmp_path / "table")]
     assert main(argv + ["--experimental-csv", str(csv_path), "--block-map", str(map_path)]) == 3
     assert "row 3: duplicate trial_id 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["responses", "header", "block-map", "rc-correct"])
+def test_cli_table_cell_longer_than_the_csv_limit_exits_3(tmp_path, capsys, where):
+    # a 200,000-character cell, above csv's default limit of 131,072
+    csv_path, map_path = write_measured(tmp_path)
+    rc_path = tmp_path / "rc.csv"
+    rc_path.write_text("trial_id,correct\n" + "".join(f"{i},{i % 2}\n" for i in range(27)))
+    long = '"' + "1" * 200_000 + '"'
+    path, row = {
+        "responses": (csv_path, 4),
+        "header": (csv_path, 1),
+        "block-map": (map_path, 3),
+        "rc-correct": (rc_path, 3),
+    }[where]
+    lines = path.read_text().splitlines()
+    lines[row - 1] = long if row == 1 else lines[row - 1].rsplit(",", 1)[0] + "," + long
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "table"
+    assert main(_table_argv(out, csv_path, map_path, rc_path)) == 3
+    assert f"{path}: row {row}: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "table", "table-rc"])
