@@ -20,7 +20,7 @@ import numpy as np
 from .embedding import pca_fit, pca_transform
 from .errors import DataError, ParameterError, ParseError, SingularSystemError
 from .protocols import _read_keyed_rows
-from .sbm import _readonly, _write_csv
+from .sbm import _readonly, _rng, _write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +124,6 @@ def predict(model: RidgeModel, coords) -> list[str]:
 # packed integer codes or of one row's floats, is 2 MiB, and larger blocks
 # were no faster (BENCH_10.json).
 _BOOTSTRAP_BLOCK = 2**17
-
-
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:

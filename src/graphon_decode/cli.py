@@ -28,7 +28,8 @@ from .errors import (
 from .experiment import (
     FIGURE_IDS,
     METHODS,
-    Bases,
+    ClassifySection,
+    EmbeddingSection,
     ExperimentConfig,
     load_config,
     map_indices,
@@ -94,8 +95,7 @@ def _cmd_embed(args) -> int:
         if graph.size != length:
             raise DataError(f"{args.graph} has {graph.size} nodes, {args.responses} has {length} columns")
         decomposition = eigendecompose(graph)
-    bases = Bases(block_map, args.convention, decomposition)
-    es = project(args.method, responses, map_indices(args.dims), bases)
+    es = project(args.method, responses, map_indices(args.dims), block_map, args.convention, decomposition)
     write_embeddings_csv(es, args.out)
     print(f"wrote {es.coords.shape[0]} x {es.coords.shape[1]} {args.method} embedding to {args.out}")
     return EXIT_OK
@@ -183,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     config_run.add_argument("--dump-rasters", action="store_true")
 
     p = sub.add_parser("gen-graph", help="sample a block graph and write its spectra")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--n", type=int, default=100, help="nodes per block")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=SbmConfig.alpha)
+    p.add_argument("--n", type=int, default=SbmConfig.n, help="nodes per block")
+    p.add_argument("--seed", type=int, default=SbmConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_gen_graph)
 
@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--responses", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dims", type=int, default=3)
-    p.add_argument("--convention", choices=CONVENTIONS, default="blocksum")
+    p.add_argument("--dims", type=int, default=EmbeddingSection.dimensions)
+    p.add_argument("--convention", choices=CONVENTIONS, default=EmbeddingSection.convention)
     p.add_argument("--block-map", default=None)
     p.add_argument("--graph", default=None, help="edge-list file (gft method)")
     p.set_defaults(handler=_cmd_embed)
@@ -205,18 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="cross-validate a classifier on an embedding CSV")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--folds", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resamples", type=int, default=10_000)
+    p.add_argument("--lam", type=float, default=ClassifySection.lam)
+    p.add_argument("--folds", type=int, default=ClassifySection.folds)
+    p.add_argument("--seed", type=int, default=ClassifySection.seed)
+    p.add_argument("--resamples", type=int, default=ClassifySection.resamples)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("stats", help="paired comparison of two correctness CSVs")
     p.add_argument("--correct-a", required=True)
     p.add_argument("--correct-b", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resamples", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=ClassifySection.seed)
+    p.add_argument("--resamples", type=int, default=ClassifySection.resamples)
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("run", parents=[config_run], help="full pipeline from a config file")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="canned experiment behind a shipped figure")
     p.add_argument("figure", choices=FIGURE_IDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SbmConfig.seed)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--experimental-csv", default=None)
     p.add_argument("--block-map", default=None)

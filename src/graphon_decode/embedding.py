@@ -27,7 +27,7 @@ from scipy.linalg import blas, eigh
 from .errors import ContractError, DataError, ParameterError
 from .protocols import _read_trial_table, _trial_rows, _write_trial_table
 from .graphon import EIGENFUNCTIONS
-from .sbm import BLOCK_COUNT, SpectralDecomposition, _integers, _readonly
+from .sbm import BLOCK_COUNT, SpectralDecomposition, _integers, _readonly, _rng
 
 CONVENTIONS = ("blocksum", "orthonormal")
 
@@ -162,7 +162,7 @@ def _top_eigenpairs(gram: np.ndarray, dims: int) -> tuple[np.ndarray, np.ndarray
         # dsymv reads the Fortran-ordered triangle in place; the start vector
         # must not be constant, which a centred Gram maps to zero
         op = LinearOperator((k, k), matvec=lambda x: blas.dsymv(1.0, gram, x), dtype=float)
-        v0 = np.random.default_rng(0).standard_normal(k)
+        v0 = _rng(0).standard_normal(k)
         evals, evecs = eigsh(op, k=dims, which="LA", tol=0, v0=v0)
     return evals[::-1], evecs[:, ::-1]
 

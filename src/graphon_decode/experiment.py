@@ -372,18 +372,6 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
 # embedding and classification
 
 
-@dataclass(frozen=True, eq=False)
-class Bases:
-    """What the projections read besides the responses: the unit-to-block map
-    and the coordinate convention (graphon), and the sampled graph's
-    eigendecomposition (gft).  No block map means four equal blocks in unit
-    order, the layout of every simulated response."""
-
-    block_map: np.ndarray | None = None
-    convention: str = "blocksum"
-    decomposition: SpectralDecomposition | None = None
-
-
 def map_indices(dimensions: int) -> tuple[int, ...]:
     """1-based basis indices of a map with ``dimensions`` coordinates; maps
     below four dimensions drop the total-mass coordinate (index 1) first."""
@@ -394,19 +382,25 @@ def map_indices(dimensions: int) -> tuple[int, ...]:
     return (2, 3, 4)[:dimensions]
 
 
-def project(method: str, responses: Responses, indices, bases: Bases) -> EmbeddingSet:
+def project(
+    method: str, responses: Responses, indices, block_map=None,
+    convention: str = EmbeddingSection.convention, decomposition: SpectralDecomposition | None = None,
+) -> EmbeddingSet:
     """Embed ``responses`` with one method: the basis coordinates at
     ``indices``, or for PCA the top len(indices) principal components of
-    these rows, each row under its trial's label and id."""
+    these rows, each row under its trial's label and id.  graphon reads the
+    unit-to-block map (None means four equal blocks in unit order, the layout
+    of every simulated response) and the ``convention``; gft reads the
+    sampled graph's eigendecomposition."""
     if method == "graphon":
-        block_map, width = bases.block_map, responses.values.shape[1]
+        width = responses.values.shape[1]
         if block_map is None:
             if width % BLOCK_COUNT:
                 raise ConfigError(f"{width} units do not split into four equal blocks; pass --block-map")
             block_map = block_membership(width // BLOCK_COUNT)
-        coords = graphon_project(responses.values, block_map, bases.convention, indices)
+        coords = graphon_project(responses.values, block_map, convention, indices)
     elif method == "gft":
-        coords = gft_project(responses.values, bases.decomposition, indices)
+        coords = gft_project(responses.values, decomposition, indices)
     elif method == "pca":
         coords = pca_fit_transform(responses.values, len(indices))
     else:
@@ -415,18 +409,20 @@ def project(method: str, responses: Responses, indices, bases: Bases) -> Embeddi
 
 
 def _cross_validate(
-    responses: Responses, classes, methods, bases: Bases, classify: ClassifySection
+    responses: Responses, classes, methods, classify: ClassifySection, block_map=None,
+    convention: str = EmbeddingSection.convention, decomposition: SpectralDecomposition | None = None,
 ) -> dict[str, np.ndarray]:
     """Out-of-fold predicted labels of each method.  A DataError names every
     class of ``classes`` that kept fewer usable trials than there are folds.
     PCA is refitted per training fold; a fixed basis projects all rows once."""
     _check_class_sizes(responses.labels, classes, classify.folds)
     dims = classify.dimensions
+    indices = tuple(range(1, dims + 1))
     predicted = {}
     for method in methods:
         rows, pca_dims = responses.values, dims
         if method != "pca":
-            rows, pca_dims = project(method, responses, tuple(range(1, dims + 1)), bases).coords, None
+            rows, pca_dims = project(method, responses, indices, block_map, convention, decomposition).coords, None
         predicted[method] = _out_of_fold_predictions(
             responses.labels, rows, classify.folds, classify.lam, classify.seed, classify.lam_grid,
             pca_dims,
@@ -497,7 +493,7 @@ def run_experiment(
 
     adjacency = sample_graph(config.sbm)
     responses, counts, skipped = run_protocol_trials(adjacency, config, jobs=jobs, raster_dir=raster_dir)
-    bases = Bases(convention=config.embedding.convention, decomposition=write_graph(adjacency, out))
+    convention, decomposition = config.embedding.convention, write_graph(adjacency, out)
     write_responses_csv(counts, responses.labels, responses.trial_ids, out / "responses.csv")
     files = [*_GRAPH_FILES, "responses.csv"]
     if raster_dir is not None:
@@ -513,13 +509,16 @@ def run_experiment(
     indices = map_indices(config.embedding.dimensions)
     for method in config.embedding.methods:
         name = f"embeddings_{method}.csv"
-        write_embeddings_csv(project(method, responses, indices, bases), out / name)
+        es = project(method, responses, indices, convention=convention, decomposition=decomposition)
+        write_embeddings_csv(es, out / name)
         files.append(name)
 
     if config.classify.enabled:
         # the protocol's labels, so a class that lost every trial is named too
-        methods = config.embedding.methods
-        predicted = _cross_validate(responses, protocol.labels, methods, bases, config.classify)
+        predicted = _cross_validate(
+            responses, protocol.labels, config.embedding.methods, config.classify,
+            convention=convention, decomposition=decomposition,
+        )
         reports, _ = evaluate(responses.labels, predicted, config.classify.resamples, config.classify.seed)
         for method, report in reports.items():
             name = f"report_{method}.csv"
@@ -544,7 +543,7 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
-    bases, indices = Bases(convention=config.embedding.convention), map_indices(3)
+    convention, indices = config.embedding.convention, map_indices(3)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
     for r in range(realizations):
@@ -552,7 +551,7 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
         responses, _, _ = run_protocol_trials(adjacency, config, r, jobs)
         coords = aligned_gft_project(responses.values, eigendecompose(adjacency), indices)
         gft_sets.append(EmbeddingSet("gft", coords, responses.labels, responses.trial_ids))
-        graphon_sets.append(project("graphon", responses, indices, bases))
+        graphon_sets.append(project("graphon", responses, indices, convention=convention))
     disp_gft = cross_realization_dispersion(gft_sets)
     disp_graphon = cross_realization_dispersion(graphon_sets)
     return {
@@ -568,10 +567,9 @@ def mixed_cluster_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     """The config's experiment on realization 0, embedded with the kernel
     basis and with PCA, plus separability metrics for both maps."""
     responses, _, _ = run_protocol_trials(sample_graph(config.sbm, 0), config, 0, jobs)
-    bases = Bases(convention=config.embedding.convention)
     result = {"metrics": {}}
     for method in ("graphon", "pca"):
-        es = result[method] = project(method, responses, map_indices(3), bases)
+        es = result[method] = project(method, responses, map_indices(3), convention=config.embedding.convention)
         result["metrics"][method] = {
             "silhouette": silhouette_score(es.coords, es.labels),
             "betweenness": centroid_betweenness(es.coords, es.labels),
@@ -591,8 +589,7 @@ def _reproduce_fig5(out: Path, seed: int, jobs: int, measured) -> tuple[list[str
     config = ExperimentConfig(sbm=SbmConfig(seed=seed))
     adjacency = sample_graph(config.sbm)
     responses, _, _ = run_protocol_trials(adjacency, config, jobs=jobs)
-    bases = Bases(decomposition=eigendecompose(adjacency))
-    es = project("gft", responses, map_indices(3), bases)
+    es = project("gft", responses, map_indices(3), decomposition=eigendecompose(adjacency))
     files = {"fig5_gft_modes_2_3.csv": [0, 1], "fig5_gft_modes_2_4.csv": [0, 2]}
     for name, cols in files.items():
         _write_trial_table(out / name, ("x", "y"), es.trial_ids, es.labels, es.coords[:, cols])
@@ -662,9 +659,10 @@ def _reproduce_table(out: Path, seed: int, jobs: int, measured) -> tuple[list[st
     else:
         source = "experimental"
         responses, block_map, rc = measured
-    bases = Bases(block_map, config.embedding.convention)
     classes = sorted(set(responses.labels))
-    predicted = _cross_validate(responses, classes, ("graphon", "pca"), bases, config.classify)
+    predicted = _cross_validate(
+        responses, classes, ("graphon", "pca"), config.classify, block_map, config.embedding.convention
+    )
     labels = np.asarray(responses.labels)
     graphon, pca = ((labels == predicted[m]).astype(float) for m in ("graphon", "pca"))
     differences = [graphon - pca]

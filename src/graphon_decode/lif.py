@@ -34,7 +34,7 @@ spikes of step k arrive at step k + delay + 1 and no other step writes that
 arrival, so the pending spikes are kept per arrival step and a step that
 receives none skips the synaptic update.  The synaptic input of a step is one
 sparse product: the resource emitted by the spiking cells, as a (trials,
-neurons) CSR matrix, times the transposed weights.  Row b of that product
+neurons) CSR matrix, times the (symmetric) adjacency.  Row b of that product
 sums trial b's spiking neurons in neuron order and nothing else, and every
 trial draws its noise events from its own generator, so batching changes no
 bit of any raster; :func:`run_trial` is the batch of one.  On request the
@@ -63,7 +63,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ContractError, ParameterError
-from .sbm import AdjacencyMatrix, _cell, _check_fields, _integers, _readonly, _write_csv
+from .sbm import AdjacencyMatrix, _cell, _check_fields, _integers, _readonly, _rng, _write_csv
 
 
 def _check_zero_degree(zero_degree: str) -> None:
@@ -236,7 +236,7 @@ def noise_events(seed: int, noise_lam: np.ndarray, steps: int) -> tuple[np.ndarr
     so every step's count is Poisson(noise_lam[j]), independent across steps
     and neurons, as if drawn step by step.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng(seed)
     counts = rng.poisson(steps * noise_lam)
     at = rng.integers(steps, size=counts.sum(), dtype=np.int32)
     return at, np.repeat(np.arange(noise_lam.size, dtype=np.int32), counts)
@@ -329,7 +329,7 @@ def run_trials(
         run_steps = min(steps, int(np.searchsorted(ends, sim.onset + sim.window)) + 1)
         if run_steps < steps:
             duration = float(ends[run_steps - 1])
-    weights_t = np.ascontiguousarray(adjacency.entries.T, dtype=float)
+    weights = adjacency.entries.astype(float)
     s = scaling_factors(adjacency, sim.zero_degree)
     has_input = s > 0
     unit_inc = np.where(has_input, sim.g_max / np.where(has_input, s, 1.0), 0.0)
@@ -382,7 +382,7 @@ def run_trials(
         arrived = pending.pop(k, None)
         if arrived is not None:
             emitted.data, emitted.indices, emitted.indptr = arrived
-            np.multiply(unit_inc, emitted @ weights_t, out=scratch)
+            np.multiply(unit_inc, emitted @ weights, out=scratch)
             g += scratch
         hits = noise_cells[noise_bounds[k] : noise_bounds[k + 1]]
         np.add.at(g_flat, hits, flat_inc[hits])

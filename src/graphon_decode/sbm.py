@@ -140,6 +140,13 @@ def _check_fields(section, prefix: str) -> None:
         object.__setattr__(section, f.name, value)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The package's one kind of generator: PCG64 seeded by ``SeedSequence(seed)``."""
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 @contextmanager
 def _open_utf8(path):
     """The file as UTF-8 text for ``csv``, less a leading byte order mark
@@ -265,7 +272,7 @@ def sample_adjacency(config: SbmConfig) -> AdjacencyMatrix:
     mirrored down.  Deterministic for a given config seed."""
     probs = edge_probability_matrix(config)
     size = config.size
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = _rng(config.seed)
     iu = np.triu_indices(size, k=1)
     edges = rng.random(iu[0].size) < probs[iu]
     entries = np.zeros((size, size), dtype=np.int8)

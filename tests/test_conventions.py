@@ -13,7 +13,6 @@ import pytest
 import graphon_decode
 from graphon_decode.classify import EvalReport, RidgeModel
 from graphon_decode.embedding import EmbeddingSet, PcaModel
-from graphon_decode.experiment import Bases
 from graphon_decode.lif import SpikeRaster, TrialTrace
 from graphon_decode.protocols import Responses
 from graphon_decode.sbm import AdjacencyMatrix, SpectralDecomposition
@@ -45,7 +44,6 @@ ARRAY_HOLDERS = {
     "PcaModel": lambda: PcaModel(np.zeros(2), np.eye(2), np.ones(2), np.zeros((3, 2))),
     "RidgeModel": lambda: RidgeModel(np.zeros((2, 2)), np.zeros(2), ("s1", "s2")),
     "EvalReport": lambda: EvalReport(np.array([True, False]), np.array([[1, 0], [1, 0]]), ("s1", "s2"), (0.0, 1.0)),
-    "Bases": lambda: Bases(block_map=np.array([1, 2, 3, 4])),
 }
 
 

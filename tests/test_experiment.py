@@ -19,7 +19,6 @@ from graphon_decode.embedding import CONVENTIONS
 from graphon_decode.errors import ConfigError, DataError, ParameterError
 from graphon_decode.experiment import (
     METHODS,
-    Bases,
     ClassifySection,
     EmbeddingSection,
     ExperimentConfig,
@@ -1069,12 +1068,12 @@ def test_graphon_projection_defaults_to_four_equal_blocks(convention):
 
     n = 3
     responses = unit_rows((6, 4 * n))
-    default = project("graphon", responses, (1, 2, 3, 4), Bases(convention=convention))
-    explicit = project("graphon", responses, (1, 2, 3, 4), Bases(block_membership(n), convention))
+    default = project("graphon", responses, (1, 2, 3, 4), convention=convention)
+    explicit = project("graphon", responses, (1, 2, 3, 4), block_membership(n), convention)
     assert default.coords.tobytes() == explicit.coords.tobytes()
     five = unit_rows((2, 5))
     with pytest.raises(ConfigError, match="5 units .* pass --block-map"):
-        project("graphon", five, (1, 2, 3, 4), Bases(convention=convention))
+        project("graphon", five, (1, 2, 3, 4), convention=convention)
 
 
 def _table_argv(out, csv_path, map_path, rc_path):
@@ -1089,7 +1088,7 @@ def test_cli_table_pairs_rc_correctness_by_trial_id(tmp_path):
     header, *rows = csv_path.read_text().splitlines()
     csv_path.write_text("\n".join([header, *rows[5:], *rows[:5]]) + "\n")
     responses, block_map = load_experimental_responses(csv_path, map_path)
-    coords = project("graphon", responses, (1, 2, 3, 4), Bases(block_map=block_map)).coords
+    coords = project("graphon", responses, (1, 2, 3, 4), block_map=block_map).coords
     report = cross_validated_accuracy(responses.labels, coords, folds=7, resamples=10)
     assert 0 < report.accuracy < 1
     rc_path = tmp_path / "rc.csv"
