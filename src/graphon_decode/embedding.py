@@ -45,6 +45,9 @@ class EmbeddingSet:
         self.coords = np.asarray(self.coords, dtype=float)
         if self.coords.ndim != 2 or self.coords.size == 0:
             raise ContractError("coords must be a nonempty 2-D (trials x dims) array")
+        bad = np.flatnonzero(~np.isfinite(self.coords).all(axis=1))
+        if bad.size:  # its file would hold a cell that the reader refuses
+            raise ContractError(f"coords must be finite, row {bad[0]} is {self.coords[bad[0]].tolist()}")
         self.labels, self.trial_ids = _trial_rows(
             self.labels, self.trial_ids, self.coords.shape[0], "coordinate"
         )
@@ -108,6 +111,10 @@ def graphon_project(
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     mat = _matrix(mat)
     block_map = _integers(block_map, "block map entries", ParameterError)
+    outside = np.flatnonzero((block_map < 1) | (block_map > BLOCK_COUNT))
+    if outside.size:
+        unit = outside[0]
+        raise ParameterError(f"block map entries must lie in 1..4, unit {unit} has block {block_map[unit]}")
     if block_map.shape != (mat.shape[1],):
         raise ParameterError(
             f"block map covers {block_map.size} units, responses have {mat.shape[1]}"

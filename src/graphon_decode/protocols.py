@@ -291,8 +291,7 @@ def write_responses_csv(counts, labels, trial_ids, path) -> None:
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.dtype.kind not in "iu" or (counts < 0).any():
         raise ContractError("responses are written as a (trials x units) matrix of nonnegative integers")
-    if not len(labels) == len(trial_ids) == len(counts):
-        raise ContractError("one label and one trial id per response row required")
+    labels, trial_ids = _trial_rows(labels, trial_ids, len(counts), "response")
     columns = [f"roi_{i}" for i in range(counts.shape[1])]
     _write_trial_table(path, columns, trial_ids, labels, counts)
 

@@ -176,6 +176,14 @@ def test_graphon_project_block_map_must_be_integers():
         graphon_project([unit(np.ones(8))], block_map)
 
 
+@pytest.mark.parametrize("block", [0, 5, 7, -1])
+def test_graphon_project_refuses_block_ids_outside_one_to_four(block):
+    # such a unit would sit in no block sum and drop out of every coordinate
+    block_map = [1, 2, 3, 4, block, 1]
+    with pytest.raises(ParameterError, match=f"must lie in 1..4, unit 4 has block {block}"):
+        graphon_project(np.ones((1, 6)), block_map, indices=(1, 2, 3, 4))
+
+
 def test_projection_indices_must_be_integers():
     mat = [unit(np.ones(8))]
     with pytest.raises(ParameterError, match="coordinate indices must be integers"):
@@ -570,6 +578,13 @@ def test_embedding_set_refuses_what_its_file_refuses(tmp_path):
         EmbeddingSet("pca", [[0.0], [1.0], [2.0]], ("s1", "s2", "s1"), (1, 0, 0))
     with pytest.raises(ContractError, match="nonempty 2-D"):
         EmbeddingSet("pca", np.empty((0, 2)), (), ())
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_embedding_set_refuses_non_finite_coordinates(tmp_path, cell):
+    # its file would hold a cell that read_embeddings_csv refuses
+    with pytest.raises(ContractError, match=r"coords must be finite, row 1 is \[2.0, "):
+        EmbeddingSet("pca", [[0.5, 1.0], [2.0, cell]], ("s1", "s2"), (0, 1))
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

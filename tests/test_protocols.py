@@ -642,6 +642,18 @@ def test_responses_are_written_as_nonnegative_integer_counts(tmp_path, counts, m
     assert not (tmp_path / "responses.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "trial_ids, match",
+    [((0, 0), "duplicate trial id 0"), ((0, 0.5), "trial ids must be integers"), ((0, True), "trial ids must be integers")],
+    ids=["repeated", "fraction", "boolean"],
+)
+def test_responses_are_written_with_distinct_integer_trial_ids(tmp_path, trial_ids, match):
+    # each would write a file that read_responses_csv refuses
+    with pytest.raises(ContractError, match=match):
+        write_responses_csv([[1, 2], [3, 4]], ("s1", "s2"), trial_ids, tmp_path / "responses.csv")
+    assert not (tmp_path / "responses.csv").exists()
+
+
 def test_block_map_round_trip(tmp_path):
     path = tmp_path / "blocks.csv"
     path.write_text("roi_index,block\n0,1\n1,1\n2,2\n3,2\n4,3\n5,3\n6,4\n7,4\n")
