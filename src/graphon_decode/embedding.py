@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, eigh
 
 from .errors import ContractError, DataError, ParameterError
 from .protocols import _read_trial_table, _trial_rows, _write_trial_table
@@ -32,9 +31,10 @@ from .sbm import BLOCK_COUNT, SpectralDecomposition, _integers, _readonly, _rng
 CONVENTIONS = ("blocksum", "orthonormal")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """Per-trial coordinates with their labels."""
+    """Per-trial coordinates with their labels; the coordinates are a
+    read-only copy, so the set keeps the finite values it was checked with."""
 
     method: str
     coords: np.ndarray
@@ -42,15 +42,16 @@ class EmbeddingSet:
     trial_ids: tuple[int, ...]
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.ndim != 2 or self.coords.size == 0:
+        coords = np.array(self.coords, dtype=float)
+        if coords.ndim != 2 or coords.size == 0:
             raise ContractError("coords must be a nonempty 2-D (trials x dims) array")
-        bad = np.flatnonzero(~np.isfinite(self.coords).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
         if bad.size:  # its file would hold a cell that the reader refuses
-            raise ContractError(f"coords must be finite, row {bad[0]} is {self.coords[bad[0]].tolist()}")
-        self.labels, self.trial_ids = _trial_rows(
-            self.labels, self.trial_ids, self.coords.shape[0], "coordinate"
-        )
+            raise ContractError(f"coords must be finite, row {bad[0]} is {coords[bad[0]].tolist()}")
+        labels, trial_ids = _trial_rows(self.labels, self.trial_ids, coords.shape[0], "coordinate")
+        object.__setattr__(self, "coords", _readonly(coords))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "trial_ids", trial_ids)
 
 
 def _matrix(mat) -> np.ndarray:
@@ -160,10 +161,15 @@ def _top_eigenpairs(gram: np.ndarray, dims: int) -> tuple[np.ndarray, np.ndarray
     """The ``dims`` largest eigenvalues (descending) and their eigenvectors
     of the symmetric matrix whose upper triangle ``gram`` holds."""
     k = gram.shape[0]
+    # scipy is imported where it is called, here, in pca_fit and in
+    # pca_transform: importing scipy.linalg or scipy.sparse takes about half
+    # of importing the package, and the other projections never call them
     if k < _LANCZOS_MIN_ORDER or dims > _LANCZOS_MAX_DIMS:
+        from scipy.linalg import eigh
+
         evals, evecs = eigh(gram, lower=False, subset_by_index=[k - dims, k - 1])
     else:
-        # imported here: it adds ~17 ms to importing the package
+        from scipy.linalg import blas
         from scipy.sparse.linalg import LinearOperator, eigsh
 
         # dsymv reads the Fortran-ordered triangle in place; the start vector
@@ -193,6 +199,8 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     OpenBLAS, whose idle threads keep spinning for a while after a call, so
     alternating the two made each fold's fit twice as slow on two cores.
     """
+    from scipy.linalg import blas
+
     mat = np.asarray(mat, dtype=float)
     if dims < 1:
         raise ParameterError(f"need at least one component, got dims={dims}")
@@ -241,7 +249,9 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
+    from scipy.linalg import blas
+
+    mat = _matrix(mat)
     if mat.shape[1] != model.mean.size:
         raise ParameterError("feature dimension does not match the fitted model")
     return blas.dgemm(1.0, model.components, (mat - model.mean).T).T

@@ -299,6 +299,10 @@ def run_protocol_trials(
         (adjacency, config.sim, protocol, specs[lo:hi], raster_dir) for lo, hi in zip(bounds, bounds[1:])
     ]
     if parts > 1:
+        # loaded before the fork, so the workers inherit the module run_trials
+        # imports instead of each importing it again
+        import scipy.sparse
+
         with ProcessPoolExecutor(max_workers=parts) as pool:
             chunks = list(pool.map(_trial_chunk, payloads))
     else:

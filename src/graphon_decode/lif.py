@@ -60,7 +60,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import ContractError, ParameterError
 from .sbm import AdjacencyMatrix, _cell, _check_fields, _integers, _readonly, _rng, _write_csv
@@ -354,6 +353,10 @@ def run_trials(
     drive = np.empty(shape)
     scratch = np.empty(shape)
     spiked = np.empty(shape, dtype=bool)
+
+    # imported where it is called, like every scipy import of the package
+    # (see embedding._top_eigenpairs)
+    from scipy.sparse import csr_array
 
     # pending[k + delay + 1], written by step k alone if it has spikes, holds
     # the resource its spiking cells emitted, one CSR row per trial as (data,

@@ -156,10 +156,12 @@ def normalize_response(values: np.ndarray) -> np.ndarray:
 def _write_trial_table(path, columns, trial_ids, labels, values, method=None) -> None:
     """trial_id,label,<columns>[,method] with one row per trial; a label that
     would break its row, or the report's "|"-joined header, is refused before
-    the file is opened."""
+    the file is opened, and so is such a method."""
     for label in map(_cell, labels):
         if _BAD_LABEL.search(label):
             raise ContractError(f"label {label!r} {_BAD_LABEL_TEXT}")
+    if method is not None and _BAD_LABEL.search(_cell(method)):
+        raise ContractError(f"method {_cell(method)!r} {_BAD_LABEL_TEXT}")
     tail = () if method is None else (method,)
     rows = [("trial_id", "label", *columns, *(("method",) if tail else ()))]
     rows.extend((t, lab, *row, *tail) for t, lab, row in zip(trial_ids, labels, values.tolist()))

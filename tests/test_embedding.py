@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphon_decode import embedding
 from graphon_decode.embedding import (
@@ -247,6 +249,15 @@ def test_full_rank_pca_reconstructs_data():
     assert np.max(np.abs(recon - mat)) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 8, 8), ()], ids=["row", "3-D", "scalar"])
+def test_pca_transform_needs_a_matrix(shape):
+    # a row once raised IndexError, and a 3-D stack whose second axis matched
+    # the model's width reached BLAS
+    model = pca_fit(np.random.default_rng(7).random((10, 8)), dims=2)
+    with pytest.raises(ParameterError, match="nonempty 2-D"):
+        pca_transform(model, np.ones(shape))
+
+
 def test_pca_needs_enough_trials():
     with pytest.raises(ParameterError):
         pca_fit(np.random.default_rng(0).random((3, 5)), dims=3)
@@ -303,17 +314,19 @@ def test_lanczos_shapes_skip_the_dense_solver(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("dense eigh called")
 
-    monkeypatch.setattr(embedding, "eigh", dense)
+    # _top_eigenpairs imports eigh from scipy.linalg on each call, so it
+    # finds this stand-in
+    monkeypatch.setattr(scipy.linalg, "eigh", dense)
     for shape in LANCZOS_SHAPES:
         pca_fit(np.random.default_rng(8).poisson(3.0, size=shape).astype(float), dims=4)
 
 
 def test_package_import_leaves_the_lanczos_solver_unloaded():
-    # importing scipy.sparse.linalg costs ~17 ms, which pca_fit pays only
-    # when a Gram matrix first needs it; a fresh interpreter, because this
-    # run's other tests load it
+    # no scipy module at all: importing scipy.linalg or scipy.sparse is about
+    # half of importing the package, which a command pays only when it first
+    # calls them; a fresh interpreter, because this run's other tests load them
     src = str(Path(embedding.__file__).resolve().parents[1])
-    code = "import sys, graphon_decode.cli; print('scipy.sparse.linalg' in sys.modules)"
+    code = "import sys, graphon_decode.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     loaded = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -321,7 +334,7 @@ def test_package_import_leaves_the_lanczos_solver_unloaded():
         text=True,
         check=True,
     ).stdout
-    assert loaded.strip() == "False"
+    assert loaded.strip() == "[]"
 
 
 def test_rank_one_lanczos_pca_has_zero_trailing_axes():
@@ -578,6 +591,18 @@ def test_embedding_set_refuses_what_its_file_refuses(tmp_path):
         EmbeddingSet("pca", [[0.0], [1.0], [2.0]], ("s1", "s2", "s1"), (1, 0, 0))
     with pytest.raises(ContractError, match="nonempty 2-D"):
         EmbeddingSet("pca", np.empty((0, 2)), (), ())
+
+
+def test_embedding_set_is_read_only_and_leaves_its_input_writable():
+    # a NaN written into a checked set once gave a file its reader refused
+    given = np.array([[0.5], [1.5]])
+    es = EmbeddingSet("pca", given, ("s1", "s2"), (0, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        es.coords[1, 0] = np.nan
+    with pytest.raises(FrozenInstanceError):
+        es.coords = "x"
+    given[1, 0] = np.nan
+    assert given.flags.writeable and es.coords[1, 0] == 1.5
 
 
 @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])

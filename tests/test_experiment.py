@@ -1,8 +1,11 @@
 import csv
 import importlib
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -539,6 +542,49 @@ def test_run_writes_each_trials_window_counts(tmp_path):
         for neuron, time in lines:
             window[int(neuron)] += start <= float(time) < stop
         assert [int(cell) for cell in row[2:]] == window.tolist(), row[0]
+
+
+# the commands that never call scipy, on paths relative to where they run,
+# since the report names its embeddings file
+SCIPY_FREE = [
+    ["gen-graph", "--n", "4", "--seed", "0", "--out", "graph"],
+    ["embed", "--responses", "../measured.csv", "--method", "graphon", "--out", "graphon.csv"],
+    ["embed", "--responses", "../measured.csv", "--method", "gft", "--graph", "graph/graph.edges", "--out", "gft.csv"],
+    ["classify", "--embeddings", "graphon.csv", "--resamples", "200", "--out", "report.csv"],
+    ["stats", "--correct-a", "../correct_a.csv", "--correct-b", "../correct_b.csv", "--resamples", "200", "--out", "stats.csv"],
+]
+
+BLOCK_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from graphon_decode.cli import main
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_scipy_free_commands_run_without_scipy_and_write_the_same_bytes(tmp_path, monkeypatch):
+    # importing scipy is half of the package's start-up; a top-level scipy
+    # import anywhere would make these commands pay it again
+    write_measured(tmp_path)
+    (tmp_path / "correct_a.csv").write_text("trial_id,correct\n0,1\n1,0\n2,1\n3,1\n")
+    (tmp_path / "correct_b.csv").write_text("trial_id,correct\n3,0\n2,1\n1,0\n0,0\n")
+    blocked, loaded = tmp_path / "blocked", tmp_path / "loaded"
+    blocked.mkdir()
+    loaded.mkdir()
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", BLOCK_SCIPY, json.dumps(SCIPY_FREE)],
+        cwd=blocked, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    monkeypatch.chdir(loaded)
+    for argv in SCIPY_FREE:
+        assert main(argv) == 0, argv
+    files = sorted(path.relative_to(loaded) for path in loaded.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(blocked) for path in blocked.rglob("*") if path.is_file())
+    assert len(files) == 7  # the graph's edges and spectra, two embeddings, the report, the stats
+    for name in files:
+        assert (blocked / name).read_bytes() == (loaded / name).read_bytes(), name
 
 
 def test_cli_embed_names_the_first_index_out_of_range(tmp_path, capsys):

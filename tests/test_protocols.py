@@ -116,6 +116,15 @@ def test_writers_refuse_labels_that_break_a_csv_row(tmp_path, label):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("method", ["a,b", 'a"b', "a|b", "a\nb", "a\rb"])
+def test_embeddings_writer_refuses_a_method_that_breaks_a_csv_row(tmp_path, method):
+    # "a,b" once gave the row 0,s1,0.5,a,b, which read_embeddings_csv refused
+    path = tmp_path / "embedding.csv"
+    with pytest.raises(ContractError, match=re.escape(f"method {method!r}")):
+        write_embeddings_csv(EmbeddingSet(method, [[0.5], [1.5]], ("s1", "s2"), (0, 1)), path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # response extraction
 
