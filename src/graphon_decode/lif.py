@@ -65,11 +65,6 @@ from .errors import ContractError, ParameterError
 from .sbm import AdjacencyMatrix, _cell, _check_fields, _integers, _readonly, _rng, _write_csv
 
 
-def _check_zero_degree(zero_degree: str) -> None:
-    if zero_degree not in ("error", "isolate"):
-        raise ParameterError(f"unknown zero_degree policy {zero_degree!r}")
-
-
 @dataclass(frozen=True)
 class SimParams:
     """Every dynamical parameter of a trial; defaults are the published
@@ -133,7 +128,8 @@ class SimParams:
             raise ParameterError(
                 f"sim.dt={self.dt} must divide the conduction delay {self.delay} ms exactly"
             )
-        _check_zero_degree(self.zero_degree)
+        if self.zero_degree not in ("error", "isolate"):
+            raise ParameterError(f"unknown zero_degree policy {self.zero_degree!r}")
         needed = self.onset + self.window
         if self.duration < needed - 1e-9:
             raise ParameterError(f"sim.duration must be at least onset + window = {needed:g} ms")
@@ -206,23 +202,6 @@ class SpikeRaster:
     @property
     def total_spikes(self) -> int:
         return int(self.times.size)
-
-
-def scaling_factors(adjacency: AdjacencyMatrix, zero_degree: str = "error") -> np.ndarray:
-    """Per-neuron in-degree, used to normalize synaptic increments.
-
-    A graph with isolated neurons is rejected unless ``zero_degree`` is
-    "isolate", in which case those neurons simply receive no synaptic input.
-    """
-    _check_zero_degree(zero_degree)
-    s = adjacency.entries.sum(axis=1).astype(float)
-    if zero_degree == "error" and np.any(s == 0):
-        bad = np.nonzero(s == 0)[0]
-        raise ParameterError(
-            f"neurons {bad[:5].tolist()} have no incoming edges; "
-            "use zero_degree='isolate' to allow this"
-        )
-    return s
 
 
 def noise_events(seed: int, noise_lam: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,8 +308,14 @@ def run_trials(
         if run_steps < steps:
             duration = float(ends[run_steps - 1])
     weights = adjacency.entries.astype(float)
-    s = scaling_factors(adjacency, sim.zero_degree)
+    # in-degrees; a neuron without one gets no synaptic input, if the policy allows it
+    s = adjacency.entries.sum(axis=1).astype(float)
     has_input = s > 0
+    if sim.zero_degree == "error" and not has_input.all():
+        raise ParameterError(
+            f"neurons {np.flatnonzero(~has_input)[:5].tolist()} have no incoming edges; "
+            "use zero_degree='isolate' to allow this"
+        )
     unit_inc = np.where(has_input, sim.g_max / np.where(has_input, s, 1.0), 0.0)
     # the noise events are drawn over all steps, run or not, so the stream is
     # the same whether or not the loop stops early

@@ -15,11 +15,10 @@ from graphon_decode.lif import (
     noise_events,
     run_trial,
     run_trials,
-    scaling_factors,
     write_raster_csv,
 )
 from graphon_decode.protocols import extract_response
-from graphon_decode.sbm import AdjacencyMatrix, SbmConfig, edge_probability_matrix, sample_adjacency
+from graphon_decode.sbm import AdjacencyMatrix, SbmConfig, sample_adjacency
 
 QUIET = SimParams(poisson_rate=0.0)
 
@@ -163,40 +162,19 @@ def test_spike_count_stable_under_dt_halving():
 
 
 # ---------------------------------------------------------------------------
-# scaling factors
-
-
-def test_scaling_factors_complete_graph():
-    k4 = AdjacencyMatrix(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int))
-    assert np.array_equal(scaling_factors(k4), [3.0, 3.0, 3.0, 3.0])
-
-
-def test_scaling_factors_star_graph():
-    star = np.zeros((6, 6), dtype=int)
-    star[0, 1:] = 1
-    star[1:, 0] = 1
-    s = scaling_factors(AdjacencyMatrix(star))
-    assert s[0] == 5.0
-    assert np.all(s[1:] == 1.0)
-
-
-def test_scaling_factors_match_binomial_expectation():
-    cfg = SbmConfig(alpha=0.05, n=100, seed=6)
-    adj = sample_adjacency(cfg)
-    probs = edge_probability_matrix(cfg)
-    expected = probs.sum(axis=1)
-    sigma = np.sqrt((probs * (1.0 - probs)).sum(axis=1))
-    s = scaling_factors(adj)
-    assert abs(s.mean() - expected.mean()) < 3 * sigma.mean() / np.sqrt(adj.size)
+# zero-degree policy
 
 
 def test_zero_degree_policy():
     lonely = AdjacencyMatrix(np.zeros((3, 3), dtype=int))
-    with pytest.raises(ParameterError):
-        scaling_factors(lonely)
-    assert np.all(scaling_factors(lonely, zero_degree="isolate") == 0.0)
-    with pytest.raises(ParameterError):
-        scaling_factors(lonely, zero_degree="drop")
+    sim = SimParams(onset=0.0, duration=100.0, poisson_rate=0.0)
+    message = "neurons [0, 1, 2] have no incoming edges; use zero_degree='isolate' to allow this"
+    with pytest.raises(ParameterError) as refused:
+        run_trials(lonely, [(0,)], [0], sim)
+    assert str(refused.value) == message
+    # isolated, the untargeted neurons get no synaptic input and, noise-free, never spike
+    raster = run_trials(lonely, [(0,)], [0], replace(sim, zero_degree="isolate"))[0]
+    assert raster.counts(0.0, 100.0)[1:].tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +237,7 @@ SIM_PARAM_CASES = [
     ("r0", 0.0, r"sim.r0 must lie in \(0, 1\]"),
     ("r0", 1.01, r"sim.r0 must lie in \(0, 1\]"),
     ("dt", 0.3, "divide the conduction delay"),
-    ("zero_degree", "drop", "unknown zero_degree policy"),
+    ("zero_degree", "drop", "unknown zero_degree policy 'drop'"),
     ("window", 0.0, "sim.window must be positive"),
     ("duration", 119.0, r"onset \+ window = 120 ms"),
 ]

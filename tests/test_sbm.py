@@ -114,6 +114,16 @@ def test_within_block_density_concentrates():
     assert abs(np.mean(dens) - 0.9) < 0.02
 
 
+def test_sampled_in_degrees_match_binomial_expectation():
+    cfg = SbmConfig(alpha=0.05, n=100, seed=6)
+    adj = sample_adjacency(cfg)
+    probs = edge_probability_matrix(cfg)
+    expected = probs.sum(axis=1)
+    sigma = np.sqrt((probs * (1.0 - probs)).sum(axis=1))
+    s = adj.entries.sum(axis=1)
+    assert abs(s.mean() - expected.mean()) < 3 * sigma.mean() / np.sqrt(adj.size)
+
+
 def test_sampling_is_deterministic():
     cfg = SbmConfig(alpha=0.05, n=25, seed=123)
     a1 = sample_adjacency(cfg)
