@@ -30,14 +30,14 @@ class RidgeModel:
     class_order: tuple[str, ...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Cross-validated accuracy with its bootstrap CI and confusion matrix.
 
     ``correct`` holds the pooled out-of-fold correctness per trial in dataset
     order, which is what paired method comparisons consume.  The report
-    stores what the folds observed; the trial count and the accuracies are
-    derived from it.
+    stores what the folds observed, as read-only copies, so the trial count
+    and the accuracies derived from it keep agreeing with the confusion.
     """
 
     correct: np.ndarray = field(repr=False)
@@ -46,6 +46,8 @@ class EvalReport:
     ci95: tuple[float, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "correct", _readonly(np.array(self.correct)))
+        object.__setattr__(self, "confusion", _readonly(np.array(self.confusion)))
         # a percentile interval need not contain the accuracy, so it is not checked
         if self.confusion.sum() != self.n:
             raise ParameterError("confusion matrix total must equal the trial count")

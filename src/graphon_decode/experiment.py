@@ -64,6 +64,7 @@ from .sbm import (
     SbmConfig,
     SpectralDecomposition,
     _check_fields,
+    _field_value,
     block_membership,
     eigendecompose,
     sample_adjacency,
@@ -85,7 +86,12 @@ PROTOCOLS = ("two_cluster", "mixed_cluster", "custom")
 
 
 def derive_seed(*keys: int) -> int:
-    """Deterministic 64-bit seed from a tuple of integer keys."""
+    """Deterministic 64-bit seed from a tuple of nonnegative integer keys.
+    A key of any size is taken, as a config seed is, but not a boolean, a
+    fraction or a string."""
+    for k in keys:
+        if _field_value("seed key", "int", k) < 0:
+            raise ParameterError(f"seed key must be nonnegative, got {k!r}")
     ss = np.random.SeedSequence([int(k) for k in keys])
     return int(ss.generate_state(1, np.uint64)[0])
 

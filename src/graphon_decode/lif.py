@@ -291,9 +291,10 @@ def run_trials(
     # stim_current[b] is trial b's pulse current, on while onset <= t < stim_stop
     stim_current = np.zeros((batch, size))
     for b, trial_targets in enumerate(targets):
+        trial_targets = _integers(trial_targets, "stimulus targets", ParameterError)
         if any(t < 0 or t >= size for t in trial_targets):
             raise ParameterError("stimulus targets outside the network")
-        stim_current[b, list(trial_targets)] = sim.amplitude_na * 1e-3
+        stim_current[b, trial_targets] = sim.amplitude_na * 1e-3
     stim_stop = sim.onset + sim.pulse_ms
 
     dt, duration = sim.dt, sim.duration

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from statistics import NormalDist
 
 import numpy as np
@@ -429,6 +430,22 @@ def test_report_round_trip(tmp_path):
     assert "accuracy,0.75" in text
     assert "confusion_s1,8|2" in text
     assert "method,graphon" in text
+
+
+def test_report_is_read_only_and_leaves_its_inputs_writable():
+    # a write into a report's correctness once moved its accuracy off its confusion
+    labels = np.array(["a", "b", "a", "b"])
+    report = evaluate(labels, {"m": np.array(["a", "b", "b", "b"])}, 100, 0)[0]["m"]
+    for name in ("correct", "confusion"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(report, name)[:] = 1
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, np.ones(4))
+    assert report.accuracy == 0.75
+    assert report.confusion.tolist() == [[1, 1], [0, 2]]
+    correct, confusion = np.array([1.0, 0.0]), np.array([[1, 0], [1, 0]])
+    EvalReport(correct, confusion, ("s1", "s2"), (0.0, 1.0))
+    assert correct.flags.writeable and confusion.flags.writeable
 
 
 def test_report_validates_consistency():

@@ -377,6 +377,25 @@ def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(0, 0, 0) != derive_seed(0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "realization, match",
+    [
+        (1.5, "seed key must be an integer, got 1.5"),
+        (True, "seed key must not be a boolean, got True"),
+        ("1", "seed key must be an integer, got '1'"),
+        (-1, "seed key must be nonnegative, got -1"),
+    ],
+    ids=["fraction", "boolean", "string", "negative"],
+)
+def test_derive_seed_refuses_keys_that_are_not_nonnegative_integers(realization, match):
+    # a fraction or a boolean once gave realization 1's graph
+    with pytest.raises(ParameterError, match=match):
+        experiment.sample_graph(SbmConfig(n=5), realization)
+    # a numpy integer is an integer, and a config seed past 64 bits is a key
+    assert derive_seed(np.int64(1)) == derive_seed(1)
+    experiment.sample_graph(SbmConfig(n=5, seed=2**64 + 3), 1)
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 

@@ -5,11 +5,17 @@ config file.
 Determinism tests compare a run against a second run of the same code, so a
 change that reorders a float sum would pass them.  These digests were taken
 once and pin the bytes themselves.  They hold for the build they were taken
-on (x86-64, Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31).  The 400-node
-eigendecompositions behind fig5 and fig6 run on one OpenBLAS thread whatever
-the core count, and every digest holds both on the default two threads of a
-2-core host and under ``OPENBLAS_NUM_THREADS=1``.  An intended change of
-output bytes re-pins them and says why in CHANGES.md.
+on (x86-64, Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31) and for the OpenBLAS
+kernel it picked on that CPU, SkylakeX.  The kernel is chosen at run time
+from the CPU, so the same wheels on another CPU may compute other bits:
+under ``OPENBLAS_CORETYPE=Haswell`` the eight digests whose artifacts pass
+through an eigendecomposition or a PCA fail (the three run_small_config
+tests, fig5, fig6, fig8, gen-graph and embed) and the other seven hold.
+The CI workflow prints the kernel of numpy and of scipy before the tests.
+The 400-node eigendecompositions behind fig5 and fig6 run on one OpenBLAS
+thread whatever the core count, and every digest holds both on the default
+two threads of a 2-core host and under ``OPENBLAS_NUM_THREADS=1``.  An
+intended change of output bytes re-pins them and says why in CHANGES.md.
 """
 
 import hashlib

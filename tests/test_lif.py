@@ -217,6 +217,16 @@ def test_stimulus_targets_validated():
         run_trial(pair(), (7,), sim=SimParams(poisson_rate=0.0, onset=0.0, duration=120.0))
 
 
+@pytest.mark.parametrize("target", [0.5, True, "1"], ids=["fraction", "boolean", "string"])
+def test_stimulus_targets_must_be_integers(target):
+    triangle = AdjacencyMatrix(np.ones((3, 3), dtype=int) - np.eye(3, dtype=int))
+    sim = SimParams(onset=0.0, duration=100.0, poisson_rate=0.0)
+    with pytest.raises(ParameterError, match="stimulus targets must be integers"):
+        run_trials(triangle, [(target,)], [0], sim)
+    # numpy integers are integers
+    assert run_trials(triangle, [(np.int64(1),)], [0], sim)[0].counts(0.0, 100.0)[1] > 0
+
+
 # one case per check of SimParams: the field set, its bad value, the message
 SIM_PARAM_CASES = [
     ("dt", 0.0, "sim.dt must be positive"),
