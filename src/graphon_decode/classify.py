@@ -17,8 +17,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .embedding import pca_fit, pca_transform
-from .errors import DataError, ParameterError, ParseError, SingularSystemError
+from .embedding import _matrix, pca_fit, pca_transform
+from .errors import DataError, ParameterError, SingularSystemError
 from .protocols import _read_keyed_rows
 from .sbm import _readonly, _rng, _write_csv
 
@@ -74,9 +74,7 @@ def ridge_fit(coords, labels, lam: float = 1.0) -> RidgeModel:
     intercept.  With lam = 0 and collinear features the normal equations are
     singular and a SingularSystemError advises regularizing.
     """
-    x = np.asarray(coords, dtype=float)
-    if x.ndim != 2:
-        raise ParameterError("coords must be 2-D (trials x dims)")
+    x = _matrix(coords, "coords")
     labels = list(labels)
     if len(labels) != x.shape[0]:
         raise ParameterError("one label per coordinate row required")
@@ -110,9 +108,8 @@ def ridge_fit(coords, labels, lam: float = 1.0) -> RidgeModel:
 def predict(model: RidgeModel, coords) -> list[str]:
     """Argmax of class scores; exact ties resolve to the earliest class in
     ``class_order``."""
-    x = np.asarray(coords, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
+    # one row may come alone; ragged rows are 1-D as objects, and _matrix refuses them
+    x = _matrix([coords] if np.asarray(coords, dtype=object).ndim == 1 else coords, "coords")
     if x.shape[1] != model.weights.shape[0]:
         raise ParameterError(
             f"feature dimension {x.shape[1]} does not match model ({model.weights.shape[0]})"

@@ -42,24 +42,27 @@ class EmbeddingSet:
     trial_ids: tuple[int, ...]
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
-        if coords.ndim != 2 or coords.size == 0:
-            raise ContractError("coords must be a nonempty 2-D (trials x dims) array")
-        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-        if bad.size:  # its file would hold a cell that the reader refuses
-            raise ContractError(f"coords must be finite, row {bad[0]} is {coords[bad[0]].tolist()}")
+        coords = np.array(_matrix(self.coords, "coords", ContractError))
         labels, trial_ids = _trial_rows(self.labels, self.trial_ids, coords.shape[0], "coordinate")
         object.__setattr__(self, "coords", _readonly(coords))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "trial_ids", trial_ids)
 
 
-def _matrix(mat) -> np.ndarray:
-    """``mat`` as a nonempty 2-D float array; a non-array object, such as a Responses, is 0-D."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] == 0:
-        raise ParameterError("expected a nonempty 2-D (signals x units) array")
-    return mat.astype(float, copy=False)
+def _matrix(mat, what: str, error: type[ValueError] = ParameterError) -> np.ndarray:
+    """``mat`` as a nonempty 2-D array of finite floats; a ragged, boolean or non-numeric ``mat``
+    (a Responses is 0-D) or a non-finite entry is an ``error`` naming ``what`` (and the row)."""
+    try:
+        arr = np.asarray(mat)
+    except ValueError:  # ragged rows
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.size == 0 or arr.dtype.kind not in "iuf":
+        raise error(f"{what} must be a nonempty 2-D array of numbers")
+    arr = arr.astype(float, copy=False)
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise error(f"{what} must be finite, row {bad[0]} is {arr[bad[0]].tolist()}")
+    return arr
 
 
 def _check_indices(indices, top: int, kind: str) -> np.ndarray:
@@ -74,7 +77,7 @@ def _check_indices(indices, top: int, kind: str) -> np.ndarray:
 
 def _basis_project(mat, basis: np.ndarray, indices) -> np.ndarray:
     """Inner products of the rows of ``mat`` with the basis columns at 1-based ``indices``."""
-    mat = _matrix(mat)
+    mat = _matrix(mat, "mat")
     size, modes = basis.shape
     if mat.shape[1] != size:
         raise ParameterError(f"response length {mat.shape[1]} does not match basis size {size}")
@@ -110,7 +113,7 @@ def graphon_project(
     """
     if convention not in CONVENTIONS:
         raise ParameterError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    mat = _matrix(mat)
+    mat = _matrix(mat, "mat")
     block_map = _integers(block_map, "block map entries", ParameterError)
     outside = np.flatnonzero((block_map < 1) | (block_map > BLOCK_COUNT))
     if outside.size:
@@ -201,7 +204,7 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     """
     from scipy.linalg import blas
 
-    mat = np.asarray(mat, dtype=float)
+    mat = _matrix(mat, "mat")
     if dims < 1:
         raise ParameterError(f"need at least one component, got dims={dims}")
     if mat.shape[0] < dims + 1:
@@ -251,7 +254,7 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
 def pca_transform(model: PcaModel, mat: np.ndarray) -> np.ndarray:
     from scipy.linalg import blas
 
-    mat = _matrix(mat)
+    mat = _matrix(mat, "mat")
     if mat.shape[1] != model.mean.size:
         raise ParameterError("feature dimension does not match the fitted model")
     return blas.dgemm(1.0, model.components, (mat - model.mean).T).T
@@ -259,7 +262,7 @@ def pca_transform(model: PcaModel, mat: np.ndarray) -> np.ndarray:
 
 def pca_fit_transform(mat, dims: int = 3) -> np.ndarray:
     """Mean-centered projection of the rows of ``mat`` onto their own top principal axes."""
-    return pca_fit(_matrix(mat), dims).coords
+    return pca_fit(mat, dims).coords
 
 
 def aligned_eigenvector_basis(decomposition: SpectralDecomposition) -> tuple[np.ndarray, bool]:
@@ -316,7 +319,7 @@ def centroids_by_label(coords: np.ndarray, labels) -> dict[str, np.ndarray]:
 def silhouette_score(coords: np.ndarray, labels) -> float:
     """Mean silhouette over points: (b - a) / max(a, b) with Euclidean
     distances; singleton clusters contribute 0."""
-    coords = np.asarray(coords, dtype=float)
+    coords = _matrix(coords, "coords")
     labels = np.asarray(labels)
     unique = list(dict.fromkeys(labels.tolist()))
     if len(unique) < 2:
@@ -340,7 +343,7 @@ def centroid_betweenness(coords: np.ndarray, labels) -> float:
     """Projection parameter of the s2 centroid onto the segment from the s1
     to the s3 centroid; values strictly inside (0, 1) mean the middle
     stimulus response sits between the outer two."""
-    cents = centroids_by_label(np.asarray(coords, dtype=float), labels)
+    cents = centroids_by_label(_matrix(coords, "coords"), labels)
     try:
         a, mid, b = (cents[lab] for lab in ("s1", "s2", "s3"))
     except KeyError as exc:

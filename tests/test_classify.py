@@ -108,6 +108,8 @@ def test_predict_validates_dimension():
     model = ridge_fit(np.array([[-1.0], [1.0]]), ["a", "b"], lam=0.0)
     with pytest.raises(ParameterError):
         predict(model, np.array([[1.0, 2.0]]))
+    # a lone row may come 1-D
+    assert predict(model, np.array([0.5])) == predict(model, [0.5]) == predict(model, [[0.5]]) == ["b"]
 
 
 def test_ridge_needs_two_classes_and_matching_labels():

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from graphon_decode import embedding
+from graphon_decode.classify import predict, ridge_fit
 from graphon_decode.embedding import (
     EmbeddingSet,
     aligned_eigenvector_basis,
@@ -196,20 +197,67 @@ def test_projection_indices_must_be_integers():
     assert np.array_equal(gft_project(mat, dec, indices=(2.0,)), gft_project(mat, dec, indices=(2,)))
 
 
+_ROWS = np.random.default_rng(3).random((6, 8))
+_LABELS = ("s1", "s2", "s3") * 2
+
+
 def _project_with(name, mat):
     n = 2
     if name == "graphon":
         return graphon_project(mat, block_membership(n))
     if name == "pca":
         return pca_fit_transform(mat, dims=1)
+    if name == "pca_fit":
+        return pca_fit(mat, dims=1)
+    if name == "pca_transform":
+        return pca_transform(pca_fit(_ROWS, dims=2), mat)
+    if name in ("silhouette", "betweenness"):
+        return (silhouette_score if name == "silhouette" else centroid_betweenness)(mat, _LABELS)
+    if name == "ridge_fit":
+        return ridge_fit(mat, _LABELS)
+    if name == "predict":
+        return predict(ridge_fit(_ROWS, _LABELS), mat)
     dec = eigendecompose(sample_adjacency(SbmConfig(alpha=0.05, n=n, seed=0)))
     return (gft_project if name == "gft" else aligned_gft_project)(mat, dec)
 
 
-@pytest.mark.parametrize("name", ["graphon", "gft", "aligned_gft", "pca"])
-@pytest.mark.parametrize("mat", [np.ones(8), np.empty((0, 8))], ids=["vector", "no-rows"])
-def test_projections_reject_what_is_not_a_nonempty_matrix(name, mat):
-    with pytest.raises(ParameterError, match="nonempty 2-D"):
+def _with_cell(value):
+    mat = _ROWS.copy()
+    mat[1, 3] = value
+    return mat
+
+
+# the functions that take a matrix, each with the name of that argument
+_MATRIX_ARGS = {
+    "graphon": "mat", "gft": "mat", "aligned_gft": "mat", "pca": "mat", "pca_fit": "mat",
+    "pca_transform": "mat", "silhouette": "coords", "betweenness": "coords",
+    "ridge_fit": "coords", "predict": "coords",
+}
+_NOT_A_MATRIX = "must be a nonempty 2-D array of numbers"
+_NOT_FINITE = r"must be finite, row 1 is \[0\."
+_MATRICES = {
+    "vector": (np.ones(8), _NOT_A_MATRIX),
+    "no-rows": (np.empty((0, 8)), _NOT_A_MATRIX),
+    "nan": (_with_cell(np.nan), _NOT_FINITE),
+    "inf": (_with_cell(np.inf), _NOT_FINITE),
+    "ragged": ([[0.0] * 8, [0.0] * 7], _NOT_A_MATRIX),
+    "text": ([["0.5"] * 8] * 6, _NOT_A_MATRIX),
+}
+
+
+@pytest.mark.parametrize(
+    "mat, match, name",
+    [
+        pytest.param(mat, match, name, id=f"{case}-{name}")
+        for case, (mat, match) in _MATRICES.items()
+        for name in _MATRIX_ARGS
+        if not (case == "vector" and name == "predict")  # predict reads a 1-D array as one row
+    ],
+)
+def test_projections_reject_what_is_not_a_nonempty_matrix(mat, match, name):
+    # every function that takes a matrix holds it to embedding._matrix's one
+    # rule, and the error names the argument
+    with pytest.raises(ParameterError, match=f"{_MATRIX_ARGS[name]} {match}"):
         _project_with(name, mat)
 
 
@@ -589,8 +637,11 @@ def test_embedding_set_refuses_what_its_file_refuses(tmp_path):
     # the reader refuses a repeated trial_id and a table without rows
     with pytest.raises(ContractError, match="duplicate trial id 0"):
         EmbeddingSet("pca", [[0.0], [1.0], [2.0]], ("s1", "s2", "s1"), (1, 0, 0))
-    with pytest.raises(ContractError, match="nonempty 2-D"):
+    with pytest.raises(ContractError, match="coords must be a nonempty 2-D"):
         EmbeddingSet("pca", np.empty((0, 2)), (), ())
+    for bad in ([0.5, 1.0], [[0.5, 1.0], [2.0]], [["0.5"], ["1.0"]], [[True], [False]]):
+        with pytest.raises(ContractError, match="coords must be a nonempty 2-D array of numbers"):
+            EmbeddingSet("pca", bad, ("s1", "s2"), (0, 1))
 
 
 def test_embedding_set_is_read_only_and_leaves_its_input_writable():
