@@ -194,7 +194,8 @@ class AdjacencyMatrix:
     ``entries`` may be any square array-like; it is checked as given, and the
     graph keeps its own read-only int8 copy.  ``alpha`` and ``seed`` record
     how the graph was sampled and may be None for graphs built directly from
-    entries.
+    entries; a given one meets the rules of its :class:`SbmConfig` field, so
+    every graph reads back from the edge list it writes.
     """
 
     entries: np.ndarray
@@ -211,6 +212,11 @@ class AdjacencyMatrix:
             raise ContractError("adjacency diagonal must be zero")
         if not np.isin(a, (0, 1)).all():
             raise ContractError("adjacency entries must be 0 or 1")
+        _check_fields(self, "")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
+        if self.seed is not None and self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "entries", _readonly(a.astype(np.int8)))
 
     @property
@@ -345,7 +351,7 @@ def write_edge_list(adjacency: AdjacencyMatrix, path) -> None:
     seed = "none" if adjacency.seed is None else str(adjacency.seed)
     u, v = np.nonzero(np.triu(adjacency.entries, k=1))
     lines = [f"# nodes={adjacency.size} alpha={alpha} seed={seed}"]
-    lines.extend(f"{int(a)} {int(b)}" for a, b in zip(u, v))
+    lines.extend(map("{} {}".format, u.tolist(), v.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -360,11 +366,10 @@ def read_edge_list(path) -> AdjacencyMatrix:
         size = _int(fields["nodes"])
         alpha = None if fields.get("alpha", "none") == "none" else float(fields["alpha"])
         seed = None if fields.get("seed", "none") == "none" else _int(fields["seed"])
+        AdjacencyMatrix(np.zeros((0, 0)), alpha, seed)  # the graph's own rules for both
+        entries = np.zeros((size, size), dtype=np.int8)  # a negative size is a ValueError
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: line 1: bad header {lines[0]!r}") from exc
-    if size < 0:
-        raise ParseError(f"{path}: line 1: bad header {lines[0]!r}")
-    entries = np.zeros((size, size), dtype=np.int8)
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -376,6 +381,8 @@ def read_edge_list(path) -> AdjacencyMatrix:
             raise ParseError(f"{path}: line {ln}: node index out of range")
         if a == b:
             raise ParseError(f"{path}: line {ln}: self-loop {a} {b}")
+        if entries[a, b]:
+            raise ParseError(f"{path}: line {ln}: edge {a} {b} is listed twice")
         entries[a, b] = entries[b, a] = 1
     return AdjacencyMatrix(entries, alpha=alpha, seed=seed)
 

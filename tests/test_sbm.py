@@ -283,6 +283,12 @@ def test_edge_list_rejects_bad_rows(tmp_path):
     path.write_text("# nodes=4 alpha=none seed=none\n0 1\n9 0\n")
     with pytest.raises(ParseError, match="line 3"):
         read_edge_list(path)
+    # the writer lists each edge once; a repeat, in either orientation, once
+    # read as one edge
+    for rows, line, edge in (("0 1\n1 2\n1 0\n0 1\n", 4, "1 0"), ("0 1\n1 2\n\n2 1\n", 5, "2 1")):
+        path.write_text("# nodes=3 alpha=none seed=none\n" + rows)
+        with pytest.raises(ParseError, match=f"line {line}: edge {edge} is listed twice"):
+            read_edge_list(path)
 
 
 def test_edge_list_rejects_self_loops(tmp_path):
@@ -308,7 +314,12 @@ def test_edge_list_skips_blank_lines(tmp_path):
 
 @pytest.mark.parametrize(
     "header",
-    ["# nodes=8 garbage", "# nodes=8 alpha=high seed=0", "# nodes=8 alpha=0.05 seed=x", "# nodes=-4"],
+    [
+        "# nodes=8 garbage", "# nodes=8 alpha=high seed=0", "# nodes=8 alpha=0.05 seed=x", "# nodes=-4",
+        # values no graph holds, so no writer writes
+        "# nodes=8 alpha=nan seed=0", "# nodes=8 alpha=inf seed=0", "# nodes=8 alpha=0.5 seed=0",
+        "# nodes=8 alpha=0 seed=0", "# nodes=8 alpha=0.05 seed=-1",
+    ],
 )
 def test_edge_list_rejects_bad_headers(tmp_path, header):
     path = tmp_path / "bad.edges"
@@ -341,6 +352,16 @@ def test_adjacency_wrapper_validation():
         AdjacencyMatrix(np.array([[0, 2], [2, 0]]))  # non-binary
     with pytest.raises(ContractError):
         AdjacencyMatrix(entries=np.array([[0, 1], [0, 0]], dtype=np.int8))
+    # a recorded alpha and seed meet their SbmConfig fields' rules
+    for alpha, seed, match in [
+        (float("nan"), None, "alpha must be finite"), (0.5, None, "alpha must lie strictly inside"),
+        (True, None, "alpha must not be a boolean"), ("0.1", None, "alpha must be a number"),
+        (None, -1, "seed must be nonnegative"), (None, 1.5, "seed must be an integer"),
+    ]:
+        with pytest.raises(ParameterError, match=match):
+            AdjacencyMatrix([[0, 1], [1, 0]], alpha, seed)
+    adj = AdjacencyMatrix([[0, 1], [1, 0]], np.float64(0.25), np.int64(3))
+    assert (type(adj.alpha), type(adj.seed)) == (float, int)
 
 
 def test_adjacency_checks_entries_as_given_and_keeps_a_readonly_int8_copy():
