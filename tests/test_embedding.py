@@ -201,24 +201,24 @@ _ROWS = np.random.default_rng(3).random((6, 8))
 _LABELS = ("s1", "s2", "s3") * 2
 
 
-def _project_with(name, mat):
-    n = 2
-    if name == "graphon":
-        return graphon_project(mat, block_membership(n))
-    if name == "pca":
-        return pca_fit_transform(mat, dims=1)
-    if name == "pca_fit":
-        return pca_fit(mat, dims=1)
-    if name == "pca_transform":
-        return pca_transform(pca_fit(_ROWS, dims=2), mat)
-    if name in ("silhouette", "betweenness"):
-        return (silhouette_score if name == "silhouette" else centroid_betweenness)(mat, _LABELS)
-    if name == "ridge_fit":
-        return ridge_fit(mat, _LABELS)
-    if name == "predict":
-        return predict(ridge_fit(_ROWS, _LABELS), mat)
-    dec = eigendecompose(sample_adjacency(SbmConfig(alpha=0.05, n=n, seed=0)))
-    return (gft_project if name == "gft" else aligned_gft_project)(mat, dec)
+def _gft_basis():
+    return eigendecompose(sample_adjacency(SbmConfig(alpha=0.05, n=2, seed=0)))
+
+
+# every function that takes a matrix, with the name of that argument, applied
+# where a 6 x 8 matrix such as _ROWS would be valid
+_MATRIX_FUNCTIONS = {
+    "graphon": ("mat", lambda mat: graphon_project(mat, block_membership(2))),
+    "gft": ("mat", lambda mat: gft_project(mat, _gft_basis())),
+    "aligned_gft": ("mat", lambda mat: aligned_gft_project(mat, _gft_basis())),
+    "pca": ("mat", lambda mat: pca_fit_transform(mat, dims=1)),
+    "pca_fit": ("mat", lambda mat: pca_fit(mat, dims=1)),
+    "pca_transform": ("mat", lambda mat: pca_transform(pca_fit(_ROWS, dims=2), mat)),
+    "silhouette": ("coords", lambda mat: silhouette_score(mat, _LABELS)),
+    "betweenness": ("coords", lambda mat: centroid_betweenness(mat, _LABELS)),
+    "ridge_fit": ("coords", lambda mat: ridge_fit(mat, _LABELS)),
+    "predict": ("coords", lambda mat: predict(ridge_fit(_ROWS, _LABELS), mat)),
+}
 
 
 def _with_cell(value):
@@ -227,12 +227,6 @@ def _with_cell(value):
     return mat
 
 
-# the functions that take a matrix, each with the name of that argument
-_MATRIX_ARGS = {
-    "graphon": "mat", "gft": "mat", "aligned_gft": "mat", "pca": "mat", "pca_fit": "mat",
-    "pca_transform": "mat", "silhouette": "coords", "betweenness": "coords",
-    "ridge_fit": "coords", "predict": "coords",
-}
 _NOT_A_MATRIX = "must be a nonempty 2-D array of numbers"
 _NOT_FINITE = r"must be finite, row 1 is \[0\."
 _MATRICES = {
@@ -250,15 +244,16 @@ _MATRICES = {
     [
         pytest.param(mat, match, name, id=f"{case}-{name}")
         for case, (mat, match) in _MATRICES.items()
-        for name in _MATRIX_ARGS
+        for name in _MATRIX_FUNCTIONS
         if not (case == "vector" and name == "predict")  # predict reads a 1-D array as one row
     ],
 )
 def test_projections_reject_what_is_not_a_nonempty_matrix(mat, match, name):
     # every function that takes a matrix holds it to embedding._matrix's one
     # rule, and the error names the argument
-    with pytest.raises(ParameterError, match=f"{_MATRIX_ARGS[name]} {match}"):
-        _project_with(name, mat)
+    arg, call = _MATRIX_FUNCTIONS[name]
+    with pytest.raises(ParameterError, match=f"{arg} {match}"):
+        call(mat)
 
 
 # ---------------------------------------------------------------------------
