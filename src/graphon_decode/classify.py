@@ -20,7 +20,7 @@ import numpy as np
 from .embedding import _matrix, pca_fit, pca_transform
 from .errors import DataError, ParameterError, SingularSystemError
 from .protocols import _read_keyed_rows
-from .sbm import _readonly, _rng, _write_csv
+from .sbm import _field_value, _readonly, _rng, _write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +127,7 @@ _BOOTSTRAP_BLOCK = 2**17
 
 def stratified_folds(labels, folds: int, seed: int = 0) -> list[np.ndarray]:
     """Shuffled per-class round-robin assignment into ``folds`` test folds."""
-    labels = np.asarray(labels)
-    if folds < 2:
-        raise ParameterError("need at least two folds")
+    labels, folds = np.asarray(labels), _field_value("folds", "int", folds, 2)
     rng = _rng(seed)
     assignment = np.empty(labels.size, dtype=int)
     for lab in sorted(set(labels.tolist())):
@@ -198,8 +196,7 @@ def bootstrap_mean_ci(
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.size == 0:
         raise ParameterError("need a nonempty sample or k x n stack of samples")
-    if resamples < 1:
-        raise ParameterError(f"resamples must be at least 1, got {resamples}")
+    resamples = _field_value("resamples", "int", resamples, 1)
     rng = _rng(seed)
     samples = values.reshape(-1, values.shape[-1])
     n = samples.shape[1]

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ContractError, DataError, ParameterError
 from .protocols import _read_trial_table, _trial_rows, _write_trial_table
 from .graphon import EIGENFUNCTIONS
-from .sbm import BLOCK_COUNT, SpectralDecomposition, _integers, _readonly, _rng
+from .sbm import BLOCK_COUNT, SpectralDecomposition, _field_value, _integers, _readonly, _rng
 
 CONVENTIONS = ("blocksum", "orthonormal")
 
@@ -204,9 +204,7 @@ def pca_fit(mat: np.ndarray, dims: int) -> PcaModel:
     """
     from scipy.linalg import blas
 
-    mat = _matrix(mat, "mat")
-    if dims < 1:
-        raise ParameterError(f"need at least one component, got dims={dims}")
+    mat, dims = _matrix(mat, "mat"), _field_value("dims", "int", dims, 1)
     if mat.shape[0] < dims + 1:
         raise ParameterError(f"need at least {dims + 1} trials to fit {dims} components")
     if dims > mat.shape[1]:

@@ -89,10 +89,7 @@ def derive_seed(*keys: int) -> int:
     """Deterministic 64-bit seed from a tuple of nonnegative integer keys.
     A key of any size is taken, as a config seed is, but not a boolean, a
     fraction or a string."""
-    for k in keys:
-        if _field_value("seed key", "int", k) < 0:
-            raise ParameterError(f"seed key must be nonnegative, got {k!r}")
-    ss = np.random.SeedSequence([int(k) for k in keys])
+    ss = np.random.SeedSequence([_field_value("seed key", "int", k, 0) for k in keys])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -137,19 +134,17 @@ class ClassifySection:
     enabled: bool = True
     lam: float = 1.0
     lam_grid: tuple[float, ...] | None = None  # e.g. (0.01, 0.1, 1, 10) for inner CV
-    folds: int = 7
-    resamples: int = 10_000
-    seed: int = 0
-    dimensions: int = 4
+    folds: int = field(default=7, metadata={"least": 2})
+    resamples: int = field(default=10_000, metadata={"least": 1})
+    seed: int = field(default=0, metadata={"least": 0})
+    dimensions: int = field(default=4, metadata={"least": 1})
 
     def __post_init__(self):
         _check_fields(self, "classify.")
         if self.lam_grid is not None and (not self.lam_grid or min(self.lam_grid) < 0):
             raise ParameterError(f"classify.lam_grid must be nonempty, all >= 0, got {self.lam_grid}")
-        for name, least in (("lam", 0), ("folds", 2), ("resamples", 1), ("seed", 0), ("dimensions", 1)):
-            value = getattr(self, name)
-            if value < least:
-                raise ParameterError(f"classify.{name} must be at least {least}, got {value}")
+        if self.lam < 0:
+            raise ParameterError(f"classify.lam must be at least 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -165,15 +160,13 @@ class ExperimentConfig:
     sbm: SbmConfig = field(default_factory=SbmConfig)
     sim: SimParams = field(default_factory=SimParams)
     protocol: ProtocolSection = field(default_factory=ProtocolSection)
-    trials_per_stimulus: int = 20
+    trials_per_stimulus: int = field(default=20, metadata={"least": 1})
     embedding: EmbeddingSection = field(default_factory=EmbeddingSection)
     classify: ClassifySection = field(default_factory=ClassifySection)
     io: IoSection = field(default_factory=IoSection)
 
     def __post_init__(self):
         _check_fields(self, "")
-        if self.trials_per_stimulus < 1:
-            raise ParameterError(f"trials_per_stimulus must be at least 1, got {self.trials_per_stimulus}")
         if self.classify.enabled and not self.embedding.methods:
             raise ParameterError("embedding.methods must name at least one method when classify.enabled is true")
         # the kernel basis has four eigenfunctions, so graphon classifies in at most 4-D
@@ -265,11 +258,6 @@ def _trial_chunk(payload):
     return rows, skipped
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ParameterError(f"jobs must be at least 1, got {jobs}")
-
-
 def run_protocol_trials(
     adjacency, config: ExperimentConfig, realization: int = 0, jobs: int = 1, raster_dir=None
 ) -> tuple[Responses, np.ndarray, list[int]]:
@@ -287,7 +275,7 @@ def run_protocol_trials(
     simulated only up to the end of its counting window.  Zero-response
     trials are skipped; a DataError is raised when no trial is usable.
     """
-    _check_jobs(jobs)
+    jobs = _field_value("jobs", "int", jobs, 1)
     protocol = _build_protocol(config)
     n_stimuli, per_stimulus = len(protocol.stimuli), config.trials_per_stimulus
     specs = [
@@ -385,8 +373,7 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
 def map_indices(dimensions: int) -> tuple[int, ...]:
     """1-based basis indices of a map with ``dimensions`` coordinates; maps
     below four dimensions drop the total-mass coordinate (index 1) first."""
-    if dimensions < 1:
-        raise ParameterError(f"a map needs at least one dimension, got {dimensions}")
+    dimensions = _field_value("dimensions", "int", dimensions, 1)
     if dimensions >= BLOCK_COUNT:
         return tuple(range(1, dimensions + 1))
     return (2, 3, 4)[:dimensions]
@@ -489,7 +476,7 @@ def run_experiment(
     needed for classification, or when nothing can be embedded at all; with
     fewer trials per stimulus than folds it fails (ConfigError) before any write.
     """
-    _check_jobs(jobs)
+    _field_value("jobs", "int", jobs, 1)
     folds, per_stimulus = config.classify.folds, config.trials_per_stimulus
     if config.classify.enabled and per_stimulus < folds:
         raise ConfigError(f"trials_per_stimulus {per_stimulus} is below classify.folds {folds}")
@@ -553,6 +540,8 @@ def trial_invariance_experiment(config: ExperimentConfig, realizations: int = 3,
     (kernel over eigenvector; below 1 means the kernel coordinates are the
     more stable ones).
     """
+    # the dispersion needs two realizations: checked before one is simulated
+    _field_value("realizations", "int", realizations, 2)
     convention, indices = config.embedding.convention, map_indices(3)
     gft_sets: list[EmbeddingSet] = []
     graphon_sets: list[EmbeddingSet] = []
@@ -739,7 +728,7 @@ def reproduce(
     build = _FIGURES.get(figure_id)
     if build is None:
         raise ConfigError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
-    _check_jobs(jobs)
+    _field_value("jobs", "int", jobs, 1)
     # only the table reads measured inputs, and an external decoder's
     # correctness pairs with measured trials, not with the surrogate's
     paths = (experimental_csv, block_map_csv, rc_correct_csv)
@@ -749,7 +738,7 @@ def reproduce(
         raise ConfigError("--experimental-csv and --block-map must be given together")
     if rc_correct_csv and not experimental_csv:
         raise ConfigError("--rc-correct needs the measured trials of --experimental-csv and --block-map")
-    SbmConfig(seed=seed)  # checks the seed before the output directory is made
+    seed = _field_value("seed", "int", seed, 0)  # before the output directory is made
     measured = None  # the table's measured inputs, read before the directory is made
     if experimental_csv:
         responses, block_map = load_experimental_responses(experimental_csv, block_map_csv)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .sbm import AdjacencyMatrix, _cell, _check_fields, _integers, _readonly, _rng, _write_csv
+from .sbm import AdjacencyMatrix, _cell, _check_fields, _field_value, _integers, _readonly, _rng, _write_csv
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,8 @@ class SpikeRaster:
             raise ContractError("offsets must rise from 0 to the number of spike times")
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "offsets", _readonly(offsets))
+        # the raster CSV writes the seed into its header
+        object.__setattr__(self, "seed", _field_value("seed", "int", self.seed, 0))
 
         def neuron_of(index):
             return int(np.searchsorted(offsets, index, side="right")) - 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError, ParseError, ZeroResponseError
 from .lif import SpikeRaster
-from .sbm import BLOCK_COUNT, _cell, _int, _integers, _open_utf8, _readonly, _write_csv
+from .sbm import BLOCK_COUNT, _cell, _field_value, _int, _integers, _open_utf8, _readonly, _write_csv
 
 EXPERIMENTAL_LABELS = ("s1", "s2", "s3")
 
@@ -95,8 +95,7 @@ def _trial_rows(labels, trial_ids, rows: int, what: str) -> tuple[tuple[str, ...
 
 def two_cluster_protocol(n: int) -> Protocol:
     """s1 targets all of block 1, s2 all of block 2."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    n = _field_value("n", "int", n, 1)
     return Protocol(stimuli=(("s1", tuple(range(0, n))), ("s2", tuple(range(n, 2 * n)))))
 
 
@@ -109,8 +108,7 @@ def mixed_cluster_protocol(n: int) -> Protocol:
     remainders go to s1 and s3, which keeps the three sets disjoint and
     jointly covering blocks 1 and 2 for every n >= 3.
     """
-    if n < 3:
-        raise ParameterError(f"mixed protocol needs n >= 3, got {n}")
+    n = _field_value("n", "int", n, 3)
     third = n // 3
     s1 = tuple(range(0, n - third))
     s2 = tuple(range(n - third, n)) + tuple(range(n, n + third))

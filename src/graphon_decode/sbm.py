@@ -21,7 +21,7 @@ import math
 import numbers
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +95,12 @@ _KINDS = {
 }
 
 
-def _field_value(where: str, kind: str, value):
+def _field_value(where: str, kind: str, value, least: int | None = None):
     """``value`` as the Python bool, int, float or str its field's ``kind``
-    stores; a value of another kind is a ParameterError naming ``where``."""
+    stores; a value of another kind, or a number below ``least``, is a
+    ParameterError naming ``where``.  With ``kind`` "int" and a ``least``
+    it is the one check of every count and seed, which refuses a boolean, a
+    fraction or a string."""
     types, store, noun = _KINDS[kind]
     if isinstance(value, (bool, np.bool_)) and kind != "bool":
         raise ParameterError(f"{where} must not be a boolean, got {value!r}")
@@ -110,15 +113,19 @@ def _field_value(where: str, kind: str, value):
             finite = False
         if not finite:
             raise ParameterError(f"{where} must be finite, got {value!r}")
-    return store(value)
+    value = store(value)
+    if least is not None and value < least:
+        raise ParameterError(f"{where} must be at least {least}, got {value}")
+    return value
 
 
 def _check_fields(section, prefix: str) -> None:
     """Hold each scalar or tuple field of the frozen dataclass ``section`` to
     its annotation, wherever the section is built: a bool is not a number, a
     number is finite, a tuple field takes a list or a tuple, and only an
-    optional field takes None.  Values are stored as Python scalars and
-    tuples; a ParameterError names the field as ``prefix`` + its name."""
+    optional field takes None.  A field whose metadata gives a ``least``
+    is held to it.  Values are stored as Python scalars and tuples; a
+    ParameterError names the field as ``prefix`` + its name."""
     for f in fields(section):
         kind = f.type.removesuffix(" | None")
         sequence = kind.startswith("tuple[")
@@ -127,14 +134,15 @@ def _check_fields(section, prefix: str) -> None:
         if kind not in _KINDS:  # a nested section checks itself
             continue
         where, value = prefix + f.name, getattr(section, f.name)
+        least = f.metadata.get("least")
         if value is None:
             if not f.type.endswith(" | None"):
                 raise ParameterError(f"{where} must not be null")
             continue
         if not sequence:
-            value = _field_value(where, kind, value)
+            value = _field_value(where, kind, value, least)
         elif isinstance(value, (list, tuple)):
-            value = tuple(_field_value(where, kind, item) for item in value)
+            value = tuple(_field_value(where, kind, item, least) for item in value)
         else:
             raise ParameterError(f"{where} must be a list, got {value!r}")
         object.__setattr__(section, f.name, value)
@@ -142,9 +150,7 @@ def _check_fields(section, prefix: str) -> None:
 
 def _rng(seed: int) -> np.random.Generator:
     """The package's one kind of generator: PCG64 seeded by ``SeedSequence(seed)``."""
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    return np.random.default_rng(np.random.SeedSequence(_field_value("seed", "int", seed, 0)))
 
 
 @contextmanager
@@ -171,16 +177,12 @@ class SbmConfig:
     Also the ``sbm`` section of an experiment config."""
 
     alpha: float = 0.05
-    n: int = 100
-    seed: int = 0
+    n: int = field(default=100, metadata={"least": 1})
+    seed: int = field(default=0, metadata={"least": 0})
 
     def __post_init__(self):
         _check_fields(self, "sbm.")
         _check_alpha(self.alpha)
-        if self.n < 1:
-            raise ParameterError(f"sbm.n must be a positive integer, got {self.n!r}")
-        if self.seed < 0:
-            raise ParameterError(f"sbm.seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def size(self) -> int:
@@ -200,7 +202,7 @@ class AdjacencyMatrix:
 
     entries: np.ndarray
     alpha: float | None = None
-    seed: int | None = None
+    seed: int | None = field(default=None, metadata={"least": 0})
 
     def __post_init__(self):
         a = np.asarray(self.entries)
@@ -215,8 +217,6 @@ class AdjacencyMatrix:
         _check_fields(self, "")
         if self.alpha is not None:
             _check_alpha(self.alpha)
-        if self.seed is not None and self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "entries", _readonly(a.astype(np.int8)))
 
     @property
@@ -261,9 +261,7 @@ def build_block_probability_matrix(alpha: float) -> np.ndarray:
 
 def block_membership(n: int) -> np.ndarray:
     """Block id (1..4) of every node for blocks of n nodes in index order."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    return _readonly(np.repeat(np.arange(1, BLOCK_COUNT + 1), n))
+    return _readonly(np.repeat(np.arange(1, BLOCK_COUNT + 1), _field_value("n", "int", n, 1)))
 
 
 def edge_probability_matrix(config: SbmConfig) -> np.ndarray:

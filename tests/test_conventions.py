@@ -1,8 +1,9 @@
 """Rules the whole package keeps: its API is its modules, types that hold
-arrays compare by identity, and the test settings let a failing property test
-report itself."""
+arrays compare by identity, every count and seed is held to one integer rule,
+and the test settings let a failing property test report itself."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,23 @@ import numpy as np
 import pytest
 
 import graphon_decode
-from graphon_decode.classify import EvalReport, RidgeModel
-from graphon_decode.embedding import EmbeddingSet, PcaModel
-from graphon_decode.lif import SpikeRaster, TrialTrace
-from graphon_decode.protocols import Responses
-from graphon_decode.sbm import AdjacencyMatrix, SpectralDecomposition
+from graphon_decode.classify import EvalReport, RidgeModel, bootstrap_mean_ci, stratified_folds
+from graphon_decode.embedding import EmbeddingSet, PcaModel, pca_fit
+from graphon_decode.errors import ParameterError
+from graphon_decode.experiment import (
+    ClassifySection,
+    ExperimentConfig,
+    IoSection,
+    map_indices,
+    reproduce,
+    run_experiment,
+    run_protocol_trials,
+    sample_graph,
+    trial_invariance_experiment,
+)
+from graphon_decode.lif import SpikeRaster, TrialTrace, noise_events, run_trials
+from graphon_decode.protocols import Responses, mixed_cluster_protocol, two_cluster_protocol
+from graphon_decode.sbm import AdjacencyMatrix, SbmConfig, SpectralDecomposition, _rng, block_membership
 
 MODULES = ["classify", "embedding", "errors", "experiment", "graphon", "lif", "protocols", "sbm"]
 
@@ -53,6 +66,58 @@ def test_array_holding_types_compare_by_identity(build):
     assert "__eq__" not in vars(type(a))
     assert a == a
     assert (a == b) is False and (a != b) is True
+
+
+def _tiny(out):
+    """A two-stimulus experiment on 12 neurons that writes into ``out``."""
+    return ExperimentConfig(
+        sbm=SbmConfig(n=3), trials_per_stimulus=2,
+        classify=ClassifySection(enabled=False), io=IoSection(out_dir=str(out)),
+    )
+
+
+# every count and seed a library function or record takes, less the config
+# fields, AdjacencyMatrix.seed and derive_seed's keys, whose own tables are in
+# test_experiment.py and test_sbm.py: the name its error gives it, the least
+# value it takes, and a call that passes it a value (``out`` is a directory
+# the call would write into)
+INTEGER_SETTINGS = {
+    "_rng": ("seed", 0, lambda v, out: _rng(v)),
+    "block_membership": ("n", 1, lambda v, out: block_membership(v)),
+    "two_cluster_protocol": ("n", 1, lambda v, out: two_cluster_protocol(v)),
+    "mixed_cluster_protocol": ("n", 3, lambda v, out: mixed_cluster_protocol(v)),
+    "stratified_folds.folds": ("folds", 2, lambda v, out: stratified_folds(["a", "b"] * 4, v)),
+    "stratified_folds.seed": ("seed", 0, lambda v, out: stratified_folds(["a", "b"] * 4, 2, v)),
+    "bootstrap_mean_ci.resamples": ("resamples", 1, lambda v, out: bootstrap_mean_ci([0.0, 1.0], v)),
+    "bootstrap_mean_ci.seed": ("seed", 0, lambda v, out: bootstrap_mean_ci([0.0, 1.0], 10, v)),
+    "pca_fit": ("dims", 1, lambda v, out: pca_fit(np.random.default_rng(0).random((6, 5)), v)),
+    "run_protocol_trials": (
+        "jobs", 1, lambda v, out: run_protocol_trials(sample_graph(SbmConfig(n=3)), _tiny(out), jobs=v)
+    ),
+    "run_experiment": ("jobs", 1, lambda v, out: run_experiment(_tiny(out), jobs=v)),
+    "reproduce.jobs": ("jobs", 1, lambda v, out: reproduce("fig5", out, jobs=v)),
+    "reproduce.seed": ("seed", 0, lambda v, out: reproduce("fig5", out, seed=v)),
+    "map_indices": ("dimensions", 1, lambda v, out: map_indices(v)),
+    "trial_invariance_experiment": ("realizations", 2, lambda v, out: trial_invariance_experiment(_tiny(out), v)),
+    "noise_events": ("seed", 0, lambda v, out: noise_events(v, np.ones(2), 10)),
+    "run_trials": ("seed", 0, lambda v, out: run_trials(AdjacencyMatrix([[0, 1], [1, 0]]), [()], [v])),
+    "SpikeRaster.seed": ("seed", 0, lambda v, out: SpikeRaster(times=[1.0], offsets=[0, 1], duration=3.0, seed=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", "least - 1"])
+@pytest.mark.parametrize("setting", INTEGER_SETTINGS)
+def test_every_count_and_seed_refuses_what_is_not_an_integer_at_its_bound(tmp_path, setting, value):
+    # True once counted as 1, and 2.5 or "3" failed deep inside numpy, if at all
+    where, least, call = INTEGER_SETTINGS[setting]
+    if value == "least - 1":
+        value, words = least - 1, f"must be at least {least}"
+    else:
+        words = "must not be a boolean" if value is True else "must be an integer"
+    out = tmp_path / "never"
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'{where} {words}, got {value!r}')}$"):
+        call(value, out)
+    assert not out.exists()
 
 
 FAILING_PROPERTY = """

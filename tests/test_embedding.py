@@ -307,7 +307,7 @@ def test_pca_needs_enough_trials():
 
 
 def test_pca_needs_a_component():
-    with pytest.raises(ParameterError, match="at least one component"):
+    with pytest.raises(ParameterError, match="dims must be at least 1, got 0"):
         pca_fit(np.random.default_rng(0).random((6, 5)), dims=0)
 
 

@@ -383,7 +383,7 @@ def test_derive_seed_is_stable_and_distinct():
         (1.5, "seed key must be an integer, got 1.5"),
         (True, "seed key must not be a boolean, got True"),
         ("1", "seed key must be an integer, got '1'"),
-        (-1, "seed key must be nonnegative, got -1"),
+        (-1, "seed key must be at least 0, got -1"),
     ],
     ids=["fraction", "boolean", "string", "negative"],
 )
@@ -1112,7 +1112,7 @@ def test_cli_table_with_a_short_measured_class_exits_3(tmp_path, capsys):
         (["table", "--experimental-csv", "x.csv"], "must be given together"),
         (["table", "--block-map", "b.csv"], "must be given together"),
         (["table", "--rc-correct", "rc.csv"], "--rc-correct needs the measured trials"),
-        (["fig5", "--seed", "-1"], "seed must be a nonnegative integer"),
+        (["fig5", "--seed", "-1"], "seed must be at least 0, got -1"),
     ],
 )
 def test_cli_reproduce_rejects_misused_measured_inputs(tmp_path, capsys, argv, match):

@@ -356,7 +356,8 @@ def test_adjacency_wrapper_validation():
     for alpha, seed, match in [
         (float("nan"), None, "alpha must be finite"), (0.5, None, "alpha must lie strictly inside"),
         (True, None, "alpha must not be a boolean"), ("0.1", None, "alpha must be a number"),
-        (None, -1, "seed must be nonnegative"), (None, 1.5, "seed must be an integer"),
+        (None, -1, "seed must be at least 0, got -1"), (None, 1.5, "seed must be an integer"),
+        (None, True, "seed must not be a boolean"), (None, "3", "seed must be an integer"),
     ]:
         with pytest.raises(ParameterError, match=match):
             AdjacencyMatrix([[0, 1], [1, 0]], alpha, seed)
