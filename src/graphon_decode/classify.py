@@ -74,10 +74,8 @@ def ridge_fit(coords, labels, lam: float = 1.0) -> RidgeModel:
     intercept.  With lam = 0 and collinear features the normal equations are
     singular and a SingularSystemError advises regularizing.
     """
-    x = _matrix(coords, "coords")
     labels = list(labels)
-    if len(labels) != x.shape[0]:
-        raise ParameterError("one label per coordinate row required")
+    x = _matrix(coords, "coords", labels=labels)
     if not 0 <= lam < math.inf:
         raise ParameterError(f"lam must be finite and nonnegative, got {lam}")
     class_order, index = np.unique(labels, return_inverse=True)
@@ -267,6 +265,11 @@ def evaluate(
     comes from one bootstrap draw, and each equals the interval of its own
     draw."""
     labels = np.asarray(labels)
+    for method, p in predicted.items():
+        if np.shape(p) != labels.shape:  # numpy would broadcast a lone prediction
+            raise ParameterError(
+                f"method {method!r} must predict one label per trial, got shape {np.shape(p)}"
+            )
     correct = [(labels == p).astype(float) for p in predicted.values()]
     cis = bootstrap_mean_ci(np.vstack([*correct, *differences]), resamples=resamples, seed=seed)
     class_order, true = np.unique(labels, return_inverse=True)

@@ -49,9 +49,10 @@ class EmbeddingSet:
         object.__setattr__(self, "trial_ids", trial_ids)
 
 
-def _matrix(mat, what: str, error: type[ValueError] = ParameterError) -> np.ndarray:
+def _matrix(mat, what: str, error: type[ValueError] = ParameterError, labels=None) -> np.ndarray:
     """``mat`` as a nonempty 2-D array of finite floats; a ragged, boolean or non-numeric ``mat``
-    (a Responses is 0-D) or a non-finite entry is an ``error`` naming ``what`` (and the row)."""
+    (a Responses is 0-D) or a non-finite entry is an ``error`` naming ``what`` (and the row),
+    and so are ``labels``, when given, unless there is one per row."""
     try:
         arr = np.asarray(mat)
     except ValueError:  # ragged rows
@@ -62,6 +63,8 @@ def _matrix(mat, what: str, error: type[ValueError] = ParameterError) -> np.ndar
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise error(f"{what} must be finite, row {bad[0]} is {arr[bad[0]].tolist()}")
+    if labels is not None and np.shape(labels) != arr.shape[:1]:
+        raise error("one label per coordinate row required")
     return arr
 
 
@@ -311,14 +314,15 @@ def aligned_gft_project(mat, decomposition: SpectralDecomposition, indices=(2, 3
 
 def centroids_by_label(coords: np.ndarray, labels) -> dict[str, np.ndarray]:
     labels = np.asarray(labels)
+    coords = _matrix(coords, "coords", labels=labels)
     return {lab: coords[labels == lab].mean(axis=0) for lab in dict.fromkeys(labels.tolist())}
 
 
 def silhouette_score(coords: np.ndarray, labels) -> float:
     """Mean silhouette over points: (b - a) / max(a, b) with Euclidean
     distances; singleton clusters contribute 0."""
-    coords = _matrix(coords, "coords")
     labels = np.asarray(labels)
+    coords = _matrix(coords, "coords", labels=labels)
     unique = list(dict.fromkeys(labels.tolist()))
     if len(unique) < 2:
         raise ParameterError("silhouette needs at least two labels")
@@ -341,7 +345,7 @@ def centroid_betweenness(coords: np.ndarray, labels) -> float:
     """Projection parameter of the s2 centroid onto the segment from the s1
     to the s3 centroid; values strictly inside (0, 1) mean the middle
     stimulus response sits between the outer two."""
-    cents = centroids_by_label(_matrix(coords, "coords"), labels)
+    cents = centroids_by_label(coords, labels)
     try:
         a, mid, b = (cents[lab] for lab in ("s1", "s2", "s3"))
     except KeyError as exc:

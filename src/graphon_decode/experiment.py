@@ -353,17 +353,15 @@ def _build_protocol(config: ExperimentConfig) -> Protocol:
         ) from exc
     if not stimuli:
         raise ConfigError(f"{path}: custom protocol has no stimuli")
-    size = BLOCK_COUNT * config.sbm.n
-    for label, targets in stimuli:
-        # JSON true and 1.7 are not node indices
-        if not isinstance(targets, list) or any(type(t) is not int for t in targets):
-            raise ConfigError(f"{path}: custom stimulus {label!r} targets must be a list of integers")
-        if any(not 0 <= t < size for t in targets):
-            raise ConfigError(f"{path}: custom stimulus {label!r} targets outside 0..{size - 1}")
-    try:
-        return Protocol(stimuli=stimuli)
+    try:  # Protocol refuses JSON true, 1.7 and "abc" as targets
+        protocol = Protocol(stimuli=stimuli)
     except ContractError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    size = BLOCK_COUNT * config.sbm.n
+    for label, targets in protocol.stimuli:
+        if any(not 0 <= t < size for t in targets):
+            raise ConfigError(f"{path}: custom stimulus {label!r} targets outside 0..{size - 1}")
+    return protocol
 
 
 # ---------------------------------------------------------------------------

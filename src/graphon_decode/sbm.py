@@ -52,6 +52,7 @@ def _cell(x) -> str:
 
 
 _ASCII_INT = re.compile(r"-?[0-9]+")
+_ASCII_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 
 
 def _int(text: str) -> int:
@@ -60,6 +61,16 @@ def _int(text: str) -> int:
     if _ASCII_INT.fullmatch(text) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def _float(text: str) -> float:
+    """The number a file spells as :func:`_cell` writes a finite float: ASCII
+    digits, an optional fraction and an optional exponent, as in "0.05" or
+    "1e-05"; any other text, such as "0.0_5", ".5", "nan" or "٠.05", is a
+    ValueError."""
+    if _ASCII_FLOAT.fullmatch(text) is None:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
 def _integers(values, what: str, error: type[ValueError] = ContractError) -> np.ndarray:
@@ -362,7 +373,7 @@ def read_edge_list(path) -> AdjacencyMatrix:
     try:
         fields = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split())
         size = _int(fields["nodes"])
-        alpha = None if fields.get("alpha", "none") == "none" else float(fields["alpha"])
+        alpha = None if fields.get("alpha", "none") == "none" else _float(fields["alpha"])
         seed = None if fields.get("seed", "none") == "none" else _int(fields["seed"])
         AdjacencyMatrix(np.zeros((0, 0)), alpha, seed)  # the graph's own rules for both
         entries = np.zeros((size, size), dtype=np.int8)  # a negative size is a ValueError

@@ -450,6 +450,16 @@ def test_report_is_read_only_and_leaves_its_inputs_writable():
     assert correct.flags.writeable and confusion.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "predicted, shape", [(["a"], "(1,)"), (["a", "b", "a", "b", "a"], "(5,)"), ([["a", "b"], ["a", "b"]], "(2, 2)")]
+)
+def test_evaluate_takes_one_prediction_per_trial(predicted, shape):
+    # one prediction was once broadcast over four trials, and scored 0.5
+    with pytest.raises(ParameterError) as err:
+        evaluate(["a", "b", "a", "b"], {"m": np.array(predicted)}, 10, 0)
+    assert str(err.value) == f"method 'm' must predict one label per trial, got shape {shape}"
+
+
 def test_report_validates_consistency():
     with pytest.raises(ParameterError, match="confusion matrix total"):
         EvalReport(

@@ -16,6 +16,7 @@ from graphon_decode.embedding import (
     aligned_eigenvector_basis,
     aligned_gft_project,
     centroid_betweenness,
+    centroids_by_label,
     cross_realization_dispersion,
     gft_project,
     graphon_project,
@@ -206,7 +207,8 @@ def _gft_basis():
 
 
 # every function that takes a matrix, with the name of that argument, applied
-# where a 6 x 8 matrix such as _ROWS would be valid
+# where a 6 x 8 matrix such as _ROWS would be valid; those that take one label
+# per row take the labels too
 _MATRIX_FUNCTIONS = {
     "graphon": ("mat", lambda mat: graphon_project(mat, block_membership(2))),
     "gft": ("mat", lambda mat: gft_project(mat, _gft_basis())),
@@ -214,9 +216,10 @@ _MATRIX_FUNCTIONS = {
     "pca": ("mat", lambda mat: pca_fit_transform(mat, dims=1)),
     "pca_fit": ("mat", lambda mat: pca_fit(mat, dims=1)),
     "pca_transform": ("mat", lambda mat: pca_transform(pca_fit(_ROWS, dims=2), mat)),
-    "silhouette": ("coords", lambda mat: silhouette_score(mat, _LABELS)),
-    "betweenness": ("coords", lambda mat: centroid_betweenness(mat, _LABELS)),
-    "ridge_fit": ("coords", lambda mat: ridge_fit(mat, _LABELS)),
+    "silhouette": ("coords", lambda mat, labels=_LABELS: silhouette_score(mat, labels)),
+    "centroids": ("coords", lambda mat, labels=_LABELS: centroids_by_label(mat, labels)),
+    "betweenness": ("coords", lambda mat, labels=_LABELS: centroid_betweenness(mat, labels)),
+    "ridge_fit": ("coords", lambda mat, labels=_LABELS: ridge_fit(mat, labels)),
     "predict": ("coords", lambda mat: predict(ridge_fit(_ROWS, _LABELS), mat)),
 }
 
@@ -254,6 +257,15 @@ def test_projections_reject_what_is_not_a_nonempty_matrix(mat, match, name):
     arg, call = _MATRIX_FUNCTIONS[name]
     with pytest.raises(ParameterError, match=f"{arg} {match}"):
         call(mat)
+
+
+@pytest.mark.parametrize("count", [4, 8])
+@pytest.mark.parametrize("name", ["silhouette", "centroids", "betweenness", "ridge_fit"])
+def test_matrix_functions_take_one_label_per_row(name, count):
+    # a short or long label list once met numpy's bare IndexError in the metrics
+    _, call = _MATRIX_FUNCTIONS[name]
+    with pytest.raises(ParameterError, match="^one label per coordinate row required$"):
+        call(_ROWS, (_LABELS * 2)[:count])
 
 
 # ---------------------------------------------------------------------------

@@ -725,9 +725,9 @@ _BAD_LABEL_IDS = ["comma", "quote", "bar", "newline", "return"]
 @pytest.mark.parametrize(
     "stimuli, match",
     [
-        ([{"label": "a", "targets": "abc"}], "targets must be a list of integers"),
-        ([{"label": "a", "targets": [1.7]}], "targets must be a list of integers"),
-        ([{"label": "a", "targets": [True]}], "targets must be a list of integers"),
+        ([{"label": "a", "targets": "abc"}], "targets must be integers"),
+        ([{"label": "a", "targets": [1.7]}], "targets must be integers"),
+        ([{"label": "a", "targets": [True]}], "targets must be integers"),
         ([], "has no stimuli"),
         (None, "custom protocol must be"),
         ([{"label": "a"}], "custom protocol must be"),

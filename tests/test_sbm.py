@@ -319,6 +319,8 @@ def test_edge_list_skips_blank_lines(tmp_path):
         # values no graph holds, so no writer writes
         "# nodes=8 alpha=nan seed=0", "# nodes=8 alpha=inf seed=0", "# nodes=8 alpha=0.5 seed=0",
         "# nodes=8 alpha=0 seed=0", "# nodes=8 alpha=0.05 seed=-1",
+        # spellings Python's float() reads but the writer never writes
+        "# nodes=8 alpha=0.0_5 seed=0", "# nodes=8 alpha=\u0660.05 seed=0",
     ],
 )
 def test_edge_list_rejects_bad_headers(tmp_path, header):
