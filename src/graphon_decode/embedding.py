@@ -63,7 +63,7 @@ def _matrix(mat, what: str, error: type[ValueError] = ParameterError, labels=Non
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise error(f"{what} must be finite, row {bad[0]} is {arr[bad[0]].tolist()}")
-    if labels is not None and np.shape(labels) != arr.shape[:1]:
+    if labels is not None and len(labels) != arr.shape[0]:
         raise error("one label per coordinate row required")
     return arr
 

@@ -241,6 +241,17 @@ def test_integer_fields_refuse_booleans_and_fractions_through_the_api(field, val
         INTEGER_FIELDS[field](value)
 
 
+@pytest.mark.parametrize(
+    "field, least",
+    [("sbm.n", 1), ("sbm.seed", 0), ("trials_per_stimulus", 1), ("classify.folds", 2),
+     ("classify.resamples", 1), ("classify.seed", 0), ("classify.dimensions", 1)],
+)
+def test_integer_fields_refuse_a_value_below_their_least(field, least):
+    # each field's metadata gives its least value to the one integer rule
+    with pytest.raises(ParameterError, match=f"^{re.escape(field)} must be at least {least}, got {least - 1}$"):
+        INTEGER_FIELDS[field](least - 1)
+
+
 # every config class, and the prefix its fields' messages carry
 CONFIG_CLASSES = {
     SbmConfig: "sbm.",
